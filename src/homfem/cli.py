@@ -8,7 +8,8 @@ seed.  Subcommands:
 * ``solve``: run the pipeline at a single oscillation period.
 * ``sweep``: the full pipeline over the configured period list, with CSV
   output, a rate-fit summary, and the linear convergence probes.
-* ``probe``: the weak-convergence or gradient-integrability probe alone.
+* ``probe``: the linear probes alone (weak convergence and gradient
+  integrability, from one linear solve per probe mesh).
 
 Every CSV column is documented in the JSON schema files shipped under
 ``homfem/schemas``; consumers should read CSVs through those schemas.
@@ -22,7 +23,6 @@ import importlib.resources
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import yaml
 
 from .cell import homogenized_tensor, homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import FemSpace
+from .fem import DiscreteField, FemSpace
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
@@ -196,6 +196,12 @@ def _build_value_factor(spec: dict, n: int, where: str):
     raise ConfigError(f"unknown value-factor kind {kind!r} in {where}")
 
 
+def _at_least(value: int, low: int, key: str) -> int:
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    return value
+
+
 def parse_config(text: str) -> ProblemConfig:
     """Parse and validate a YAML problem config; defaults are filled in."""
     doc = yaml.safe_load(text)
@@ -233,7 +239,9 @@ def parse_config(text: str) -> ProblemConfig:
     mesh = doc.get("mesh", {})
     _check_keys(mesh, _MESH_KEYS, "mesh")
     cfg.cells_per_eps = int(mesh.get("cells_per_eps", cfg.cells_per_eps))
-    cfg.cell_resolution = int(mesh.get("cell_resolution", cfg.cell_resolution))
+    cfg.cell_resolution = _at_least(
+        int(mesh.get("cell_resolution", cfg.cell_resolution)), 2,
+        "mesh.cell_resolution")
 
     solver = doc.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
@@ -245,9 +253,11 @@ def parse_config(text: str) -> ProblemConfig:
 
     probe = doc.get("probe", {})
     _check_keys(probe, _PROBE_KEYS, "probe")
-    cfg.probe_modes = int(probe.get("modes", cfg.probe_modes))
+    cfg.probe_modes = _at_least(int(probe.get("modes", cfg.probe_modes)), 1,
+                                "probe.modes")
     cfg.probe_p_grid = [float(p) for p in probe.get("p_grid", cfg.probe_p_grid)]
-    cfg.probe_trials = int(probe.get("trials", cfg.probe_trials))
+    cfg.probe_trials = _at_least(int(probe.get("trials", cfg.probe_trials)),
+                                 1, "probe.trials")
     cfg.probe_cells_per_eps = int(probe.get("cells_per_eps",
                                             cfg.probe_cells_per_eps))
 
@@ -352,9 +362,12 @@ def _default_probe_flux(dim: int, n: int):
     return flux
 
 
-def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-               return_fields: bool = False):
-    """One full solve at a single oscillation period; returns a sweep row."""
+def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
+    """One full solve at a single oscillation period.
+
+    Returns ``(row, space, fields)``: the sweep row, the solve space and the
+    fields that the solve reached, among ``u0``, ``ubar`` and ``ueps``.
+    """
     base = cfg.build_tensor()
     nl = cfg.build_nonlinearity()
     space = cfg.build_domain_space(eps)
@@ -390,9 +403,7 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
-    if return_fields:
-        return row, space, fields
-    return row
+    return row, space, fields
 
 
 def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
@@ -412,9 +423,9 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
     return rows
 
 
-def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float) -> dict:
-    """run_single, but any stage failure lands in the row and the sweep
-    continues."""
+def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
+    """run_single, but any stage failure lands in the row (with no space and
+    no fields) and the sweep continues."""
     try:
         return run_single(cfg, ahat, eps)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
@@ -422,16 +433,40 @@ def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float) -> dic
         return {"eps": eps, "h": np.nan, "n_cells": 0, "margin": np.nan,
                 "ubar_err_linf": np.nan, "ueps_err_linf": np.nan,
                 "iterations": 0, "max_contraction": np.nan,
-                "status": f"error-{type(exc).__name__}"}
+                "status": f"error-{type(exc).__name__}"}, None, {}
 
 
-def run_sweep(cfg: ProblemConfig, out_dir=None, threads: int = 1) -> dict:
+def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
+                        out: Path) -> float:
+    """The linear probes: writes ``hconv.csv`` and ``meyers.csv`` from one
+    solve per probe mesh; returns the Meyers observed range."""
+    flux = _default_probe_flux(cfg.dim, cfg.system_dim)
+    hrows = h_convergence_probe(
+        cfg.build_tensor(), ahat, flux, cfg.eps,
+        test_functions=sinusoid_test_functions(cfg.dim, cfg.probe_modes),
+        cells_per_eps=cfg.probe_cells_per_eps)
+    _write_csv(out / "hconv.csv", "hconv", [{
+        "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
+        "pairing_max": float(r.pairings.max()),
+        "flux_pairing_max": float(r.flux_pairings.max()),
+        "linf_diff": r.linf_diff, "grad_l2_diff": r.grad_l2_diff,
+    } for r in hrows])
+    mtable = meyers_probe(hrows, cfg.probe_p_grid)
+    _write_csv(out / "meyers.csv", "meyers", [
+        {"eps": e, "p": p, "grad_lp": float(mtable.norms[r, c])}
+        for r, e in enumerate(mtable.eps_list)
+        for c, p in enumerate(mtable.p_grid)])
+    return mtable.observed_range
+
+
+def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     """The full pipeline over the configured period list.
 
     Writes ``ahat.json``, ``sweep.csv``, ``hconv.csv``, ``meyers.csv`` and
     ``summary.json`` into the output directory and returns the summary.
     Deterministic for a fixed config and seed; per-period failures are
-    recorded in their row and the sweep continues.
+    recorded in their row and the sweep continues.  The uniqueness probe
+    restarts around the last converged row's own ``u0`` and ``ueps``.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -450,12 +485,15 @@ def run_sweep(cfg: ProblemConfig, out_dir=None, threads: int = 1) -> dict:
     (out / "ahat.json").write_text(ahat.to_json())
     log.info("effective tensor computed: %s", json.dumps(cell_info))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda e: _guarded_run(cfg, ahat, e),
-                                 cfg.eps))
-    else:
-        rows = [_guarded_run(cfg, ahat, e) for e in cfg.eps]
+    rows, last = [], None
+    for eps in cfg.eps:
+        row, _, fields = _guarded_run(cfg, ahat, eps)
+        rows.append(row)
+        if row["status"] == "converged":
+            last = (eps, fields["u0"].values, fields["ueps"].values)
+        # the next row runs without this row's mesh alive; the probe
+        # rebuilds the space of the last converged row from its eps
+        del _, fields
     _write_csv(out / "sweep.csv", "sweep", rows)
     for row in rows:
         log.info("sweep row: %s", json.dumps(row, default=repr))
@@ -473,36 +511,16 @@ def run_sweep(cfg: ProblemConfig, out_dir=None, threads: int = 1) -> dict:
         slope, intercept = fit_rate(fit_points)
         summary["rate"] = {"slope": slope, "intercept": intercept}
 
-    base = cfg.build_tensor()
-    flux = _default_probe_flux(cfg.dim, cfg.system_dim)
-    hrows = h_convergence_probe(
-        base, ahat, flux, cfg.eps,
-        test_functions=sinusoid_test_functions(cfg.dim, cfg.probe_modes),
-        cells_per_eps=cfg.probe_cells_per_eps)
-    _write_csv(out / "hconv.csv", "hconv", [{
-        "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
-        "pairing_max": float(r.pairings.max()),
-        "flux_pairing_max": float(r.flux_pairings.max()),
-        "linf_diff": r.linf_diff, "grad_l2_diff": r.grad_l2_diff,
-    } for r in hrows])
+    summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out)
 
-    mtable = meyers_probe(base, flux, cfg.eps, cfg.probe_p_grid,
-                          cells_per_eps=cfg.probe_cells_per_eps)
-    _write_csv(out / "meyers.csv", "meyers", [
-        {"eps": e, "p": p, "grad_lp": float(mtable.norms[r, c])}
-        for r, e in enumerate(mtable.eps_list)
-        for c, p in enumerate(mtable.p_grid)])
-    summary["meyers_observed_range"] = mtable.observed_range
-
-    converged = [r for r in rows if r["status"] == "converged"]
-    if converged:
-        eps_star = converged[-1]["eps"]
-        nl = cfg.build_nonlinearity()
+    if last is not None:
+        eps_star, u0, u_eps = last
         space = cfg.build_domain_space(eps_star)
-        u0, _ = solve_homogenized(space, ahat, nl, cfg.solver)
         probe = local_uniqueness_probe(
-            space, base.with_epsilon(eps_star), nl, u0, cfg.solver,
-            trials=cfg.probe_trials, seed=cfg.seed)
+            space, cfg.build_tensor().with_epsilon(eps_star),
+            cfg.build_nonlinearity(), DiscreteField(space, u0), cfg.solver,
+            trials=cfg.probe_trials, seed=cfg.seed,
+            u_eps=DiscreteField(space, u_eps))
         summary["uniqueness"] = {
             "eps": eps_star,
             "all_same": probe.all_same,
@@ -536,7 +554,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML problem config")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def main(argv=None) -> int:
@@ -551,9 +568,6 @@ def main(argv=None) -> int:
         if name == "solve":
             p.add_argument("--eps", type=float, default=None,
                            help="oscillation period (default: first in config)")
-        if name == "probe":
-            p.add_argument("--kind", choices=("hconv", "meyers"),
-                           default="hconv")
     args = parser.parse_args(argv)
 
     cfg = load_config(args.config)
@@ -572,36 +586,17 @@ def main(argv=None) -> int:
     elif args.command == "solve":
         eps = args.eps if args.eps is not None else cfg.eps[0]
         ahat, _ = compute_effective_tensor(cfg)
-        row, space, fields = run_single(cfg, ahat, eps, return_fields=True)
+        row, space, fields = run_single(cfg, ahat, eps)
         (out / "solve.json").write_text(
             json.dumps(row, indent=2, sort_keys=True, default=repr))
         _write_csv(out / "solution.csv", "solution",
                    _solution_rows(space, fields))
         log.info("solve row: %s", json.dumps(row, default=repr))
     elif args.command == "sweep":
-        run_sweep(cfg, out, threads=args.threads)
+        run_sweep(cfg, out)
     elif args.command == "probe":
         ahat, _ = compute_effective_tensor(cfg)
-        base = cfg.build_tensor()
-        flux = _default_probe_flux(cfg.dim, cfg.system_dim)
-        if args.kind == "hconv":
-            hrows = h_convergence_probe(
-                base, ahat, flux, cfg.eps,
-                test_functions=sinusoid_test_functions(cfg.dim, cfg.probe_modes),
-                cells_per_eps=cfg.probe_cells_per_eps)
-            _write_csv(out / "hconv.csv", "hconv", [{
-                "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
-                "pairing_max": float(r.pairings.max()),
-                "flux_pairing_max": float(r.flux_pairings.max()),
-                "linf_diff": r.linf_diff, "grad_l2_diff": r.grad_l2_diff,
-            } for r in hrows])
-        else:
-            mtable = meyers_probe(base, flux, cfg.eps, cfg.probe_p_grid,
-                                  cells_per_eps=cfg.probe_cells_per_eps)
-            _write_csv(out / "meyers.csv", "meyers", [
-                {"eps": e, "p": p, "grad_lp": float(mtable.norms[r, c])}
-                for r, e in enumerate(mtable.eps_list)
-                for c, p in enumerate(mtable.p_grid)])
+        _write_probe_tables(cfg, ahat, out)
     return 0
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "TensorField",
     "HomogenizedTensor",
     "legendre_margin",
-    "scale_periodic",
     "add_defect",
     "DEFAULT_SAMPLE_GRID",
 ]
@@ -158,13 +157,12 @@ class TensorField:
     """
 
     def __init__(self, n, dim, base_entries, epsilon=None, defect=None,
-                 triangular=None, declared_localized=True):
+                 triangular=None):
         self.n = int(n)
         self.dim = int(dim)
         self.base = base_entries
         self.epsilon = epsilon
         self.defect = defect  # entries evaluated at x/eps, unwrapped
-        self.declared_localized = declared_localized
         self._margin = None
         self._magnitude = None
         if epsilon is not None and epsilon <= 0:
@@ -212,8 +210,7 @@ class TensorField:
     def with_epsilon(self, epsilon):
         """The same coefficient family member at scale ``epsilon``."""
         return TensorField(self.n, self.dim, self.base, epsilon=epsilon,
-                           defect=self.defect, triangular=self.triangular,
-                           declared_localized=self.declared_localized)
+                           defect=self.defect, triangular=self.triangular)
 
     def without_defect(self):
         """The periodic base alone; the cell problems and the effective
@@ -289,13 +286,6 @@ def legendre_margin(tensor, per_axis=DEFAULT_SAMPLE_GRID):
     return float(_quadratic_form_margin(vals).min())
 
 
-def scale_periodic(base: TensorField, epsilon: float) -> TensorField:
-    """Rescale a unit-cell tensor to oscillate at period ``epsilon``."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return base.with_epsilon(epsilon)
-
-
 def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):
     """max over centers of (1/r^N) * integral of |b| over the r-ball.
 
@@ -326,15 +316,13 @@ def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):
 def add_defect(base: TensorField, defect: TensorField, epsilon: float) -> TensorField:
     """Perturb a periodic tensor family by a localized defect.
 
-    The defect's declared vanishing-mean-density property is spot-checked:
-    the mean of |defect| over balls of growing radius around a few sample
-    centers must decay.  The combined field must keep a positive observed
-    ellipticity margin.
+    The defect's vanishing mean density is spot-checked: the mean of
+    |defect| over balls of growing radius around a few sample centers must
+    decay.  The combined field must keep a positive observed ellipticity
+    margin.
     """
     if base.n != defect.n or base.dim != defect.dim:
         raise ValueError("base and defect dimensions do not match")
-    if not defect.declared_localized:
-        raise ValueError("defect must declare vanishing mean density")
     centers = np.full((3, base.dim), 0.5)
     centers[1] = 0.0
     centers[2] = 3.0

@@ -190,7 +190,6 @@ class SparseOperator:
 
     space: FemSpace
     matrix: sp.csr_matrix
-    symmetric: bool = False
 
     def __post_init__(self):
         nf = self.space.num_free
@@ -202,8 +201,7 @@ class SparseOperator:
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if other.space is not self.space:
             raise ValueError("operators live on different spaces")
-        return SparseOperator(self.space, (self.matrix + other.matrix).tocsr(),
-                              symmetric=self.symmetric and other.symmetric)
+        return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
 
     def apply(self, free_values: np.ndarray) -> np.ndarray:
         return self.matrix @ free_values
@@ -288,18 +286,15 @@ def assemble_diffusion(space: FemSpace, tensor, epsilon=None) -> SparseOperator:
 
     Row dof pattern is (component, derivative direction) of the test hat,
     column of the trial hat.  ``epsilon`` rescales the tensor before
-    evaluation; the matrix is flagged symmetric when the sampled tensor is
-    symmetric under swapping the (component, direction) pairs.
+    evaluation.
     """
     a = _tensor_at_quadrature(space, tensor, epsilon)  # (nc,nq,n,n,N,N)
-    sym = bool(np.allclose(a, np.transpose(a, (0, 1, 3, 2, 5, 4)),
-                           atol=1e-14 * max(1.0, float(abs(a).max()))))
     local = np.einsum("cq,cqabij,cwi,cvj->cwavb", space.quad_weights, a,
                       space.grads, space.grads, optimize=True)
     rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
     cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
     matrix = _restrict(space, rows.ravel(), cols.ravel(), local.ravel())
-    return SparseOperator(space, matrix, symmetric=sym)
+    return SparseOperator(space, matrix)
 
 
 def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> LoadFunctional:
@@ -344,7 +339,7 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
     rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
     cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
     matrix = _restrict(space, rows.ravel(), cols.ravel(), local.ravel())
-    return SparseOperator(space, matrix, symmetric=False)
+    return SparseOperator(space, matrix)
 
 
 def lu_factor(A):

@@ -18,7 +18,6 @@ from .fem import (DiscreteField, FemSpace, assemble_diffusion,
 from .mesh import build_interval_mesh, build_unit_square_mesh
 
 __all__ = [
-    "NormSpec",
     "linf_norm",
     "w1p_norm",
     "morrey_seminorm",
@@ -29,23 +28,6 @@ __all__ = [
     "HConvergenceRow",
     "MeyersTable",
 ]
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Which norm to report: 'linf', 'w1p' (p >= 2) or 'morrey' (0 <= lam < N)."""
-
-    kind: str
-    p: float = 2.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("linf", "w1p", "morrey"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "w1p" and self.p < 2:
-            raise ValueError("w1p norms need p >= 2")
-        if self.kind == "morrey" and self.lam < 0:
-            raise ValueError("morrey exponent must be nonnegative")
 
 
 def linf_norm(u: DiscreteField) -> float:
@@ -181,6 +163,7 @@ class HConvergenceRow:
     flux_pairings: np.ndarray   # per test function
     linf_diff: float
     grad_l2_diff: float
+    u_eps: DiscreteField        # the A_eps solve, reused by meyers_probe
 
 
 def _probe_space(dim: int, eps: float, cells_per_eps: int, n: int) -> FemSpace:
@@ -200,7 +183,8 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
     ``cells_per_eps`` cells per oscillation) and the rows report the smeared
     differences ``|int (u_eps - uhat) psi|`` and
     ``|int (flux_eps - fluxhat) . grad psi|`` per test function, together
-    with the max-norm distance and the gradient L2 distance.
+    with the max-norm distance and the gradient L2 distance.  Each row keeps
+    its ``u_eps`` solve, from which :func:`meyers_probe` reads its norms.
 
     ``flux_fn`` maps points (m, N) to load flux values (m, n, N).
     """
@@ -243,7 +227,8 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
         rows.append(HConvergenceRow(
             eps=eps, h=space.mesh.h, n_cells=space.mesh.num_cells,
             pairings=np.array(pairings), flux_pairings=np.array(flux_pairings),
-            linf_diff=linf_norm(diff), grad_l2_diff=gradient_lp_norm(diff, 2.0)))
+            linf_diff=linf_norm(diff), grad_l2_diff=gradient_lp_norm(diff, 2.0),
+            u_eps=u_eps))
     return rows
 
 
@@ -258,34 +243,28 @@ class MeyersTable:
     stable: np.ndarray = field(default=None)  # per-p boundedness flags
 
 
-def meyers_probe(tensor_family: TensorField, flux_fn, eps_list, p_grid,
-                 cells_per_eps: int = 8, slack: float = 0.05) -> MeyersTable:
-    """Track gradient L^p norms across the scale sweep.
+def meyers_probe(rows: list[HConvergenceRow], p_grid,
+                 slack: float = 0.05) -> MeyersTable:
+    """Track gradient L^p norms of the rows' ``u_eps`` across the sweep.
 
-    A column counts as stable when the norm sequence never grows by more
-    than ``slack`` relative to its running minimum; the observed range is the
-    largest stable p.  This is a bounded-sequence diagnostic, not an attempt
-    to compute the critical integrability exponent.
+    ``rows`` come from :func:`h_convergence_probe`, so both probes share one
+    linear solve per scale.  A column counts as stable when the norm
+    sequence never grows by more than ``slack`` relative to its running
+    minimum; the observed range is the largest stable p.  This is a
+    bounded-sequence diagnostic, not an attempt to compute the critical
+    integrability exponent.
     """
     p_grid = [float(p) for p in p_grid]
     if any(p < 2 or p > 4 for p in p_grid):
         raise ValueError("p grid must lie inside [2, 4]")
-    dim, n = tensor_family.dim, tensor_family.n
-    norms = np.empty((len(eps_list), len(p_grid)))
-    for r, eps in enumerate(eps_list):
-        space = _probe_space(dim, eps, cells_per_eps, n)
-        nc, nq = space.quad_points.shape[:2]
-        pts = space.quad_points.reshape(nc * nq, dim)
-        g = np.asarray(flux_fn(pts), dtype=float).reshape(nc, nq, n, dim)
-        load = assemble_divergence_load(space, g)
-        u = solve_linear(assemble_diffusion(space, tensor_family.with_epsilon(eps)),
-                         -load)
+    norms = np.empty((len(rows), len(p_grid)))
+    for r, row in enumerate(rows):
         for c, p in enumerate(p_grid):
-            norms[r, c] = gradient_lp_norm(u, p)
+            norms[r, c] = gradient_lp_norm(row.u_eps, p)
     stable = np.array([
         bool(np.all(norms[1:, c] <= np.minimum.accumulate(norms[:, c])[:-1]
                     * (1.0 + slack)))
         for c in range(len(p_grid))])
     observed = max((p for p, ok in zip(p_grid, stable) if ok), default=0.0)
-    return MeyersTable(eps_list=list(eps_list), p_grid=p_grid, norms=norms,
-                       observed_range=observed, stable=stable)
+    return MeyersTable(eps_list=[row.eps for row in rows], p_grid=p_grid,
+                       norms=norms, observed_range=observed, stable=stable)

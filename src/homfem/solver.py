@@ -9,11 +9,15 @@ iteration
     (A_eps + C(u0)) u_{l+1} = C(u0) u_l - D F(u_l),    u_1 = ubar,
 
 where C(u0) couples trial values against test gradients through the flux
-derivative at u0.  The frozen operator is factorized once and reused; each
-step is algebraically the linearized update with the derivative taken at u0
-rather than at the current iterate.  Starting at ubar matters: the first
-correction from u0 does not shrink with the oscillation period, while the
-one from ubar does.
+derivative at u0.  Each step is algebraically the linearized update with
+the derivative taken at u0 rather than at the current iterate.  Starting at
+ubar matters: the first correction from u0 does not shrink with the
+oscillation period, while the one from ubar does.
+
+The frozen operator is assembled and factorized once per (space, eps, u0)
+and every iteration from it runs over that one factorization: the
+fixed-point solve, and each perturbed restart of the uniqueness probe.  The
+probe checks the caller's ``(u0, u_eps)`` pair instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -143,33 +147,29 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
             if report.iterations == 0:
                 raise
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
+            break
         u = u + step
         if not np.all(np.isfinite(u.values)):
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
+            break
         report.iterations += 1
         try:
             res_norm = float(np.linalg.norm(
                 residual_vector(space, diffusion, nl, u)))
         except ValueError:
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
+            break
         report.residual_history.append(res_norm)
         report.step_norms.append(w1p_norm(step, 2.0))
         report.linf_history.append(linf_norm(u))
         if res_norm <= cfg.newton_tol:
             report.status = "converged"
-            _finalize(report, u)
-            return u, report
+            break
         if _diverging(report.residual_history):
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
-    report.status = "max-iter"
+            break
+    else:
+        report.status = "max-iter"
     _finalize(report, u)
     return u, report
 
@@ -243,26 +243,19 @@ def approximate_solution(space: FemSpace, tensor_eps: TensorField,
     return solve_linear(A_eps, -load)
 
 
-def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
-                      nl: Nonlinearity, u0: DiscreteField,
-                      cfg: SolverConfig | None = None,
-                      start: DiscreteField | None = None):
-    """Frozen-operator fixed-point iteration for the oscillatory problem.
-
-    Requires a non-degenerate u0 (positive margin, checked by the caller)
-    and a mesh resolving the oscillation.  Starts at the approximate
-    solution unless ``start`` is given.  Divergence (step norms growing over
-    three consecutive iterations) usually signals that the oscillation
-    period is too large for the frozen linearization to contract.
-    """
-    cfg = cfg or SolverConfig()
-    _check_resolution(space, tensor_eps, cfg)
+def _frozen_operator(space: FemSpace, tensor_eps: TensorField,
+                     nl: Nonlinearity, u0: DiscreteField):
+    """``A_eps``, ``C(u0)`` and the LU factors of ``A_eps + C(u0)``."""
     A_eps = assemble_diffusion(space, tensor_eps)
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    frozen = lu_factor(A_eps + C)
+    return A_eps, C, lu_factor(A_eps + C)
 
-    u = start.copy() if start is not None else approximate_solution(
-        space, tensor_eps, nl, u0, cfg)
+
+def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
+             cfg: SolverConfig):
+    """The fixed-point loop from ``u`` over a ``_frozen_operator``."""
+    A_eps, C, frozen = frozen_operator
+    space = u.space
     report = SolverReport()
     for _ in range(cfg.fp_max_iter):
         try:
@@ -278,13 +271,10 @@ def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
             # failure on the very first evaluation is a usage error
             if report.iterations == 0:
                 raise
-            report.status = "diverged"
-            _finalize(report, u)
-            return u, report
+            finite = False
         if not finite:
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
+            break
         step_norm = w1p_norm(u_next - u, 2.0)
         u = u_next
         report.iterations += 1
@@ -293,15 +283,34 @@ def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
         report.residual_history.append(res_norm)
         if step_norm <= cfg.fp_tol:
             report.status = "converged"
-            _finalize(report, u)
-            return u, report
+            break
         if _diverging(report.step_norms):
             report.status = "diverged"
-            _finalize(report, u)
-            return u, report
-    report.status = "max-iter"
+            break
+    else:
+        report.status = "max-iter"
     _finalize(report, u)
     return u, report
+
+
+def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
+                      nl: Nonlinearity, u0: DiscreteField,
+                      cfg: SolverConfig | None = None,
+                      start: DiscreteField | None = None):
+    """Frozen-operator fixed-point iteration for the oscillatory problem.
+
+    Requires a non-degenerate u0 (positive margin, checked by the caller)
+    and a mesh resolving the oscillation.  Starts at the approximate
+    solution unless ``start`` is given.  Divergence (step norms growing over
+    three consecutive iterations) usually signals that the oscillation
+    period is too large for the frozen linearization to contract.
+    """
+    cfg = cfg or SolverConfig()
+    _check_resolution(space, tensor_eps, cfg)
+    if start is None:
+        start = approximate_solution(space, tensor_eps, nl, u0, cfg)
+    return _iterate(_frozen_operator(space, tensor_eps, nl, u0), nl,
+                    start, cfg)
 
 
 @dataclass
@@ -326,26 +335,26 @@ class UniquenessProbeReport:
 def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
                            nl: Nonlinearity, u0: DiscreteField,
                            cfg: SolverConfig | None = None, trials: int = 10,
-                           seed: int = 0, magnitude: float | None = None,
-                           u_eps: DiscreteField | None = None) -> UniquenessProbeReport:
+                           seed: int = 0, magnitude: float | None = None, *,
+                           u_eps: DiscreteField) -> UniquenessProbeReport:
     """Restart the iteration from randomly perturbed starting elements.
 
     Perturbations are nodal fields of max-norm ``magnitude`` (default: half
-    the uniqueness radius delta) added to the approximate solution.  The
+    the uniqueness radius delta) added to the approximate solution.  Every
+    restart iterates over one factorization of the frozen operator.  The
     report records, per trial, the max-norm distance of the recomputed
-    solution from the reference one; runs agree when every distance is below
-    ten times the fixed-point tolerance.  Magnitudes beyond delta are
-    allowed but flagged as outside the uniqueness ball, and only recorded.
+    solution from ``u_eps``, the fixed-point solution around ``u0``; runs
+    agree when every distance is below ten times the fixed-point tolerance.
+    Magnitudes beyond delta are allowed but flagged as outside the
+    uniqueness ball, and only recorded.
     """
     cfg = cfg or SolverConfig()
-    if u_eps is None:
-        u_eps, ref_report = fixed_point_solve(space, tensor_eps, nl, u0, cfg)
-        if ref_report.status != "converged":
-            raise RuntimeError("reference fixed-point run did not converge")
     delta = cfg.delta if cfg.delta is not None else 0.1 * (1.0 + linf_norm(u0))
     if magnitude is None:
         magnitude = 0.5 * delta
+    # ubar first: its factorization is freed before the frozen one is made
     ubar = approximate_solution(space, tensor_eps, nl, u0, cfg)
+    frozen = _frozen_operator(space, tensor_eps, nl, u0)
     rng = np.random.default_rng(seed)
     report = UniquenessProbeReport(magnitude=magnitude, delta=delta,
                                    outside_ball=magnitude > delta,
@@ -356,8 +365,7 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
         scale = linf_norm(pert)
         if scale > 0:
             pert = pert * (magnitude / scale)
-        u_trial, trial_report = fixed_point_solve(
-            space, tensor_eps, nl, u0, cfg, start=ubar + pert)
+        u_trial, trial_report = _iterate(frozen, nl, ubar + pert, cfg)
         report.statuses.append(trial_report.status)
         report.distances.append(linf_norm(u_trial - u_eps))
     return report

@@ -94,6 +94,16 @@ eps: [0.25]
         cfg = parse_config(text)
         assert any("triangular" in w for w in cfg.warnings)
 
+    @pytest.mark.parametrize("key, text", [
+        ("probe.trials", MINIMAL + "probe: {trials: 0}\n"),
+        ("probe.modes", MINIMAL + "probe: {modes: 0}\n"),
+        ("mesh.cell_resolution",
+         MINIMAL.replace("cell_resolution: 16", "cell_resolution: 1")),
+    ])
+    def test_out_of_range_key_named(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+
     def test_effective_dict_echoes_defaults(self):
         cfg = parse_config(MINIMAL)
         doc = cfg.effective_dict()
@@ -235,7 +245,7 @@ class TestQuadratureConfig:
         cfg = parse_config(MINIMAL + "\nquadrature: 3point\n")
         assert cfg.quadrature == "3point"
         ahat, _ = compute_effective_tensor(cfg)
-        row = run_single(cfg, ahat, 0.125)
+        row, _, _ = run_single(cfg, ahat, 0.125)
         assert row["status"] == "converged"
 
 
@@ -271,15 +281,7 @@ class TestMain:
 
     def test_probe_command(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
-        assert main(["probe", "--config", str(cfg), "--kind", "meyers",
+        assert main(["probe", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "meyers.csv").exists()
-
-    def test_sweep_with_threads_matches_serial(self, tmp_path):
-        cfg = self._write_cfg(tmp_path)
-        assert main(["sweep", "--config", str(cfg),
-                     "--out", str(tmp_path / "serial")]) == 0
-        assert main(["sweep", "--config", str(cfg), "--threads", "2",
-                     "--out", str(tmp_path / "threaded")]) == 0
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() \
-            == (tmp_path / "threaded" / "sweep.csv").read_bytes()
+        assert len(_read_csv(tmp_path / "o" / "hconv.csv", "hconv")) == 2
+        assert len(_read_csv(tmp_path / "o" / "meyers.csv", "meyers")) == 2 * 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfem.coeff import (HomogenizedTensor, TensorField, add_defect,
-                          legendre_margin, scale_periodic, sample_grid)
+                          legendre_margin, sample_grid)
 
 from conftest import piecewise_14_tensor
 
@@ -37,22 +37,24 @@ class TestLegendreMargin:
 
 
 class TestScalePeriodic:
+    """``with_epsilon`` rescales a unit-cell tensor to period epsilon."""
+
     def test_epsilon_one_matches_base(self):
         base = piecewise_14_tensor()
-        scaled = scale_periodic(base, 1.0)
+        scaled = base.with_epsilon(1.0)
         pts = sample_grid(1, 17)
         assert np.allclose(scaled.evaluate(pts), base.evaluate(pts))
 
     def test_result_is_eps_periodic(self):
         base = TensorField.from_expressions(1, 1, "2 + sin(2*pi*x)")
         eps = 0.125
-        scaled = scale_periodic(base, eps)
+        scaled = base.with_epsilon(eps)
         pts = np.linspace(0.01, 0.8, 23).reshape(-1, 1)
         assert np.allclose(scaled.evaluate(pts), scaled.evaluate(pts + eps))
 
     def test_constant_base_stays_constant(self):
         base = TensorField.constant(1, 2, 3.0)
-        scaled = scale_periodic(base, 0.1)
+        scaled = base.with_epsilon(0.1)
         pts = sample_grid(2, 5)
         assert np.allclose(scaled.evaluate(pts), 3.0 * np.eye(2))
 
@@ -67,7 +69,7 @@ class TestScalePeriodic:
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            scale_periodic(piecewise_14_tensor(), 0.0)
+            piecewise_14_tensor().with_epsilon(0.0)
 
 
 class TestAddDefect:
