@@ -18,11 +18,13 @@ Every CSV column is documented in the JSON schema files shipped under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.resources
 import json
 import logging
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field, asdict
 from pathlib import Path
 
@@ -238,14 +240,19 @@ def parse_config(text: str) -> ProblemConfig:
 
     mesh = doc.get("mesh", {})
     _check_keys(mesh, _MESH_KEYS, "mesh")
-    cfg.cells_per_eps = int(mesh.get("cells_per_eps", cfg.cells_per_eps))
+    cfg.cells_per_eps = _at_least(
+        int(mesh.get("cells_per_eps", cfg.cells_per_eps)), 1,
+        "mesh.cells_per_eps")
     cfg.cell_resolution = _at_least(
         int(mesh.get("cell_resolution", cfg.cell_resolution)), 2,
         "mesh.cell_resolution")
 
     solver = doc.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
-    cfg.solver = SolverConfig(**solver)
+    try:
+        cfg.solver = SolverConfig(**solver)
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
 
     cfg.quadrature = doc.get("quadrature", cfg.quadrature)
     if cfg.quadrature not in ("midpoint", "3point"):
@@ -256,12 +263,16 @@ def parse_config(text: str) -> ProblemConfig:
     cfg.probe_modes = _at_least(int(probe.get("modes", cfg.probe_modes)), 1,
                                 "probe.modes")
     cfg.probe_p_grid = [float(p) for p in probe.get("p_grid", cfg.probe_p_grid)]
+    if not cfg.probe_p_grid or not all(2 <= p <= 4 for p in cfg.probe_p_grid):
+        raise ConfigError("probe.p_grid must be a non-empty list of exponents "
+                          f"in [2, 4], got {cfg.probe_p_grid}")
     cfg.probe_trials = _at_least(int(probe.get("trials", cfg.probe_trials)),
                                  1, "probe.trials")
-    cfg.probe_cells_per_eps = int(probe.get("cells_per_eps",
-                                            cfg.probe_cells_per_eps))
+    cfg.probe_cells_per_eps = _at_least(
+        int(probe.get("cells_per_eps", cfg.probe_cells_per_eps)), 1,
+        "probe.cells_per_eps")
 
-    cfg.seed = int(doc.get("seed", cfg.seed))
+    cfg.seed = _at_least(int(doc.get("seed", cfg.seed)), 0, "seed")
     cfg.output = str(doc.get("output", cfg.output))
 
     # eager builds validate entry shapes, expressions and catalog membership
@@ -362,6 +373,13 @@ def _default_probe_flux(dim: int, n: int):
     return flux
 
 
+def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
+    """A sweep row with nothing measured yet."""
+    return {"eps": eps, "h": h, "n_cells": n_cells, "margin": np.nan,
+            "ubar_err_linf": np.nan, "ueps_err_linf": np.nan,
+            "iterations": 0, "max_contraction": np.nan, "status": status}
+
+
 def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
     """One full solve at a single oscillation period.
 
@@ -373,17 +391,8 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
     space = cfg.build_domain_space(eps)
     fields = {}
     u0, newton_report = solve_homogenized(space, ahat, nl, cfg.solver)
-    row = {
-        "eps": eps,
-        "h": space.mesh.spacing,
-        "n_cells": space.mesh.num_cells,
-        "margin": np.nan,
-        "ubar_err_linf": np.nan,
-        "ueps_err_linf": np.nan,
-        "iterations": 0,
-        "max_contraction": np.nan,
-        "status": "homogenized-" + newton_report.status,
-    }
+    row = _row(eps, "homogenized-" + newton_report.status,
+               space.mesh.spacing, space.mesh.num_cells)
     if newton_report.status == "converged":
         fields["u0"] = u0
         margin = nondegeneracy_margin(space, ahat, nl, u0)
@@ -430,10 +439,7 @@ def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
         return run_single(cfg, ahat, eps)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
         log.warning("solve at eps=%g failed: %s", eps, exc)
-        return {"eps": eps, "h": np.nan, "n_cells": 0, "margin": np.nan,
-                "ubar_err_linf": np.nan, "ueps_err_linf": np.nan,
-                "iterations": 0, "max_contraction": np.nan,
-                "status": f"error-{type(exc).__name__}"}, None, {}
+        return _row(eps, f"error-{type(exc).__name__}"), None, {}
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
@@ -469,10 +475,11 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     restarts around the last converged row's own ``u0`` and ``ueps``.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    _setup_logging(out / "run.log")
-    for w in cfg.warnings:
-        log.warning(w)
+    with _run_log(cfg, out):
+        return _sweep(cfg, out)
+
+
+def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     log.info("effective config: %s",
              json.dumps(cfg.effective_dict(), sort_keys=True))
 
@@ -534,16 +541,28 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     return summary
 
 
-def _setup_logging(logfile: Path) -> None:
+@contextlib.contextmanager
+def _run_log(cfg: ProblemConfig, out: Path):
+    """One command's log: ``out/run.log`` and stderr, opening with the
+    config's warnings.  Every ``warnings.warn`` inside the block (the
+    solver's resolution warnings among them) goes to the same handlers."""
+    out.mkdir(parents=True, exist_ok=True)
+    handlers = [logging.FileHandler(out / "run.log", mode="w"),
+                logging.StreamHandler(sys.stderr)]
+    for handler in handlers:
+        handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     log.setLevel(logging.INFO)
-    log.handlers.clear()
-    fmt = logging.Formatter("%(levelname)s %(message)s")
-    fh = logging.FileHandler(logfile, mode="w")
-    fh.setFormatter(fmt)
-    sh = logging.StreamHandler(sys.stderr)
-    sh.setFormatter(fmt)
-    log.addHandler(fh)
-    log.addHandler(sh)
+    log.handlers[:] = handlers
+    for w in cfg.warnings:
+        log.warning(w)
+    try:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, category, *_: log.warning(
+                "%s: %s", category.__name__, message)
+            yield
+    finally:
+        log.handlers.clear()
+        handlers[0].close()
 
 
 # --------------------------------------------------------------------------
@@ -572,31 +591,27 @@ def main(argv=None) -> int:
 
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _at_least(args.seed, 0, "--seed")
     out = Path(args.out if args.out is not None else cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    _setup_logging(out / "run.log")
-    for w in cfg.warnings:
-        log.warning(w)
+    if args.command == "sweep":
+        run_sweep(cfg, out)  # opens its own run log
+        return 0
 
-    if args.command == "homogenize":
+    with _run_log(cfg, out):
         ahat, info = compute_effective_tensor(cfg)
-        (out / "ahat.json").write_text(ahat.to_json())
-        log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
-    elif args.command == "solve":
-        eps = args.eps if args.eps is not None else cfg.eps[0]
-        ahat, _ = compute_effective_tensor(cfg)
-        row, space, fields = run_single(cfg, ahat, eps)
-        (out / "solve.json").write_text(
-            json.dumps(row, indent=2, sort_keys=True, default=repr))
-        _write_csv(out / "solution.csv", "solution",
-                   _solution_rows(space, fields))
-        log.info("solve row: %s", json.dumps(row, default=repr))
-    elif args.command == "sweep":
-        run_sweep(cfg, out)
-    elif args.command == "probe":
-        ahat, _ = compute_effective_tensor(cfg)
-        _write_probe_tables(cfg, ahat, out)
+        if args.command == "homogenize":
+            (out / "ahat.json").write_text(ahat.to_json())
+            log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
+        elif args.command == "solve":
+            eps = args.eps if args.eps is not None else cfg.eps[0]
+            row, space, fields = run_single(cfg, ahat, eps)
+            (out / "solve.json").write_text(
+                json.dumps(row, indent=2, sort_keys=True, default=repr))
+            _write_csv(out / "solution.csv", "solution",
+                       _solution_rows(space, fields))
+            log.info("solve row: %s", json.dumps(row, default=repr))
+        elif args.command == "probe":
+            _write_probe_tables(cfg, ahat, out)
     return 0
 
 

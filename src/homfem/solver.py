@@ -18,6 +18,9 @@ The frozen operator is assembled and factorized once per (space, eps, u0)
 and every iteration from it runs over that one factorization: the
 fixed-point solve, and each perturbed restart of the uniqueness probe.  The
 probe checks the caller's ``(u0, u_eps)`` pair instead of recomputing it.
+Both the Newton and the fixed-point loops evaluate the flux once per
+iterate: the load ``D F(u)`` that gives an iterate's residual also gives
+the next step's right-hand side.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ class SolverConfig:
     mesh_ratio: float = 8.0
 
     def __post_init__(self):
-        if min(self.newton_tol, self.fp_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if min(self.newton_max_iter, self.fp_max_iter) < 1:
-            raise ValueError("iteration limits must be at least 1")
+        for name in ("newton_tol", "newton_max_iter", "fp_tol", "fp_max_iter",
+                     "delta", "mesh_ratio"):
+            value = getattr(self, name)
+            if not (name == "delta" and value is None or value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -78,32 +82,12 @@ class SolverReport:
     iterations: int = 0
     residual_history: list = dc_field(default_factory=list)
     step_norms: list = dc_field(default_factory=list)
-    linf_history: list = dc_field(default_factory=list)
-    final_linf: float = np.nan
-    final_w12: float = np.nan
 
     @property
     def contraction_factors(self) -> list:
         """Ratios of successive step norms (defined from the second step)."""
         s = self.step_norms
         return [s[k + 1] / s[k] for k in range(len(s) - 1) if s[k] > 0]
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "step_norms": list(self.step_norms),
-            "contraction_factors": self.contraction_factors,
-            "linf_history": list(self.linf_history),
-            "final_linf": self.final_linf,
-            "final_w12": self.final_w12,
-        }
-
-
-def _finalize(report: SolverReport, u: DiscreteField) -> None:
-    report.final_linf = linf_norm(u)
-    report.final_w12 = w1p_norm(u, 2.0)
 
 
 def _diverging(history, window: int = 3) -> bool:
@@ -113,11 +97,16 @@ def _diverging(history, window: int = 3) -> bool:
     return all(tail[k + 1] > tail[k] for k in range(window))
 
 
+def _flux_load(space: FemSpace, nl: Nonlinearity,
+               u: DiscreteField) -> np.ndarray:
+    """Free-dof load vector of D F(u)."""
+    return assemble_divergence_load(space, eval_F(nl, space, u)).vector
+
+
 def residual_vector(space: FemSpace, diffusion: SparseOperator,
                     nl: Nonlinearity, u: DiscreteField) -> np.ndarray:
     """Free-dof residual of A u + D F(u) = 0 (Euclidean proxy for the dual norm)."""
-    load = assemble_divergence_load(space, eval_F(nl, space, u))
-    return diffusion.matrix @ u.free() + load.vector
+    return diffusion.matrix @ u.free() + _flux_load(space, nl, u)
 
 
 def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
@@ -136,10 +125,10 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
     elif isinstance(diffusion, TensorField):
         diffusion = assemble_diffusion(space, diffusion)
     u = start.copy() if start is not None else space.zero_field()
+    res = residual_vector(space, diffusion, nl, u)
     report = SolverReport()
     for _ in range(cfg.newton_max_iter):
         try:
-            res = residual_vector(space, diffusion, nl, u)
             jac = assemble_jacobian_coupling(space,
                                              eval_F_jacobian(nl, space, u))
             step = solve_linear(diffusion + jac, -res)
@@ -154,14 +143,13 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
             break
         report.iterations += 1
         try:
-            res_norm = float(np.linalg.norm(
-                residual_vector(space, diffusion, nl, u)))
+            res = residual_vector(space, diffusion, nl, u)
         except ValueError:
             report.status = "diverged"
             break
+        res_norm = float(np.linalg.norm(res))
         report.residual_history.append(res_norm)
         report.step_norms.append(w1p_norm(step, 2.0))
-        report.linf_history.append(linf_norm(u))
         if res_norm <= cfg.newton_tol:
             report.status = "converged"
             break
@@ -170,7 +158,6 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
             break
     else:
         report.status = "max-iter"
-    _finalize(report, u)
     return u, report
 
 
@@ -239,8 +226,7 @@ def approximate_solution(space: FemSpace, tensor_eps: TensorField,
     cfg = cfg or SolverConfig()
     _check_resolution(space, tensor_eps, cfg)
     A_eps = assemble_diffusion(space, tensor_eps)
-    load = assemble_divergence_load(space, eval_F(nl, space, u0))
-    return solve_linear(A_eps, -load)
+    return solve_linear(A_eps, -_flux_load(space, nl, u0))
 
 
 def _frozen_operator(space: FemSpace, tensor_eps: TensorField,
@@ -256,22 +242,21 @@ def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
     """The fixed-point loop from ``u`` over a ``_frozen_operator``."""
     A_eps, C, frozen = frozen_operator
     space = u.space
+    load = _flux_load(space, nl, u)
     report = SolverReport()
     for _ in range(cfg.fp_max_iter):
-        try:
-            rhs = C.matrix @ u.free() - assemble_divergence_load(
-                space, eval_F(nl, space, u)).vector
-            u_next = space.field_from_free(frozen.solve(rhs))
-            finite = np.all(np.isfinite(u_next.values))
-            res_norm = (float(np.linalg.norm(
-                residual_vector(space, A_eps, nl, u_next)))
-                if finite else np.inf)
-        except ValueError:
-            # overflow of the flux along a running iterate is divergence; a
-            # failure on the very first evaluation is a usage error
-            if report.iterations == 0:
-                raise
-            finite = False
+        rhs = C.matrix @ u.free() - load
+        u_next = space.field_from_free(frozen.solve(rhs))
+        finite = np.all(np.isfinite(u_next.values))
+        if finite:
+            try:
+                load = _flux_load(space, nl, u_next)
+            except ValueError:
+                # overflow of the flux along a running iterate is
+                # divergence; a failure in the first step is a usage error
+                if report.iterations == 0:
+                    raise
+                finite = False
         if not finite:
             report.status = "diverged"
             break
@@ -279,8 +264,8 @@ def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
         u = u_next
         report.iterations += 1
         report.step_norms.append(step_norm)
-        report.linf_history.append(linf_norm(u))
-        report.residual_history.append(res_norm)
+        report.residual_history.append(
+            float(np.linalg.norm(A_eps.matrix @ u.free() + load)))
         if step_norm <= cfg.fp_tol:
             report.status = "converged"
             break
@@ -289,7 +274,6 @@ def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
             break
     else:
         report.status = "max-iter"
-    _finalize(report, u)
     return u, report
 
 
@@ -306,9 +290,10 @@ def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
     period is too large for the frozen linearization to contract.
     """
     cfg = cfg or SolverConfig()
-    _check_resolution(space, tensor_eps, cfg)
     if start is None:
         start = approximate_solution(space, tensor_eps, nl, u0, cfg)
+    else:
+        _check_resolution(space, tensor_eps, cfg)
     return _iterate(_frozen_operator(space, tensor_eps, nl, u0), nl,
                     start, cfg)
 

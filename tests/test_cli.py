@@ -99,6 +99,20 @@ eps: [0.25]
         ("probe.modes", MINIMAL + "probe: {modes: 0}\n"),
         ("mesh.cell_resolution",
          MINIMAL.replace("cell_resolution: 16", "cell_resolution: 1")),
+        ("mesh.cells_per_eps",
+         MINIMAL.replace("cells_per_eps: 16", "cells_per_eps: 0")),
+        ("probe.p_grid", MINIMAL + "probe: {p_grid: [2.0, 5.0]}\n"),
+        ("probe.p_grid", MINIMAL + "probe: {p_grid: [1.5]}\n"),
+        ("probe.p_grid", MINIMAL + "probe: {p_grid: []}\n"),
+        ("probe.cells_per_eps", MINIMAL + "probe: {cells_per_eps: 0}\n"),
+        ("seed", MINIMAL + "seed: -1\n"),
+        ("solver.newton_tol", MINIMAL + "solver: {newton_tol: 0}\n"),
+        ("solver.newton_max_iter", MINIMAL + "solver: {newton_max_iter: 0}\n"),
+        ("solver.fp_tol", MINIMAL + "solver: {fp_tol: 0}\n"),
+        ("solver.fp_max_iter", MINIMAL + "solver: {fp_max_iter: 0}\n"),
+        ("solver.delta", MINIMAL + "solver: {delta: 0}\n"),
+        ("solver.delta", MINIMAL + "solver: {delta: -0.5}\n"),
+        ("solver.mesh_ratio", MINIMAL + "solver: {mesh_ratio: 0}\n"),
     ])
     def test_out_of_range_key_named(self, key, text):
         with pytest.raises(ConfigError, match=key):
@@ -278,6 +292,27 @@ class TestMain:
         assert row["status"] == "converged"
         rows = _read_csv(tmp_path / "o" / "solution.csv", "solution")
         assert len(rows) == 129  # 128 cells -> 129 vertices, one component
+
+    def test_negative_seed_override_named(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        with pytest.raises(ConfigError, match="--seed"):
+            main(["homogenize", "--config", str(cfg), "--seed", "-1",
+                  "--out", str(tmp_path / "o")])
+
+    def test_sweep_logs_each_warning_once(self, tmp_path, capsys):
+        # 4 cells per eps break the h <= eps/8 rule: the config warns at
+        # parse time and the solver warns at every under-resolved solve
+        path = tmp_path / "prob.yaml"
+        path.write_text(MINIMAL.replace("cells_per_eps: 16",
+                                        "cells_per_eps: 4"))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        text = (tmp_path / "o" / "run.log").read_text()
+        warned = "WARNING cells_per_eps=4 below the resolution rule"
+        assert err.count(warned) == 1
+        assert text.count(warned) == 1
+        assert "does not resolve the oscillation" in text
 
     def test_probe_command(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -60,12 +62,17 @@ class TestSolveHomogenized:
         assert np.max(np.abs(u_c.values - shared)) <= 1e-6
 
     def test_histories_match_iteration_count(self):
-        _, ahat, nl = oscillatory_scenario_1d()
+        base, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(64)
-        _, report = solve_homogenized(space, ahat, nl, SolverConfig())
-        assert len(report.residual_history) == report.iterations
-        assert len(report.step_norms) == report.iterations
-        assert len(report.contraction_factors) == max(0, report.iterations - 1)
+        u0, newton = solve_homogenized(space, ahat, nl, SolverConfig())
+        _, fixed_point = fixed_point_solve(space, base.with_epsilon(1 / 8), nl,
+                                           u0, SolverConfig())
+        for report in (newton, fixed_point):
+            assert report.status == "converged"
+            assert len(report.residual_history) == report.iterations
+            assert len(report.step_norms) == report.iterations
+            assert (len(report.contraction_factors)
+                    == max(0, report.iterations - 1))
 
 
 class TestNondegeneracyMargin:
@@ -160,6 +167,17 @@ class TestApproximateSolution:
 
 
 class TestFixedPointSolve:
+    @pytest.mark.parametrize("given_start", [False, True])
+    def test_warns_once_when_under_resolved(self, given_start):
+        base, ahat, nl = oscillatory_scenario_1d()
+        space = space_1d(16)
+        u0, _ = solve_homogenized(space, ahat, nl, SolverConfig())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fixed_point_solve(space, base.with_epsilon(1 / 16), nl, u0,
+                              start=u0 if given_start else None)
+        assert len([w for w in caught if "resolve" in str(w.message)]) == 1
+
     def test_no_oscillation_fixed_point_is_effective_solution(self):
         _, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(64)

@@ -12,8 +12,10 @@ import pytest
 import homfem.cli
 from homfem.cli import main, parse_config, run_sweep
 from homfem.fem import lu_factor
-from homfem.solver import (SolverConfig, fixed_point_solve,
-                           local_uniqueness_probe, solve_homogenized)
+from homfem.nonlin import eval_F
+from homfem.solver import (SolverConfig, approximate_solution,
+                           fixed_point_solve, local_uniqueness_probe,
+                           newton_solve, solve_homogenized)
 
 from conftest import space_1d
 
@@ -98,3 +100,30 @@ def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
     assert len(factored) == 2 * len(cfg.eps)
     digests = {(A.matrix.shape, A.matrix.data.tobytes()) for A in factored}
     assert len(digests) == len(factored)
+
+
+def test_newton_evaluates_the_flux_once_per_iterate(scenario_1d,
+                                                    count_calls):
+    _, ahat, nl = scenario_1d
+    space = space_1d(128)
+    evaluated = count_calls(eval_F)
+    _, report = newton_solve(space, ahat, nl, SolverConfig())
+    assert report.status == "converged" and report.iterations >= 2
+    # the start's residual, then one per Newton iterate
+    assert len(evaluated) == report.iterations + 1
+
+
+def test_fixed_point_evaluates_the_flux_once_per_iterate(scenario_1d,
+                                                         count_calls):
+    base, ahat, nl = scenario_1d
+    eps = 1 / 16
+    space = space_1d(round(16 / eps))
+    cfg = SolverConfig()
+    u0, _ = solve_homogenized(space, ahat, nl, cfg)
+    te = base.with_epsilon(eps)
+    ubar = approximate_solution(space, te, nl, u0, cfg)
+    evaluated = count_calls(eval_F)
+    _, report = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
+    assert report.status == "converged" and report.iterations >= 2
+    # the start's load, then one load per iterate
+    assert len(evaluated) == report.iterations + 1
