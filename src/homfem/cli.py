@@ -33,7 +33,7 @@ import yaml
 
 from .cell import homogenized_tensor, homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import DiscreteField, FemSpace
+from .fem import DiscreteField, FemSpace, assemble_diffusion
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
@@ -42,7 +42,7 @@ from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
                     sinusoid_test_functions)
 from .solver import (SolverConfig, approximate_solution, fixed_point_solve,
                      local_uniqueness_probe, nondegeneracy_margin,
-                     solve_homogenized)
+                     oscillatory_operator, solve_homogenized)
 
 __all__ = ["ProblemConfig", "parse_config", "load_config", "run_sweep",
            "load_schema", "main"]
@@ -198,10 +198,30 @@ def _build_value_factor(spec: dict, n: int, where: str):
     raise ConfigError(f"unknown value-factor kind {kind!r} in {where}")
 
 
-def _at_least(value: int, low: int, key: str) -> int:
-    if value < low:
+def _number(value, key: str, kind=int, low=None):
+    """``value`` converted by ``kind`` and, when ``low`` is given, at least
+    ``low``; otherwise a ConfigError naming ``key``.
+
+    PyYAML reads a float written without a decimal point, such as ``1e-9``,
+    as a string; the conversion accepts it.  An integer key rejects a
+    fractional value instead of truncating it.
+    """
+    try:
+        number = kind(value)
+        if kind is int and number != float(value):
+            raise ValueError("fractional")
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from exc
+    if low is not None and not number >= low:
         raise ConfigError(f"{key} must be at least {low}, got {value}")
-    return value
+    return number
+
+
+def _floats(values, key: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return [_number(v, key, float) for v in values]
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -215,7 +235,8 @@ def parse_config(text: str) -> ProblemConfig:
     cfg.domain = doc.get("domain", cfg.domain)
     if cfg.domain not in ("interval", "unit-square"):
         raise ConfigError(f"unknown domain {cfg.domain!r}")
-    cfg.system_dim = int(doc.get("system_dim", cfg.system_dim))
+    cfg.system_dim = _number(doc.get("system_dim", cfg.system_dim),
+                             "system_dim", low=1)
 
     if "tensor" in doc:
         cfg.tensor = doc["tensor"]
@@ -232,23 +253,26 @@ def parse_config(text: str) -> ProblemConfig:
         cfg.nonlinearity = nl
 
     if "eps" in doc:
-        cfg.eps = [float(e) for e in doc["eps"]]
-    if not cfg.eps or any(e <= 0 or e > 1 for e in cfg.eps):
+        cfg.eps = _floats(doc["eps"], "eps")
+    if not cfg.eps or not all(0 < e <= 1 for e in cfg.eps):
         raise ConfigError("eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(cfg.eps, cfg.eps[1:])):
         raise ConfigError("eps values must be strictly decreasing")
 
     mesh = doc.get("mesh", {})
     _check_keys(mesh, _MESH_KEYS, "mesh")
-    cfg.cells_per_eps = _at_least(
-        int(mesh.get("cells_per_eps", cfg.cells_per_eps)), 1,
-        "mesh.cells_per_eps")
-    cfg.cell_resolution = _at_least(
-        int(mesh.get("cell_resolution", cfg.cell_resolution)), 2,
-        "mesh.cell_resolution")
+    cfg.cells_per_eps = _number(mesh.get("cells_per_eps", cfg.cells_per_eps),
+                                "mesh.cells_per_eps", low=1)
+    cfg.cell_resolution = _number(
+        mesh.get("cell_resolution", cfg.cell_resolution),
+        "mesh.cell_resolution", low=2)
 
     solver = doc.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
+    solver = {key: value if key == "delta" and value is None
+              else _number(value, f"solver.{key}",
+                           int if key.endswith("_max_iter") else float)
+              for key, value in solver.items()}
     try:
         cfg.solver = SolverConfig(**solver)
     except ValueError as exc:
@@ -260,19 +284,20 @@ def parse_config(text: str) -> ProblemConfig:
 
     probe = doc.get("probe", {})
     _check_keys(probe, _PROBE_KEYS, "probe")
-    cfg.probe_modes = _at_least(int(probe.get("modes", cfg.probe_modes)), 1,
-                                "probe.modes")
-    cfg.probe_p_grid = [float(p) for p in probe.get("p_grid", cfg.probe_p_grid)]
+    cfg.probe_modes = _number(probe.get("modes", cfg.probe_modes),
+                              "probe.modes", low=1)
+    cfg.probe_p_grid = _floats(probe.get("p_grid", cfg.probe_p_grid),
+                               "probe.p_grid")
     if not cfg.probe_p_grid or not all(2 <= p <= 4 for p in cfg.probe_p_grid):
         raise ConfigError("probe.p_grid must be a non-empty list of exponents "
                           f"in [2, 4], got {cfg.probe_p_grid}")
-    cfg.probe_trials = _at_least(int(probe.get("trials", cfg.probe_trials)),
-                                 1, "probe.trials")
-    cfg.probe_cells_per_eps = _at_least(
-        int(probe.get("cells_per_eps", cfg.probe_cells_per_eps)), 1,
-        "probe.cells_per_eps")
+    cfg.probe_trials = _number(probe.get("trials", cfg.probe_trials),
+                               "probe.trials", low=1)
+    cfg.probe_cells_per_eps = _number(
+        probe.get("cells_per_eps", cfg.probe_cells_per_eps),
+        "probe.cells_per_eps", low=1)
 
-    cfg.seed = _at_least(int(doc.get("seed", cfg.seed)), 0, "seed")
+    cfg.seed = _number(doc.get("seed", cfg.seed), "seed", low=0)
     cfg.output = str(doc.get("output", cfg.output))
 
     # eager builds validate entry shapes, expressions and catalog membership
@@ -280,13 +305,13 @@ def parse_config(text: str) -> ProblemConfig:
         base = cfg.build_tensor()
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid tensor: {exc}") from exc
     try:
         cfg.build_nonlinearity()
     except ConfigError:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid nonlinearity: {exc}") from exc
 
     # hypothesis dichotomy: two space dimensions, or triangular coefficients
@@ -385,26 +410,29 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
 
     Returns ``(row, space, fields)``: the sweep row, the solve space and the
     fields that the solve reached, among ``u0``, ``ubar`` and ``ueps``.
+    ``Ahat`` and ``A_eps`` are each assembled once and handed to every stage
+    that uses them; the resolution check runs once, as ``A_eps`` is built.
     """
-    base = cfg.build_tensor()
     nl = cfg.build_nonlinearity()
     space = cfg.build_domain_space(eps)
     fields = {}
-    u0, newton_report = solve_homogenized(space, ahat, nl, cfg.solver)
+    A_hat = assemble_diffusion(space, ahat.as_tensor_field())
+    u0, newton_report = solve_homogenized(space, A_hat, nl, cfg.solver)
     row = _row(eps, "homogenized-" + newton_report.status,
                space.mesh.spacing, space.mesh.num_cells)
     if newton_report.status == "converged":
         fields["u0"] = u0
-        margin = nondegeneracy_margin(space, ahat, nl, u0)
+        margin = nondegeneracy_margin(space, A_hat, nl, u0)
         row["margin"] = margin
         if margin <= 0:
             row["status"] = "degenerate"
         else:
-            tensor_eps = base.with_epsilon(eps)
-            ubar = approximate_solution(space, tensor_eps, nl, u0, cfg.solver)
+            A_eps = oscillatory_operator(
+                space, cfg.build_tensor().with_epsilon(eps), cfg.solver)
+            ubar = approximate_solution(space, A_eps, nl, u0, cfg.solver)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)
-            u_eps, fp_report = fixed_point_solve(space, tensor_eps, nl, u0,
+            u_eps, fp_report = fixed_point_solve(space, A_eps, nl, u0,
                                                  cfg.solver, start=ubar)
             fields["ueps"] = u_eps
             row["ueps_err_linf"] = linf_norm(u_eps - u0)
@@ -472,7 +500,8 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     ``summary.json`` into the output directory and returns the summary.
     Deterministic for a fixed config and seed; per-period failures are
     recorded in their row and the sweep continues.  The uniqueness probe
-    restarts around the last converged row's own ``u0`` and ``ueps``.
+    restarts around the last converged row's own ``u0``, ``ubar`` and
+    ``ueps``.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
     with _run_log(cfg, out):
@@ -497,7 +526,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         row, _, fields = _guarded_run(cfg, ahat, eps)
         rows.append(row)
         if row["status"] == "converged":
-            last = (eps, fields["u0"].values, fields["ueps"].values)
+            last = (eps, fields["u0"].values, fields["ubar"].values,
+                    fields["ueps"].values)
         # the next row runs without this row's mesh alive; the probe
         # rebuilds the space of the last converged row from its eps
         del _, fields
@@ -521,13 +551,13 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out)
 
     if last is not None:
-        eps_star, u0, u_eps = last
+        eps_star, u0, ubar, u_eps = last
         space = cfg.build_domain_space(eps_star)
         probe = local_uniqueness_probe(
             space, cfg.build_tensor().with_epsilon(eps_star),
             cfg.build_nonlinearity(), DiscreteField(space, u0), cfg.solver,
             trials=cfg.probe_trials, seed=cfg.seed,
-            u_eps=DiscreteField(space, u_eps))
+            ubar=DiscreteField(space, ubar), u_eps=DiscreteField(space, u_eps))
         summary["uniqueness"] = {
             "eps": eps_star,
             "all_same": probe.all_same,
@@ -591,7 +621,7 @@ def main(argv=None) -> int:
 
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = _at_least(args.seed, 0, "--seed")
+        cfg.seed = _number(args.seed, "--seed", low=0)
     out = Path(args.out if args.out is not None else cfg.output)
     if args.command == "sweep":
         run_sweep(cfg, out)  # opens its own run log

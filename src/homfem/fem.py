@@ -345,11 +345,14 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
 def lu_factor(A):
     """Sparse LU with partial pivoting; raises LinearSolveError on failure.
 
-    Accepts a SparseOperator or a plain sparse matrix.
+    Accepts a SparseOperator or a plain sparse matrix.  Columns are ordered
+    by minimum degree on the pattern of ``A + A^T`` (SuperLU's
+    ``MMD_AT_PLUS_A``): the P1 matrices are structurally symmetric, and on
+    them it gives about half the fill of the default COLAMD ordering.
     """
     matrix = A.matrix if isinstance(A, SparseOperator) else A
     try:
-        return spla.splu(matrix.tocsc())
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveError(f"linear solve failed: {exc}") from exc
 

@@ -14,10 +14,16 @@ the derivative taken at u0 rather than at the current iterate.  Starting at
 ubar matters: the first correction from u0 does not shrink with the
 oscillation period, while the one from ubar does.
 
-The frozen operator is assembled and factorized once per (space, eps, u0)
-and every iteration from it runs over that one factorization: the
-fixed-point solve, and each perturbed restart of the uniqueness probe.  The
-probe checks the caller's ``(u0, u_eps)`` pair instead of recomputing it.
+Every stage takes its diffusion operator as a tensor or as the operator
+already assembled from it.  A sweep row assembles each once: ``Ahat`` for
+the Newton solve and the margin, and ``A_eps`` for ``ubar`` and the frozen
+operator, in :func:`oscillatory_operator`, which also checks the oscillation
+resolution.  The frozen operator is factorized once per (space, eps, u0) and
+every iteration from it runs over that one factorization: the fixed-point
+solve, and each perturbed restart of the uniqueness probe.  The probe takes
+the caller's ``u0``, ``ubar`` and ``u_eps`` instead of recomputing them, so
+it makes one factorization.
+
 Both the Newton and the fixed-point loops evaluate the flux once per
 iterate: the load ``D F(u)`` that gives an iterate's residual also gives
 the next step's right-hand side.
@@ -43,6 +49,7 @@ __all__ = [
     "UniquenessProbeReport",
     "newton_solve",
     "solve_homogenized",
+    "oscillatory_operator",
     "nondegeneracy_margin",
     "approximate_solution",
     "fixed_point_solve",
@@ -109,6 +116,16 @@ def residual_vector(space: FemSpace, diffusion: SparseOperator,
     return diffusion.matrix @ u.free() + _flux_load(space, nl, u)
 
 
+def _operator(space: FemSpace, diffusion) -> SparseOperator:
+    """``diffusion`` (a TensorField, a HomogenizedTensor or an already
+    assembled SparseOperator) as an operator on ``space``."""
+    if isinstance(diffusion, HomogenizedTensor):
+        diffusion = diffusion.as_tensor_field()
+    if isinstance(diffusion, TensorField):
+        return assemble_diffusion(space, diffusion)
+    return diffusion
+
+
 def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
                  cfg: SolverConfig | None = None,
                  start: DiscreteField | None = None):
@@ -120,10 +137,7 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
     independent of u) converge in exactly one step.
     """
     cfg = cfg or SolverConfig()
-    if isinstance(diffusion, HomogenizedTensor):
-        diffusion = assemble_diffusion(space, diffusion.as_tensor_field())
-    elif isinstance(diffusion, TensorField):
-        diffusion = assemble_diffusion(space, diffusion)
+    diffusion = _operator(space, diffusion)
     u = start.copy() if start is not None else space.zero_field()
     res = residual_vector(space, diffusion, nl, u)
     report = SolverReport()
@@ -161,25 +175,28 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
     return u, report
 
 
-def solve_homogenized(space: FemSpace, ahat: HomogenizedTensor,
-                      nl: Nonlinearity, cfg: SolverConfig | None = None):
-    """Newton solve of the effective problem Ahat u + D F(u) = 0."""
+def solve_homogenized(space: FemSpace, ahat, nl: Nonlinearity,
+                      cfg: SolverConfig | None = None):
+    """Newton solve of the effective problem Ahat u + D F(u) = 0.
+
+    ``ahat`` is the HomogenizedTensor or its assembled operator.
+    """
     return newton_solve(space, ahat, nl, cfg)
 
 
-def nondegeneracy_margin(space: FemSpace, ahat: HomogenizedTensor,
-                         nl: Nonlinearity, u0: DiscreteField,
-                         max_iter: int = 30, rtol: float = 1e-8) -> float:
+def nondegeneracy_margin(space: FemSpace, ahat, nl: Nonlinearity,
+                         u0: DiscreteField, max_iter: int = 30,
+                         rtol: float = 1e-8) -> float:
     """Smallest singular value of the linearized effective operator.
 
-    Estimated by inverse power iteration on the normal equations of
-    ``Ahat + C(u0)`` over the free dofs, then normalized by the cell measure
-    so estimates are comparable across mesh resolutions.  Returns 0.0 when
-    the operator cannot be factorized (discretely degenerate).
+    ``ahat`` is the HomogenizedTensor or its assembled operator.  Estimated
+    by inverse power iteration on the normal equations of ``Ahat + C(u0)``
+    over the free dofs, then normalized by the cell measure so estimates are
+    comparable across mesh resolutions.  Returns 0.0 when the operator
+    cannot be factorized (discretely degenerate).
     """
-    A = assemble_diffusion(space, ahat.as_tensor_field())
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    M = (A + C).matrix
+    M = (_operator(space, ahat) + C).matrix
     try:
         lu = lu_factor(M)
     except LinearSolveError:
@@ -203,36 +220,43 @@ def nondegeneracy_margin(space: FemSpace, ahat: HomogenizedTensor,
     return float(sigma) / cell_measure
 
 
-def _check_resolution(space: FemSpace, tensor_eps: TensorField,
-                      cfg: SolverConfig) -> None:
-    eps = tensor_eps.epsilon
-    if eps is None:
-        return
-    if space.mesh.spacing > eps / cfg.mesh_ratio * (1 + 1e-12):
+def oscillatory_operator(space: FemSpace, tensor_eps,
+                         cfg: SolverConfig | None = None) -> SparseOperator:
+    """``A_eps`` on ``space``; warns when the mesh does not resolve the
+    oscillation (h > eps / mesh_ratio).
+
+    An already assembled ``A_eps`` is returned as given: its resolution was
+    checked where it was assembled.
+    """
+    cfg = cfg or SolverConfig()
+    eps = tensor_eps.epsilon if isinstance(tensor_eps, TensorField) else None
+    if eps is not None and space.mesh.spacing > eps / cfg.mesh_ratio * (
+            1 + 1e-12):
         warnings.warn(
             f"mesh spacing h={space.mesh.spacing:.4g} does not resolve the "
             f"oscillation: need h <= eps/{cfg.mesh_ratio:g} = "
             f"{eps / cfg.mesh_ratio:.4g}", stacklevel=3)
+    return _operator(space, tensor_eps)
 
 
-def approximate_solution(space: FemSpace, tensor_eps: TensorField,
-                         nl: Nonlinearity, u0: DiscreteField,
+def approximate_solution(space: FemSpace, tensor_eps, nl: Nonlinearity,
+                         u0: DiscreteField,
                          cfg: SolverConfig | None = None) -> DiscreteField:
     """One linear solve: A_eps ubar + D F(u0) = 0.
 
     The cheap oscillation-aware starting element: it carries the fine-scale
     structure of the coefficient while borrowing the flux from u0.
+    ``tensor_eps`` is the oscillatory TensorField or the ``A_eps`` that
+    :func:`oscillatory_operator` assembled from it.
     """
-    cfg = cfg or SolverConfig()
-    _check_resolution(space, tensor_eps, cfg)
-    A_eps = assemble_diffusion(space, tensor_eps)
+    A_eps = oscillatory_operator(space, tensor_eps, cfg)
     return solve_linear(A_eps, -_flux_load(space, nl, u0))
 
 
-def _frozen_operator(space: FemSpace, tensor_eps: TensorField,
-                     nl: Nonlinearity, u0: DiscreteField):
+def _frozen_operator(A_eps: SparseOperator, nl: Nonlinearity,
+                     u0: DiscreteField):
     """``A_eps``, ``C(u0)`` and the LU factors of ``A_eps + C(u0)``."""
-    A_eps = assemble_diffusion(space, tensor_eps)
+    space = A_eps.space
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
     return A_eps, C, lu_factor(A_eps + C)
 
@@ -277,25 +301,23 @@ def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
     return u, report
 
 
-def fixed_point_solve(space: FemSpace, tensor_eps: TensorField,
-                      nl: Nonlinearity, u0: DiscreteField,
-                      cfg: SolverConfig | None = None,
+def fixed_point_solve(space: FemSpace, tensor_eps, nl: Nonlinearity,
+                      u0: DiscreteField, cfg: SolverConfig | None = None,
                       start: DiscreteField | None = None):
     """Frozen-operator fixed-point iteration for the oscillatory problem.
 
     Requires a non-degenerate u0 (positive margin, checked by the caller)
-    and a mesh resolving the oscillation.  Starts at the approximate
+    and a mesh resolving the oscillation.  ``tensor_eps`` is the oscillatory
+    TensorField or its assembled ``A_eps``.  Starts at the approximate
     solution unless ``start`` is given.  Divergence (step norms growing over
     three consecutive iterations) usually signals that the oscillation
     period is too large for the frozen linearization to contract.
     """
     cfg = cfg or SolverConfig()
+    A_eps = oscillatory_operator(space, tensor_eps, cfg)
     if start is None:
-        start = approximate_solution(space, tensor_eps, nl, u0, cfg)
-    else:
-        _check_resolution(space, tensor_eps, cfg)
-    return _iterate(_frozen_operator(space, tensor_eps, nl, u0), nl,
-                    start, cfg)
+        start = approximate_solution(space, A_eps, nl, u0, cfg)
+    return _iterate(_frozen_operator(A_eps, nl, u0), nl, start, cfg)
 
 
 @dataclass
@@ -321,25 +343,25 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
                            nl: Nonlinearity, u0: DiscreteField,
                            cfg: SolverConfig | None = None, trials: int = 10,
                            seed: int = 0, magnitude: float | None = None, *,
+                           ubar: DiscreteField,
                            u_eps: DiscreteField) -> UniquenessProbeReport:
     """Restart the iteration from randomly perturbed starting elements.
 
     Perturbations are nodal fields of max-norm ``magnitude`` (default: half
-    the uniqueness radius delta) added to the approximate solution.  Every
-    restart iterates over one factorization of the frozen operator.  The
-    report records, per trial, the max-norm distance of the recomputed
-    solution from ``u_eps``, the fixed-point solution around ``u0``; runs
-    agree when every distance is below ten times the fixed-point tolerance.
-    Magnitudes beyond delta are allowed but flagged as outside the
-    uniqueness ball, and only recorded.
+    the uniqueness radius delta) added to ``ubar``, the approximate solution
+    around ``u0``.  Every restart iterates over one factorization of the
+    frozen operator.  The report records, per trial, the max-norm distance
+    of the recomputed solution from ``u_eps``, the fixed-point solution
+    around ``u0``; runs agree when every distance is below ten times the
+    fixed-point tolerance.  Magnitudes beyond delta are allowed but flagged
+    as outside the uniqueness ball, and only recorded.  The caller's row
+    already checked the resolution, so the probe does not warn again.
     """
     cfg = cfg or SolverConfig()
     delta = cfg.delta if cfg.delta is not None else 0.1 * (1.0 + linf_norm(u0))
     if magnitude is None:
         magnitude = 0.5 * delta
-    # ubar first: its factorization is freed before the frozen one is made
-    ubar = approximate_solution(space, tensor_eps, nl, u0, cfg)
-    frozen = _frozen_operator(space, tensor_eps, nl, u0)
+    frozen = _frozen_operator(_operator(space, tensor_eps), nl, u0)
     rng = np.random.default_rng(seed)
     report = UniquenessProbeReport(magnitude=magnitude, delta=delta,
                                    outside_ball=magnitude > delta,

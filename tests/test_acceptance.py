@@ -208,7 +208,7 @@ def test_criterion_08_local_uniqueness(sweep_1d):
     cfg = sweep_1d["cfg"]
     probe = local_uniqueness_probe(run["space"], base.with_epsilon(1 / 32),
                                    nl, run["u0"], cfg, trials=10, seed=0,
-                                   u_eps=run["u_eps"])
+                                   ubar=run["ubar"], u_eps=run["u_eps"])
     worst = max(probe.distances)
     ok = (all(s == "converged" for s in probe.statuses)
           and worst <= 1e-8 and not probe.outside_ball)

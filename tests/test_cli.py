@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from homfem.cli import (ConfigError, ProblemConfig, load_schema, main,
                         parse_config, run_sweep)
@@ -37,6 +39,23 @@ def _read_csv(path, schema_name):
         rows = list(csv.reader(fh))
     assert rows[0] == names
     return [dict(zip(names, r)) for r in rows[1:]]
+
+
+# every top-level key, and every scalar key of the mesh, solver, probe and
+# nonlinearity sections
+_MUTABLE_KEYS = ["domain", "system_dim", "tensor", "defect", "nonlinearity",
+                 "eps", "mesh", "solver", "quadrature", "probe", "seed",
+                 "output", "nonlinearity.p0", "mesh.cells_per_eps",
+                 "mesh.cell_resolution", "solver.newton_tol",
+                 "solver.newton_max_iter", "solver.fp_tol",
+                 "solver.fp_max_iter", "solver.delta", "solver.mesh_ratio",
+                 "probe.modes", "probe.p_grid", "probe.trials",
+                 "probe.cells_per_eps"]
+# YAML sources: wrong types, values out of range, and scalars PyYAML reads
+# as strings (1e-9, 1e3) or as non-finite floats
+_MUTATED_VALUES = ["abc", "1e-9", "1e3", ".inf", "-.inf", ".nan", "0", "-1",
+                   "-0.5", "0.5", "2", "3.7", "null", "true", "[]",
+                   "[1, abc]", "[0.5, 0.25]", "{a: 1}", "{}"]
 
 
 class TestParseConfig:
@@ -113,10 +132,39 @@ eps: [0.25]
         ("solver.delta", MINIMAL + "solver: {delta: 0}\n"),
         ("solver.delta", MINIMAL + "solver: {delta: -0.5}\n"),
         ("solver.mesh_ratio", MINIMAL + "solver: {mesh_ratio: 0}\n"),
+        ("solver.fp_tol", MINIMAL + "solver: {fp_tol: tight}\n"),
+        ("solver.newton_max_iter", MINIMAL + "solver: {newton_max_iter: 1e3}\n"),
+        ("system_dim", MINIMAL + "system_dim: 0\n"),
+        ("probe.trials", MINIMAL + "probe: {trials: 2.5}\n"),
+        ("eps", MINIMAL.replace("eps: [0.125, 0.0625]", "eps: 0.125")),
     ])
     def test_out_of_range_key_named(self, key, text):
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
+
+    def test_float_without_decimal_point_parses(self):
+        # PyYAML reads 1e-9 (no decimal point) as a string
+        cfg = parse_config(MINIMAL + "solver: {fp_tol: 1e-9, mesh_ratio: 8e0,"
+                                     " fp_max_iter: 40.0}\n")
+        assert cfg.solver.fp_tol == 1e-9 and cfg.solver.mesh_ratio == 8.0
+        assert cfg.solver.fp_max_iter == 40
+        assert isinstance(cfg.solver.fp_max_iter, int)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(key=st.sampled_from(_MUTABLE_KEYS),
+           value=st.sampled_from(_MUTATED_VALUES))
+    def test_one_changed_key_parses_or_is_named(self, key, value):
+        doc = yaml.safe_load(MINIMAL)
+        *sections, name = key.split(".")
+        target = doc
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[name] = yaml.safe_load(value)
+        try:
+            parse_config(yaml.safe_dump(doc))
+        except ConfigError:
+            pass
 
     def test_effective_dict_echoes_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -301,7 +349,7 @@ class TestMain:
 
     def test_sweep_logs_each_warning_once(self, tmp_path, capsys):
         # 4 cells per eps break the h <= eps/8 rule: the config warns at
-        # parse time and the solver warns at every under-resolved solve
+        # parse time and the solver warns once for every under-resolved row
         path = tmp_path / "prob.yaml"
         path.write_text(MINIMAL.replace("cells_per_eps: 16",
                                         "cells_per_eps: 4"))
@@ -312,7 +360,10 @@ class TestMain:
         warned = "WARNING cells_per_eps=4 below the resolution rule"
         assert err.count(warned) == 1
         assert text.count(warned) == 1
-        assert "does not resolve the oscillation" in text
+        # one resolution warning per row, as A_eps is assembled; the
+        # uniqueness probe adds none
+        eps_list = parse_config(path.read_text()).eps
+        assert text.count("does not resolve the oscillation") == len(eps_list)
 
     def test_probe_command(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -280,9 +280,11 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(space, ahat, nl, cfg)
         te = base.with_epsilon(eps)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg)
+        ubar = approximate_solution(space, te, nl, u0, cfg)
+        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
         probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=2,
-                                       seed=0, magnitude=0.0, u_eps=u_eps)
+                                       seed=0, magnitude=0.0, ubar=ubar,
+                                       u_eps=u_eps)
         assert probe.distances == [0.0, 0.0]
 
     def test_seeded_restarts_agree(self, scenario_1d):
@@ -292,9 +294,10 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(space, ahat, nl, cfg)
         te = base.with_epsilon(eps)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg)
+        ubar = approximate_solution(space, te, nl, u0, cfg)
+        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
         probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=5,
-                                       seed=11, u_eps=u_eps)
+                                       seed=11, ubar=ubar, u_eps=u_eps)
         assert not probe.outside_ball
         assert probe.all_same
         assert max(probe.distances) <= 10 * cfg.fp_tol
@@ -306,9 +309,11 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(space, ahat, nl, cfg)
         te = base.with_epsilon(eps)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg)
+        ubar = approximate_solution(space, te, nl, u0, cfg)
+        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
         probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=2,
-                                       seed=1, magnitude=1000.0, u_eps=u_eps)
+                                       seed=1, magnitude=1000.0, ubar=ubar,
+                                       u_eps=u_eps)
         assert probe.outside_ball
 
 

@@ -7,17 +7,21 @@ The counters wrap a homfem function at every homfem module that binds it
 
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import homfem.cli
-from homfem.cli import main, parse_config, run_sweep
-from homfem.fem import lu_factor
-from homfem.nonlin import eval_F
+from homfem.cli import main, parse_config, run_single, run_sweep
+from homfem.fem import (FemSpace, assemble_diffusion,
+                        assemble_jacobian_coupling, lu_factor)
+from homfem.mesh import build_unit_square_mesh
+from homfem.nonlin import eval_F, eval_F_jacobian
 from homfem.solver import (SolverConfig, approximate_solution,
                            fixed_point_solve, local_uniqueness_probe,
                            newton_solve, solve_homogenized)
 
-from conftest import space_1d
+from conftest import coupled_scenario_2d, space_1d
 
 CONFIG = """
 domain: interval
@@ -56,20 +60,48 @@ def count_calls(monkeypatch):
     return install
 
 
-def test_uniqueness_probe_factors_twice(scenario_1d, count_calls):
+def test_uniqueness_probe_factors_once(scenario_1d, count_calls):
     base, ahat, nl = scenario_1d
     eps = 1 / 16
     space = space_1d(round(16 / eps))
     cfg = SolverConfig()
     u0, _ = solve_homogenized(space, ahat, nl, cfg)
     te = base.with_epsilon(eps)
-    u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg)
+    ubar = approximate_solution(space, te, nl, u0, cfg)
+    u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
     factored = count_calls(lu_factor)
     probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=5, seed=3,
-                                   u_eps=u_eps)
-    # A_eps for ubar, then A_eps + C(u0) shared by every restart
-    assert len(factored) == 2
+                                   ubar=ubar, u_eps=u_eps)
+    # the caller's ubar: only A_eps + C(u0), shared by every restart
+    assert len(factored) == 1
     assert probe.all_same and len(probe.statuses) == 5
+
+
+def test_converged_row_assembles_each_diffusion_operator_once(count_calls):
+    cfg = parse_config(CONFIG)
+    ahat, _ = homfem.cli.compute_effective_tensor(cfg)
+    assembled = count_calls(assemble_diffusion)
+    row, _, fields = run_single(cfg, ahat, cfg.eps[0])
+    assert row["status"] == "converged" and set(fields) == {"u0", "ubar",
+                                                            "ueps"}
+    # Ahat for Newton and the margin, A_eps for ubar and the frozen operator
+    assert len(assembled) == 2
+
+
+def test_lu_factor_orders_for_less_fill_than_colamd():
+    base, nl = coupled_scenario_2d()
+    space = FemSpace(build_unit_square_mesh(16), 2)
+    u0 = space.field_from_free(
+        np.random.default_rng(0).uniform(-1.0, 1.0, space.num_free))
+    frozen = (assemble_diffusion(space, base.with_epsilon(1 / 4))
+              + assemble_jacobian_coupling(
+                  space, eval_F_jacobian(nl, space, u0))).matrix
+    ordered = lu_factor(frozen)
+    colamd = spla.splu(frozen.tocsc())
+    assert ordered.nnz < colamd.nnz
+    rhs = np.arange(1.0, space.num_free + 1.0)
+    x, y = ordered.solve(rhs), colamd.solve(rhs)
+    assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_sweep_solves_the_effective_problem_once_per_eps(tmp_path,
