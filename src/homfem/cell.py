@@ -31,6 +31,8 @@ __all__ = [
 
 MEAN_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+# midpoint subintervals of the 1D inverse average for non-piecewise tables
+QUADRATURE_1D = 4096
 
 
 @dataclass
@@ -158,11 +160,11 @@ def homogenized_tensor(base: TensorField, correctors: CorrectorSet,
     return HomogenizedTensor(ahat)
 
 
-def homogenized_tensor_1d(base: TensorField, quadrature: int = 4096) -> HomogenizedTensor:
+def homogenized_tensor_1d(base: TensorField) -> HomogenizedTensor:
     """One-dimensional shortcut: invert the cell average of the inverse.
 
     For piecewise-constant tables the average is computed exactly from the
-    table; otherwise composite midpoint quadrature with ``quadrature``
+    table; otherwise composite midpoint quadrature with ``QUADRATURE_1D``
     subintervals is used.  Fails if the coefficient matrix is singular at a
     quadrature point.
     """
@@ -180,8 +182,8 @@ def homogenized_tensor_1d(base: TensorField, quadrature: int = 4096) -> Homogeni
         pts = (np.arange(k)[:, None] + 0.5) / k
         weights = np.full(k, 1.0 / k)
     else:
-        pts = sample_grid(1, quadrature)
-        weights = np.full(quadrature, 1.0 / quadrature)
+        pts = sample_grid(1, QUADRATURE_1D)
+        weights = np.full(QUADRATURE_1D, 1.0 / QUADRATURE_1D)
     mats = base.evaluate(pts)[:, :, :, 0, 0]  # (m, n, n)
     try:
         invs = np.linalg.inv(mats)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib.resources
 import json
 import logging
@@ -114,8 +115,12 @@ class ProblemConfig:
         return doc
 
     # -- builders ---------------------------------------------------------
+    # The coefficient family and the flux are built once, by parse_config,
+    # which validates them; asdict skips cached properties, so the
+    # effective config stays the same.
 
-    def build_tensor(self) -> TensorField:
+    @functools.cached_property
+    def coefficient(self) -> TensorField:
         base = _build_tensor_field(self.tensor, self.system_dim, self.dim,
                                    "tensor")
         if self.defect is not None:
@@ -125,7 +130,8 @@ class ProblemConfig:
             return add_defect(base, dfield, epsilon=self.eps[0]).with_epsilon(None)
         return base
 
-    def build_nonlinearity(self) -> Nonlinearity:
+    @functools.cached_property
+    def flux(self) -> Nonlinearity:
         spec = self.nonlinearity
         nl = Nonlinearity(self.system_dim, self.dim, [], p0=float(spec["p0"]))
         for k, term in enumerate(spec.get("terms", [])):
@@ -302,13 +308,13 @@ def parse_config(text: str) -> ProblemConfig:
 
     # eager builds validate entry shapes, expressions and catalog membership
     try:
-        base = cfg.build_tensor()
+        base = cfg.coefficient
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid tensor: {exc}") from exc
     try:
-        cfg.build_nonlinearity()
+        cfg.flux
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
@@ -372,7 +378,7 @@ def compute_effective_tensor(cfg: ProblemConfig):
     Uses the defect-free periodic base: a localized perturbation leaves the
     effective tensor unchanged, so it never enters the cell formula.
     """
-    base = cfg.build_tensor().without_defect()
+    base = cfg.coefficient.without_defect()
     cellmesh = cfg.build_cell_mesh()
     correctors = solve_cell_problems(base, cellmesh)
     ahat = homogenized_tensor(base, correctors, cellmesh)
@@ -413,7 +419,7 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
     ``Ahat`` and ``A_eps`` are each assembled once and handed to every stage
     that uses them; the resolution check runs once, as ``A_eps`` is built.
     """
-    nl = cfg.build_nonlinearity()
+    nl = cfg.flux
     space = cfg.build_domain_space(eps)
     fields = {}
     A_hat = assemble_diffusion(space, ahat.as_tensor_field())
@@ -428,7 +434,7 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
             row["status"] = "degenerate"
         else:
             A_eps = oscillatory_operator(
-                space, cfg.build_tensor().with_epsilon(eps), cfg.solver)
+                space, cfg.coefficient.with_epsilon(eps), cfg.solver)
             ubar = approximate_solution(space, A_eps, nl, u0, cfg.solver)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)
@@ -476,7 +482,7 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
     solve per probe mesh; returns the Meyers observed range."""
     flux = _default_probe_flux(cfg.dim, cfg.system_dim)
     hrows = h_convergence_probe(
-        cfg.build_tensor(), ahat, flux, cfg.eps,
+        cfg.coefficient, ahat, flux, cfg.eps,
         test_functions=sinusoid_test_functions(cfg.dim, cfg.probe_modes),
         cells_per_eps=cfg.probe_cells_per_eps)
     _write_csv(out / "hconv.csv", "hconv", [{
@@ -512,7 +518,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     log.info("effective config: %s",
              json.dumps(cfg.effective_dict(), sort_keys=True))
 
-    validation = validate(cfg.build_nonlinearity(), cfg.dim)
+    validation = validate(cfg.flux, cfg.dim)
     if not validation.passed:
         log.warning("nonlinearity validation failed: %s",
                     validation.reason or "see term reports")
@@ -554,8 +560,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         eps_star, u0, ubar, u_eps = last
         space = cfg.build_domain_space(eps_star)
         probe = local_uniqueness_probe(
-            space, cfg.build_tensor().with_epsilon(eps_star),
-            cfg.build_nonlinearity(), DiscreteField(space, u0), cfg.solver,
+            space, cfg.coefficient.with_epsilon(eps_star), cfg.flux,
+            DiscreteField(space, u0), cfg.solver,
             trials=cfg.probe_trials, seed=cfg.seed,
             ubar=DiscreteField(space, ubar), u_eps=DiscreteField(space, u_eps))
         summary["uniqueness"] = {
@@ -622,6 +628,9 @@ def main(argv=None) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = _number(args.seed, "--seed", low=0)
+    eps = getattr(args, "eps", None)
+    if eps is not None and not 0 < eps <= 1:
+        raise ConfigError(f"--eps must lie in (0, 1], got {eps}")
     out = Path(args.out if args.out is not None else cfg.output)
     if args.command == "sweep":
         run_sweep(cfg, out)  # opens its own run log
@@ -633,8 +642,8 @@ def main(argv=None) -> int:
             (out / "ahat.json").write_text(ahat.to_json())
             log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
         elif args.command == "solve":
-            eps = args.eps if args.eps is not None else cfg.eps[0]
-            row, space, fields = run_single(cfg, ahat, eps)
+            row, space, fields = run_single(
+                cfg, ahat, eps if eps is not None else cfg.eps[0])
             (out / "solve.json").write_text(
                 json.dumps(row, indent=2, sort_keys=True, default=repr))
             _write_csv(out / "solution.csv", "solution",

@@ -203,9 +203,6 @@ class SparseOperator:
             raise ValueError("operators live on different spaces")
         return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
 
-    def apply(self, free_values: np.ndarray) -> np.ndarray:
-        return self.matrix @ free_values
-
 
 @dataclass
 class LoadFunctional:
@@ -272,23 +269,15 @@ def _restrict(space, rows, cols, data):
     return out
 
 
-def _tensor_at_quadrature(space, tensor, epsilon):
-    if epsilon is not None:
-        tensor = tensor.with_epsilon(epsilon)
-    nc, nq = space.quad_points.shape[:2]
-    flat = space.quad_points.reshape(nc * nq, space.mesh.dim)
-    vals = tensor.evaluate(flat)
-    return vals.reshape(nc, nq, *vals.shape[1:])
-
-
-def assemble_diffusion(space: FemSpace, tensor, epsilon=None) -> SparseOperator:
+def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
     """Stiffness matrix of the bilinear form int a(x) du dphi.
 
     Row dof pattern is (component, derivative direction) of the test hat,
-    column of the trial hat.  ``epsilon`` rescales the tensor before
-    evaluation.
+    column of the trial hat.
     """
-    a = _tensor_at_quadrature(space, tensor, epsilon)  # (nc,nq,n,n,N,N)
+    nc, nq = space.quad_points.shape[:2]
+    a = tensor.evaluate(space.quad_points.reshape(nc * nq, space.mesh.dim))
+    a = a.reshape(nc, nq, *a.shape[1:])  # (nc,nq,n,n,N,N)
     local = np.einsum("cq,cqabij,cwi,cvj->cwavb", space.quad_weights, a,
                       space.grads, space.grads, optimize=True)
     rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)

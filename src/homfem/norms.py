@@ -29,6 +29,10 @@ __all__ = [
     "MeyersTable",
 ]
 
+# relative growth of a gradient-norm column that meyers_probe still counts
+# as bounded
+MEYERS_SLACK = 0.05
+
 
 def linf_norm(u: DiscreteField) -> float:
     """Sum over components of the max absolute nodal value (exact for P1)."""
@@ -243,13 +247,12 @@ class MeyersTable:
     stable: np.ndarray = field(default=None)  # per-p boundedness flags
 
 
-def meyers_probe(rows: list[HConvergenceRow], p_grid,
-                 slack: float = 0.05) -> MeyersTable:
+def meyers_probe(rows: list[HConvergenceRow], p_grid) -> MeyersTable:
     """Track gradient L^p norms of the rows' ``u_eps`` across the sweep.
 
     ``rows`` come from :func:`h_convergence_probe`, so both probes share one
     linear solve per scale.  A column counts as stable when the norm
-    sequence never grows by more than ``slack`` relative to its running
+    sequence never grows by more than ``MEYERS_SLACK`` relative to its running
     minimum; the observed range is the largest stable p.  This is a
     bounded-sequence diagnostic, not an attempt to compute the critical
     integrability exponent.
@@ -263,7 +266,7 @@ def meyers_probe(rows: list[HConvergenceRow], p_grid,
             norms[r, c] = gradient_lp_norm(row.u_eps, p)
     stable = np.array([
         bool(np.all(norms[1:, c] <= np.minimum.accumulate(norms[:, c])[:-1]
-                    * (1.0 + slack)))
+                    * (1.0 + MEYERS_SLACK)))
         for c in range(len(p_grid))])
     observed = max((p for p, ok in zip(p_grid, stable) if ok), default=0.0)
     return MeyersTable(eps_list=[row.eps for row in rows], p_grid=p_grid,

@@ -24,9 +24,18 @@ solve, and each perturbed restart of the uniqueness probe.  The probe takes
 the caller's ``u0``, ``ubar`` and ``u_eps`` instead of recomputing them, so
 it makes one factorization.
 
-Both the Newton and the fixed-point loops evaluate the flux once per
-iterate: the load ``D F(u)`` that gives an iterate's residual also gives
-the next step's right-hand side.
+Newton's iteration and the fixed point run through one loop,
+:func:`_iterate`, which owns the start residual, the finiteness check, the
+one flux evaluation per iterate (the load ``D F(u)`` that gives an
+iterate's residual also gives the next step's right-hand side), both
+histories and the exits.  Only the step and the stopping history differ:
+Newton steps by ``u + (A + C(u))^{-1} (-(A u + D F(u)))`` and stops on the
+residual, the fixed point solves ``(A_eps + C(u0)) u_next = C(u0) u - D
+F(u)`` over its frozen factors and stops on the step norm.  The fixed point
+keeps that form rather than the algebraically equal defect correction
+``u - (A_eps + C(u0))^{-1} (A_eps u + D F(u))``: ``A_eps u + D F(u)``
+carries round-off of order ``|A_eps| ~ 1/h``, which on fine meshes lifts
+the contraction factors of a converged run by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -110,12 +119,6 @@ def _flux_load(space: FemSpace, nl: Nonlinearity,
     return assemble_divergence_load(space, eval_F(nl, space, u)).vector
 
 
-def residual_vector(space: FemSpace, diffusion: SparseOperator,
-                    nl: Nonlinearity, u: DiscreteField) -> np.ndarray:
-    """Free-dof residual of A u + D F(u) = 0 (Euclidean proxy for the dual norm)."""
-    return diffusion.matrix @ u.free() + _flux_load(space, nl, u)
-
-
 def _operator(space: FemSpace, diffusion) -> SparseOperator:
     """``diffusion`` (a TensorField, a HomogenizedTensor or an already
     assembled SparseOperator) as an operator on ``space``."""
@@ -124,6 +127,54 @@ def _operator(space: FemSpace, diffusion) -> SparseOperator:
     if isinstance(diffusion, TensorField):
         return assemble_diffusion(space, diffusion)
     return diffusion
+
+
+def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
+             advance, tol: float, max_iter: int, stop_on: str):
+    """The Newton-type loop on A u + D F(u) = 0 from ``u``.
+
+    ``advance(u, load, residual)`` returns the next iterate from an
+    accepted one, its load ``D F(u)`` and its residual ``A u + D F(u)``.
+    The run converges once the last entry of the report's ``stop_on``
+    history (``residual_history`` or ``step_norms``) is at most ``tol``.
+    A failed first step propagates; a later one, a non-finite iterate, or
+    a flux that cannot be evaluated at the new iterate ends the run as
+    diverged at the last accepted iterate.
+    """
+    space = diffusion.space
+    load = _flux_load(space, nl, u)
+    residual = diffusion.matrix @ u.free() + load
+    report = SolverReport()
+    history = getattr(report, stop_on)
+    for _ in range(max_iter):
+        try:
+            u_next = advance(u, load, residual)
+        except (LinearSolveError, ValueError):
+            if report.iterations == 0:
+                raise
+            report.status = "diverged"
+            break
+        try:
+            if not np.all(np.isfinite(u_next.values)):
+                raise ValueError("non-finite iterate")
+            load = _flux_load(space, nl, u_next)
+        except ValueError:
+            report.status = "diverged"
+            break
+        report.step_norms.append(w1p_norm(u_next - u, 2.0))
+        u = u_next
+        report.iterations += 1
+        residual = diffusion.matrix @ u.free() + load
+        report.residual_history.append(float(np.linalg.norm(residual)))
+        if history[-1] <= tol:
+            report.status = "converged"
+            break
+        if _diverging(history):
+            report.status = "diverged"
+            break
+    else:
+        report.status = "max-iter"
+    return u, report
 
 
 def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
@@ -137,42 +188,15 @@ def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
     independent of u) converge in exactly one step.
     """
     cfg = cfg or SolverConfig()
-    diffusion = _operator(space, diffusion)
+    A = _operator(space, diffusion)
+
+    def advance(u, load, residual):
+        C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u))
+        return u + solve_linear(A + C, -residual)
+
     u = start.copy() if start is not None else space.zero_field()
-    res = residual_vector(space, diffusion, nl, u)
-    report = SolverReport()
-    for _ in range(cfg.newton_max_iter):
-        try:
-            jac = assemble_jacobian_coupling(space,
-                                             eval_F_jacobian(nl, space, u))
-            step = solve_linear(diffusion + jac, -res)
-        except (LinearSolveError, ValueError):
-            if report.iterations == 0:
-                raise
-            report.status = "diverged"
-            break
-        u = u + step
-        if not np.all(np.isfinite(u.values)):
-            report.status = "diverged"
-            break
-        report.iterations += 1
-        try:
-            res = residual_vector(space, diffusion, nl, u)
-        except ValueError:
-            report.status = "diverged"
-            break
-        res_norm = float(np.linalg.norm(res))
-        report.residual_history.append(res_norm)
-        report.step_norms.append(w1p_norm(step, 2.0))
-        if res_norm <= cfg.newton_tol:
-            report.status = "converged"
-            break
-        if _diverging(report.residual_history):
-            report.status = "diverged"
-            break
-    else:
-        report.status = "max-iter"
-    return u, report
+    return _iterate(A, nl, u, advance, cfg.newton_tol, cfg.newton_max_iter,
+                    "residual_history")
 
 
 def solve_homogenized(space: FemSpace, ahat, nl: Nonlinearity,
@@ -185,13 +209,13 @@ def solve_homogenized(space: FemSpace, ahat, nl: Nonlinearity,
 
 
 def nondegeneracy_margin(space: FemSpace, ahat, nl: Nonlinearity,
-                         u0: DiscreteField, max_iter: int = 30,
-                         rtol: float = 1e-8) -> float:
+                         u0: DiscreteField) -> float:
     """Smallest singular value of the linearized effective operator.
 
     ``ahat`` is the HomogenizedTensor or its assembled operator.  Estimated
     by inverse power iteration on the normal equations of ``Ahat + C(u0)``
-    over the free dofs, then normalized by the cell measure so estimates are
+    over the free dofs (at most 30 iterations, stopping at a relative
+    change of 1e-8), then normalized by the cell measure so estimates are
     comparable across mesh resolutions.  Returns 0.0 when the operator
     cannot be factorized (discretely degenerate).
     """
@@ -205,14 +229,14 @@ def nondegeneracy_margin(space: FemSpace, ahat, nl: Nonlinearity,
     x = rng.standard_normal(space.num_free)
     x /= np.linalg.norm(x)
     sigma = np.inf
-    for _ in range(max_iter):
+    for _ in range(30):
         y = lu.solve(lu.solve(x, trans="T"), trans="N")
         lam = np.linalg.norm(y)
         if lam == 0 or not np.isfinite(lam):
             return 0.0
         new_sigma = 1.0 / np.sqrt(lam)
         x = y / lam
-        if np.isfinite(sigma) and abs(new_sigma - sigma) <= rtol * sigma:
+        if np.isfinite(sigma) and abs(new_sigma - sigma) <= 1e-8 * sigma:
             sigma = new_sigma
             break
         sigma = new_sigma
@@ -253,52 +277,17 @@ def approximate_solution(space: FemSpace, tensor_eps, nl: Nonlinearity,
     return solve_linear(A_eps, -_flux_load(space, nl, u0))
 
 
-def _frozen_operator(A_eps: SparseOperator, nl: Nonlinearity,
-                     u0: DiscreteField):
-    """``A_eps``, ``C(u0)`` and the LU factors of ``A_eps + C(u0)``."""
+def _frozen_step(A_eps: SparseOperator, nl: Nonlinearity,
+                 u0: DiscreteField):
+    """The fixed-point step over one factorization of ``A_eps + C(u0)``:
+    ``u_next`` solves ``(A_eps + C(u0)) u_next = C(u0) u - D F(u)``."""
     space = A_eps.space
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    return A_eps, C, lu_factor(A_eps + C)
+    frozen = lu_factor(A_eps + C)
 
-
-def _iterate(frozen_operator, nl: Nonlinearity, u: DiscreteField,
-             cfg: SolverConfig):
-    """The fixed-point loop from ``u`` over a ``_frozen_operator``."""
-    A_eps, C, frozen = frozen_operator
-    space = u.space
-    load = _flux_load(space, nl, u)
-    report = SolverReport()
-    for _ in range(cfg.fp_max_iter):
-        rhs = C.matrix @ u.free() - load
-        u_next = space.field_from_free(frozen.solve(rhs))
-        finite = np.all(np.isfinite(u_next.values))
-        if finite:
-            try:
-                load = _flux_load(space, nl, u_next)
-            except ValueError:
-                # overflow of the flux along a running iterate is
-                # divergence; a failure in the first step is a usage error
-                if report.iterations == 0:
-                    raise
-                finite = False
-        if not finite:
-            report.status = "diverged"
-            break
-        step_norm = w1p_norm(u_next - u, 2.0)
-        u = u_next
-        report.iterations += 1
-        report.step_norms.append(step_norm)
-        report.residual_history.append(
-            float(np.linalg.norm(A_eps.matrix @ u.free() + load)))
-        if step_norm <= cfg.fp_tol:
-            report.status = "converged"
-            break
-        if _diverging(report.step_norms):
-            report.status = "diverged"
-            break
-    else:
-        report.status = "max-iter"
-    return u, report
+    def advance(u, load, residual):
+        return space.field_from_free(frozen.solve(C.matrix @ u.free() - load))
+    return advance
 
 
 def fixed_point_solve(space: FemSpace, tensor_eps, nl: Nonlinearity,
@@ -317,7 +306,8 @@ def fixed_point_solve(space: FemSpace, tensor_eps, nl: Nonlinearity,
     A_eps = oscillatory_operator(space, tensor_eps, cfg)
     if start is None:
         start = approximate_solution(space, A_eps, nl, u0, cfg)
-    return _iterate(_frozen_operator(A_eps, nl, u0), nl, start, cfg)
+    return _iterate(A_eps, nl, start, _frozen_step(A_eps, nl, u0),
+                    cfg.fp_tol, cfg.fp_max_iter, "step_norms")
 
 
 @dataclass
@@ -361,7 +351,8 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
     delta = cfg.delta if cfg.delta is not None else 0.1 * (1.0 + linf_norm(u0))
     if magnitude is None:
         magnitude = 0.5 * delta
-    frozen = _frozen_operator(_operator(space, tensor_eps), nl, u0)
+    A_eps = _operator(space, tensor_eps)
+    advance = _frozen_step(A_eps, nl, u0)
     rng = np.random.default_rng(seed)
     report = UniquenessProbeReport(magnitude=magnitude, delta=delta,
                                    outside_ball=magnitude > delta,
@@ -372,7 +363,9 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
         scale = linf_norm(pert)
         if scale > 0:
             pert = pert * (magnitude / scale)
-        u_trial, trial_report = _iterate(frozen, nl, ubar + pert, cfg)
+        u_trial, trial_report = _iterate(A_eps, nl, ubar + pert, advance,
+                                         cfg.fp_tol, cfg.fp_max_iter,
+                                         "step_norms")
         report.statuses.append(trial_report.status)
         report.distances.append(linf_norm(u_trial - u_eps))
     return report

@@ -1,11 +1,12 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homfem.cli import (ConfigError, ProblemConfig, load_schema, main,
                         parse_config, run_sweep)
@@ -173,6 +174,52 @@ eps: [0.25]
         assert doc["solver"]["fp_max_iter"] == 50
 
 
+# value factors of the flux catalog; under the strong spatial factor the
+# effective Newton solve reaches the pole of the rational one, -1/(1 - u)
+_H_FACTORS = [
+    {"kind": "constant"},
+    {"kind": "polynomial", "monomials": [{"coeff": 1.0, "powers": [2]}]},
+    {"kind": "sin", "coeffs": [1.0]},
+    {"kind": "cos", "coeffs": [0.5], "shift": 0.2},
+    {"kind": "exp", "coeffs": [0.5]},
+    {"kind": "rational", "numerator": [{"coeff": -1.0, "powers": [0]}],
+     "denominator": [{"coeff": 1.0, "powers": [0]},
+                     {"coeff": -1.0, "powers": [1]}]},
+]
+_OUTPUTS = ("ahat.json", "sweep.csv", "hconv.csv", "meyers.csv",
+            "summary.json", "run.log")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(eps=st.lists(st.sampled_from([0.5, 0.25, 0.125]), min_size=1,
+                    max_size=2),
+       cells_per_eps=st.integers(1, 16), cell_resolution=st.integers(2, 16),
+       trials=st.integers(1, 2),
+       terms=st.lists(st.fixed_dictionaries({
+           "target": st.just([1, 1]),
+           "g": st.sampled_from(["0.25", "0.5*sin(2*pi*x)",
+                                 "5*sin(2*pi*x)"]),
+           "h": st.sampled_from(_H_FACTORS)}), min_size=1, max_size=2))
+@example(eps=[0.5, 0.25], cells_per_eps=8, cell_resolution=8, trials=1,
+         terms=[{"target": [1, 1], "g": "5*sin(2*pi*x)",
+                 "h": _H_FACTORS[-1]}])
+def test_small_config_fails_at_parse_or_writes_every_output(
+        eps, cells_per_eps, cell_resolution, trials, terms):
+    doc = yaml.safe_load(MINIMAL)
+    doc.update(eps=eps, nonlinearity={"p0": 4.0, "terms": terms},
+               mesh={"cells_per_eps": cells_per_eps,
+                     "cell_resolution": cell_resolution},
+               probe={"trials": trials})
+    try:
+        cfg = parse_config(yaml.safe_dump(doc))
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        run_sweep(cfg, out)
+        assert all((Path(out) / name).exists() for name in _OUTPUTS)
+        assert len(_read_csv(Path(out) / "sweep.csv", "sweep")) == len(eps)
+
+
 @pytest.fixture(scope="module")
 def sweep_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -247,6 +294,18 @@ defect:
         # the effective tensor ignores the localized perturbation
         doc = json.loads((tmp_path / "ahat.json").read_text())
         assert abs(doc["values"][0][0][0][0] - 1.6) < 1e-9
+
+    def test_defect_built_once_per_run(self, tmp_path, monkeypatch):
+        # the localization and margin checks of add_defect run at parse
+        # time only; every stage of the sweep reuses the parsed coefficient
+        import homfem.cli as cli
+        calls, original = [], cli.add_defect
+        monkeypatch.setattr(cli, "add_defect", lambda *args, **kwargs: (
+            calls.append(args) or original(*args, **kwargs)))
+        cfg = parse_config(self.DEFECT)
+        run_sweep(cfg, tmp_path)
+        assert len(cfg.eps) == 2
+        assert len(calls) == 1
 
     def test_non_localized_defect_rejected(self):
         bad = MINIMAL + """
@@ -340,6 +399,20 @@ class TestMain:
         assert row["status"] == "converged"
         rows = _read_csv(tmp_path / "o" / "solution.csv", "solution")
         assert len(rows) == 129  # 128 cells -> 129 vertices, one component
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1.5"])
+    def test_eps_override_out_of_range_named(self, tmp_path, monkeypatch,
+                                             eps):
+        import homfem.cli as cli
+
+        def no_cell_problems(cfg_):
+            raise AssertionError("cell problems ran")
+
+        monkeypatch.setattr(cli, "compute_effective_tensor", no_cell_problems)
+        cfg = self._write_cfg(tmp_path)
+        with pytest.raises(ConfigError, match="--eps"):
+            main(["solve", "--config", str(cfg), "--eps", eps,
+                  "--out", str(tmp_path / "o")])
 
     def test_negative_seed_override_named(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -1,16 +1,19 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from homfem.cell import homogenized_tensor_1d
 from homfem.coeff import HomogenizedTensor, TensorField
-from homfem.fem import (FemSpace, assemble_diffusion,
-                        assemble_jacobian_coupling, evaluate)
+from homfem.fem import (FemSpace, LinearSolveError, SparseOperator,
+                        assemble_diffusion, assemble_jacobian_coupling,
+                        evaluate)
 from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, ExpressionFactor, Nonlinearity,
-                           Polynomial, eval_F_jacobian)
+from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
+                           Nonlinearity, Polynomial, eval_F_jacobian)
 from homfem.norms import linf_norm, w1p_norm
 from homfem.solver import (SolverConfig, approximate_solution,
                            fixed_point_solve, local_uniqueness_probe,
@@ -240,6 +243,19 @@ class TestFixedPointSolve:
         defect_form = ubar.free() - lu.solve(residual)
         assert np.max(np.abs(u_next.free() - defect_form)) <= 1e-11
 
+    def test_fine_mesh_contraction_free_of_roundoff(self):
+        # at 16,384 cells the fixed point converges in two steps, with a
+        # contraction factor near 3e-8; the algebraically equal defect
+        # correction u - (A+C)^{-1} (A u + DF(u)) reads 1.3e-5, because
+        # A u + DF(u) carries round-off of order |A| ~ 1/h
+        from homfem.cli import compute_effective_tensor, load_config, run_single
+        cfg = load_config(Path(__file__).parents[1] / "configs"
+                          / "two_phase_1d.yaml")
+        ahat, _ = compute_effective_tensor(cfg)
+        row, _, _ = run_single(cfg, ahat, 1 / 1024)
+        assert row["n_cells"] == 16384 and row["status"] == "converged"
+        assert row["max_contraction"] <= 1e-6
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
         # a strong cubic flux far outside the contraction regime blows up
@@ -270,6 +286,39 @@ class TestFixedPointSolve:
             ratios.append(linf_norm(u_eps - u0) / bound)
         assert max(ratios) / min(ratios) <= 2.0
         assert max(ratios) <= 2.0
+
+
+class TestFailureRule:
+    """Newton and the fixed point share one loop and one failure rule."""
+
+    def test_failed_first_linear_solve_propagates(self):
+        space = space_1d(16)
+        singular = SparseOperator(
+            space, sp.csr_matrix((space.num_free, space.num_free)))
+        u0 = space.zero_field()
+        with pytest.raises(LinearSolveError):
+            newton_solve(space, singular, _linear_nl())
+        with pytest.raises(LinearSolveError):
+            fixed_point_solve(space, singular, _linear_nl(), u0, start=u0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_flux_overflow_at_first_iterate_diverges_at_the_start(self):
+        # the strong forcing throws the first iterate of both loops far past
+        # the point where exp(20 u) overflows; at the start u = -30 the flux
+        # is finite
+        space = space_1d(32)
+        nl = _linear_nl("2000*x")
+        nl.term(0, 0, ExpressionFactor("1", 1), ExpLinear([20.0], 0.0, 1))
+        ahat = _unit_ahat(value=1.6)
+        start = space.field_from_free(np.full(space.num_free, -30.0))
+        runs = [newton_solve(space, ahat, nl, start=start),
+                fixed_point_solve(space, ahat.as_tensor_field(), nl,
+                                  space.zero_field(), start=start)]
+        for u, report in runs:
+            assert report.status == "diverged"
+            assert report.iterations == 0
+            assert report.residual_history == report.step_norms == []
+            assert np.array_equal(u.values, start.values)
 
 
 class TestLocalUniquenessProbe:
