@@ -13,13 +13,13 @@ from .coeff import HomogenizedTensor, TensorField, add_defect, legendre_margin
 from .fem import (DiscreteField, FemSpace, LinearSolveError, LoadFunctional,
                   SparseOperator, assemble_diffusion,
                   assemble_divergence_load, assemble_jacobian_coupling,
-                  evaluate, solve_linear)
+                  solve_linear)
 from .cell import (CorrectorSet, homogenized_tensor, homogenized_tensor_1d,
                    solve_cell_problems)
 from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
                      Sinusoid, Term, eval_F, eval_F_jacobian, validate)
 from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
-                    morrey_seminorm, w1p_norm)
+                    w1p_norm)
 from .solver import (SolverConfig, SolverReport, approximate_solution,
                      fixed_point_solve, local_uniqueness_probe, newton_solve,
                      nondegeneracy_margin, solve_homogenized)

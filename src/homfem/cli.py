@@ -518,7 +518,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     log.info("effective config: %s",
              json.dumps(cfg.effective_dict(), sort_keys=True))
 
-    validation = validate(cfg.flux, cfg.dim)
+    validation = validate(cfg.flux)
     if not validation.passed:
         log.warning("nonlinearity validation failed: %s",
                     validation.reason or "see term reports")

@@ -235,23 +235,24 @@ class TensorField:
         # samples the physical domain, so rescaled oscillations are included
         return self.evaluate(sample_grid(self.dim, per_axis))
 
-    def observed_margin(self, per_axis=DEFAULT_SAMPLE_GRID):
+    def observed_margin(self):
         if self._margin is None:
-            self._margin = legendre_margin(self, per_axis)
+            self._margin = legendre_margin(self)
         return self._margin
 
-    def observed_magnitude(self, per_axis=DEFAULT_SAMPLE_GRID):
+    def observed_magnitude(self):
         if self._magnitude is None:
-            self._magnitude = float(np.abs(self._sample_values(per_axis)).max())
+            self._magnitude = float(
+                np.abs(self._sample_values(DEFAULT_SAMPLE_GRID)).max())
         return self._magnitude
 
-    def require_elliptic(self, per_axis=DEFAULT_SAMPLE_GRID):
-        margin = self.observed_margin(per_axis)
+    def require_elliptic(self):
+        margin = self.observed_margin()
         if margin <= 0.0:
             raise ValueError(
                 f"tensor fails the pointwise ellipticity check: observed "
                 f"quadratic-form margin {margin:.3e} <= 0")
-        if not np.isfinite(self.observed_magnitude(per_axis)):
+        if not np.isfinite(self.observed_magnitude()):
             raise ValueError("tensor magnitude unbounded on sample grid")
         return margin
 
@@ -367,17 +368,6 @@ class HomogenizedTensor:
             raise ValueError("matrix() only applies in one space dimension")
         return self.values[:, :, 0, 0].copy()
 
-    @property
-    def is_symmetric(self):
-        q = np.transpose(self.values, (0, 2, 1, 3)).reshape(
-            self.n * self.dim, self.n * self.dim)
-        return bool(np.allclose(q, q.T, atol=1e-12 * max(1.0, abs(q).max())))
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "N": self.dim,
                            "values": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HomogenizedTensor":
-        doc = json.loads(text)
-        return cls(np.asarray(doc["values"], dtype=float))

@@ -32,7 +32,6 @@ __all__ = [
     "assemble_divergence_load",
     "assemble_jacobian_coupling",
     "solve_linear",
-    "evaluate",
 ]
 
 
@@ -47,10 +46,6 @@ class QuadratureRule:
     name: str
     barycentric: np.ndarray  # (nq, nverts)
     weights: np.ndarray      # (nq,), summing to 1
-
-    @property
-    def num_points(self) -> int:
-        return len(self.weights)
 
 
 def quadrature_rule(dim: int, kind: str = "midpoint") -> QuadratureRule:
@@ -86,13 +81,10 @@ class FemSpace:
         "midpoint" (default) or "3point".
     constrain_boundary : bool
         Impose homogeneous Dirichlet values on the mesh boundary markers.
-    pinned_vertices : sequence of int
-        Extra vertices whose dofs are constrained to zero (used to fix the
-        constant mode of periodic problems).
     """
 
     def __init__(self, mesh: Mesh, n: int, quadrature: str = "midpoint",
-                 constrain_boundary: bool = True, pinned_vertices=()):
+                 constrain_boundary: bool = True):
         if n < 1:
             raise ValueError("system dimension must be at least 1")
         self.mesh = mesh
@@ -107,11 +99,8 @@ class FemSpace:
         self._vertex_slot = inverse
         self.indep_vertices = indep
 
-        constrained_vertices = set(int(v) for v in pinned_vertices)
-        if constrain_boundary:
-            constrained_vertices.update(int(v) for v in mesh.boundary)
         mask = np.zeros(self.num_dofs, dtype=bool)
-        for v in constrained_vertices:
+        for v in (mesh.boundary if constrain_boundary else ()):
             slot = self._vertex_slot[v]
             mask[slot * n:(slot + 1) * n] = True
         self.constrained_mask = mask
@@ -368,43 +357,3 @@ def solve_linear(A: SparseOperator, b) -> DiscreteField:
             f"(pivot ratio {cond:.3e})")
     return A.space.field_from_free(u_free)
 
-
-def _locate_cells(mesh: Mesh, pts: np.ndarray) -> np.ndarray:
-    """Cell index containing each point, for the structured meshes."""
-    n = mesh.resolution
-    eps = 1e-12
-    outside = np.any((pts < -eps) | (pts > 1.0 + eps), axis=1)
-    if np.any(outside):
-        raise ValueError(f"point outside domain: {pts[np.argmax(outside)]}")
-    clipped = np.clip(pts, 0.0, 1.0)
-    ij = np.minimum((clipped * n).astype(int), n - 1)
-    if mesh.dim == 1:
-        return ij[:, 0]
-    # within grid square (i, j): lower triangle iff local y <= local x
-    lx = clipped[:, 0] * n - ij[:, 0]
-    ly = clipped[:, 1] * n - ij[:, 1]
-    lower = (ly <= lx).astype(int)
-    return 2 * (ij[:, 0] * n + ij[:, 1]) + (1 - lower)
-
-
-def evaluate(u: DiscreteField, point) -> np.ndarray:
-    """P1 interpolation of the field at a point (exact at vertices)."""
-    space = u.space
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    cells = _locate_cells(space.mesh, pts)
-    verts = space.mesh.vertices[space.mesh.cells[cells]]  # (m, nv, dim)
-    if space.mesh.dim == 1:
-        h = verts[:, 1, 0] - verts[:, 0, 0]
-        t = (pts[:, 0] - verts[:, 0, 0]) / h
-        bary = np.column_stack([1.0 - t, t])
-    else:
-        e1 = verts[:, 1, :] - verts[:, 0, :]
-        e2 = verts[:, 2, :] - verts[:, 0, :]
-        rel = pts - verts[:, 0, :]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        l1 = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / det
-        bary = np.column_stack([1.0 - l1 - l2, l1, l2])
-    nodal = u.values[space.cell_dofs[cells]]  # (m, nv, n)
-    out = np.einsum("mv,mva->ma", bary, nodal)
-    return out[0] if np.ndim(point) <= 1 else out

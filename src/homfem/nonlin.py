@@ -7,9 +7,6 @@ derivatives: polynomials in the field components, sin/cos and exp of linear
 forms, and rationals with nonvanishing denominator.  The catalog keeps
 validation decidable; no growth restriction is imposed on h since all
 evaluations happen on bounded nodal ranges.
-
-Every catalog derivative is cross-checked against central differences at
-construction time.
 """
 
 from __future__ import annotations
@@ -58,21 +55,6 @@ class _ValueFactor:
     def gradient(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _crosscheck(self, n: int, rng_seed: int = 0) -> None:
-        rng = np.random.default_rng(rng_seed)
-        u = rng.uniform(-1.0, 1.0, size=(16, n))
-        delta = 1e-4
-        grad = self.gradient(u)
-        for b in range(n):
-            step = np.zeros(n)
-            step[b] = delta
-            fd = (self(u + step) - self(u - step)) / (2 * delta)
-            err = np.abs(fd - grad[:, b])
-            if np.any(err > 1e-6 * (1.0 + np.abs(grad[:, b]))):
-                raise ValueError(
-                    f"{type(self).__name__}: analytic derivative disagrees "
-                    f"with central differences (max error {err.max():.2e})")
-
 
 class Constant(_ValueFactor):
     """h(u) = c, the field-independent factor."""
@@ -98,7 +80,6 @@ class Polynomial(_ValueFactor):
         for _, powers in self.monomials:
             if len(powers) != n or any(e < 0 for e in powers):
                 raise ValueError(f"bad monomial powers {powers} for n={n}")
-        self._crosscheck(n)
 
     def __call__(self, u):
         out = np.zeros(u.shape[0])
@@ -126,7 +107,7 @@ class Polynomial(_ValueFactor):
 
 
 class _LinearFormFactor(_ValueFactor):
-    def __init__(self, coeffs, shift: float, n: int):
+    def __init__(self, coeffs, shift: float = 0.0, n: int = 1):
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (n,):
             raise ValueError(f"linear form needs {n} coefficients")
@@ -145,7 +126,6 @@ class Sinusoid(_LinearFormFactor):
             raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
         super().__init__(coeffs, shift, n)
         self.kind = kind
-        self._crosscheck(n)
 
     def __call__(self, u):
         s = self._form(u)
@@ -159,10 +139,6 @@ class Sinusoid(_LinearFormFactor):
 
 class ExpLinear(_LinearFormFactor):
     """h(u) = exp of a linear form in the field components."""
-
-    def __init__(self, coeffs, shift: float = 0.0, n: int = 1):
-        super().__init__(coeffs, shift, n)
-        self._crosscheck(n)
 
     def __call__(self, u):
         return np.exp(self._form(u))
@@ -180,7 +156,6 @@ class Rational(_ValueFactor):
         self.n = numerator.n
         self.num = numerator
         self.den = denominator
-        self._crosscheck(self.n)
 
     def _den_values(self, u):
         q = self.den(u)
@@ -356,7 +331,7 @@ def _estimate_gp_integral(g, p0, dim, per_axis):
     return float(vals.mean())  # |domain| = 1
 
 
-def validate(nl: Nonlinearity, dim: int) -> ValidationReport:
+def validate(nl: Nonlinearity) -> ValidationReport:
     """Check the declared exponent and the integrability of each g factor.
 
     The integral of |g|^p0 is estimated by midpoint sampling at three
@@ -367,6 +342,7 @@ def validate(nl: Nonlinearity, dim: int) -> ValidationReport:
     divergent factors can evade a sampled check; the ratio is reported so
     borderline terms are visible.
     """
+    dim = nl.dim
     report = ValidationReport(p0=nl.p0, dim=dim, exponent_ok=nl.p0 > dim)
     levels = (1024, 2048, 4096) if dim == 1 else (64, 128, 256)
     for t in nl.terms:

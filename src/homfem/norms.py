@@ -1,8 +1,7 @@
 """Norms and convergence diagnostics.
 
-The sup-type norms here are discrete stand-ins computed from nodal data and
-cell quadrature and are labeled as such: the ball-seminorm sup runs over mesh
-vertices and dyadic radii only, and dual-space norms are reported elsewhere
+The norms here are discrete stand-ins computed from nodal data and cell
+quadrature and are labeled as such: dual-space norms are reported elsewhere
 as Euclidean norms of load vectors, with no equivalence claim.
 """
 
@@ -20,7 +19,6 @@ from .mesh import build_interval_mesh, build_unit_square_mesh
 __all__ = [
     "linf_norm",
     "w1p_norm",
-    "morrey_seminorm",
     "h_convergence_probe",
     "meyers_probe",
     "fit_rate",
@@ -46,23 +44,21 @@ def _value_quadrature(space: FemSpace):
     return rule.barycentric, weights
 
 
-def w1p_norm(u: DiscreteField, p: float = 2.0) -> float:
-    """(sum_a int |u^a|^p + sum_i |d_i u^a|^p)^(1/p).
+def w1p_norm(u: DiscreteField) -> float:
+    """(sum_a int |u^a|^2 + sum_i |d_i u^a|^2)^(1/2), the W^{1,2} norm.
 
     Gradients are exact per cell for P1 fields; the value part uses a 3-point
     rule per cell regardless of the space's assembly quadrature.
     """
-    if p < 2:
-        raise ValueError("w1p norms need p >= 2")
     space = u.space
     bary, weights = _value_quadrature(space)
     cellwise = u.values[space.cell_dofs]                      # (nc, nv, n)
     vals = np.einsum("qv,cva->cqa", bary, cellwise)           # (nc, nq, n)
-    value_part = np.einsum("cq,cqa->", weights, np.abs(vals) ** p)
+    value_part = np.einsum("cq,cqa->", weights, np.abs(vals) ** 2.0)
     grads = space.gradients_on_cells(u.values)                # (nc, n, N)
     grad_part = np.einsum("c,cad->", space.mesh.cell_measures,
-                          np.abs(grads) ** p)
-    return float((value_part + grad_part) ** (1.0 / p))
+                          np.abs(grads) ** 2.0)
+    return float((value_part + grad_part) ** (1.0 / 2.0))
 
 
 def gradient_lp_norm(u: DiscreteField, p: float) -> float:
@@ -71,45 +67,6 @@ def gradient_lp_norm(u: DiscreteField, p: float) -> float:
     grads = space.gradients_on_cells(u.values)
     total = np.einsum("c,cad->", space.mesh.cell_measures, np.abs(grads) ** p)
     return float(total ** (1.0 / p))
-
-
-def morrey_seminorm(space: FemSpace, cell_values: np.ndarray, lam: float,
-                    centers: np.ndarray | None = None,
-                    radii=None, max_centers: int = 512) -> float:
-    """Discrete ball seminorm sup_r r^(-lam/2) (int_{B(x,r)} |w|^2)^(1/2).
-
-    ``cell_values`` holds one constant value row per cell (any trailing
-    shape); cells belong to a ball when their centroid does.  The sup runs
-    over mesh vertices (subsampled to ``max_centers``) and dyadic radii from
-    1 down to twice the mesh size, so the result is a discrete proxy of the
-    continuum sup.
-    """
-    mesh = space.mesh
-    if lam < 0 or lam >= mesh.dim:
-        raise ValueError("morrey exponent must lie in [0, N)")
-    w = np.asarray(cell_values, dtype=float).reshape(mesh.num_cells, -1)
-    cell_l2 = mesh.cell_measures * (w ** 2).sum(axis=1)
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    if centers is None:
-        centers = mesh.vertices
-    if len(centers) > max_centers:
-        stride = int(np.ceil(len(centers) / max_centers))
-        centers = centers[::stride]
-    # the domain midpoint always probes, so the unit radius sees all of
-    # the domain and lam = 0 reproduces the global L2 norm exactly
-    centers = np.vstack([np.asarray(centers, dtype=float),
-                         np.full((1, mesh.dim), 0.5)])
-    if radii is None:
-        rmin = 2.0 * mesh.h
-        ks = int(np.floor(np.log2(1.0 / rmin))) if rmin < 1 else 0
-        radii = [2.0 ** (-k) for k in range(ks + 1)]
-    dists = np.linalg.norm(centroids[None, :, :] - np.asarray(centers)[:, None, :],
-                           axis=2)
-    best = 0.0
-    for r in radii:
-        mass = (dists < r) @ cell_l2
-        best = max(best, float(np.sqrt(mass.max()) * r ** (-lam / 2.0)))
-    return best
 
 
 def fit_rate(points) -> tuple[float, float]:

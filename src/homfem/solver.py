@@ -161,7 +161,7 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
         except ValueError:
             report.status = "diverged"
             break
-        report.step_norms.append(w1p_norm(u_next - u, 2.0))
+        report.step_norms.append(w1p_norm(u_next - u))
         u = u_next
         report.iterations += 1
         residual = diffusion.matrix @ u.free() + load

@@ -151,7 +151,8 @@ class TestHomogenizedTensorCorrectorPath:
         base = TensorField.from_expressions(1, 2, entries)
         cm = build_periodic_cell_mesh(16, 2)
         ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
-        assert ahat.is_symmetric
+        q = np.transpose(ahat.values, (0, 2, 1, 3)).reshape(2, 2)
+        assert np.allclose(q, q.T, atol=1e-12 * max(1.0, abs(q).max()))
 
     def test_refinement_cauchy(self):
         base = TensorField.from_expressions(1, 1, "2 + cos(2*pi*x)")

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from homfem.coeff import TensorField
 from homfem.fem import (DiscreteField, FemSpace, LinearSolveError,
                         assemble_diffusion, assemble_divergence_load,
-                        assemble_jacobian_coupling, evaluate, solve_linear)
+                        assemble_jacobian_coupling, solve_linear)
 from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
 
 from conftest import space_1d
@@ -137,7 +137,7 @@ class TestSolveLinear:
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: p[:, :, None]))
         u = solve_linear(A, -b)
-        assert np.isclose(evaluate(u, [0.5])[0], 0.125, atol=1e-12)
+        assert np.isclose(u.values[8], 0.125, atol=1e-12)  # x = 0.5
         x = space.mesh.vertices.ravel()
         assert np.allclose(u.values, x * (1 - x) / 2, atol=1e-12)
 
@@ -170,42 +170,6 @@ class TestSolveLinear:
         A = SparseOperator(space, singular)
         with pytest.raises(LinearSolveError, match="linear solve failed"):
             solve_linear(A, np.ones(space.num_free))
-
-
-class TestEvaluate:
-    def test_vertex_values_exact(self):
-        space = space_1d(4)
-        u = DiscreteField(space, np.array([0.0, 1.0, 4.0, 9.0, 0.0]))
-        assert np.isclose(evaluate(u, [0.5])[0], 4.0)
-
-    def test_midpoint_average(self):
-        space = space_1d(2)
-        u = DiscreteField(space, np.array([0.0, 2.0, 0.0]))
-        assert np.isclose(evaluate(u, [0.25])[0], 1.0)
-
-    def test_2d_linear_field_reproduced(self):
-        space = FemSpace(build_unit_square_mesh(3), 1)
-        verts = space.mesh.vertices
-        u = DiscreteField(space, (2 * verts[:, 0] - verts[:, 1]).copy())
-        for p in ([0.3, 0.7], [0.99, 0.01], [0.5, 0.5]):
-            assert np.isclose(evaluate(u, p)[0], 2 * p[0] - p[1], atol=1e-13)
-
-    def test_outside_rejected(self):
-        space = space_1d(4)
-        u = space.zero_field()
-        with pytest.raises(ValueError, match="outside"):
-            evaluate(u, [1.5])
-
-    def test_periodic_field_agrees_on_identified_faces(self):
-        from homfem.mesh import build_periodic_cell_mesh
-        space = FemSpace(build_periodic_cell_mesh(4, 2), 1,
-                         constrain_boundary=False)
-        rng = np.random.default_rng(12)
-        u = DiscreteField(space, rng.standard_normal(space.num_dofs))
-        ys = np.linspace(0.0, 1.0, 7)
-        left = evaluate(u, np.column_stack([np.zeros_like(ys), ys]))
-        right = evaluate(u, np.column_stack([np.ones_like(ys), ys]))
-        assert np.allclose(left, right, atol=1e-13)
 
 
 class TestFemSpace:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homfem.cli import parse_config
 from homfem.fem import DiscreteField, FemSpace
 from homfem.mesh import build_interval_mesh
 from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
@@ -11,6 +12,21 @@ from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
                            validate)
 
 from conftest import space_1d
+
+# a 1D config whose only flux term is 0.25 / (1 + c u)
+_RATIONAL_CONFIG = """
+domain: interval
+tensor: {{kind: piecewise, grid: [2], values: [1.0, 4.0]}}
+nonlinearity:
+  p0: 4.0
+  terms:
+    - target: [1, 1]
+      g: "0.25"
+      h: {{kind: rational, numerator: [{{coeff: 1.0, powers: [0]}}],
+          denominator: [{{coeff: 1.0, powers: [0]}},
+                        {{coeff: {c}, powers: [1]}}]}}
+eps: [0.125]
+"""
 
 
 def _catalog_members(n=2):
@@ -34,7 +50,7 @@ class TestCatalog:
         assert np.allclose(h.gradient(np.array([[2.0]])), [[12.0]])
 
     def test_rational_pole_detected(self):
-        # pole at u = -5, outside the construction crosscheck range
+        # pole at u = -5: the denominator check raises there
         den = Polynomial([(1.0, (1,)), (5.0, (0,))], 1)
         num = Polynomial([(1.0, (0,))], 1)
         with pytest.raises(ValueError, match="denominator"):
@@ -71,13 +87,20 @@ class TestCatalog:
             assert np.all(np.abs(fd - grad[:, b])
                           <= 1e-5 * (1.0 + np.abs(grad[:, b])))
 
-    def test_broken_derivative_caught_at_construction(self):
-        class Broken(Polynomial):
-            def gradient(self, u):
-                return super().gradient(u) + 1.0
-
-        with pytest.raises(ValueError, match="central differences"):
-            Broken([(1.0, (2,))], 1)
+    @pytest.mark.parametrize("c", [1.0, -2.0, -1.5],
+                             ids=["1/(1+u)", "1/(1-2u)", "1/(1-1.5u)"])
+    def test_rational_near_pole_parses_with_exact_gradient(self, c):
+        # h = 1/(1 + c u) has its pole -1/c in [-1, 1]; away from the pole
+        # the analytic gradient matches central differences
+        cfg = parse_config(_RATIONAL_CONFIG.format(c=c))
+        h = cfg.flux.terms[0].h
+        u = np.linspace(-1.0, 1.0, 401)
+        u = u[np.abs(u + 1.0 / c) >= 0.25].reshape(-1, 1)
+        assert np.allclose(h(u), 1.0 / (1.0 + c * u[:, 0]), rtol=1e-14)
+        delta = 1e-4
+        fd = (h(u + delta) - h(u - delta)) / (2 * delta)
+        grad = h.gradient(u)[:, 0]
+        assert np.all(np.abs(fd - grad) <= 1e-6 * (1.0 + np.abs(grad)))
 
 
 class TestEvalF:
@@ -144,7 +167,7 @@ class TestEvalF:
     def test_pole_error_names_point(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        # pole at u = -5, reachable by the field but not by the crosscheck
+        # pole at u = -5, reached by the constant field
         pole = Rational(Polynomial([(1.0, (0,))], 1),
                         Polynomial([(1.0, (1,)), (5.0, (0,))], 1))
         nl.term(0, 0, ExpressionFactor("1", 1), pole)
@@ -183,29 +206,29 @@ class TestValidate:
     def test_smooth_factor_passes(self):
         nl = Nonlinearity(1, 2, [], p0=4.0)
         nl.term(0, 0, ExpressionFactor("sin(2*pi*x1)", 2), Constant(1.0, 1))
-        assert validate(nl, 2).passed
+        assert validate(nl).passed
 
     def test_exponent_must_exceed_dimension(self):
-        report = validate(self._nl_with_g("1", 1.0), 1)
+        report = validate(self._nl_with_g("1", 1.0))
         assert not report.passed
         assert "p0 must exceed N" in report.reason
 
     def test_integrable_singularity_passes(self):
         # int |x-1/2|^(-3/4) = 8 * 2^(-1/4), finite
-        report = validate(self._nl_with_g("abs(x - 0.5)**(-0.25)", 3.0), 1)
+        report = validate(self._nl_with_g("abs(x - 0.5)**(-0.25)", 3.0))
         term = report.terms[0]
         assert report.passed
         analytic = 8.0 * 2.0 ** (-0.25)
         assert abs(term.integral_estimate - analytic) <= 0.15 * analytic
 
     def test_divergent_factor_fails(self):
-        report = validate(self._nl_with_g("abs(x - 0.5)**(-0.5)", 3.0), 1)
+        report = validate(self._nl_with_g("abs(x - 0.5)**(-0.5)", 3.0))
         assert not report.passed
 
     def test_table_factor(self):
         nl = Nonlinearity(1, 1, [], p0=4.0)
         nl.term(0, 0, TableFactor((2,), [1.0, 3.0], 1), Constant(1.0, 1))
-        report = validate(nl, 1)
+        report = validate(nl)
         assert report.passed
         # mean of |g|^4 over the two halves
         assert np.isclose(report.terms[0].integral_estimate,

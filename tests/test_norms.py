@@ -9,7 +9,7 @@ from homfem.fem import DiscreteField, FemSpace
 from homfem.mesh import build_interval_mesh, build_unit_square_mesh
 from homfem.norms import (fit_rate, gradient_lp_norm,
                           h_convergence_probe, linf_norm, meyers_probe,
-                          morrey_seminorm, sinusoid_test_functions, w1p_norm)
+                          sinusoid_test_functions, w1p_norm)
 
 from conftest import flux_identity, piecewise_14_tensor, space_1d
 from homfem.cell import homogenized_tensor_1d
@@ -51,7 +51,7 @@ class TestW1pNorm:
         # u = x: int x^2 = 1/3, int (u')^2 = 1 -> sqrt(4/3)
         space = space_1d(16)
         u = DiscreteField(space, space.mesh.vertices.ravel().copy())
-        assert np.isclose(w1p_norm(u, 2.0), np.sqrt(4.0 / 3.0), atol=1e-12)
+        assert np.isclose(w1p_norm(u), np.sqrt(4.0 / 3.0), atol=1e-12)
 
     def test_p2_matches_exact_mass_matrix_oracle(self):
         # int u^2 for P1 on a triangle is |T|/6 (a^2+b^2+c^2+ab+ac+bc)
@@ -63,7 +63,7 @@ class TestW1pNorm:
         val_sq = np.sum(space.mesh.cell_measures / 6.0
                         * (a * a + b * b + c * c + a * b + a * c + b * c))
         direct = np.sqrt(val_sq + gradient_lp_norm(u, 2.0) ** 2)
-        assert np.isclose(w1p_norm(u, 2.0), direct, rtol=1e-12)
+        assert np.isclose(w1p_norm(u), direct, rtol=1e-12)
 
     def test_each_piece_jensen_monotone(self):
         # on a measure-one domain the scalar pieces obey Jensen in p;
@@ -77,39 +77,6 @@ class TestW1pNorm:
         assert value_lp[0] <= value_lp[1] <= value_lp[2]
         grads = [gradient_lp_norm(u, p) for p in (2.0, 3.0, 4.0)]
         assert grads[0] <= grads[1] + 1e-12 and grads[1] <= grads[2] + 1e-12
-
-    def test_p_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            w1p_norm(space_1d(4).zero_field(), 1.5)
-
-
-class TestMorreySeminorm:
-    def test_zero_field(self):
-        space = space_1d(8)
-        w = np.zeros((space.mesh.num_cells, 1))
-        assert morrey_seminorm(space, w, 0.5) == 0.0
-
-    def test_lambda_zero_is_global_l2(self):
-        for space in (space_1d(16), FemSpace(build_unit_square_mesh(6), 1)):
-            rng = np.random.default_rng(3)
-            w = rng.standard_normal((space.mesh.num_cells, 2))
-            got = morrey_seminorm(space, w, 0.0)
-            l2 = np.sqrt(np.sum(space.mesh.cell_measures[:, None] * w ** 2))
-            assert np.isclose(got, l2, rtol=1e-12)
-
-    def test_monotone_in_lambda(self):
-        space = FemSpace(build_unit_square_mesh(8), 1)
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((space.mesh.num_cells, 1))
-        lams = (0.0, 0.5, 1.0, 1.5)
-        vals = [morrey_seminorm(space, w, lam) for lam in lams]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_bad_exponent_rejected(self):
-        space = space_1d(4)
-        with pytest.raises(ValueError):
-            morrey_seminorm(space, np.zeros((4, 1)), 1.5)
-
 
 class TestFitRate:
     def test_exact_slope_one(self):

@@ -9,8 +9,7 @@ import scipy.sparse as sp
 from homfem.cell import homogenized_tensor_1d
 from homfem.coeff import HomogenizedTensor, TensorField
 from homfem.fem import (FemSpace, LinearSolveError, SparseOperator,
-                        assemble_diffusion, assemble_jacobian_coupling,
-                        evaluate)
+                        assemble_diffusion, assemble_jacobian_coupling)
 from homfem.mesh import build_interval_mesh
 from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
                            Nonlinearity, Polynomial, eval_F_jacobian)
@@ -43,7 +42,7 @@ class TestSolveHomogenized:
                                        SolverConfig())
         assert report.status == "converged"
         assert report.iterations == 1
-        assert np.isclose(evaluate(u0, [0.5])[0], 0.125, atol=1e-12)
+        assert np.isclose(u0.values[8], 0.125, atol=1e-12)  # x = 0.5
 
     def test_zero_flux_gives_zero(self):
         space = space_1d(8)
