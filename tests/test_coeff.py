@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homfem.coeff import (HomogenizedTensor, TensorField, add_defect,
-                          legendre_margin, sample_grid)
+from homfem.coeff import (DEFAULT_SAMPLE_GRID, HomogenizedTensor,
+                          TensorField, add_defect, legendre_margin,
+                          sample_grid)
 
 from conftest import piecewise_14_tensor
 
@@ -34,6 +35,24 @@ class TestLegendreMargin:
         t = TensorField.constant(2, 1, np.array([[1.0, 10.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="ellipticity"):
             t.require_elliptic()
+
+    def test_observed_margin_is_default_grid_margin(self):
+        # a coarse grid misses the minimum of 1 + 0.999 sin(2 pi x); the
+        # cached value is the default-grid one, before and after other calls
+        t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
+        coarse = legendre_margin(t, 2)
+        first = t.observed_margin()
+        assert first == legendre_margin(t)
+        assert first != coarse
+        assert t.observed_margin() == first
+        assert t.require_elliptic() == first
+
+    def test_rescaled_member_has_its_own_margin(self):
+        t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
+        t.observed_margin()
+        s = t.with_epsilon(0.3)
+        assert s.observed_margin() == legendre_margin(s)
+        assert s.observed_margin() != t.observed_margin()
 
 
 class TestScalePeriodic:
@@ -134,6 +153,12 @@ class TestTensorField:
     def test_magnitude_observed(self):
         t = piecewise_14_tensor()
         assert np.isclose(t.observed_magnitude(), 4.0)
+
+    def test_magnitude_is_default_grid_sup(self):
+        t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
+        grid_sup = np.abs(t.evaluate(sample_grid(1, DEFAULT_SAMPLE_GRID))).max()
+        assert t.observed_magnitude() == grid_sup
+        assert t.observed_magnitude() == grid_sup
 
     def test_bad_entry_shape_rejected(self):
         with pytest.raises(ValueError, match="cannot interpret"):

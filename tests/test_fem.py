@@ -189,3 +189,40 @@ class TestFemSpace:
         space = space_1d(4)
         with pytest.raises(ValueError):
             DiscreteField(space, np.zeros(3))
+
+    def test_midpoint_value_is_vertex_average(self):
+        space = space_1d(2)
+        u = DiscreteField(space, np.array([0.0, 2.0, 0.0]))
+        assert np.allclose(space.values_at_quadrature(u.values)[:, 0, 0],
+                           [1.0, 1.0])
+
+    def test_2d_linear_field_reproduced(self):
+        # P1 reproduces 2 x - y: exact gradient on every cell, exact values
+        # at every 3-point quadrature point
+        space = FemSpace(build_unit_square_mesh(3), 1, quadrature="3point")
+        verts = space.mesh.vertices
+        u = DiscreteField(space, (2 * verts[:, 0] - verts[:, 1]).copy())
+        grads = space.gradients_on_cells(u.values)
+        assert np.allclose(grads[:, 0, :], [2.0, -1.0], atol=1e-13)
+        vals = space.values_at_quadrature(u.values)[:, :, 0]
+        pts = space.quad_points
+        assert np.allclose(vals, 2 * pts[..., 0] - pts[..., 1], atol=1e-13)
+
+    def test_periodic_field_agrees_on_identified_faces(self):
+        from homfem.mesh import build_periodic_cell_mesh
+        space = FemSpace(build_periodic_cell_mesh(4, 2), 2,
+                         constrain_boundary=False)
+        rng = np.random.default_rng(12)
+        u = DiscreteField(space, rng.standard_normal(space.num_dofs))
+        verts = space.mesh.vertices
+        checked = 0
+        for axis in range(2):
+            for v in np.nonzero(np.isclose(verts[:, axis], 1.0))[0]:
+                image = verts[v].copy()
+                image[axis] = 0.0
+                w = int(np.argmin(np.abs(verts - image).sum(axis=1)))
+                for a in range(2):
+                    assert (u.values[space.dof_index(v, a)]
+                            == u.values[space.dof_index(w, a)])
+                checked += 1
+        assert checked == 2 * 5

@@ -29,6 +29,20 @@ eps: [0.125]
 """
 
 
+def _gradient_matches_central_differences(h, u, delta=1e-4):
+    """True when h.gradient agrees with central differences at every row
+    of u, to 1e-6 relative to 1 + |gradient|."""
+    grad = h.gradient(u)
+    for b in range(u.shape[1]):
+        step = np.zeros(u.shape[1])
+        step[b] = delta
+        fd = (h(u + step) - h(u - step)) / (2 * delta)
+        if not np.all(np.abs(fd - grad[:, b])
+                      <= 1e-6 * (1.0 + np.abs(grad[:, b]))):
+            return False
+    return True
+
+
 def _catalog_members(n=2):
     return [
         Polynomial([(1.0, (3, 0)), (-0.5, (1, 1))], n),
@@ -58,17 +72,23 @@ class TestCatalog:
 
     @pytest.mark.parametrize("h", _catalog_members(), ids=lambda h: type(h).__name__)
     def test_central_difference_oracle(self, h):
-        # 100 random samples per member, delta = 1e-4
+        # 100 random samples per member
         rng = np.random.default_rng(11)
-        u = rng.uniform(-1.0, 1.0, size=(100, 2))
-        delta = 1e-4
-        grad = h.gradient(u)
-        for b in range(2):
-            step = np.zeros(2)
-            step[b] = delta
-            fd = (h(u + step) - h(u - step)) / (2 * delta)
-            assert np.all(np.abs(fd - grad[:, b])
-                          <= 1e-6 * (1.0 + np.abs(grad[:, b])))
+        assert _gradient_matches_central_differences(
+            h, rng.uniform(-1.0, 1.0, size=(100, 2)))
+
+    def test_broken_derivative_caught_by_oracle(self):
+        # construction no longer second-guesses the analytic derivative;
+        # the oracle above is what rejects a wrong one
+        class Broken(Polynomial):
+            def gradient(self, u):
+                return super().gradient(u) + 1.0
+
+        u = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+        assert _gradient_matches_central_differences(
+            Polynomial([(1.0, (2,))], 1), u)
+        assert not _gradient_matches_central_differences(
+            Broken([(1.0, (2,))], 1), u)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(-3, 3),
@@ -97,10 +117,7 @@ class TestCatalog:
         u = np.linspace(-1.0, 1.0, 401)
         u = u[np.abs(u + 1.0 / c) >= 0.25].reshape(-1, 1)
         assert np.allclose(h(u), 1.0 / (1.0 + c * u[:, 0]), rtol=1e-14)
-        delta = 1e-4
-        fd = (h(u + delta) - h(u - delta)) / (2 * delta)
-        grad = h.gradient(u)[:, 0]
-        assert np.all(np.abs(fd - grad) <= 1e-6 * (1.0 + np.abs(grad)))
+        assert _gradient_matches_central_differences(h, u)
 
 
 class TestEvalF:
@@ -175,6 +192,17 @@ class TestEvalF:
         with pytest.raises(ValueError, match="quadrature point"):
             eval_F(nl, space, u)
 
+    def test_parsed_rational_pole_reached_by_field(self):
+        # 1/(1 - 2u) parses; a field sitting on its pole u = 1/2 is refused
+        # when the flux or its derivative is evaluated
+        nl = parse_config(_RATIONAL_CONFIG.format(c=-2.0)).flux
+        space = space_1d(4)
+        u = DiscreteField(space, np.full(space.num_dofs, 0.5))
+        with pytest.raises(ValueError, match="denominator vanishes"):
+            eval_F(nl, space, u)
+        with pytest.raises(ValueError, match="derivative undefined"):
+            eval_F_jacobian(nl, space, u)
+
     def test_gateaux_remainder_shrinks(self):
         # |F(u+tv) - F(u) - t J(u) v| / t -> 0 with decreasing ratios
         space = space_1d(32)
@@ -212,6 +240,15 @@ class TestValidate:
         report = validate(self._nl_with_g("1", 1.0))
         assert not report.passed
         assert "p0 must exceed N" in report.reason
+
+    def test_exponent_checked_against_flux_dimension(self):
+        # p0 = 1.5 exceeds N = 1 but not N = 2
+        for dim, passed in ((1, True), (2, False)):
+            nl = Nonlinearity(1, dim, [], p0=1.5)
+            nl.term(0, 0, ExpressionFactor("1", dim), Constant(1.0, 1))
+            report = validate(nl)
+            assert report.dim == dim
+            assert report.passed is passed
 
     def test_integrable_singularity_passes(self):
         # int |x-1/2|^(-3/4) = 8 * 2^(-1/4), finite

@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from homfem.coeff import TensorField
 from homfem.fem import DiscreteField, FemSpace
-from homfem.mesh import build_interval_mesh, build_unit_square_mesh
+from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
+                         build_unit_square_mesh)
 from homfem.norms import (fit_rate, gradient_lp_norm,
                           h_convergence_probe, linf_norm, meyers_probe,
                           sinusoid_test_functions, w1p_norm)
@@ -53,6 +54,19 @@ class TestW1pNorm:
         u = DiscreteField(space, space.mesh.vertices.ravel().copy())
         assert np.isclose(w1p_norm(u), np.sqrt(4.0 / 3.0), atol=1e-12)
 
+    def test_constant_components_on_unit_cell(self):
+        # no gradient; the value part is (3^2 + 4^2) times the unit measure
+        space = FemSpace(build_periodic_cell_mesh(4, 2), 2,
+                         constrain_boundary=False)
+        u = DiscreteField(space, np.tile([3.0, -4.0], space.num_indep_vertices))
+        assert np.isclose(w1p_norm(u), 5.0, rtol=1e-12)
+
+    def test_absolute_homogeneity(self):
+        space = FemSpace(build_unit_square_mesh(5), 2)
+        rng = np.random.default_rng(8)
+        u = space.field_from_free(rng.standard_normal(space.num_free))
+        assert np.isclose(w1p_norm(u * -2.5), 2.5 * w1p_norm(u), rtol=1e-12)
+
     def test_p2_matches_exact_mass_matrix_oracle(self):
         # int u^2 for P1 on a triangle is |T|/6 (a^2+b^2+c^2+ab+ac+bc)
         space = FemSpace(build_unit_square_mesh(5), 1)
@@ -77,6 +91,7 @@ class TestW1pNorm:
         assert value_lp[0] <= value_lp[1] <= value_lp[2]
         grads = [gradient_lp_norm(u, p) for p in (2.0, 3.0, 4.0)]
         assert grads[0] <= grads[1] + 1e-12 and grads[1] <= grads[2] + 1e-12
+
 
 class TestFitRate:
     def test_exact_slope_one(self):
