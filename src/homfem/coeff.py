@@ -235,15 +235,19 @@ class TensorField:
         # samples the physical domain, so rescaled oscillations are included
         return self.evaluate(sample_grid(self.dim, per_axis))
 
-    def observed_margin(self):
+    def _observe(self):
+        # one evaluation of the default grid fills both cached bounds
         if self._margin is None:
-            self._margin = legendre_margin(self)
+            vals = self._sample_values(DEFAULT_SAMPLE_GRID)
+            self._margin = float(_quadratic_form_margin(vals).min())
+            self._magnitude = float(np.abs(vals).max())
+
+    def observed_margin(self):
+        self._observe()
         return self._margin
 
     def observed_magnitude(self):
-        if self._magnitude is None:
-            self._magnitude = float(
-                np.abs(self._sample_values(DEFAULT_SAMPLE_GRID)).max())
+        self._observe()
         return self._magnitude
 
     def require_elliptic(self):

@@ -14,6 +14,7 @@ solves the plain system ``A u = rhs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,8 +146,50 @@ class FemSpace:
 
     def gradients_on_cells(self, values: np.ndarray) -> np.ndarray:
         """Per-cell constant gradients, shape (nc, n, dim)."""
-        cellwise = values[self.cell_dofs]
-        return np.einsum("cva,cvd->cad", cellwise, self.grads)
+        nc, _, dim = self.grads.shape
+        per_vertex = values.reshape(self.num_indep_vertices, self.n)
+        return (self.gradient_matrix @ per_vertex).reshape(
+            nc, dim, self.n).transpose(0, 2, 1)
+
+    # -- per-space operators on one scalar component ----------------------
+
+    @cached_property
+    def gradient_matrix(self) -> sp.csr_matrix:
+        """Cell gradients of a scalar P1 field, (cells*dim) x vertices.
+
+        Row ``c*dim + i`` holds d_i of cell c's hats at their independent
+        vertices, so it has exactly dim + 1 entries.  A component-fastest
+        field ``values.reshape(vertices, n)`` maps to its gradients
+        component by component.
+        """
+        nc, nv, dim = self.grads.shape
+        slots = self._vertex_slot[self.mesh.cells]                # (nc, nv)
+        indices = np.broadcast_to(slots[:, None, :], (nc, dim, nv)).ravel()
+        data = self.grads.transpose(0, 2, 1).ravel()
+        indptr = np.arange(0, data.size + 1, nv)
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(nc * dim, self.num_indep_vertices))
+
+    @cached_property
+    def gram_matrix(self) -> sp.csr_matrix:
+        """W^{1,2} Gram matrix of the scalar hats: mass plus Laplacian.
+
+        The consistent P1 mass matrix has the cell entries
+        |T| (1 + delta_vw) / ((dim+1)(dim+2)); the Laplacian is
+        G^T diag(|T|) G for G = :attr:`gradient_matrix`.
+        """
+        nc, nv, dim = self.grads.shape
+        measures = self.mesh.cell_measures
+        slots = self._vertex_slot[self.mesh.cells]
+        local = ((1.0 + np.eye(nv))[None, :, :] * measures[:, None, None]
+                 / (nv * (nv + 1)))
+        rows = np.broadcast_to(slots[:, :, None], local.shape).ravel()
+        cols = np.broadcast_to(slots[:, None, :], local.shape).ravel()
+        size = self.num_indep_vertices
+        mass = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size))
+        G = self.gradient_matrix
+        stiffness = G.T @ sp.diags(np.repeat(measures, dim)) @ G
+        return (mass + stiffness).tocsr()
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
@@ -291,11 +334,12 @@ def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> LoadFunctiona
         raise ValueError(
             f"non-finite flux value at quadrature point "
             f"{space.quad_points[c, q]}")
-    local = np.einsum("cq,cqai,cwi->cwa", space.quad_weights, flux,
-                      space.grads, optimize=True)
-    full = np.zeros(space.num_dofs)
-    np.add.at(full, space.cell_dofs.ravel(), local.ravel())
-    return LoadFunctional(space, full[space.free_dofs])
+    # hat gradients are constant per cell, so the flux is summed over each
+    # cell's quadrature first; the transposed gradient matrix scatters the
+    # sums onto the hats
+    per_cell = np.einsum("cq,cqai->cia", space.quad_weights, flux)
+    full = space.gradient_matrix.T @ per_cell.reshape(-1, space.n)
+    return LoadFunctional(space, full.ravel()[space.free_dofs])
 
 
 def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperator:

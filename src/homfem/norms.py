@@ -1,8 +1,10 @@
 """Norms and convergence diagnostics.
 
-The norms here are discrete stand-ins computed from nodal data and cell
-quadrature and are labeled as such: dual-space norms are reported elsewhere
-as Euclidean norms of load vectors, with no equivalence claim.
+The W^{1,2} norm is exact for P1 fields: it is the Gram form (consistent
+mass matrix plus Laplacian) of the space's hats, built once per space and
+applied to each component's nodal values.  Gradient L^p norms are exact
+per cell.  Dual-space norms are reported elsewhere as Euclidean norms of
+load vectors, with no equivalence claim.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .coeff import HomogenizedTensor, TensorField
 from .fem import (DiscreteField, FemSpace, assemble_diffusion,
-                  assemble_divergence_load, quadrature_rule, solve_linear)
+                  assemble_divergence_load, solve_linear)
 from .mesh import build_interval_mesh, build_unit_square_mesh
 
 __all__ = [
@@ -37,28 +39,14 @@ def linf_norm(u: DiscreteField) -> float:
     return float(np.abs(u.nodal_matrix()).max(axis=0).sum())
 
 
-def _value_quadrature(space: FemSpace):
-    """3-point rule data for integrating powers of field values."""
-    rule = quadrature_rule(space.mesh.dim, "3point")
-    weights = rule.weights[None, :] * space.mesh.cell_measures[:, None]
-    return rule.barycentric, weights
-
-
 def w1p_norm(u: DiscreteField) -> float:
     """(sum_a int |u^a|^2 + sum_i |d_i u^a|^2)^(1/2), the W^{1,2} norm.
 
-    Gradients are exact per cell for P1 fields; the value part uses a 3-point
-    rule per cell regardless of the space's assembly quadrature.
+    Exact for P1 fields: the space's Gram matrix (consistent mass plus
+    Laplacian) is applied to each component's nodal values.
     """
-    space = u.space
-    bary, weights = _value_quadrature(space)
-    cellwise = u.values[space.cell_dofs]                      # (nc, nv, n)
-    vals = np.einsum("qv,cva->cqa", bary, cellwise)           # (nc, nq, n)
-    value_part = np.einsum("cq,cqa->", weights, np.abs(vals) ** 2.0)
-    grads = space.gradients_on_cells(u.values)                # (nc, n, N)
-    grad_part = np.einsum("c,cad->", space.mesh.cell_measures,
-                          np.abs(grads) ** 2.0)
-    return float((value_part + grad_part) ** (1.0 / 2.0))
+    nodal = u.nodal_matrix()
+    return float(np.sqrt(np.sum(nodal * (u.space.gram_matrix @ nodal))))
 
 
 def gradient_lp_norm(u: DiscreteField, p: float) -> float:
@@ -166,7 +154,6 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
                              -load)
 
         du_q = space.values_at_quadrature(u_eps.values - u_hat.values)
-        du_q = du_q.reshape(nc, nq, n)
         a_eps = tensor_eps.evaluate(pts).reshape(nc, nq, n, n, dim, dim)
         grad_eps = space.gradients_on_cells(u_eps.values)
         grad_hat = space.gradients_on_cells(u_hat.values)
@@ -175,15 +162,16 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
                              grad_hat)[:, None, :, :]
         dflux = flux_eps - flux_hat
 
+        # quadrature-weighted differences, so that each test function's
+        # pairings are two matvecs: rows (point) and (point, direction)
+        weights = space.quad_weights[:, :, None]
+        wdu = (weights * du_q).reshape(nc * nq, n)
+        wdflux = (weights[..., None] * dflux).transpose(0, 1, 3, 2).reshape(
+            nc * nq * dim, n)
         pairings, flux_pairings = [], []
         for _, val, grad in test_functions:
-            psi = val(pts).reshape(nc, nq)
-            dpsi = grad(pts).reshape(nc, nq, dim)
-            pairings.append(abs(np.einsum("cq,cq,cqa->a", space.quad_weights,
-                                          psi, du_q)).sum())
-            flux_pairings.append(abs(np.einsum("cq,cqai,cqi->a",
-                                               space.quad_weights, dflux,
-                                               dpsi)).sum())
+            pairings.append(abs(val(pts) @ wdu).sum())
+            flux_pairings.append(abs(grad(pts).ravel() @ wdflux).sum())
         diff = u_eps - u_hat
         rows.append(HConvergenceRow(
             eps=eps, h=space.mesh.h, n_cells=space.mesh.num_cells,

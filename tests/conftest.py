@@ -6,7 +6,8 @@ import pytest
 from homfem import (HomogenizedTensor, SolverConfig, TensorField,
                     homogenized_tensor_1d)
 from homfem.fem import FemSpace
-from homfem.mesh import build_interval_mesh, build_unit_square_mesh
+from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
+                         build_unit_square_mesh)
 from homfem.nonlin import Constant, ExpressionFactor, Nonlinearity, Polynomial
 
 
@@ -30,6 +31,26 @@ def oscillatory_scenario_1d():
 
 def space_1d(n, quadrature="midpoint"):
     return FemSpace(build_interval_mesh(n), 1, quadrature=quadrature)
+
+
+# spaces on which the sparse per-space kernels are checked against the
+# einsum formulas they replace: 1D, 2D with each quadrature rule, and a
+# two-per-axis periodic cell whose slave vertices share their master's dofs
+KERNEL_SPACES = {
+    "interval": lambda: FemSpace(build_interval_mesh(9), 1),
+    "square-midpoint": lambda: FemSpace(build_unit_square_mesh(5), 2),
+    "square-3point": lambda: FemSpace(build_unit_square_mesh(5), 2,
+                                      quadrature="3point"),
+    "periodic-cell": lambda: FemSpace(build_periodic_cell_mesh(2, 2), 2,
+                                      constrain_boundary=False),
+}
+
+
+def assert_relative_close(actual, reference, rtol):
+    """Max-norm agreement relative to the reference's largest entry."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rtol * np.max(np.abs(reference))
 
 
 def coupled_scenario_2d():

@@ -47,6 +47,19 @@ class TestLegendreMargin:
         assert t.observed_margin() == first
         assert t.require_elliptic() == first
 
+    def test_require_elliptic_evaluates_the_grid_once(self, monkeypatch):
+        t = TensorField.from_expressions(1, 2, "2 + 0.9*sin(2*pi*x1)")
+        evaluate, calls = TensorField.evaluate, []
+
+        def counted(self, points):
+            calls.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(TensorField, "evaluate", counted)
+        t.require_elliptic()
+        t.observed_magnitude()
+        assert calls == [DEFAULT_SAMPLE_GRID ** 2]
+
     def test_rescaled_member_has_its_own_margin(self):
         t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
         t.observed_margin()

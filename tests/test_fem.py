@@ -10,7 +10,7 @@ from homfem.fem import (DiscreteField, FemSpace, LinearSolveError,
                         assemble_jacobian_coupling, solve_linear)
 from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
 
-from conftest import space_1d
+from conftest import KERNEL_SPACES, assert_relative_close, space_1d
 
 
 def _flux_from_fn(space, fn):
@@ -226,3 +226,44 @@ class TestFemSpace:
                             == u.values[space.dof_index(w, a)])
                 checked += 1
         assert checked == 2 * 5
+
+
+def _einsum_gradients(space, values):
+    return np.einsum("cva,cvd->cad", values[space.cell_dofs], space.grads)
+
+
+def _einsum_divergence_load(space, flux):
+    local = np.einsum("cq,cqai,cwi->cwa", space.quad_weights, flux,
+                      space.grads)
+    full = np.zeros(space.num_dofs)
+    np.add.at(full, space.cell_dofs.ravel(), local.ravel())
+    return full[space.free_dofs]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+class TestSparseKernelsMatchEinsum:
+    """The gradient-matrix kernels against the einsum formulas they replace."""
+
+    def test_gradients_on_cells(self, name):
+        space = KERNEL_SPACES[name]()
+        values = np.random.default_rng(3).standard_normal(space.num_dofs)
+        grads = space.gradients_on_cells(values)
+        assert grads.shape == (space.mesh.num_cells, space.n, space.mesh.dim)
+        assert_relative_close(grads, _einsum_gradients(space, values), 1e-13)
+
+    def test_assemble_divergence_load(self, name):
+        space = KERNEL_SPACES[name]()
+        flux = np.random.default_rng(4).standard_normal(
+            space.quad_points.shape[:2] + (space.n, space.mesh.dim))
+        load = assemble_divergence_load(space, flux)
+        assert_relative_close(load.vector,
+                              _einsum_divergence_load(space, flux), 1e-13)
+
+    def test_gradient_matrix_has_one_entry_per_hat(self, name):
+        space = KERNEL_SPACES[name]()
+        G = space.gradient_matrix
+        dim = space.mesh.dim
+        assert G.shape == (space.mesh.num_cells * dim,
+                           space.num_indep_vertices)
+        assert np.all(np.diff(G.indptr) == dim + 1)
+        assert space.gradient_matrix is G

@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from homfem.coeff import TensorField
-from homfem.fem import DiscreteField, FemSpace
+from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
+                        assemble_divergence_load, quadrature_rule,
+                        solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.norms import (fit_rate, gradient_lp_norm,
                           h_convergence_probe, linf_norm, meyers_probe,
                           sinusoid_test_functions, w1p_norm)
 
-from conftest import flux_identity, piecewise_14_tensor, space_1d
+from conftest import (KERNEL_SPACES, assert_relative_close,
+                      coupled_scenario_2d, flux_identity, piecewise_14_tensor,
+                      space_1d)
 from homfem.cell import homogenized_tensor_1d
 
 
@@ -91,6 +95,44 @@ class TestW1pNorm:
         assert value_lp[0] <= value_lp[1] <= value_lp[2]
         grads = [gradient_lp_norm(u, p) for p in (2.0, 3.0, 4.0)]
         assert grads[0] <= grads[1] + 1e-12 and grads[1] <= grads[2] + 1e-12
+
+
+def _einsum_w1p_norm(u):
+    """The W^{1,2} norm by 3-point quadrature of the values and exact cell
+    gradients, as it was computed before the Gram form."""
+    space = u.space
+    rule = quadrature_rule(space.mesh.dim, "3point")
+    weights = rule.weights[None, :] * space.mesh.cell_measures[:, None]
+    cellwise = u.values[space.cell_dofs]
+    vals = np.einsum("qv,cva->cqa", rule.barycentric, cellwise)
+    grads = np.einsum("cva,cvd->cad", cellwise, space.grads)
+    return np.sqrt(np.einsum("cq,cqa->", weights, vals ** 2)
+                   + np.einsum("c,cad->", space.mesh.cell_measures, grads ** 2))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def test_w1p_norm_matches_quadrature_formula(name):
+    space = KERNEL_SPACES[name]()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u = DiscreteField(space, rng.standard_normal(space.num_dofs))
+        assert_relative_close(w1p_norm(u), _einsum_w1p_norm(u), 1e-13)
+
+
+def test_gram_matrix_built_once_per_space(monkeypatch):
+    prop = FemSpace.__dict__["gram_matrix"]
+    build, builds = prop.func, []
+
+    def counted(space):
+        builds.append(space)
+        return build(space)
+
+    monkeypatch.setattr(prop, "func", counted)
+    space = FemSpace(build_unit_square_mesh(4), 2)
+    u = space.field_from_free(np.ones(space.num_free))
+    first = w1p_norm(u)
+    assert w1p_norm(u * 2.0) == 2.0 * first
+    assert builds == [space]
 
 
 class TestFitRate:
@@ -192,6 +234,59 @@ class TestHConvergenceProbe:
                                    cells_per_eps=8)
         assert np.all(rows[1].pairings < rows[0].pairings)
         assert rows[1].linf_diff < rows[0].linf_diff
+
+
+def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
+    """Per-test-function pairings of one probe row, contracted one einsum
+    at a time as the probe did before it weighted the differences once."""
+    space = row.u_eps.space
+    nc, nq = space.quad_points.shape[:2]
+    n, dim = space.n, space.mesh.dim
+    pts = space.quad_points.reshape(nc * nq, dim)
+    load = assemble_divergence_load(
+        space, flux_fn(pts).reshape(nc, nq, n, dim))
+    u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
+                         -load)
+    du_q = space.values_at_quadrature(row.u_eps.values - u_hat.values)
+    a_eps = tensor_family.with_epsilon(row.eps).evaluate(pts).reshape(
+        nc, nq, n, n, dim, dim)
+    flux_eps = np.einsum("cqabij,cbj->cqai", a_eps,
+                         space.gradients_on_cells(row.u_eps.values))
+    flux_hat = np.einsum("abij,cbj->cai", ahat.values,
+                         space.gradients_on_cells(u_hat.values))
+    dflux = flux_eps - flux_hat[:, None, :, :]
+    pairings, flux_pairings = [], []
+    for _, val, grad in test_functions:
+        psi = val(pts).reshape(nc, nq)
+        dpsi = grad(pts).reshape(nc, nq, dim)
+        pairings.append(abs(np.einsum("cq,cq,cqa->a", space.quad_weights,
+                                      psi, du_q)).sum())
+        flux_pairings.append(abs(np.einsum("cq,cqai,cqi->a",
+                                           space.quad_weights, dflux,
+                                           dpsi)).sum())
+    return np.array(pairings), np.array(flux_pairings)
+
+
+def test_probe_pairings_match_per_function_einsum():
+    from homfem.cell import homogenized_tensor, solve_cell_problems
+    from homfem.mesh import build_periodic_cell_mesh
+    base, _ = coupled_scenario_2d()
+    cm = build_periodic_cell_mesh(8, 2)
+    ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+
+    def flux(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([np.stack([x * y, np.sin(np.pi * x)], axis=1),
+                         np.stack([1.0 + y, x - y], axis=1)], axis=1)
+
+    fns = sinusoid_test_functions(2, modes=3)
+    rows = h_convergence_probe(base, ahat, flux, [1 / 2, 1 / 4],
+                               test_functions=fns, cells_per_eps=4)
+    for row in rows:
+        pairings, flux_pairings = _einsum_pairings(row, base, ahat, flux, fns)
+        assert row.pairings.max() > 0 and row.flux_pairings.max() > 0
+        assert_relative_close(row.pairings, pairings, 1e-12)
+        assert_relative_close(row.flux_pairings, flux_pairings, 1e-12)
 
 
 def _linear_solves(tensor, eps_list):
