@@ -20,9 +20,11 @@ from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
                      Sinusoid, Term, eval_F, eval_F_jacobian, validate)
 from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
                     w1p_norm)
-from .solver import (SolverConfig, SolverReport, approximate_solution,
-                     fixed_point_solve, local_uniqueness_probe, newton_solve,
-                     nondegeneracy_margin, solve_homogenized)
+from .solver import (FrozenOperator, SolverConfig, SolverReport,
+                     approximate_solution, fixed_point_solve,
+                     local_uniqueness_probe, newton_solve,
+                     nondegeneracy_margin, oscillatory_operator,
+                     solve_homogenized)
 
 # the experiment driver lives in homfem.cli (console script: homfem)
 

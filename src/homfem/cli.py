@@ -34,16 +34,17 @@ import yaml
 
 from .cell import homogenized_tensor, homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import DiscreteField, FemSpace, assemble_diffusion
+from .fem import FemSpace, assemble_diffusion
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
                      validate)
 from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
                     sinusoid_test_functions)
-from .solver import (SolverConfig, approximate_solution, fixed_point_solve,
-                     local_uniqueness_probe, nondegeneracy_margin,
-                     oscillatory_operator, solve_homogenized)
+from .solver import (FrozenOperator, SolverConfig, approximate_solution,
+                     fixed_point_solve, local_uniqueness_probe,
+                     nondegeneracy_margin, oscillatory_operator,
+                     solve_homogenized)
 
 __all__ = ["ProblemConfig", "parse_config", "load_config", "run_sweep",
            "load_schema", "main"]
@@ -414,39 +415,41 @@ def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
 def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
     """One full solve at a single oscillation period.
 
-    Returns ``(row, space, fields)``: the sweep row, the solve space and the
-    fields that the solve reached, among ``u0``, ``ubar`` and ``ueps``.
-    ``Ahat`` and ``A_eps`` are each assembled once and handed to every stage
-    that uses them; the resolution check runs once, as ``A_eps`` is built.
+    Returns ``(row, space, fields, frozen)``: the sweep row, the solve
+    space, the fields that the solve reached, among ``u0``, ``ubar`` and
+    ``ueps``, and the row's FrozenOperator once the fixed point ran (None
+    before).  ``Ahat`` and ``A_eps`` are each assembled once and handed to
+    every stage that uses them; the resolution check runs once, as
+    ``A_eps`` is built.
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
-    fields = {}
+    fields, frozen = {}, None
     A_hat = assemble_diffusion(space, ahat.as_tensor_field())
-    u0, newton_report = solve_homogenized(space, A_hat, nl, cfg.solver)
+    u0, newton_report = solve_homogenized(A_hat, nl, cfg.solver)
     row = _row(eps, "homogenized-" + newton_report.status,
                space.mesh.spacing, space.mesh.num_cells)
     if newton_report.status == "converged":
         fields["u0"] = u0
-        margin = nondegeneracy_margin(space, A_hat, nl, u0)
+        margin = nondegeneracy_margin(A_hat, nl, u0)
         row["margin"] = margin
         if margin <= 0:
             row["status"] = "degenerate"
         else:
             A_eps = oscillatory_operator(
                 space, cfg.coefficient.with_epsilon(eps), cfg.solver)
-            ubar = approximate_solution(space, A_eps, nl, u0, cfg.solver)
+            ubar = approximate_solution(A_eps, nl, u0)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)
-            u_eps, fp_report = fixed_point_solve(space, A_eps, nl, u0,
-                                                 cfg.solver, start=ubar)
+            frozen = FrozenOperator(A_eps, nl, u0)
+            u_eps, fp_report = fixed_point_solve(frozen, ubar, cfg.solver)
             fields["ueps"] = u_eps
             row["ueps_err_linf"] = linf_norm(u_eps - u0)
             row["iterations"] = fp_report.iterations
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
-    return row, space, fields
+    return row, space, fields, frozen
 
 
 def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
@@ -467,13 +470,13 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
 
 
 def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
-    """run_single, but any stage failure lands in the row (with no space and
-    no fields) and the sweep continues."""
+    """run_single, but any stage failure lands in the row (with no space,
+    no fields and no frozen operator) and the sweep continues."""
     try:
         return run_single(cfg, ahat, eps)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
         log.warning("solve at eps=%g failed: %s", eps, exc)
-        return _row(eps, f"error-{type(exc).__name__}"), None, {}
+        return _row(eps, f"error-{type(exc).__name__}"), None, {}, None
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
@@ -505,9 +508,9 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     Writes ``ahat.json``, ``sweep.csv``, ``hconv.csv``, ``meyers.csv`` and
     ``summary.json`` into the output directory and returns the summary.
     Deterministic for a fixed config and seed; per-period failures are
-    recorded in their row and the sweep continues.  The uniqueness probe
-    restarts around the last converged row's own ``u0``, ``ubar`` and
-    ``ueps``.
+    recorded in their row and the sweep continues.  Rows run finest-first;
+    the uniqueness probe restarts around the first converged row's own
+    ``u0``, ``ubar`` and ``ueps``, over that row's frozen operator.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
     with _run_log(cfg, out):
@@ -527,16 +530,25 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     (out / "ahat.json").write_text(ahat.to_json())
     log.info("effective tensor computed: %s", json.dumps(cell_info))
 
-    rows, last = [], None
-    for eps in cfg.eps:
-        row, _, fields = _guarded_run(cfg, ahat, eps)
+    # finest first: the probe runs while its row's factors are alive, and
+    # the next row runs without this row's mesh
+    rows, uniqueness = [], None
+    for eps in reversed(cfg.eps):
+        row, _, fields, frozen = _guarded_run(cfg, ahat, eps)
         rows.append(row)
-        if row["status"] == "converged":
-            last = (eps, fields["u0"].values, fields["ubar"].values,
-                    fields["ueps"].values)
-        # the next row runs without this row's mesh alive; the probe
-        # rebuilds the space of the last converged row from its eps
-        del _, fields
+        if uniqueness is None and row["status"] == "converged":
+            probe = local_uniqueness_probe(
+                frozen, cfg.solver, trials=cfg.probe_trials, seed=cfg.seed,
+                ubar=fields["ubar"], u_eps=fields["ueps"])
+            uniqueness = {
+                "eps": eps,
+                "all_same": probe.all_same,
+                "outside_ball": probe.outside_ball,
+                "max_distance": max(probe.distances),
+                "statuses": probe.statuses,
+            }
+        del _, fields, frozen
+    rows.reverse()
     _write_csv(out / "sweep.csv", "sweep", rows)
     for row in rows:
         log.info("sweep row: %s", json.dumps(row, default=repr))
@@ -556,21 +568,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 
     summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out)
 
-    if last is not None:
-        eps_star, u0, ubar, u_eps = last
-        space = cfg.build_domain_space(eps_star)
-        probe = local_uniqueness_probe(
-            space, cfg.coefficient.with_epsilon(eps_star), cfg.flux,
-            DiscreteField(space, u0), cfg.solver,
-            trials=cfg.probe_trials, seed=cfg.seed,
-            ubar=DiscreteField(space, ubar), u_eps=DiscreteField(space, u_eps))
-        summary["uniqueness"] = {
-            "eps": eps_star,
-            "all_same": probe.all_same,
-            "outside_ball": probe.outside_ball,
-            "max_distance": max(probe.distances),
-            "statuses": probe.statuses,
-        }
+    if uniqueness is not None:
+        summary["uniqueness"] = uniqueness
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, default=repr))
     log.info("summary: %s", json.dumps(summary, sort_keys=True, default=repr))
@@ -642,7 +641,7 @@ def main(argv=None) -> int:
             (out / "ahat.json").write_text(ahat.to_json())
             log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
         elif args.command == "solve":
-            row, space, fields = run_single(
+            row, space, fields, _ = run_single(
                 cfg, ahat, eps if eps is not None else cfg.eps[0])
             (out / "solve.json").write_text(
                 json.dumps(row, indent=2, sort_keys=True, default=repr))

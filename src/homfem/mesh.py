@@ -133,19 +133,11 @@ def _square_grid(n: int):
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = np.empty((2 * n * n, 3), dtype=int)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # diagonal v00 -- v11
-            cells[k] = (v00, v10, v11)
-            cells[k + 1] = (v00, v11, v01)
-            k += 2
+    # vertex (i, j) is i*(n+1) + j; the square with lower-left corner v00
+    # gives (v00, v10, v11) and (v00, v11, v01), diagonal v00 -- v11
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = (v00[:, None] + np.array([0, n + 1, n + 2, 0, n + 2, 1])
+             ).reshape(-1, 3)
     return vertices, cells
 
 

@@ -14,15 +14,14 @@ the derivative taken at u0 rather than at the current iterate.  Starting at
 ubar matters: the first correction from u0 does not shrink with the
 oscillation period, while the one from ubar does.
 
-Every stage takes its diffusion operator as a tensor or as the operator
-already assembled from it.  A sweep row assembles each once: ``Ahat`` for
-the Newton solve and the margin, and ``A_eps`` for ``ubar`` and the frozen
-operator, in :func:`oscillatory_operator`, which also checks the oscillation
-resolution.  The frozen operator is factorized once per (space, eps, u0) and
-every iteration from it runs over that one factorization: the fixed-point
-solve, and each perturbed restart of the uniqueness probe.  The probe takes
-the caller's ``u0``, ``ubar`` and ``u_eps`` instead of recomputing them, so
-it makes one factorization.
+Every stage takes its diffusion operator already assembled, as a
+:class:`~homfem.fem.SparseOperator` whose ``.space`` is the solve space.  A
+sweep row assembles each once: ``Ahat`` for the Newton solve and the
+margin, and ``A_eps`` for ``ubar`` and the frozen operator, in
+:func:`oscillatory_operator`, the one place a tensor becomes ``A_eps`` and
+which checks the oscillation resolution.  :class:`FrozenOperator` holds
+``A_eps + C(u0)`` over its one factorization; the fixed-point solve and
+every perturbed restart of the uniqueness probe iterate over that one value.
 
 Newton's iteration and the fixed point run through one loop,
 :func:`_iterate`, which owns the start residual, the finiteness check, the
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coeff import HomogenizedTensor, TensorField
+from .coeff import TensorField
 from .fem import (DiscreteField, FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, assemble_divergence_load,
                   assemble_jacobian_coupling, lu_factor, solve_linear)
@@ -61,6 +60,7 @@ __all__ = [
     "oscillatory_operator",
     "nondegeneracy_margin",
     "approximate_solution",
+    "FrozenOperator",
     "fixed_point_solve",
     "local_uniqueness_probe",
 ]
@@ -119,16 +119,6 @@ def _flux_load(space: FemSpace, nl: Nonlinearity,
     return assemble_divergence_load(space, eval_F(nl, space, u)).vector
 
 
-def _operator(space: FemSpace, diffusion) -> SparseOperator:
-    """``diffusion`` (a TensorField, a HomogenizedTensor or an already
-    assembled SparseOperator) as an operator on ``space``."""
-    if isinstance(diffusion, HomogenizedTensor):
-        diffusion = diffusion.as_tensor_field()
-    if isinstance(diffusion, TensorField):
-        return assemble_diffusion(space, diffusion)
-    return diffusion
-
-
 def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
              advance, tol: float, max_iter: int, stop_on: str):
     """The Newton-type loop on A u + D F(u) = 0 from ``u``.
@@ -177,52 +167,47 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
     return u, report
 
 
-def newton_solve(space: FemSpace, diffusion, nl: Nonlinearity,
+def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
                  cfg: SolverConfig | None = None,
                  start: DiscreteField | None = None):
-    """Newton iteration on A u + D F(u) = 0 for a given diffusion operator.
+    """Newton iteration on A u + D F(u) = 0 over ``diffusion.space``.
 
-    ``diffusion`` may be a TensorField, a HomogenizedTensor or an already
-    assembled SparseOperator.  Each step solves
-    ``(A + C(u_k)) s = -(A u_k + D F(u_k))``.  Linear problems (flux
-    independent of u) converge in exactly one step.
+    Each step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``.  Linear
+    problems (flux independent of u) converge in exactly one step.
     """
     cfg = cfg or SolverConfig()
-    A = _operator(space, diffusion)
+    space = diffusion.space
 
     def advance(u, load, residual):
         C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u))
-        return u + solve_linear(A + C, -residual)
+        return u + solve_linear(diffusion + C, -residual)
 
     u = start.copy() if start is not None else space.zero_field()
-    return _iterate(A, nl, u, advance, cfg.newton_tol, cfg.newton_max_iter,
-                    "residual_history")
+    return _iterate(diffusion, nl, u, advance, cfg.newton_tol,
+                    cfg.newton_max_iter, "residual_history")
 
 
-def solve_homogenized(space: FemSpace, ahat, nl: Nonlinearity,
+def solve_homogenized(ahat: SparseOperator, nl: Nonlinearity,
                       cfg: SolverConfig | None = None):
-    """Newton solve of the effective problem Ahat u + D F(u) = 0.
-
-    ``ahat`` is the HomogenizedTensor or its assembled operator.
-    """
-    return newton_solve(space, ahat, nl, cfg)
+    """Newton solve of the effective problem Ahat u + D F(u) = 0, with
+    ``ahat`` the assembled effective operator."""
+    return newton_solve(ahat, nl, cfg)
 
 
-def nondegeneracy_margin(space: FemSpace, ahat, nl: Nonlinearity,
+def nondegeneracy_margin(ahat: SparseOperator, nl: Nonlinearity,
                          u0: DiscreteField) -> float:
     """Smallest singular value of the linearized effective operator.
 
-    ``ahat`` is the HomogenizedTensor or its assembled operator.  Estimated
-    by inverse power iteration on the normal equations of ``Ahat + C(u0)``
-    over the free dofs (at most 30 iterations, stopping at a relative
-    change of 1e-8), then normalized by the cell measure so estimates are
-    comparable across mesh resolutions.  Returns 0.0 when the operator
-    cannot be factorized (discretely degenerate).
+    Estimated by inverse power iteration on the normal equations of
+    ``Ahat + C(u0)`` over the free dofs (at most 30 iterations, stopping at
+    a relative change of 1e-8), then normalized by the cell measure so
+    estimates are comparable across mesh resolutions.  Returns 0.0 when the
+    operator cannot be factorized (discretely degenerate).
     """
+    space = ahat.space
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    M = (_operator(space, ahat) + C).matrix
     try:
-        lu = lu_factor(M)
+        lu = lu_factor(ahat + C)
     except LinearSolveError:
         return 0.0
     rng = np.random.default_rng(0)
@@ -244,69 +229,68 @@ def nondegeneracy_margin(space: FemSpace, ahat, nl: Nonlinearity,
     return float(sigma) / cell_measure
 
 
-def oscillatory_operator(space: FemSpace, tensor_eps,
+def oscillatory_operator(space: FemSpace, tensor_eps: TensorField,
                          cfg: SolverConfig | None = None) -> SparseOperator:
-    """``A_eps`` on ``space``; warns when the mesh does not resolve the
-    oscillation (h > eps / mesh_ratio).
-
-    An already assembled ``A_eps`` is returned as given: its resolution was
-    checked where it was assembled.
-    """
+    """``A_eps`` assembled on ``space``; warns when the mesh does not
+    resolve the oscillation (h > eps / mesh_ratio)."""
     cfg = cfg or SolverConfig()
-    eps = tensor_eps.epsilon if isinstance(tensor_eps, TensorField) else None
+    eps = tensor_eps.epsilon
     if eps is not None and space.mesh.spacing > eps / cfg.mesh_ratio * (
             1 + 1e-12):
         warnings.warn(
             f"mesh spacing h={space.mesh.spacing:.4g} does not resolve the "
             f"oscillation: need h <= eps/{cfg.mesh_ratio:g} = "
-            f"{eps / cfg.mesh_ratio:.4g}", stacklevel=3)
-    return _operator(space, tensor_eps)
+            f"{eps / cfg.mesh_ratio:.4g}", stacklevel=2)
+    return assemble_diffusion(space, tensor_eps)
 
 
-def approximate_solution(space: FemSpace, tensor_eps, nl: Nonlinearity,
-                         u0: DiscreteField,
-                         cfg: SolverConfig | None = None) -> DiscreteField:
+def approximate_solution(A_eps: SparseOperator, nl: Nonlinearity,
+                         u0: DiscreteField) -> DiscreteField:
     """One linear solve: A_eps ubar + D F(u0) = 0.
 
     The cheap oscillation-aware starting element: it carries the fine-scale
     structure of the coefficient while borrowing the flux from u0.
-    ``tensor_eps`` is the oscillatory TensorField or the ``A_eps`` that
-    :func:`oscillatory_operator` assembled from it.
     """
-    A_eps = oscillatory_operator(space, tensor_eps, cfg)
-    return solve_linear(A_eps, -_flux_load(space, nl, u0))
+    return solve_linear(A_eps, -_flux_load(A_eps.space, nl, u0))
 
 
-def _frozen_step(A_eps: SparseOperator, nl: Nonlinearity,
+class FrozenOperator:
+    """``A_eps + C(u0)`` over its one factorization.
+
+    ``C(u0)`` couples trial values against test gradients through the flux
+    derivative at ``u0``.  Building it factors once, and raises
+    LinearSolveError when the frozen operator is singular; every iteration
+    from it, the fixed-point solve and each restart of the uniqueness
+    probe, reuses that factorization.
+    """
+
+    def __init__(self, A_eps: SparseOperator, nl: Nonlinearity,
                  u0: DiscreteField):
-    """The fixed-point step over one factorization of ``A_eps + C(u0)``:
-    ``u_next`` solves ``(A_eps + C(u0)) u_next = C(u0) u - D F(u)``."""
-    space = A_eps.space
-    C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    frozen = lu_factor(A_eps + C)
+        space = A_eps.space
+        self.A_eps, self.nl, self.u0 = A_eps, nl, u0
+        self.C = assemble_jacobian_coupling(space,
+                                            eval_F_jacobian(nl, space, u0))
+        self.lu = lu_factor(A_eps + self.C)
 
-    def advance(u, load, residual):
-        return space.field_from_free(frozen.solve(C.matrix @ u.free() - load))
-    return advance
+    def advance(self, u, load, residual):
+        """The fixed-point step: ``u_next`` solves
+        ``(A_eps + C(u0)) u_next = C(u0) u - D F(u)``."""
+        return self.A_eps.space.field_from_free(
+            self.lu.solve(self.C.matrix @ u.free() - load))
 
 
-def fixed_point_solve(space: FemSpace, tensor_eps, nl: Nonlinearity,
-                      u0: DiscreteField, cfg: SolverConfig | None = None,
-                      start: DiscreteField | None = None):
+def fixed_point_solve(frozen: FrozenOperator, start: DiscreteField,
+                      cfg: SolverConfig | None = None):
     """Frozen-operator fixed-point iteration for the oscillatory problem.
 
     Requires a non-degenerate u0 (positive margin, checked by the caller)
-    and a mesh resolving the oscillation.  ``tensor_eps`` is the oscillatory
-    TensorField or its assembled ``A_eps``.  Starts at the approximate
-    solution unless ``start`` is given.  Divergence (step norms growing over
-    three consecutive iterations) usually signals that the oscillation
-    period is too large for the frozen linearization to contract.
+    and a mesh resolving the oscillation.  The pipeline starts at the
+    approximate solution.  Divergence (step norms growing over three
+    consecutive iterations) usually signals that the oscillation period is
+    too large for the frozen linearization to contract.
     """
     cfg = cfg or SolverConfig()
-    A_eps = oscillatory_operator(space, tensor_eps, cfg)
-    if start is None:
-        start = approximate_solution(space, A_eps, nl, u0, cfg)
-    return _iterate(A_eps, nl, start, _frozen_step(A_eps, nl, u0),
+    return _iterate(frozen.A_eps, frozen.nl, start, frozen.advance,
                     cfg.fp_tol, cfg.fp_max_iter, "step_norms")
 
 
@@ -329,8 +313,7 @@ class UniquenessProbeReport:
     tolerance: float = np.nan
 
 
-def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
-                           nl: Nonlinearity, u0: DiscreteField,
+def local_uniqueness_probe(frozen: FrozenOperator,
                            cfg: SolverConfig | None = None, trials: int = 10,
                            seed: int = 0, magnitude: float | None = None, *,
                            ubar: DiscreteField,
@@ -339,20 +322,20 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
 
     Perturbations are nodal fields of max-norm ``magnitude`` (default: half
     the uniqueness radius delta) added to ``ubar``, the approximate solution
-    around ``u0``.  Every restart iterates over one factorization of the
-    frozen operator.  The report records, per trial, the max-norm distance
-    of the recomputed solution from ``u_eps``, the fixed-point solution
-    around ``u0``; runs agree when every distance is below ten times the
-    fixed-point tolerance.  Magnitudes beyond delta are allowed but flagged
-    as outside the uniqueness ball, and only recorded.  The caller's row
-    already checked the resolution, so the probe does not warn again.
+    around the frozen operator's ``u0``.  Every restart iterates over
+    ``frozen``, the operator whose fixed point gave ``u_eps``, so the probe
+    factors nothing.  The report records, per trial, the max-norm distance
+    of the recomputed solution from ``u_eps``; runs agree when every
+    distance is below ten times the fixed-point tolerance.  Magnitudes
+    beyond delta are allowed but flagged as outside the uniqueness ball,
+    and only recorded.
     """
     cfg = cfg or SolverConfig()
-    delta = cfg.delta if cfg.delta is not None else 0.1 * (1.0 + linf_norm(u0))
+    space = frozen.A_eps.space
+    delta = (cfg.delta if cfg.delta is not None
+             else 0.1 * (1.0 + linf_norm(frozen.u0)))
     if magnitude is None:
         magnitude = 0.5 * delta
-    A_eps = _operator(space, tensor_eps)
-    advance = _frozen_step(A_eps, nl, u0)
     rng = np.random.default_rng(seed)
     report = UniquenessProbeReport(magnitude=magnitude, delta=delta,
                                    outside_ball=magnitude > delta,
@@ -363,9 +346,7 @@ def local_uniqueness_probe(space: FemSpace, tensor_eps: TensorField,
         scale = linf_norm(pert)
         if scale > 0:
             pert = pert * (magnitude / scale)
-        u_trial, trial_report = _iterate(A_eps, nl, ubar + pert, advance,
-                                         cfg.fp_tol, cfg.fp_max_iter,
-                                         "step_norms")
+        u_trial, trial_report = fixed_point_solve(frozen, ubar + pert, cfg)
         report.statuses.append(trial_report.status)
         report.distances.append(linf_norm(u_trial - u_eps))
     return report

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from homfem import (HomogenizedTensor, SolverConfig, TensorField,
+from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
+                    TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
-from homfem.fem import FemSpace
+from homfem.fem import FemSpace, assemble_diffusion
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.nonlin import Constant, ExpressionFactor, Nonlinearity, Polynomial
@@ -31,6 +32,18 @@ def oscillatory_scenario_1d():
 
 def space_1d(n, quadrature="midpoint"):
     return FemSpace(build_interval_mesh(n), 1, quadrature=quadrature)
+
+
+def effective_operator(space, ahat):
+    """``Ahat`` assembled on ``space``, as the solver stages take it."""
+    return assemble_diffusion(space, ahat.as_tensor_field())
+
+
+def fixed_point_from_ubar(A_eps, nl, u0, cfg):
+    """The pipeline's fixed point: over the frozen operator at ``u0``,
+    started at the approximate solution; returns ``(u_eps, report)``."""
+    frozen = FrozenOperator(A_eps, nl, u0)
+    return fixed_point_solve(frozen, approximate_solution(A_eps, nl, u0), cfg)
 
 
 # spaces on which the sparse per-space kernels are checked against the

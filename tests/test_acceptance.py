@@ -17,12 +17,14 @@ from homfem.fem import FemSpace
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
 from homfem.nonlin import (ExpLinear, Polynomial, Rational, Sinusoid)
 from homfem.norms import fit_rate, h_convergence_probe, linf_norm
-from homfem.solver import (SolverConfig, approximate_solution,
-                           fixed_point_solve, local_uniqueness_probe,
-                           newton_solve, nondegeneracy_margin,
+from homfem.solver import (FrozenOperator, SolverConfig,
+                           approximate_solution, fixed_point_solve,
+                           local_uniqueness_probe, newton_solve,
+                           nondegeneracy_margin, oscillatory_operator,
                            solve_homogenized)
 
-from conftest import (coupled_scenario_2d, flux_identity,
+from conftest import (coupled_scenario_2d, effective_operator,
+                      fixed_point_from_ubar, flux_identity,
                       oscillatory_scenario_1d, piecewise_14_tensor, space_1d)
 
 EPS_SWEEP_1D = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
@@ -49,14 +51,15 @@ def sweep_1d():
     t0 = time.perf_counter()
     for eps in EPS_SWEEP_1D:
         space = space_1d(round(16 / eps))
-        u0, newton_report = solve_homogenized(space, ahat, nl, cfg)
+        u0, newton_report = solve_homogenized(effective_operator(space, ahat),
+                                              nl, cfg)
         assert newton_report.status == "converged"
-        tensor_eps = base.with_epsilon(eps)
-        ubar = approximate_solution(space, tensor_eps, nl, u0, cfg)
-        u_eps, fp_report = fixed_point_solve(space, tensor_eps, nl, u0, cfg,
-                                             start=ubar)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        u_eps, fp_report = fixed_point_solve(frozen, ubar, cfg)
         runs.append({
-            "eps": eps, "space": space, "u0": u0, "ubar": ubar,
+            "eps": eps, "frozen": frozen, "u0": u0, "ubar": ubar,
             "u_eps": u_eps, "report": fp_report,
             "err": linf_norm(u_eps - u0),
             "ubar_err": linf_norm(ubar - u0),
@@ -64,9 +67,7 @@ def sweep_1d():
     elapsed = time.perf_counter() - t0
     # first-step correction norms for the starting-element comparison
     for run in runs:
-        tensor_eps = base.with_epsilon(run["eps"])
-        _, rep_u0 = fixed_point_solve(run["space"], tensor_eps, nl,
-                                      run["u0"], one_step, start=run["u0"])
+        _, rep_u0 = fixed_point_solve(run["frozen"], run["u0"], one_step)
         run["first_step_from_u0"] = rep_u0.step_norms[0]
         run["first_step_from_ubar"] = run["report"].step_norms[0]
     return {"base": base, "ahat": ahat, "nl": nl, "cfg": cfg,
@@ -150,12 +151,14 @@ def test_criterion_05_convergence_2d_system():
     errs = []
     for eps in (1 / 4, 1 / 8, 1 / 16):
         space = FemSpace(build_unit_square_mesh(round(8 / eps)), 2)
-        u0, newton_report = solve_homogenized(space, ahat, nl, cfg)
+        A_hat = effective_operator(space, ahat)
+        u0, newton_report = solve_homogenized(A_hat, nl, cfg)
         assert newton_report.status == "converged"
-        margin = nondegeneracy_margin(space, ahat, nl, u0)
+        margin = nondegeneracy_margin(A_hat, nl, u0)
         assert margin > 0
-        u_eps, fp_report = fixed_point_solve(space, base.with_epsilon(eps),
-                                             nl, u0, cfg)
+        u_eps, fp_report = fixed_point_from_ubar(
+            oscillatory_operator(space, base.with_epsilon(eps), cfg), nl, u0,
+            cfg)
         assert fp_report.status == "converged"
         errs.append(linf_norm(u_eps - u0))
     elapsed = time.perf_counter() - t0
@@ -170,10 +173,10 @@ def test_criterion_06_oracle_equivalence():
     eps = 1 / 32
     space = space_1d(round(16 / eps))
     cfg = SolverConfig()
-    u0, _ = solve_homogenized(space, ahat, nl, cfg)
-    tensor_eps = base.with_epsilon(eps)
-    u_fp, rep_fp = fixed_point_solve(space, tensor_eps, nl, u0, cfg)
-    u_newton, rep_newton = newton_solve(space, tensor_eps, nl, cfg)
+    u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+    A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+    u_fp, rep_fp = fixed_point_from_ubar(A_eps, nl, u0, cfg)
+    u_newton, rep_newton = newton_solve(A_eps, nl, cfg)
     gap = linf_norm(u_fp - u_newton)
     elapsed = time.perf_counter() - t0
     ok = (rep_fp.status == rep_newton.status == "converged"
@@ -188,13 +191,10 @@ def test_criterion_07_contraction(sweep_1d):
     # three-step budget and a tolerance below the arithmetic floor; past
     # three steps the updates are solver noise and their ratios measure
     # arithmetic, not the iteration map
-    base, nl = sweep_1d["base"], sweep_1d["nl"]
     cfg = SolverConfig(fp_tol=1e-15, fp_max_iter=3)
     details, ok = [], True
     for run in sweep_1d["runs"][-2:]:
-        tensor_eps = base.with_epsilon(run["eps"])
-        _, report = fixed_point_solve(run["space"], tensor_eps, nl,
-                                      run["u0"], cfg, start=run["ubar"])
+        _, report = fixed_point_solve(run["frozen"], run["ubar"], cfg)
         late = report.contraction_factors[1:]  # from the third iteration on
         ok = ok and len(late) > 0 and all(f <= 0.6 for f in late)
         details.append(f"eps=1/{round(1 / run['eps'])}: "
@@ -203,11 +203,9 @@ def test_criterion_07_contraction(sweep_1d):
 
 
 def test_criterion_08_local_uniqueness(sweep_1d):
-    base, nl = sweep_1d["base"], sweep_1d["nl"]
     run = next(r for r in sweep_1d["runs"] if r["eps"] == 1 / 32)
     cfg = sweep_1d["cfg"]
-    probe = local_uniqueness_probe(run["space"], base.with_epsilon(1 / 32),
-                                   nl, run["u0"], cfg, trials=10, seed=0,
+    probe = local_uniqueness_probe(run["frozen"], cfg, trials=10, seed=0,
                                    ubar=run["ubar"], u_eps=run["u_eps"])
     worst = max(probe.distances)
     ok = (all(s == "converged" for s in probe.statuses)
@@ -280,8 +278,9 @@ def test_criterion_12_margin_mesh_stability(sweep_1d):
     margins = []
     for n in (512, 1024):
         space = space_1d(n)
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        margins.append(nondegeneracy_margin(space, ahat, nl, u0))
+        A_hat = effective_operator(space, ahat)
+        u0, _ = solve_homogenized(A_hat, nl, cfg)
+        margins.append(nondegeneracy_margin(A_hat, nl, u0))
     rel = abs(margins[1] - margins[0]) / margins[0]
     ok = rel <= 0.10
     _report(12, "non-degeneracy estimate stable under refinement", ok,

@@ -353,6 +353,27 @@ mesh: {cells_per_eps: 16, cell_resolution: 16}
         assert rows[0]["status"] == "error-RuntimeError"
         assert rows[1]["status"] == "converged"
 
+    def test_failed_finest_row_moves_the_probe_to_the_next_row(
+            self, tmp_path, monkeypatch):
+        # rows run finest-first, so the probe takes the first converged
+        # row after the failed one; sweep.csv keeps config order
+        import homfem.cli as cli
+        cfg = parse_config(MINIMAL)
+        original = cli.run_single
+
+        def failing_finest(cfg_, ahat_, eps_):
+            if eps_ == cfg.eps[-1]:
+                raise RuntimeError("synthetic stage failure")
+            return original(cfg_, ahat_, eps_)
+
+        monkeypatch.setattr(cli, "run_single", failing_finest)
+        summary = run_sweep(cfg, tmp_path)
+        assert summary["uniqueness"]["eps"] == cfg.eps[-2]
+        rows = _read_csv(tmp_path / "sweep.csv", "sweep")
+        assert [float(r["eps"]) for r in rows] == cfg.eps
+        assert rows[-1]["status"] == "error-RuntimeError"
+        assert all(r["status"] == "converged" for r in rows[:-1])
+
     def test_malformed_nonlinearity_rejected_at_parse(self):
         bad = MINIMAL.replace("kind: polynomial",
                               "kind: polynomiall")
@@ -366,7 +387,7 @@ class TestQuadratureConfig:
         cfg = parse_config(MINIMAL + "\nquadrature: 3point\n")
         assert cfg.quadrature == "3point"
         ahat, _ = compute_effective_tensor(cfg)
-        row, _, _ = run_single(cfg, ahat, 0.125)
+        row, _, _, _ = run_single(cfg, ahat, 0.125)
         assert row["status"] == "converged"
 
 

@@ -92,6 +92,30 @@ def test_refinement_nests_vertices(builder, n):
     assert all(tuple(np.round(v, 12)) in fine_set for v in coarse.vertices)
 
 
+def _explicit_square_cells(n):
+    """The triangles square by square: vertex (i, j) is i*(n+1) + j, and the
+    square at (i, j) gives (v00, v10, v11) and (v00, v11, v01)."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            v01, v11 = v00 + 1, v10 + 1
+            cells += [(v00, v10, v11), (v00, v11, v01)]
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_square_cells_in_explicit_order(n):
+    # assembly sums cell contributions in this order, so round-off
+    # depends on it; the periodic cell needs two cells per side
+    meshes = [build_unit_square_mesh(n)]
+    if n >= 2:
+        meshes.append(build_periodic_cell_mesh(n, 2))
+    for mesh in meshes:
+        assert mesh.cells.dtype == np.dtype(int)
+        assert np.array_equal(mesh.cells, _explicit_square_cells(n))
+
+
 def test_positive_measures_enforced():
     from homfem.mesh import Mesh
     verts = np.array([[0.0], [0.0]])

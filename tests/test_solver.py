@@ -14,12 +14,14 @@ from homfem.mesh import build_interval_mesh
 from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
                            Nonlinearity, Polynomial, eval_F_jacobian)
 from homfem.norms import linf_norm, w1p_norm
-from homfem.solver import (SolverConfig, approximate_solution,
-                           fixed_point_solve, local_uniqueness_probe,
-                           newton_solve, nondegeneracy_margin,
+from homfem.solver import (FrozenOperator, SolverConfig,
+                           approximate_solution, fixed_point_solve,
+                           local_uniqueness_probe, newton_solve,
+                           nondegeneracy_margin, oscillatory_operator,
                            solve_homogenized)
 
-from conftest import oscillatory_scenario_1d, piecewise_14_tensor, space_1d
+from conftest import (effective_operator, fixed_point_from_ubar,
+                      oscillatory_scenario_1d, piecewise_14_tensor, space_1d)
 
 
 def _linear_nl(expr="x", dim=1):
@@ -38,8 +40,9 @@ def _unit_ahat(dim=1, value=1.0):
 class TestSolveHomogenized:
     def test_u_independent_flux_single_step(self):
         space = space_1d(16)
-        u0, report = solve_homogenized(space, _unit_ahat(), _linear_nl(),
-                                       SolverConfig())
+        u0, report = solve_homogenized(
+            effective_operator(space, _unit_ahat()), _linear_nl(),
+            SolverConfig())
         assert report.status == "converged"
         assert report.iterations == 1
         assert np.isclose(u0.values[8], 0.125, atol=1e-12)  # x = 0.5
@@ -47,7 +50,8 @@ class TestSolveHomogenized:
     def test_zero_flux_gives_zero(self):
         space = space_1d(8)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        u0, report = solve_homogenized(space, _unit_ahat(), nl, SolverConfig())
+        u0, report = solve_homogenized(effective_operator(space, _unit_ahat()),
+                                       nl, SolverConfig())
         assert report.status == "converged"
         assert np.allclose(u0.values, 0.0)
 
@@ -57,8 +61,9 @@ class TestSolveHomogenized:
         cfg = SolverConfig()
         coarse = space_1d(512)
         fine = space_1d(4096)
-        u_c, rep_c = solve_homogenized(coarse, ahat, nl, cfg)
-        u_f, rep_f = solve_homogenized(fine, ahat, nl, cfg)
+        u_c, rep_c = solve_homogenized(effective_operator(coarse, ahat), nl,
+                                       cfg)
+        u_f, rep_f = solve_homogenized(effective_operator(fine, ahat), nl, cfg)
         assert rep_c.status == rep_f.status == "converged"
         shared = u_f.values[::8]
         assert np.max(np.abs(u_c.values - shared)) <= 1e-6
@@ -66,9 +71,11 @@ class TestSolveHomogenized:
     def test_histories_match_iteration_count(self):
         base, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(64)
-        u0, newton = solve_homogenized(space, ahat, nl, SolverConfig())
-        _, fixed_point = fixed_point_solve(space, base.with_epsilon(1 / 8), nl,
-                                           u0, SolverConfig())
+        u0, newton = solve_homogenized(effective_operator(space, ahat), nl,
+                                       SolverConfig())
+        _, fixed_point = fixed_point_from_ubar(
+            oscillatory_operator(space, base.with_epsilon(1 / 8)), nl, u0,
+            SolverConfig())
         for report in (newton, fixed_point):
             assert report.status == "converged"
             assert len(report.residual_history) == report.iterations
@@ -83,17 +90,18 @@ class TestNondegeneracyMargin:
         # smallest singular value: about ahat * pi^2 after normalization
         space = space_1d(128)
         ahat = _unit_ahat(value=1.6)
-        u0, _ = solve_homogenized(space, ahat, _linear_nl(), SolverConfig())
-        margin = nondegeneracy_margin(space, ahat, _linear_nl(), u0)
+        A_hat = effective_operator(space, ahat)
+        u0, _ = solve_homogenized(A_hat, _linear_nl(), SolverConfig())
+        margin = nondegeneracy_margin(A_hat, _linear_nl(), u0)
         assert abs(margin - 1.6 * np.pi ** 2) <= 0.01 * 1.6 * np.pi ** 2
 
     def test_scaling_homogeneity(self):
         space = space_1d(64)
         u0 = space.zero_field()
-        m1 = nondegeneracy_margin(space, _unit_ahat(value=1.0),
-                                  _linear_nl(), u0)
-        m3 = nondegeneracy_margin(space, _unit_ahat(value=3.0),
-                                  _linear_nl(), u0)
+        m1 = nondegeneracy_margin(
+            effective_operator(space, _unit_ahat(value=1.0)), _linear_nl(), u0)
+        m3 = nondegeneracy_margin(
+            effective_operator(space, _unit_ahat(value=3.0)), _linear_nl(), u0)
         assert np.isclose(m3, 3.0 * m1, rtol=1e-6)
 
     def test_margin_collapses_under_tuned_coupling(self):
@@ -108,7 +116,8 @@ class TestNondegeneracyMargin:
             nl = Nonlinearity(1, 1, [], p0=4.0)
             nl.term(0, 0, ExpressionFactor(f"{kappa}*(x - 0.5)", 1),
                     Polynomial([(1.0, (1,))], 1))
-            return nondegeneracy_margin(space, ahat, nl, u0)
+            return nondegeneracy_margin(effective_operator(space, ahat), nl,
+                                        u0)
 
         margins = [margin_at(k) for k in (0.0, 10.0, 30.0, 50.0)]
         assert all(b < a for a, b in zip(margins, margins[1:]))
@@ -131,8 +140,9 @@ class TestApproximateSolution:
         _, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(64)
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        ubar = approximate_solution(space, ahat.as_tensor_field(), nl, u0, cfg)
+        A_hat = effective_operator(space, ahat)
+        u0, _ = solve_homogenized(A_hat, nl, cfg)
+        ubar = approximate_solution(A_hat, nl, u0)
         assert linf_norm(ubar - u0) <= 1e-10
 
     def test_u_independent_flux_is_exact_solution(self):
@@ -141,10 +151,11 @@ class TestApproximateSolution:
         nl = _linear_nl()
         ahat = homogenized_tensor_1d(base)
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(1 / 16)
-        ubar = approximate_solution(space, te, nl, u0, cfg)
-        u_eps, report = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(1 / 16), cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        u_eps, report = fixed_point_solve(FrozenOperator(A_eps, nl, u0), ubar,
+                                          cfg)
         assert report.iterations == 1
         assert linf_norm(u_eps - ubar) <= 1e-12
 
@@ -154,39 +165,42 @@ class TestApproximateSolution:
         gaps = []
         for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
             space = space_1d(round(16 / eps))
-            u0, _ = solve_homogenized(space, ahat, nl, cfg)
-            ubar = approximate_solution(space, base.with_epsilon(eps), nl,
-                                        u0, cfg)
+            u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+            ubar = approximate_solution(
+                oscillatory_operator(space, base.with_epsilon(eps), cfg), nl,
+                u0)
             gaps.append(linf_norm(ubar - u0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_warns_when_under_resolved(self):
-        base, ahat, nl = oscillatory_scenario_1d()
-        space = space_1d(16)
-        u0, _ = solve_homogenized(space, ahat, nl, SolverConfig())
-        with pytest.warns(UserWarning, match="resolve"):
-            approximate_solution(space, base.with_epsilon(1 / 16), nl, u0)
 
 
 class TestFixedPointSolve:
-    @pytest.mark.parametrize("given_start", [False, True])
-    def test_warns_once_when_under_resolved(self, given_start):
+    def test_warns_once_when_under_resolved(self):
+        # oscillatory_operator warns as it builds A_eps; the stages that
+        # take the built A_eps never warn again
         base, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(16)
-        u0, _ = solve_homogenized(space, ahat, nl, SolverConfig())
+        cfg = SolverConfig()
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fixed_point_solve(space, base.with_epsilon(1 / 16), nl, u0,
-                              start=u0 if given_start else None)
+            A_eps = oscillatory_operator(space, base.with_epsilon(1 / 16))
         assert len([w for w in caught if "resolve" in str(w.message)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ubar = approximate_solution(A_eps, nl, u0)
+            frozen = FrozenOperator(A_eps, nl, u0)
+            u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+            local_uniqueness_probe(frozen, cfg, trials=1, ubar=ubar,
+                                   u_eps=u_eps)
 
     def test_no_oscillation_fixed_point_is_effective_solution(self):
         _, ahat, nl = oscillatory_scenario_1d()
         space = space_1d(64)
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        u_eps, report = fixed_point_solve(space, ahat.as_tensor_field(),
-                                          nl, u0, cfg)
+        A_hat = effective_operator(space, ahat)
+        u0, _ = solve_homogenized(A_hat, nl, cfg)
+        u_eps, report = fixed_point_from_ubar(A_hat, nl, u0, cfg)
         assert report.status == "converged"
         assert linf_norm(u_eps - u0) <= 10 * cfg.fp_tol
 
@@ -195,10 +209,10 @@ class TestFixedPointSolve:
         eps = 1 / 32
         space = space_1d(round(16 / eps))
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(eps)
-        u_fp, rep_fp = fixed_point_solve(space, te, nl, u0, cfg)
-        u_newton, rep_n = newton_solve(space, te, nl, cfg)
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        u_fp, rep_fp = fixed_point_from_ubar(A_eps, nl, u0, cfg)
+        u_newton, rep_n = newton_solve(A_eps, nl, cfg)
         assert rep_fp.status == rep_n.status == "converged"
         assert linf_norm(u_fp - u_newton) <= 1e-8
 
@@ -212,10 +226,10 @@ class TestFixedPointSolve:
         eps = 1 / 4
         space = FemSpace(build_unit_square_mesh(round(8 / eps)), 2)
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(eps)
-        u_fp, rep_fp = fixed_point_solve(space, te, nl, u0, cfg)
-        u_newton, rep_n = newton_solve(space, te, nl, cfg)
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        u_fp, rep_fp = fixed_point_from_ubar(A_eps, nl, u0, cfg)
+        u_newton, rep_n = newton_solve(A_eps, nl, cfg)
         assert rep_fp.status == rep_n.status == "converged"
         assert linf_norm(u_fp - u_newton) <= 1e-8
 
@@ -226,10 +240,12 @@ class TestFixedPointSolve:
         eps = 1 / 16
         space = space_1d(round(16 / eps))
         cfg = SolverConfig(fp_max_iter=1)
-        u0, _ = solve_homogenized(space, ahat, nl, SolverConfig())
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl,
+                                  SolverConfig())
         te = base.with_epsilon(eps)
-        ubar = approximate_solution(space, te, nl, u0)
-        u_next, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
+        A_eps = oscillatory_operator(space, te, cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        u_next, _ = fixed_point_solve(FrozenOperator(A_eps, nl, u0), ubar, cfg)
 
         from homfem.fem import assemble_divergence_load, lu_factor
         from homfem.nonlin import eval_F
@@ -251,7 +267,7 @@ class TestFixedPointSolve:
         cfg = load_config(Path(__file__).parents[1] / "configs"
                           / "two_phase_1d.yaml")
         ahat, _ = compute_effective_tensor(cfg)
-        row, _, _ = run_single(cfg, ahat, 1 / 1024)
+        row, _, _, _ = run_single(cfg, ahat, 1 / 1024)
         assert row["n_cells"] == 16384 and row["status"] == "converged"
         assert row["max_contraction"] <= 1e-6
 
@@ -264,8 +280,8 @@ class TestFixedPointSolve:
         nl.term(0, 0, ExpressionFactor("5*sin(2*pi*x)", 1), Constant(1.0, 1))
         ahat = _unit_ahat(value=0.05)
         u0 = space.zero_field()
-        u, report = fixed_point_solve(space, ahat.as_tensor_field(), nl,
-                                      u0, SolverConfig(fp_max_iter=40))
+        u, report = fixed_point_from_ubar(effective_operator(space, ahat), nl,
+                                          u0, SolverConfig(fp_max_iter=40))
         assert report.status in ("diverged", "max-iter")
 
     def test_estimate_shape_constant_is_stable(self, scenario_1d):
@@ -276,11 +292,11 @@ class TestFixedPointSolve:
         ratios = []
         for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
             space = space_1d(round(16 / eps))
-            u0, _ = solve_homogenized(space, ahat, nl, cfg)
-            te = base.with_epsilon(eps)
-            ubar = approximate_solution(space, te, nl, u0, cfg)
-            u_eps, report = fixed_point_solve(space, te, nl, u0, cfg,
-                                              start=ubar)
+            u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+            A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+            ubar = approximate_solution(A_eps, nl, u0)
+            u_eps, report = fixed_point_solve(FrozenOperator(A_eps, nl, u0),
+                                              ubar, cfg)
             bound = linf_norm(ubar - u0) + report.step_norms[0]
             ratios.append(linf_norm(u_eps - u0) / bound)
         assert max(ratios) / min(ratios) <= 2.0
@@ -291,14 +307,16 @@ class TestFailureRule:
     """Newton and the fixed point share one loop and one failure rule."""
 
     def test_failed_first_linear_solve_propagates(self):
+        # Newton's first step fails; the fixed point's one factorization
+        # fails as its frozen operator is built
         space = space_1d(16)
         singular = SparseOperator(
             space, sp.csr_matrix((space.num_free, space.num_free)))
         u0 = space.zero_field()
         with pytest.raises(LinearSolveError):
-            newton_solve(space, singular, _linear_nl())
+            newton_solve(singular, _linear_nl())
         with pytest.raises(LinearSolveError):
-            fixed_point_solve(space, singular, _linear_nl(), u0, start=u0)
+            FrozenOperator(singular, _linear_nl(), u0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_flux_overflow_at_first_iterate_diverges_at_the_start(self):
@@ -310,9 +328,10 @@ class TestFailureRule:
         nl.term(0, 0, ExpressionFactor("1", 1), ExpLinear([20.0], 0.0, 1))
         ahat = _unit_ahat(value=1.6)
         start = space.field_from_free(np.full(space.num_free, -30.0))
-        runs = [newton_solve(space, ahat, nl, start=start),
-                fixed_point_solve(space, ahat.as_tensor_field(), nl,
-                                  space.zero_field(), start=start)]
+        A_hat = effective_operator(space, ahat)
+        runs = [newton_solve(A_hat, nl, start=start),
+                fixed_point_solve(FrozenOperator(A_hat, nl, space.zero_field()),
+                                  start)]
         for u, report in runs:
             assert report.status == "diverged"
             assert report.iterations == 0
@@ -326,13 +345,13 @@ class TestLocalUniquenessProbe:
         eps = 1 / 16
         space = space_1d(round(16 / eps))
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(eps)
-        ubar = approximate_solution(space, te, nl, u0, cfg)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
-        probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=2,
-                                       seed=0, magnitude=0.0, ubar=ubar,
-                                       u_eps=u_eps)
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+        probe = local_uniqueness_probe(frozen, cfg, trials=2, seed=0,
+                                       magnitude=0.0, ubar=ubar, u_eps=u_eps)
         assert probe.distances == [0.0, 0.0]
 
     def test_seeded_restarts_agree(self, scenario_1d):
@@ -340,12 +359,13 @@ class TestLocalUniquenessProbe:
         eps = 1 / 16
         space = space_1d(round(16 / eps))
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(eps)
-        ubar = approximate_solution(space, te, nl, u0, cfg)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
-        probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=5,
-                                       seed=11, ubar=ubar, u_eps=u_eps)
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+        probe = local_uniqueness_probe(frozen, cfg, trials=5, seed=11,
+                                       ubar=ubar, u_eps=u_eps)
         assert not probe.outside_ball
         assert probe.all_same
         assert max(probe.distances) <= 10 * cfg.fp_tol
@@ -355,12 +375,13 @@ class TestLocalUniquenessProbe:
         eps = 1 / 16
         space = space_1d(round(16 / eps))
         cfg = SolverConfig()
-        u0, _ = solve_homogenized(space, ahat, nl, cfg)
-        te = base.with_epsilon(eps)
-        ubar = approximate_solution(space, te, nl, u0, cfg)
-        u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
-        probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=2,
-                                       seed=1, magnitude=1000.0, ubar=ubar,
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        ubar = approximate_solution(A_eps, nl, u0)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+        probe = local_uniqueness_probe(frozen, cfg, trials=2, seed=1,
+                                       magnitude=1000.0, ubar=ubar,
                                        u_eps=u_eps)
         assert probe.outside_ball
 

@@ -17,11 +17,12 @@ from homfem.fem import (FemSpace, assemble_diffusion,
                         assemble_jacobian_coupling, lu_factor)
 from homfem.mesh import build_unit_square_mesh
 from homfem.nonlin import eval_F, eval_F_jacobian
-from homfem.solver import (SolverConfig, approximate_solution,
-                           fixed_point_solve, local_uniqueness_probe,
-                           newton_solve, solve_homogenized)
+from homfem.solver import (FrozenOperator, SolverConfig,
+                           approximate_solution, fixed_point_solve,
+                           local_uniqueness_probe, newton_solve,
+                           oscillatory_operator, solve_homogenized)
 
-from conftest import coupled_scenario_2d, space_1d
+from conftest import coupled_scenario_2d, effective_operator, space_1d
 
 CONFIG = """
 domain: interval
@@ -65,14 +66,16 @@ def test_uniqueness_probe_factors_once(scenario_1d, count_calls):
     eps = 1 / 16
     space = space_1d(round(16 / eps))
     cfg = SolverConfig()
-    u0, _ = solve_homogenized(space, ahat, nl, cfg)
-    te = base.with_epsilon(eps)
-    ubar = approximate_solution(space, te, nl, u0, cfg)
-    u_eps, _ = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
+    u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+    A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+    ubar = approximate_solution(A_eps, nl, u0)
     factored = count_calls(lu_factor)
-    probe = local_uniqueness_probe(space, te, nl, u0, cfg, trials=5, seed=3,
+    frozen = FrozenOperator(A_eps, nl, u0)
+    u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+    probe = local_uniqueness_probe(frozen, cfg, trials=5, seed=3,
                                    ubar=ubar, u_eps=u_eps)
-    # the caller's ubar: only A_eps + C(u0), shared by every restart
+    # the caller's ubar: only A_eps + C(u0), shared by the fixed point and
+    # every restart
     assert len(factored) == 1
     assert probe.all_same and len(probe.statuses) == 5
 
@@ -81,7 +84,7 @@ def test_converged_row_assembles_each_diffusion_operator_once(count_calls):
     cfg = parse_config(CONFIG)
     ahat, _ = homfem.cli.compute_effective_tensor(cfg)
     assembled = count_calls(assemble_diffusion)
-    row, _, fields = run_single(cfg, ahat, cfg.eps[0])
+    row, _, fields, _ = run_single(cfg, ahat, cfg.eps[0])
     assert row["status"] == "converged" and set(fields) == {"u0", "ubar",
                                                             "ueps"}
     # Ahat for Newton and the margin, A_eps for ubar and the frozen operator
@@ -114,6 +117,25 @@ def test_sweep_solves_the_effective_problem_once_per_eps(tmp_path,
     assert summary["uniqueness"]["all_same"]
 
 
+def test_sweep_probe_factors_nothing(tmp_path, monkeypatch, count_calls):
+    cfg = parse_config(CONFIG)
+    factored = count_calls(lu_factor)
+    during_probe = []
+    probe = homfem.cli.local_uniqueness_probe
+
+    def counted_probe(*args, **kwargs):
+        before = len(factored)
+        report = probe(*args, **kwargs)
+        during_probe.append(len(factored) - before)
+        return report
+
+    monkeypatch.setattr(homfem.cli, "local_uniqueness_probe", counted_probe)
+    summary = run_sweep(cfg, tmp_path)
+    # one probe, over its row's frozen operator, factored by the fixed point
+    assert during_probe == [0]
+    assert summary["uniqueness"]["all_same"]
+
+
 def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
                                                count_calls):
     path = tmp_path / "config.yaml"
@@ -139,7 +161,8 @@ def test_newton_evaluates_the_flux_once_per_iterate(scenario_1d,
     _, ahat, nl = scenario_1d
     space = space_1d(128)
     evaluated = count_calls(eval_F)
-    _, report = newton_solve(space, ahat, nl, SolverConfig())
+    _, report = newton_solve(effective_operator(space, ahat), nl,
+                             SolverConfig())
     assert report.status == "converged" and report.iterations >= 2
     # the start's residual, then one per Newton iterate
     assert len(evaluated) == report.iterations + 1
@@ -151,11 +174,12 @@ def test_fixed_point_evaluates_the_flux_once_per_iterate(scenario_1d,
     eps = 1 / 16
     space = space_1d(round(16 / eps))
     cfg = SolverConfig()
-    u0, _ = solve_homogenized(space, ahat, nl, cfg)
-    te = base.with_epsilon(eps)
-    ubar = approximate_solution(space, te, nl, u0, cfg)
+    u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+    A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+    ubar = approximate_solution(A_eps, nl, u0)
+    frozen = FrozenOperator(A_eps, nl, u0)
     evaluated = count_calls(eval_F)
-    _, report = fixed_point_solve(space, te, nl, u0, cfg, start=ubar)
+    _, report = fixed_point_solve(frozen, ubar, cfg)
     assert report.status == "converged" and report.iterations >= 2
     # the start's load, then one load per iterate
     assert len(evaluated) == report.iterations + 1
