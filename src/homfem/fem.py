@@ -5,6 +5,13 @@ with ``n`` components.  Degrees of freedom are laid out per independent
 vertex (periodic slaves share their master's dofs), component fastest.
 Dirichlet constraints are handled by free-dof elimination, never by penalty.
 
+Every matrix on a space has the same sparsity pattern: the vertex adjacency
+of the mesh restricted to the free vertices, with an ``n x n`` block per
+entry.  ``FemSpace.vertex_pattern`` builds it once, with the position in it
+of each (cell, test vertex, trial vertex) pair; :func:`assemble_diffusion`
+and :func:`assemble_jacobian_coupling` sum their local blocks into it by
+``np.bincount`` and drop the entries that cancel to zero.
+
 Sign convention used throughout the toolkit: divergence-form problems are
 posed as ``A u + b = 0`` where ``A`` comes from :func:`assemble_diffusion`
 and ``b`` from :func:`assemble_divergence_load`; :func:`solve_linear` itself
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +76,19 @@ def quadrature_rule(dim: int, kind: str = "midpoint") -> QuadratureRule:
             w = np.full(3, 1.0 / 3.0)
         return QuadratureRule("3point", bary, w)
     raise ValueError(f"unknown quadrature kind {kind!r}")
+
+
+class VertexPattern(NamedTuple):
+    """Block CSR pattern over the free independent vertices of a space.
+
+    ``slot[(c * nv + w) * nv + v]`` is the position in ``indices`` of the
+    block coupling cell c's test vertex w to its trial vertex v, or
+    ``len(indices)`` when either vertex is constrained.
+    """
+
+    indices: np.ndarray  # int32, block column of each stored block
+    indptr: np.ndarray   # int32, block row starts
+    slot: np.ndarray     # int32, (cells * nv * nv,)
 
 
 class FemSpace:
@@ -191,6 +212,36 @@ class FemSpace:
         stiffness = G.T @ sp.diags(np.repeat(measures, dim)) @ G
         return (mass + stiffness).tocsr()
 
+    @cached_property
+    def vertex_pattern(self) -> VertexPattern:
+        """The pattern every matrix on the space is assembled into.
+
+        Constraints must remove whole vertices (all n components), so that
+        the free dofs are the free vertices' blocks, component fastest.
+        """
+        n = self.n
+        by_vertex = self.constrained_mask.reshape(-1, n)
+        constrained = by_vertex[:, 0]
+        if not (by_vertex == constrained[:, None]).all():
+            raise ValueError("constraints must remove every component of a "
+                             "vertex")
+        num_free = self.num_free // n
+        free_index = np.cumsum(~constrained) - 1
+        free_index[constrained] = -1
+        cells = free_index[self._vertex_slot[self.mesh.cells]]   # (nc, nv)
+        nc, nv = cells.shape
+        rows = np.broadcast_to(cells[:, :, None], (nc, nv, nv)).ravel()
+        cols = np.broadcast_to(cells[:, None, :], (nc, nv, nv)).ravel()
+        kept = (rows >= 0) & (cols >= 0)
+        keys, inverse = np.unique(rows[kept] * num_free + cols[kept],
+                                  return_inverse=True)
+        slot = np.full(rows.size, keys.size, dtype=np.int32)
+        slot[kept] = inverse
+        block_rows, indices = np.divmod(keys, num_free)
+        indptr = np.zeros(num_free + 1, dtype=np.int32)
+        np.cumsum(np.bincount(block_rows, minlength=num_free), out=indptr[1:])
+        return VertexPattern(indices.astype(np.int32), indptr, slot)
+
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
     """Gradients of the local hat functions, shape (nc, nverts, dim)."""
@@ -292,13 +343,24 @@ class DiscreteField:
             raise ValueError("fields live on different spaces")
 
 
-def _restrict(space, rows, cols, data):
-    full = sp.coo_matrix((data, (rows, cols)),
-                         shape=(space.num_dofs, space.num_dofs)).tocsr()
-    free = space.free_dofs
-    out = full[free][:, free].tocsr()
-    out.eliminate_zeros()
-    return out
+def _restrict(space, local):
+    """Sum local blocks, shape (nc, nv, n, nv, n), into a free-dof matrix."""
+    pattern = space.vertex_pattern
+    nnzb, n = len(pattern.indices), space.n
+    blocks = np.empty((nnzb, n, n))
+    for a in range(n):
+        for b in range(n):
+            blocks[:, a, b] = np.bincount(
+                pattern.slot, weights=local[:, :, a, :, b].ravel(),
+                minlength=nnzb + 1)[:nnzb]
+    # the matrix gets its own index arrays: in-place operations on it, such
+    # as eliminate_zeros compacting them, must never reach the cache
+    matrix = sp.bsr_matrix(
+        (blocks, pattern.indices.copy(), pattern.indptr.copy()),
+        shape=(space.num_free, space.num_free)).tocsr()
+    # entries that vanish inside a block must not reach the LU ordering
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
@@ -312,10 +374,7 @@ def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
     a = a.reshape(nc, nq, *a.shape[1:])  # (nc,nq,n,n,N,N)
     local = np.einsum("cq,cqabij,cwi,cvj->cwavb", space.quad_weights, a,
                       space.grads, space.grads, optimize=True)
-    rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
-    cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
-    matrix = _restrict(space, rows.ravel(), cols.ravel(), local.ravel())
-    return SparseOperator(space, matrix)
+    return SparseOperator(space, _restrict(space, local))
 
 
 def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> LoadFunctional:
@@ -358,10 +417,7 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
         raise ValueError("non-finite jacobian value")
     local = np.einsum("cq,cqaib,qv,cwi->cwavb", space.quad_weights, jac,
                       space.quad.barycentric, space.grads, optimize=True)
-    rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
-    cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
-    matrix = _restrict(space, rows.ravel(), cols.ravel(), local.ravel())
-    return SparseOperator(space, matrix)
+    return SparseOperator(space, _restrict(space, local))
 
 
 def lu_factor(A):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
@@ -57,6 +58,37 @@ KERNEL_SPACES = {
     "periodic-cell": lambda: FemSpace(build_periodic_cell_mesh(2, 2), 2,
                                       constrain_boundary=False),
 }
+
+
+def coo_restrict(space, local):
+    """The assembly that ``FemSpace.vertex_pattern`` replaced: local blocks
+    (nc, nv, n, nv, n) scattered as a COO over all dofs, summed in CSR,
+    restricted to the free dofs."""
+    rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
+    cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
+    full = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(space.num_dofs, space.num_dofs)).tocsr()
+    free = space.free_dofs
+    out = full[free][:, free].tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def coo_diffusion(space, tensor):
+    """Reference ``assemble_diffusion(space, tensor).matrix``."""
+    nc, nq = space.quad_points.shape[:2]
+    a = tensor.evaluate(space.quad_points.reshape(nc * nq, space.mesh.dim))
+    a = a.reshape(nc, nq, *a.shape[1:])
+    local = np.einsum("cq,cqabij,cwi,cvj->cwavb", space.quad_weights, a,
+                      space.grads, space.grads, optimize=True)
+    return coo_restrict(space, local)
+
+
+def coo_jacobian_coupling(space, jac):
+    """Reference ``assemble_jacobian_coupling(space, jac).matrix``."""
+    local = np.einsum("cq,cqaib,qv,cwi->cwavb", space.quad_weights, jac,
+                      space.quad.barycentric, space.grads, optimize=True)
+    return coo_restrict(space, local)
 
 
 def assert_relative_close(actual, reference, rtol):

@@ -10,7 +10,8 @@ from homfem.fem import (DiscreteField, FemSpace, LinearSolveError,
                         assemble_jacobian_coupling, solve_linear)
 from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
 
-from conftest import KERNEL_SPACES, assert_relative_close, space_1d
+from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
+                      coo_jacobian_coupling, space_1d)
 
 
 def _flux_from_fn(space, fn):
@@ -178,6 +179,19 @@ class TestFemSpace:
         assert space.num_dofs == 2 * 16
         assert space.num_free + space.constrained_mask.sum() == space.num_dofs
 
+    def test_vertex_pattern_needs_whole_vertices_constrained(self):
+        space = FemSpace(build_unit_square_mesh(3), 2,
+                         constrain_boundary=False)
+        space.constrained_mask[0] = True  # one component of one vertex
+        with pytest.raises(ValueError, match="every component"):
+            space.vertex_pattern
+
+    def test_fully_constrained_space_assembles_empty_matrices(self):
+        space = space_1d(1)
+        assert space.num_free == 0
+        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        assert A.matrix.shape == (0, 0) and A.matrix.nnz == 0
+
     def test_periodic_space_dof_count(self):
         from homfem.mesh import build_periodic_cell_mesh
         space = FemSpace(build_periodic_cell_mesh(4, 2), 3,
@@ -240,9 +254,42 @@ def _einsum_divergence_load(space, flux):
     return full[space.free_dofs]
 
 
+class _RandomTensor:
+    """Reproducible standard-normal tensor values, independent of x."""
+
+    def __init__(self, space, seed):
+        self.shape = (space.n, space.n, space.mesh.dim, space.mesh.dim)
+        self.seed = seed
+
+    def evaluate(self, points):
+        rng = np.random.default_rng(self.seed)
+        return rng.standard_normal((len(points),) + self.shape)
+
+
+def _random_jacobian(space, seed):
+    return np.random.default_rng(seed).standard_normal(
+        space.quad_points.shape[:2] + (space.n, space.mesh.dim, space.n))
+
+
+def _assert_same_csr(actual, reference):
+    assert np.array_equal(actual.data, reference.data)
+    assert np.array_equal(actual.indices, reference.indices)
+    assert np.array_equal(actual.indptr, reference.indptr)
+
+
+def _assert_matches_coo(name, matrix, reference):
+    assert matrix.nnz == reference.nnz
+    assert_relative_close(matrix.toarray(), reference.toarray(), 1e-13)
+    if name == "interval":
+        # 1D sums run in the same order as the COO path, bit for bit: the
+        # ladder's stalled eps = 1/2048 Newton run ends on the last bits of
+        # its residuals, so its status depends on this
+        _assert_same_csr(matrix, reference)
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
 class TestSparseKernelsMatchEinsum:
-    """The gradient-matrix kernels against the einsum formulas they replace."""
+    """The per-space sparse kernels against the formulas they replace."""
 
     def test_gradients_on_cells(self, name):
         space = KERNEL_SPACES[name]()
@@ -267,3 +314,31 @@ class TestSparseKernelsMatchEinsum:
                            space.num_indep_vertices)
         assert np.all(np.diff(G.indptr) == dim + 1)
         assert space.gradient_matrix is G
+
+    def test_assemble_diffusion(self, name):
+        space = KERNEL_SPACES[name]()
+        tensor = _RandomTensor(space, 5)
+        _assert_matches_coo(name, assemble_diffusion(space, tensor).matrix,
+                            coo_diffusion(space, tensor))
+
+    def test_assemble_jacobian_coupling(self, name):
+        space = KERNEL_SPACES[name]()
+        jac = _random_jacobian(space, 5)
+        _assert_matches_coo(name,
+                            assemble_jacobian_coupling(space, jac).matrix,
+                            coo_jacobian_coupling(space, jac))
+
+    def test_vertex_pattern_is_never_mutated(self, name):
+        space = KERNEL_SPACES[name]()
+        pattern = space.vertex_pattern
+        saved = [array.copy() for array in pattern]
+        zero = assemble_jacobian_coupling(space,
+                                          0.0 * _random_jacobian(space, 0))
+        assert zero.matrix.nnz == 0
+        tensor = _RandomTensor(space, 6)
+        first = assemble_diffusion(space, tensor).matrix
+        second = assemble_diffusion(space, tensor).matrix
+        assert space.vertex_pattern is pattern
+        for array, copy in zip(space.vertex_pattern, saved):
+            assert np.array_equal(array, copy)
+        _assert_same_csr(second, first)

@@ -22,7 +22,8 @@ from homfem.solver import (FrozenOperator, SolverConfig,
                            local_uniqueness_probe, newton_solve,
                            oscillatory_operator, solve_homogenized)
 
-from conftest import coupled_scenario_2d, effective_operator, space_1d
+from conftest import (coo_diffusion, coupled_scenario_2d, effective_operator,
+                      space_1d)
 
 CONFIG = """
 domain: interval
@@ -105,6 +106,19 @@ def test_lu_factor_orders_for_less_fill_than_colamd():
     rhs = np.arange(1.0, space.num_free + 1.0)
     x, y = ordered.solve(rhs), colamd.solve(rhs)
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_vertex_pattern_adds_no_fill():
+    base, _ = coupled_scenario_2d()
+    space = FemSpace(build_unit_square_mesh(16), 2)
+    tensor = base.with_epsilon(1 / 4)
+    A_eps = assemble_diffusion(space, tensor).matrix
+    reference = coo_diffusion(space, tensor)
+    # the midpoint A_eps is isotropic, a 5-point stencil inside 7-point
+    # blocks: the cancelled entries must not reach the LU ordering
+    assert (A_eps.data != 0).all()
+    assert A_eps.nnz == reference.nnz
+    assert lu_factor(A_eps).nnz == lu_factor(reference).nnz
 
 
 def test_sweep_solves_the_effective_problem_once_per_eps(tmp_path,
