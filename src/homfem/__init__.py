@@ -9,13 +9,11 @@ solution.  Norm and convergence diagnostics round out the picture.
 """
 
 from .mesh import Mesh, build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .coeff import HomogenizedTensor, TensorField, add_defect, legendre_margin
-from .fem import (DiscreteField, FemSpace, LinearSolveError, LoadFunctional,
-                  SparseOperator, assemble_diffusion,
-                  assemble_divergence_load, assemble_jacobian_coupling,
-                  solve_linear)
-from .cell import (CorrectorSet, homogenized_tensor, homogenized_tensor_1d,
-                   solve_cell_problems)
+from .coeff import HomogenizedTensor, TensorField, add_defect
+from .fem import (DiscreteField, FemSpace, LinearSolveError, SparseOperator,
+                  assemble_diffusion, assemble_divergence_load,
+                  assemble_jacobian_coupling, solve_linear)
+from .cell import CorrectorSet, homogenized_tensor_1d, solve_cell_problems
 from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
                      Sinusoid, Term, eval_F, eval_F_jacobian, validate)
 from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,

@@ -2,9 +2,12 @@
 
 For a Z^N-periodic base tensor, each of the n*N cell problems asks for a
 zero-mean periodic corrector whose corrected flux is divergence free; the
-effective tensor is the cell average of the corrected flux.  In one space
-dimension the correctors are bypassed entirely: the effective matrix is the
-inverse of the cell average of the inverse coefficient matrix.
+effective tensor is the cell average of the corrected flux.
+:func:`solve_cell_problems` averages each corrected flux as its corrector is
+solved and returns the tensor with the correctors, as ``CorrectorSet.ahat``.
+In one space dimension :func:`homogenized_tensor_1d` bypasses the correctors
+entirely: the effective matrix is the inverse of the cell average of the
+inverse coefficient matrix.
 
 The singular constant mode of the periodic systems is removed by pinning one
 vertex, solving, and subtracting the component means afterwards, so the same
@@ -25,7 +28,6 @@ from .mesh import Mesh
 __all__ = [
     "CorrectorSet",
     "solve_cell_problems",
-    "homogenized_tensor",
     "homogenized_tensor_1d",
 ]
 
@@ -51,12 +53,15 @@ class CorrectorSet:
         all below the mean tolerance).
     residuals : ndarray, shape (N, n)
         Max-norm residuals of the discrete periodic equations.
+    ahat : HomogenizedTensor
+        Cell average of the corrected fluxes, entrywise.
     """
 
     space: FemSpace
     fields: list
     means: np.ndarray
     residuals: np.ndarray
+    ahat: HomogenizedTensor
 
     @property
     def max_abs(self) -> float:
@@ -72,11 +77,12 @@ def _component_means(space: FemSpace, values: np.ndarray) -> np.ndarray:
 
 
 def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
-    """Solve the n*N periodic cell problems for the given base tensor.
+    """Solve the n*N periodic cell problems and average the corrected flux.
 
     The mesh must be periodic; the tensor is evaluated unscaled on the unit
     cell.  Every returned corrector has component means at most 1e-10 and a
-    discrete residual at most 1e-10.
+    discrete residual at most 1e-10.  Raises if the effective tensor loses
+    the ellipticity margin, which signals an under-resolved cell mesh.
     """
     if not cellmesh.is_periodic:
         raise ValueError("cell problems need a periodic mesh")
@@ -104,21 +110,25 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
     a_qp = base.evaluate(space.quad_points.reshape(nc * nq, dim))
     a_qp = a_qp.reshape(nc, nq, n, n, dim, dim)
 
+    ahat = np.einsum("cq,cqabij->abij", space.quad_weights, a_qp)
     fields, means, residuals = [], np.empty((dim, n, n)), np.empty((dim, n))
     for j in range(dim):
         row = []
         for beta in range(n):
             load = assemble_divergence_load(space, a_qp[:, :, :, beta, :, j])
-            rhs = -load.vector[free]
             v = np.zeros(space.num_dofs)
-            v[free] = lu.solve(rhs)
+            v[free] = lu.solve(-load[free])
             v = v.reshape(-1, n)
             v -= _component_means(space, v.ravel())[None, :]
             v = v.ravel()
-            res = A.matrix @ v + load.vector
+            res = A.matrix @ v + load
             residuals[j, beta] = float(np.max(np.abs(res)))
             means[j, beta] = _component_means(space, v)
             row.append(DiscreteField(space, v))
+            # flux correction: mean of a_{ik}^{ag} d_k v^g
+            ahat[:, beta, :, j] += np.einsum(
+                "cq,cqagik,cgk->ai", space.quad_weights, a_qp,
+                space.gradients_on_cells(v))
         fields.append(row)
 
     if np.max(np.abs(means)) > MEAN_TOL:
@@ -127,37 +137,12 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
         raise RuntimeError(
             f"cell-problem residual {residuals.max():.3e} exceeds "
             f"{RESIDUAL_TOL}")
-    return CorrectorSet(space, fields, means, residuals)
+    return CorrectorSet(space, fields, means, residuals,
+                        HomogenizedTensor(ahat))
 
 
 def _submatrix(matrix, keep):
     return matrix.tocsr()[keep][:, keep].tocsc()
-
-
-def homogenized_tensor(base: TensorField, correctors: CorrectorSet,
-                       cellmesh: Mesh) -> HomogenizedTensor:
-    """Cell average of the corrected flux, entrywise.
-
-    Raises if the result loses the ellipticity margin, which signals an
-    under-resolved cell mesh.
-    """
-    space = correctors.space
-    if space.mesh is not cellmesh:
-        raise ValueError("correctors were computed on a different mesh")
-    n, dim = base.n, base.dim
-    nc, nq = space.quad_points.shape[:2]
-    a_qp = base.evaluate(space.quad_points.reshape(nc * nq, dim))
-    a_qp = a_qp.reshape(nc, nq, n, n, dim, dim)
-
-    ahat = np.einsum("cq,cqabij->abij", space.quad_weights, a_qp)
-    for j in range(dim):
-        for beta in range(n):
-            grad = space.gradients_on_cells(correctors.fields[j][beta].values)
-            # flux correction: mean of a_{ik}^{ag} d_k v^g
-            corr = np.einsum("cq,cqagik,cgk->ai", space.quad_weights,
-                             a_qp, grad)
-            ahat[:, beta, :, j] += corr
-    return HomogenizedTensor(ahat)
 
 
 def homogenized_tensor_1d(base: TensorField) -> HomogenizedTensor:

@@ -32,15 +32,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .cell import homogenized_tensor, homogenized_tensor_1d, solve_cell_problems
+from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
 from .fem import FemSpace, assemble_diffusion
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
                      validate)
-from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
-                    sinusoid_test_functions)
+from .norms import fit_rate, h_convergence_probe, linf_norm, meyers_probe
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
                      fixed_point_solve, local_uniqueness_probe,
                      nondegeneracy_margin, oscillatory_operator,
@@ -380,9 +379,8 @@ def compute_effective_tensor(cfg: ProblemConfig):
     effective tensor unchanged, so it never enters the cell formula.
     """
     base = cfg.coefficient.without_defect()
-    cellmesh = cfg.build_cell_mesh()
-    correctors = solve_cell_problems(base, cellmesh)
-    ahat = homogenized_tensor(base, correctors, cellmesh)
+    correctors = solve_cell_problems(base, cfg.build_cell_mesh())
+    ahat = correctors.ahat
     info = {
         "cell_resolution": cfg.cell_resolution,
         "corrector_max_abs": correctors.max_abs,
@@ -485,8 +483,7 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
     solve per probe mesh; returns the Meyers observed range."""
     flux = _default_probe_flux(cfg.dim, cfg.system_dim)
     hrows = h_convergence_probe(
-        cfg.coefficient, ahat, flux, cfg.eps,
-        test_functions=sinusoid_test_functions(cfg.dim, cfg.probe_modes),
+        cfg.coefficient, ahat, flux, cfg.eps, modes=cfg.probe_modes,
         cells_per_eps=cfg.probe_cells_per_eps)
     _write_csv(out / "hconv.csv", "hconv", [{
         "eps": r.eps, "h": r.h, "n_cells": r.n_cells,

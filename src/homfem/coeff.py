@@ -26,7 +26,6 @@ from .expressions import compile_expression
 __all__ = [
     "TensorField",
     "HomogenizedTensor",
-    "legendre_margin",
     "add_defect",
     "DEFAULT_SAMPLE_GRID",
 ]
@@ -277,18 +276,6 @@ def _quadratic_form_margin(values):
     q = np.transpose(values, (0, 1, 3, 2, 4)).reshape(m, n * dim, n * dim)
     sym = 0.5 * (q + np.transpose(q, (0, 2, 1)))
     return np.linalg.eigvalsh(sym)[:, 0]
-
-
-def legendre_margin(tensor, per_axis=DEFAULT_SAMPLE_GRID):
-    """Minimum over a sample grid of the pointwise quadratic-form margin.
-
-    A negative value means the pointwise ellipticity condition fails on the
-    grid; the value is reported and the caller decides.
-    """
-    if per_axis < 1:
-        raise ValueError("sample grid must be non-empty")
-    vals = tensor.evaluate(sample_grid(tensor.dim, per_axis))
-    return float(_quadratic_form_margin(vals).min())
 
 
 def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):

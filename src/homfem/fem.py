@@ -12,10 +12,12 @@ of each (cell, test vertex, trial vertex) pair; :func:`assemble_diffusion`
 and :func:`assemble_jacobian_coupling` sum their local blocks into it by
 ``np.bincount`` and drop the entries that cancel to zero.
 
-Sign convention used throughout the toolkit: divergence-form problems are
-posed as ``A u + b = 0`` where ``A`` comes from :func:`assemble_diffusion`
-and ``b`` from :func:`assemble_divergence_load`; :func:`solve_linear` itself
-solves the plain system ``A u = rhs``.
+Matrices cross the module as :class:`SparseOperator` (the matrix with its
+space) and loads as plain free-dof arrays.  Sign convention used throughout
+the toolkit: divergence-form problems are posed as ``A u + b = 0`` where
+``A`` comes from :func:`assemble_diffusion` and ``b`` from
+:func:`assemble_divergence_load`; :func:`solve_linear` itself solves the
+plain system ``A u = rhs``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "QuadratureRule",
     "FemSpace",
     "SparseOperator",
-    "LoadFunctional",
     "DiscreteField",
     "LinearSolveError",
     "assemble_diffusion",
@@ -287,23 +288,6 @@ class SparseOperator:
         return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
 
 
-@dataclass
-class LoadFunctional:
-    """Dual-pairing values against the free hat functions."""
-
-    space: FemSpace
-    vector: np.ndarray
-
-    def __post_init__(self):
-        if self.vector.shape != (self.space.num_free,):
-            raise ValueError("load length does not match free dof count")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("load contains non-finite entries")
-
-    def __neg__(self) -> "LoadFunctional":
-        return LoadFunctional(self.space, -self.vector)
-
-
 class DiscreteField:
     """Nodal coefficients of a P1 field (constrained entries included)."""
 
@@ -377,8 +361,8 @@ def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
     return SparseOperator(space, _restrict(space, local))
 
 
-def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> LoadFunctional:
-    """Load vector of phi -> int g_i^a(x) d_i phi^a.
+def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> np.ndarray:
+    """Free-dof load vector of phi -> int g_i^a(x) d_i phi^a.
 
     ``flux`` holds values g at the space's quadrature points, shape
     (num_cells, nq, n, dim).
@@ -398,7 +382,10 @@ def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> LoadFunctiona
     # sums onto the hats
     per_cell = np.einsum("cq,cqai->cia", space.quad_weights, flux)
     full = space.gradient_matrix.T @ per_cell.reshape(-1, space.n)
-    return LoadFunctional(space, full.ravel()[space.free_dofs])
+    load = full.ravel()[space.free_dofs]
+    if not np.all(np.isfinite(load)):
+        raise ValueError("load contains non-finite entries")
+    return load
 
 
 def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperator:
@@ -420,32 +407,30 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
     return SparseOperator(space, _restrict(space, local))
 
 
-def lu_factor(A):
+def lu_factor(matrix: sp.spmatrix):
     """Sparse LU with partial pivoting; raises LinearSolveError on failure.
 
-    Accepts a SparseOperator or a plain sparse matrix.  Columns are ordered
-    by minimum degree on the pattern of ``A + A^T`` (SuperLU's
-    ``MMD_AT_PLUS_A``): the P1 matrices are structurally symmetric, and on
-    them it gives about half the fill of the default COLAMD ordering.
+    Columns are ordered by minimum degree on the pattern of ``A + A^T``
+    (SuperLU's ``MMD_AT_PLUS_A``): the P1 matrices are structurally
+    symmetric, and on them it gives about half the fill of the default
+    COLAMD ordering.
     """
-    matrix = A.matrix if isinstance(A, SparseOperator) else A
     try:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveError(f"linear solve failed: {exc}") from exc
 
 
-def solve_linear(A: SparseOperator, b) -> DiscreteField:
-    """Solve A u = b on the free dofs; constrained entries stay zero.
+def solve_linear(A: SparseOperator, rhs: np.ndarray) -> DiscreteField:
+    """Solve A u = rhs on the free dofs; constrained entries stay zero.
 
-    ``b`` may be a LoadFunctional or a plain free-dof vector.  The residual
-    is verified against 1e-10 * (1 + |b|); a quiet rank-deficient
-    factorization fails this check and raises with a conditioning diagnostic.
+    The residual is verified against 1e-10 * (1 + |rhs|); a quiet
+    rank-deficient factorization fails this check and raises with a
+    conditioning diagnostic.
     """
-    rhs = b.vector if isinstance(b, LoadFunctional) else np.asarray(b, dtype=float)
     if rhs.shape != (A.space.num_free,):
         raise ValueError("right-hand side length does not match free dofs")
-    lu = lu_factor(A)
+    lu = lu_factor(A.matrix)
     u_free = lu.solve(rhs)
     bnorm = np.linalg.norm(rhs)
     residual = np.linalg.norm(A.matrix @ u_free - rhs)

@@ -24,7 +24,6 @@ __all__ = [
     "h_convergence_probe",
     "meyers_probe",
     "fit_rate",
-    "sinusoid_test_functions",
     "HConvergenceRow",
     "MeyersTable",
 ]
@@ -74,33 +73,24 @@ def fit_rate(points) -> tuple[float, float]:
 # linear convergence probes
 
 
-def sinusoid_test_functions(dim: int, modes: int = 4):
-    """Tensor-product sine test functions and their gradients."""
-    out = []
-    if dim == 1:
-        for k in range(1, modes + 1):
-            out.append((
-                f"sin({k}*pi*x)",
-                lambda pts, k=k: np.sin(k * np.pi * pts[:, 0]),
-                lambda pts, k=k: (k * np.pi * np.cos(k * np.pi * pts[:, 0]))[:, None],
-            ))
-    else:
-        for k in range(1, modes + 1):
-            for l in range(1, modes + 1):
-                def val(pts, k=k, l=l):
-                    return (np.sin(k * np.pi * pts[:, 0])
-                            * np.sin(l * np.pi * pts[:, 1]))
+def _sine_modes(pts: np.ndarray, modes: int):
+    """Values and gradients at ``pts`` of the tensor-product sines
+    ``prod_i sin(k_i pi x_i)``, ``1 <= k_i <= modes``, one at a time.
 
-                def grad(pts, k=k, l=l):
-                    s1 = np.sin(k * np.pi * pts[:, 0])
-                    s2 = np.sin(l * np.pi * pts[:, 1])
-                    c1 = np.cos(k * np.pi * pts[:, 0])
-                    c2 = np.cos(l * np.pi * pts[:, 1])
-                    return np.column_stack([k * np.pi * c1 * s2,
-                                            l * np.pi * s1 * c2])
-
-                out.append((f"sin({k}*pi*x)*sin({l}*pi*y)", val, grad))
-    return out
+    Gradients are flattened (point, direction).  Each factor and its
+    derivative is computed once per wave number of its own axis.
+    """
+    for k in range(1, modes + 1):
+        s1 = np.sin(k * np.pi * pts[:, 0])
+        d1 = k * np.pi * np.cos(k * np.pi * pts[:, 0])
+        if pts.shape[1] == 1:
+            yield s1, d1
+            continue
+        for l in range(1, modes + 1):
+            s2 = np.sin(l * np.pi * pts[:, 1])
+            c2 = np.cos(l * np.pi * pts[:, 1])
+            yield s1 * s2, np.column_stack(
+                [d1 * s2, l * np.pi * s1 * c2]).ravel()
 
 
 @dataclass
@@ -123,7 +113,7 @@ def _probe_space(dim: int, eps: float, cells_per_eps: int, n: int) -> FemSpace:
 
 
 def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
-                        flux_fn, eps_list, test_functions=None,
+                        flux_fn, eps_list, modes: int = 4,
                         cells_per_eps: int = 8) -> list[HConvergenceRow]:
     """Weak-convergence diagnostics of a coefficient family toward its limit.
 
@@ -132,14 +122,14 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
     ``cells_per_eps`` cells per oscillation) and the rows report the smeared
     differences ``|int (u_eps - uhat) psi|`` and
     ``|int (flux_eps - fluxhat) . grad psi|`` per test function, together
-    with the max-norm distance and the gradient L2 distance.  Each row keeps
+    with the max-norm distance and the gradient L2 distance.  The test
+    functions are the tensor-product sines ``prod_i sin(k_i pi x_i)`` with
+    ``1 <= k_i <= modes``, ``modes**N`` of them.  Each row keeps
     its ``u_eps`` solve, from which :func:`meyers_probe` reads its norms.
 
     ``flux_fn`` maps points (m, N) to load flux values (m, n, N).
     """
     dim, n = tensor_family.dim, tensor_family.n
-    if test_functions is None:
-        test_functions = sinusoid_test_functions(dim)
     rows = []
     for eps in eps_list:
         space = _probe_space(dim, eps, cells_per_eps, n)
@@ -169,9 +159,9 @@ def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
         wdflux = (weights[..., None] * dflux).transpose(0, 1, 3, 2).reshape(
             nc * nq * dim, n)
         pairings, flux_pairings = [], []
-        for _, val, grad in test_functions:
-            pairings.append(abs(val(pts) @ wdu).sum())
-            flux_pairings.append(abs(grad(pts).ravel() @ wdflux).sum())
+        for val, grad in _sine_modes(pts, modes):
+            pairings.append(abs(val @ wdu).sum())
+            flux_pairings.append(abs(grad @ wdflux).sum())
         diff = u_eps - u_hat
         rows.append(HConvergenceRow(
             eps=eps, h=space.mesh.h, n_cells=space.mesh.num_cells,

@@ -116,7 +116,7 @@ def _diverging(history, window: int = 3) -> bool:
 def _flux_load(space: FemSpace, nl: Nonlinearity,
                u: DiscreteField) -> np.ndarray:
     """Free-dof load vector of D F(u)."""
-    return assemble_divergence_load(space, eval_F(nl, space, u)).vector
+    return assemble_divergence_load(space, eval_F(nl, space, u))
 
 
 def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
@@ -207,7 +207,7 @@ def nondegeneracy_margin(ahat: SparseOperator, nl: Nonlinearity,
     space = ahat.space
     C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
     try:
-        lu = lu_factor(ahat + C)
+        lu = lu_factor((ahat + C).matrix)
     except LinearSolveError:
         return 0.0
     rng = np.random.default_rng(0)
@@ -270,7 +270,7 @@ class FrozenOperator:
         self.A_eps, self.nl, self.u0 = A_eps, nl, u0
         self.C = assemble_jacobian_coupling(space,
                                             eval_F_jacobian(nl, space, u0))
-        self.lu = lu_factor(A_eps + self.C)
+        self.lu = lu_factor((A_eps + self.C).matrix)
 
     def advance(self, u, load, residual):
         """The fixed-point step: ``u_next`` solves
@@ -328,7 +328,9 @@ def local_uniqueness_probe(frozen: FrozenOperator,
     of the recomputed solution from ``u_eps``; runs agree when every
     distance is below ten times the fixed-point tolerance.  Magnitudes
     beyond delta are allowed but flagged as outside the uniqueness ball,
-    and only recorded.
+    and only recorded.  A restart that cannot take its first step (its flux
+    or its first solve fails at the perturbed start) is recorded as
+    diverged, at the start's distance from ``u_eps``.
     """
     cfg = cfg or SolverConfig()
     space = frozen.A_eps.space
@@ -346,7 +348,11 @@ def local_uniqueness_probe(frozen: FrozenOperator,
         scale = linf_norm(pert)
         if scale > 0:
             pert = pert * (magnitude / scale)
-        u_trial, trial_report = fixed_point_solve(frozen, ubar + pert, cfg)
+        start = ubar + pert
+        try:
+            u_trial, trial_report = fixed_point_solve(frozen, start, cfg)
+        except (LinearSolveError, ValueError):
+            u_trial, trial_report = start, SolverReport(status="diverged")
         report.statuses.append(trial_report.status)
         report.distances.append(linf_norm(u_trial - u_eps))
     return report

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from homfem.cell import (homogenized_tensor, homogenized_tensor_1d,
-                         solve_cell_problems)
+from homfem.cell import homogenized_tensor_1d, solve_cell_problems
 from homfem.coeff import TensorField
 from homfem.fem import FemSpace
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
@@ -79,8 +78,7 @@ def test_criterion_01_effective_tensor_1d():
     base = piecewise_14_tensor()
     direct = homogenized_tensor_1d(base).matrix()[0, 0]
     cellmesh = build_periodic_cell_mesh(16, 1)
-    via_correctors = homogenized_tensor(
-        base, solve_cell_problems(base, cellmesh), cellmesh).matrix()[0, 0]
+    via_correctors = solve_cell_problems(base, cellmesh).ahat.matrix()[0, 0]
     elapsed = time.perf_counter() - t0
     ok = (abs(direct - 1.6) <= 1e-12 and abs(via_correctors - 1.6) <= 1e-10
           and elapsed < 1.0)
@@ -110,7 +108,7 @@ def test_criterion_03_2d_laminate():
 
     def rel_err(n):
         cm = build_periodic_cell_mesh(n, 2)
-        ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+        ahat = solve_cell_problems(base, cm).ahat
         return float(np.abs(ahat.values[0, 0] - target).max() / 2.5)
 
     err64 = rel_err(64)
@@ -145,8 +143,7 @@ def test_criterion_05_convergence_2d_system():
     t0 = time.perf_counter()
     base, nl = coupled_scenario_2d()
     cellmesh = build_periodic_cell_mesh(64, 2)
-    ahat = homogenized_tensor(base, solve_cell_problems(base, cellmesh),
-                              cellmesh)
+    ahat = solve_cell_problems(base, cellmesh).ahat
     cfg = SolverConfig()
     errs = []
     for eps in (1 / 4, 1 / 8, 1 / 16):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from homfem.cell import (homogenized_tensor, homogenized_tensor_1d,
-                         solve_cell_problems)
+from homfem.cell import homogenized_tensor_1d, solve_cell_problems
 from homfem.coeff import TensorField
 from homfem.mesh import build_interval_mesh, build_periodic_cell_mesh
 
-from conftest import piecewise_14_tensor
+from conftest import (assert_relative_close, coupled_scenario_2d,
+                      piecewise_14_tensor)
 
 
 class TestSolveCellProblems:
@@ -99,15 +99,13 @@ class TestHomogenizedTensorCorrectorPath:
     def test_constant_base_reproduced_exactly(self):
         cm = build_periodic_cell_mesh(4, 2)
         t = TensorField.constant(1, 2, np.diag([2.0, 3.0]))
-        corr = solve_cell_problems(t, cm)
-        ahat = homogenized_tensor(t, corr, cm)
+        ahat = solve_cell_problems(t, cm).ahat
         assert np.allclose(ahat.values[0, 0], np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_two_phase_matches_inverse_average(self):
         base = piecewise_14_tensor()
         cm = build_periodic_cell_mesh(8, 1)
-        corr = solve_cell_problems(base, cm)
-        ahat = homogenized_tensor(base, corr, cm)
+        ahat = solve_cell_problems(base, cm).ahat
         assert abs(ahat.matrix()[0, 0] - 1.6) <= 1e-10
 
     def test_smooth_base_matches_inverse_average(self):
@@ -116,7 +114,7 @@ class TestHomogenizedTensorCorrectorPath:
         # so even a modest cell mesh hits machine precision
         base = TensorField.from_expressions(1, 1, "2 + sin(2*pi*x)")
         cm = build_periodic_cell_mesh(32, 1)
-        ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+        ahat = solve_cell_problems(base, cm).ahat
         assert abs(ahat.matrix()[0, 0] - np.sqrt(3.0)) < 1e-12
 
     def test_unaligned_discontinuity_converges_under_refinement(self):
@@ -127,7 +125,7 @@ class TestHomogenizedTensorCorrectorPath:
         gaps = []
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)
-            ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+            ahat = solve_cell_problems(base, cm).ahat
             gaps.append(abs(ahat.matrix()[0, 0] - 2.0))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
@@ -137,8 +135,7 @@ class TestHomogenizedTensorCorrectorPath:
         # along the lamination axis, arithmetic mean across it
         base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
         cm = build_periodic_cell_mesh(16, 2)
-        corr = solve_cell_problems(base, cm)
-        ahat = homogenized_tensor(base, corr, cm)
+        ahat = solve_cell_problems(base, cm).ahat
         lamina = homogenized_tensor_1d(piecewise_14_tensor()).matrix()[0, 0]
         arith = 0.5 * (1.0 + 4.0)
         assert np.allclose(ahat.values[0, 0], np.diag([lamina, arith]),
@@ -150,7 +147,7 @@ class TestHomogenizedTensorCorrectorPath:
                      ["0.2", "1.5 + 0.4*sin(2*pi*x2)"]]]]
         base = TensorField.from_expressions(1, 2, entries)
         cm = build_periodic_cell_mesh(16, 2)
-        ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+        ahat = solve_cell_problems(base, cm).ahat
         q = np.transpose(ahat.values, (0, 2, 1, 3)).reshape(2, 2)
         assert np.allclose(q, q.T, atol=1e-12 * max(1.0, abs(q).max()))
 
@@ -159,7 +156,24 @@ class TestHomogenizedTensorCorrectorPath:
         values = []
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)
-            ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+            ahat = solve_cell_problems(base, cm).ahat
             values.append(ahat.matrix()[0, 0])
         diffs = [abs(b - a) for a, b in zip(values, values[1:])]
         assert diffs[-1] < diffs[0]
+
+    def test_ahat_averages_the_returned_correctors_fluxes(self):
+        # the cell average of a + a grad(v), recomputed from the returned
+        # correctors with a fresh evaluation of the base
+        base, _ = coupled_scenario_2d()
+        corr = solve_cell_problems(base, build_periodic_cell_mesh(8, 2))
+        space, n, dim = corr.space, base.n, base.dim
+        nc, nq = space.quad_points.shape[:2]
+        a_qp = base.evaluate(space.quad_points.reshape(nc * nq, dim)).reshape(
+            nc, nq, n, n, dim, dim)
+        expected = np.einsum("cq,cqabij->abij", space.quad_weights, a_qp)
+        for j in range(dim):
+            for beta in range(n):
+                grad = space.gradients_on_cells(corr.fields[j][beta].values)
+                expected[:, beta, :, j] += np.einsum(
+                    "cq,cqagik,cgk->ai", space.quad_weights, a_qp, grad)
+        assert_relative_close(corr.ahat.values, expected, 1e-14)

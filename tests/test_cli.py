@@ -374,6 +374,39 @@ mesh: {cells_per_eps: 16, cell_resolution: 16}
         assert rows[-1]["status"] == "error-RuntimeError"
         assert all(r["status"] == "converged" for r in rows[:-1])
 
+    def test_probe_trial_with_unevaluable_start_is_recorded(self, tmp_path):
+        # a uniqueness radius of 2000 puts the perturbed starts where
+        # exp(u) overflows: each trial's flux fails before its first step,
+        # and the trial lands in the summary instead of ending the sweep
+        text = """
+domain: interval
+tensor: {kind: piecewise, grid: [2], values: [1.0, 4.0]}
+nonlinearity:
+  p0: 4.0
+  terms:
+    - target: [1, 1]
+      g: "0.5*sin(2*pi*x)"
+      h: {kind: constant}
+    - target: [1, 1]
+      g: "0.01"
+      h: {kind: exp, coeffs: [1.0]}
+eps: [0.125, 0.0625]
+mesh: {cells_per_eps: 16, cell_resolution: 64}
+solver: {delta: 2000}
+seed: 0
+"""
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("ahat.json", "sweep.csv", "hconv.csv", "meyers.csv",
+                     "summary.json"):
+            assert (out / name).exists(), name
+        uniqueness = json.loads((out / "summary.json").read_text())[
+            "uniqueness"]
+        assert not uniqueness["all_same"]
+        assert "diverged" in uniqueness["statuses"]
+
     def test_malformed_nonlinearity_rejected_at_parse(self):
         bad = MINIMAL.replace("kind: polynomial",
                               "kind: polynomiall")

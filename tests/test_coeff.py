@@ -6,30 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfem.coeff import (DEFAULT_SAMPLE_GRID, HomogenizedTensor,
-                          TensorField, add_defect, legendre_margin,
+                          TensorField, _quadratic_form_margin, add_defect,
                           sample_grid)
 
 from conftest import piecewise_14_tensor
 
 
+def _grid_margin(t, per_axis):
+    """The pointwise quadratic-form margin, minimized over a sample grid."""
+    return float(_quadratic_form_margin(
+        t.evaluate(sample_grid(t.dim, per_axis))).min())
+
+
 class TestLegendreMargin:
     def test_identity(self):
         t = TensorField.constant(1, 2, 1.0)
-        assert np.isclose(legendre_margin(t, 8), 1.0)
+        assert np.isclose(t.observed_margin(), 1.0)
 
     def test_scalar_diagonal(self):
         t = TensorField.constant(1, 2, np.diag([2.0, 0.5]))
-        assert np.isclose(legendre_margin(t, 8), 0.5)
+        assert np.isclose(t.observed_margin(), 0.5)
 
     def test_triangular_can_fail_legendre(self):
         # symmetrized part [[1,5],[5,1]] has eigenvalues 6 and -4
         t = TensorField.constant(2, 1, np.array([[1.0, 10.0], [0.0, 1.0]]),
                                  triangular=True)
-        assert np.isclose(legendre_margin(t, 8), -4.0)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            legendre_margin(TensorField.constant(1, 1, 1.0), 0)
+        assert np.isclose(t.observed_margin(), -4.0)
 
     def test_require_elliptic_raises_on_nonpositive(self):
         t = TensorField.constant(2, 1, np.array([[1.0, 10.0], [0.0, 1.0]]))
@@ -40,9 +42,9 @@ class TestLegendreMargin:
         # a coarse grid misses the minimum of 1 + 0.999 sin(2 pi x); the
         # cached value is the default-grid one, before and after other calls
         t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
-        coarse = legendre_margin(t, 2)
+        coarse = _grid_margin(t, 2)
         first = t.observed_margin()
-        assert first == legendre_margin(t)
+        assert first == _grid_margin(t, DEFAULT_SAMPLE_GRID)
         assert first != coarse
         assert t.observed_margin() == first
         assert t.require_elliptic() == first
@@ -64,7 +66,7 @@ class TestLegendreMargin:
         t = TensorField.from_expressions(1, 1, "1 + 0.999*sin(2*pi*x)")
         t.observed_margin()
         s = t.with_epsilon(0.3)
-        assert s.observed_margin() == legendre_margin(s)
+        assert s.observed_margin() == _grid_margin(s, DEFAULT_SAMPLE_GRID)
         assert s.observed_margin() != t.observed_margin()
 
 

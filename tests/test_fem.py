@@ -73,25 +73,33 @@ class TestAssembleDivergenceLoad:
         space = space_1d(8)
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: np.ones((len(p), 1, 1))))
-        assert np.allclose(b.vector, 0.0)
+        assert np.allclose(b, 0.0)
 
     def test_linear_flux_two_cells(self):
         space = space_1d(2)
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: p[:, :, None]))
-        assert np.allclose(b.vector, [-0.5])
+        assert np.allclose(b, [-0.5])
 
     def test_zero_flux(self):
         space = space_1d(5)
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: np.zeros((len(p), 1, 1))))
-        assert np.allclose(b.vector, 0.0)
+        assert np.allclose(b, 0.0)
 
     def test_nonfinite_rejected(self):
         space = space_1d(4)
         flux = np.zeros((4, 1, 1, 1))
         flux[2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
+            assemble_divergence_load(space, flux)
+
+    def test_overflowing_load_rejected(self):
+        # every flux value is finite, but the two cells next to each
+        # interior vertex push its load past the largest double
+        space = space_1d(4)
+        flux = np.array([1e308, -1e308, 1e308, -1e308]).reshape(4, 1, 1, 1)
+        with pytest.raises(ValueError, match="load contains non-finite"):
             assemble_divergence_load(space, flux)
 
 
@@ -303,7 +311,7 @@ class TestSparseKernelsMatchEinsum:
         flux = np.random.default_rng(4).standard_normal(
             space.quad_points.shape[:2] + (space.n, space.mesh.dim))
         load = assemble_divergence_load(space, flux)
-        assert_relative_close(load.vector,
+        assert_relative_close(load,
                               _einsum_divergence_load(space, flux), 1e-13)
 
     def test_gradient_matrix_has_one_entry_per_hat(self, name):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from homfem.coeff import TensorField
+from homfem.coeff import HomogenizedTensor, TensorField
 from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
                         assemble_divergence_load, quadrature_rule,
                         solve_linear)
@@ -12,7 +12,7 @@ from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.norms import (fit_rate, gradient_lp_norm,
                           h_convergence_probe, linf_norm, meyers_probe,
-                          sinusoid_test_functions, w1p_norm)
+                          w1p_norm)
 
 from conftest import (KERNEL_SPACES, assert_relative_close,
                       coupled_scenario_2d, flux_identity, piecewise_14_tensor,
@@ -214,15 +214,18 @@ class TestHConvergenceProbe:
             assert np.all(b.pairings < a.pairings)
 
     def test_2d_mode_count(self):
-        fns = sinusoid_test_functions(2, modes=3)
-        assert len(fns) == 9
+        identity = np.eye(2).reshape(1, 1, 2, 2)
+        (row,) = h_convergence_probe(
+            TensorField.constant(1, 2, identity), HomogenizedTensor(identity),
+            lambda pts: pts[:, None, :], [1 / 2], modes=3, cells_per_eps=2)
+        assert row.pairings.shape == row.flux_pairings.shape == (9,)
 
     def test_2d_laminate_pairings_decrease(self):
-        from homfem.cell import homogenized_tensor, solve_cell_problems
+        from homfem.cell import solve_cell_problems
         from homfem.mesh import build_periodic_cell_mesh
         base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
         cm = build_periodic_cell_mesh(16, 2)
-        ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+        ahat = solve_cell_problems(base, cm).ahat
 
         def flux(pts):
             out = np.zeros((pts.shape[0], 1, 2))
@@ -234,6 +237,21 @@ class TestHConvergenceProbe:
                                    cells_per_eps=8)
         assert np.all(rows[1].pairings < rows[0].pairings)
         assert rows[1].linf_diff < rows[0].linf_diff
+
+
+def _sine_test_functions_2d(modes):
+    """The probe's tensor-product sines, as (value, gradient) closures."""
+    def val(pts, k, l):
+        return np.sin(k * np.pi * pts[:, 0]) * np.sin(l * np.pi * pts[:, 1])
+
+    def grad(pts, k, l):
+        s1, c1 = np.sin(k * np.pi * pts[:, 0]), np.cos(k * np.pi * pts[:, 0])
+        s2, c2 = np.sin(l * np.pi * pts[:, 1]), np.cos(l * np.pi * pts[:, 1])
+        return np.column_stack([k * np.pi * c1 * s2, l * np.pi * s1 * c2])
+
+    return [(lambda pts, k=k, l=l: val(pts, k, l),
+             lambda pts, k=k, l=l: grad(pts, k, l))
+            for k in range(1, modes + 1) for l in range(1, modes + 1)]
 
 
 def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
@@ -256,7 +274,7 @@ def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
                          space.gradients_on_cells(u_hat.values))
     dflux = flux_eps - flux_hat[:, None, :, :]
     pairings, flux_pairings = [], []
-    for _, val, grad in test_functions:
+    for val, grad in test_functions:
         psi = val(pts).reshape(nc, nq)
         dpsi = grad(pts).reshape(nc, nq, dim)
         pairings.append(abs(np.einsum("cq,cq,cqa->a", space.quad_weights,
@@ -268,20 +286,18 @@ def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
 
 
 def test_probe_pairings_match_per_function_einsum():
-    from homfem.cell import homogenized_tensor, solve_cell_problems
-    from homfem.mesh import build_periodic_cell_mesh
+    from homfem.cell import solve_cell_problems
     base, _ = coupled_scenario_2d()
-    cm = build_periodic_cell_mesh(8, 2)
-    ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+    ahat = solve_cell_problems(base, build_periodic_cell_mesh(8, 2)).ahat
 
     def flux(pts):
         x, y = pts[:, 0], pts[:, 1]
         return np.stack([np.stack([x * y, np.sin(np.pi * x)], axis=1),
                          np.stack([1.0 + y, x - y], axis=1)], axis=1)
 
-    fns = sinusoid_test_functions(2, modes=3)
-    rows = h_convergence_probe(base, ahat, flux, [1 / 2, 1 / 4],
-                               test_functions=fns, cells_per_eps=4)
+    fns = _sine_test_functions_2d(modes=3)
+    rows = h_convergence_probe(base, ahat, flux, [1 / 2, 1 / 4], modes=3,
+                               cells_per_eps=4)
     for row in rows:
         pairings, flux_pairings = _einsum_pairings(row, base, ahat, flux, fns)
         assert row.pairings.max() > 0 and row.flux_pairings.max() > 0

@@ -218,11 +218,11 @@ class TestFixedPointSolve:
 
     def test_matches_monolithic_newton_2d_system(self):
         from conftest import coupled_scenario_2d
-        from homfem.cell import homogenized_tensor, solve_cell_problems
+        from homfem.cell import solve_cell_problems
         from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
         base, nl = coupled_scenario_2d()
         cm = build_periodic_cell_mesh(32, 2)
-        ahat = homogenized_tensor(base, solve_cell_problems(base, cm), cm)
+        ahat = solve_cell_problems(base, cm).ahat
         eps = 1 / 4
         space = FemSpace(build_unit_square_mesh(round(8 / eps)), 2)
         cfg = SolverConfig()
@@ -252,9 +252,9 @@ class TestFixedPointSolve:
         A = assemble_diffusion(space, te)
         C = assemble_jacobian_coupling(space,
                                        eval_F_jacobian(nl, space, u0))
-        lu = lu_factor(A + C)
+        lu = lu_factor((A + C).matrix)
         residual = A.matrix @ ubar.free() + assemble_divergence_load(
-            space, eval_F(nl, space, ubar)).vector
+            space, eval_F(nl, space, ubar))
         defect_form = ubar.free() - lu.solve(residual)
         assert np.max(np.abs(u_next.free() - defect_form)) <= 1e-11
 
@@ -384,6 +384,23 @@ class TestLocalUniquenessProbe:
                                        magnitude=1000.0, ubar=ubar,
                                        u_eps=u_eps)
         assert probe.outside_ball
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_trial_with_unevaluable_start_recorded_as_diverged(self):
+        # exp(20 u) overflows at every perturbed start of max-norm 100, so
+        # no trial can evaluate its first residual
+        space = space_1d(32)
+        nl = _linear_nl("x")
+        nl.term(0, 0, ExpressionFactor("0.01", 1), ExpLinear([20.0], 0.0, 1))
+        zero = space.zero_field()
+        frozen = FrozenOperator(effective_operator(space, _unit_ahat()), nl,
+                                zero)
+        probe = local_uniqueness_probe(frozen, SolverConfig(), trials=3,
+                                       magnitude=100.0, ubar=zero,
+                                       u_eps=zero)
+        assert probe.statuses == ["diverged"] * 3
+        assert np.allclose(probe.distances, 100.0)
+        assert not probe.all_same
 
 
 class TestSolverConfig:

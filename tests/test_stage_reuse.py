@@ -166,7 +166,7 @@ def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
     assert (tmp_path / "out" / "meyers.csv").exists()
     # per probe mesh: A_eps once, shared by both tables, and Ahat once
     assert len(factored) == 2 * len(cfg.eps)
-    digests = {(A.matrix.shape, A.matrix.data.tobytes()) for A in factored}
+    digests = {(A.shape, A.data.tobytes()) for A in factored}
     assert len(digests) == len(factored)
 
 
