@@ -25,8 +25,10 @@ import importlib.resources
 import json
 import logging
 import sys
+import types
+import typing
 import warnings
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +58,11 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# config schema
+# config schema: each section is a dataclass whose fields are its YAML keys
 
 
-_TOP_KEYS = {"domain", "system_dim", "tensor", "defect", "nonlinearity",
-             "eps", "mesh", "solver", "quadrature", "probe", "seed", "output"}
 _TENSOR_KEYS = {"kind", "value", "values", "grid", "entries", "triangular"}
-_MESH_KEYS = {"cells_per_eps", "cell_resolution"}
-_SOLVER_KEYS = {"newton_tol", "newton_max_iter", "fp_tol", "fp_max_iter",
-                "delta", "mesh_ratio"}
-_NONLIN_KEYS = {"p0", "terms"}
 _TERM_KEYS = {"target", "g", "h", "p0"}
-_PROBE_KEYS = {"modes", "p_grid", "trials", "cells_per_eps"}
 _H_KEYS = {"kind", "value", "coeffs", "shift", "monomials",
            "numerator", "denominator"}
 
@@ -81,43 +76,91 @@ def _check_keys(section, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown config key {key!r} in {where}")
 
 
+def _at_least(section, **lows) -> None:
+    for name, low in lows.items():
+        value = getattr(section, name)
+        if not value >= low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+@dataclass
+class NonlinearityConfig:
+    """The spatial factors' exponent and the flux terms (checked by flux)."""
+
+    p0: float = 4.0
+    terms: list = dc_field(default_factory=list)
+
+
+@dataclass
+class MeshConfig:
+    """Cells per period of the solve meshes, per side of the cell mesh."""
+
+    cells_per_eps: int = 8
+    cell_resolution: int = 64
+
+    def __post_init__(self):
+        _at_least(self, cells_per_eps=1, cell_resolution=2)
+
+
+@dataclass
+class ProbeConfig:
+    """The linear probes, and the restarts of the uniqueness probe."""
+
+    modes: int = 4
+    p_grid: list[float] = dc_field(
+        default_factory=lambda: [2.0, 2.5, 3.0, 3.5, 4.0])
+    trials: int = 10
+    cells_per_eps: int = 8
+
+    def __post_init__(self):
+        _at_least(self, modes=1, trials=1, cells_per_eps=1)
+        if not self.p_grid or not all(2 <= p <= 4 for p in self.p_grid):
+            raise ValueError("p_grid must be a non-empty list of exponents "
+                             f"in [2, 4], got {self.p_grid}")
+
+
 @dataclass
 class ProblemConfig:
-    """A fully validated experiment description with defaults filled in."""
+    """A fully validated experiment description with defaults filled in;
+    its init fields and its sections' fields are the YAML document's keys."""
 
     domain: str = "interval"
     system_dim: int = 1
     tensor: dict = dc_field(default_factory=lambda: {"kind": "constant",
                                                      "value": 1.0})
     defect: dict | None = None
-    nonlinearity: dict = dc_field(default_factory=lambda: {"p0": 4.0,
-                                                           "terms": []})
-    eps: list = dc_field(default_factory=lambda: [0.125, 0.0625, 0.03125])
-    cells_per_eps: int = 8
-    cell_resolution: int = 64
+    nonlinearity: NonlinearityConfig = dc_field(
+        default_factory=NonlinearityConfig)
+    eps: list[float] = dc_field(default_factory=lambda: [0.125, 0.0625,
+                                                         0.03125])
+    mesh: MeshConfig = dc_field(default_factory=MeshConfig)
     quadrature: str = "midpoint"
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
-    probe_modes: int = 4
-    probe_p_grid: list = dc_field(default_factory=lambda: [2.0, 2.5, 3.0, 3.5, 4.0])
-    probe_trials: int = 10
-    probe_cells_per_eps: int = 8
+    probe: ProbeConfig = dc_field(default_factory=ProbeConfig)
     seed: int = 0
     output: str = "out"
-    warnings: list = dc_field(default_factory=list)
+    warnings: list = dc_field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        if self.domain not in ("interval", "unit-square"):
+            raise ValueError(f"unknown domain {self.domain!r}")
+        _at_least(self, system_dim=1, seed=0)
+        if not self.eps or not all(0 < e <= 1 for e in self.eps):
+            raise ValueError("eps values must lie in (0, 1]")
+        if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
+            raise ValueError("eps values must be strictly decreasing")
+        if self.quadrature not in ("midpoint", "3point"):
+            raise ValueError(f"unknown quadrature {self.quadrature!r}")
 
     @property
     def dim(self) -> int:
         return 1 if self.domain == "interval" else 2
 
     def effective_dict(self) -> dict:
-        doc = asdict(self)
-        doc["solver"] = asdict(self.solver)
-        return doc
+        return asdict(self)
 
     # -- builders ---------------------------------------------------------
-    # The coefficient family and the flux are built once, by parse_config,
-    # which validates them; asdict skips cached properties, so the
-    # effective config stays the same.
+    # built once, and so validated, by parse_config; asdict skips them
 
     @functools.cached_property
     def coefficient(self) -> TensorField:
@@ -132,27 +175,32 @@ class ProblemConfig:
 
     @functools.cached_property
     def flux(self) -> Nonlinearity:
-        spec = self.nonlinearity
-        nl = Nonlinearity(self.system_dim, self.dim, [], p0=float(spec["p0"]))
-        for k, term in enumerate(spec.get("terms", [])):
+        spec, terms = self.nonlinearity, []
+        for k, term in enumerate(spec.terms):
             where = f"nonlinearity.terms[{k}]"
             _check_keys(term, _TERM_KEYS, where)
-            alpha, i = (int(v) - 1 for v in term["target"])
+            target = term.get("target")
+            if not (isinstance(target, list) and [type(v) for v in target]
+                    == [int, int] and 0 < target[0] <= self.system_dim
+                    and 0 < target[1] <= self.dim):
+                raise ConfigError(f"{where}.target must be an integer pair in "
+                                  f"[1, {self.system_dim}] x [1, {self.dim}], "
+                                  f"got {target!r}")
             g = _build_spatial_factor(term["g"], self.dim, where)
             h = _build_value_factor(term.get("h", {"kind": "constant"}),
                                     self.system_dim, where)
-            nl.terms.append(Term(alpha, i, g, h,
-                                 float(term.get("p0", spec["p0"]))))
-        return nl
+            p0 = _number(term.get("p0", spec.p0), f"{where}.p0", float)
+            terms.append(Term(target[0] - 1, target[1] - 1, g, h, p0))
+        return Nonlinearity(self.system_dim, self.dim, terms, p0=spec.p0)
 
     def build_domain_space(self, eps: float) -> FemSpace:
-        cells = max(2, int(round(self.cells_per_eps / eps)))
+        cells = max(2, int(round(self.mesh.cells_per_eps / eps)))
         mesh = (build_interval_mesh(cells) if self.dim == 1
                 else build_unit_square_mesh(cells))
         return FemSpace(mesh, self.system_dim, quadrature=self.quadrature)
 
     def build_cell_mesh(self):
-        return build_periodic_cell_mesh(self.cell_resolution, self.dim)
+        return build_periodic_cell_mesh(self.mesh.cell_resolution, self.dim)
 
 
 def _build_tensor_field(spec: dict, n: int, dim: int, where: str,
@@ -209,13 +257,13 @@ def _number(value, key: str, kind=int, low=None):
     ``low``; otherwise a ConfigError naming ``key``.
 
     PyYAML reads a float written without a decimal point, such as ``1e-9``,
-    as a string; the conversion accepts it.  An integer key rejects a
-    fractional value instead of truncating it.
+    as a string; the conversion accepts it.  Booleans and NaN are rejected,
+    and an integer key rejects a fractional value instead of truncating it.
     """
     try:
         number = kind(value)
-        if kind is int and number != float(value):
-            raise ValueError("fractional")
+        if isinstance(value, bool) or number != float(value):
+            raise ValueError("boolean, fractional or NaN")
     except (TypeError, ValueError, OverflowError) as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from exc
@@ -224,115 +272,67 @@ def _number(value, key: str, kind=int, low=None):
     return number
 
 
-def _floats(values, key: str) -> list:
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return [_number(v, key, float) for v in values]
+def _section(cls, doc, name: str = ""):
+    """``cls`` built from the YAML mapping ``doc`` of section ``name``: its
+    init fields are the allowed keys, and a ValueError from its
+    ``__post_init__`` becomes a ConfigError that names the section."""
+    _check_keys(doc, {f.name for f in fields(cls) if f.init},
+                name or "top level")
+    prefix = f"{name}." if name else ""
+    hints = typing.get_type_hints(cls)
+    values = {key: _convert(hints[key], value, prefix + key)
+              for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _convert(kind, value, key: str):
+    """``value`` as the declared field type ``kind``, or a ConfigError
+    naming ``key``; a dataclass type is a nested section."""
+    if isinstance(kind, types.UnionType):  # ``X | None``
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if is_dataclass(kind):
+        return _section(kind, value, key)
+    if kind in (int, float):
+        return _number(value, key, kind)
+    origin = typing.get_origin(kind) or kind
+    if not isinstance(value, origin):
+        raise ConfigError(f"{key} must be a {origin.__name__}, got {value!r}")
+    if kind == list[float]:
+        return [_number(v, key, float) for v in value]
+    return value
 
 
 def parse_config(text: str) -> ProblemConfig:
     """Parse and validate a YAML problem config; defaults are filled in."""
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "top level")
-
-    cfg = ProblemConfig()
-    cfg.domain = doc.get("domain", cfg.domain)
-    if cfg.domain not in ("interval", "unit-square"):
-        raise ConfigError(f"unknown domain {cfg.domain!r}")
-    cfg.system_dim = _number(doc.get("system_dim", cfg.system_dim),
-                             "system_dim", low=1)
-
-    if "tensor" in doc:
-        cfg.tensor = doc["tensor"]
-    _check_keys(cfg.tensor, _TENSOR_KEYS, "tensor")
-    cfg.defect = doc.get("defect")
-    if cfg.defect is not None:
-        _check_keys(cfg.defect, _TENSOR_KEYS, "defect")
-
-    if "nonlinearity" in doc:
-        nl = doc["nonlinearity"]
-        _check_keys(nl, _NONLIN_KEYS, "nonlinearity")
-        if "p0" not in nl:
-            nl = dict(nl, p0=4.0)
-        cfg.nonlinearity = nl
-
-    if "eps" in doc:
-        cfg.eps = _floats(doc["eps"], "eps")
-    if not cfg.eps or not all(0 < e <= 1 for e in cfg.eps):
-        raise ConfigError("eps values must lie in (0, 1]")
-    if any(b >= a for a, b in zip(cfg.eps, cfg.eps[1:])):
-        raise ConfigError("eps values must be strictly decreasing")
-
-    mesh = doc.get("mesh", {})
-    _check_keys(mesh, _MESH_KEYS, "mesh")
-    cfg.cells_per_eps = _number(mesh.get("cells_per_eps", cfg.cells_per_eps),
-                                "mesh.cells_per_eps", low=1)
-    cfg.cell_resolution = _number(
-        mesh.get("cell_resolution", cfg.cell_resolution),
-        "mesh.cell_resolution", low=2)
-
-    solver = doc.get("solver", {})
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    solver = {key: value if key == "delta" and value is None
-              else _number(value, f"solver.{key}",
-                           int if key.endswith("_max_iter") else float)
-              for key, value in solver.items()}
-    try:
-        cfg.solver = SolverConfig(**solver)
-    except ValueError as exc:
-        raise ConfigError(f"solver.{exc}") from exc
-
-    cfg.quadrature = doc.get("quadrature", cfg.quadrature)
-    if cfg.quadrature not in ("midpoint", "3point"):
-        raise ConfigError(f"unknown quadrature {cfg.quadrature!r}")
-
-    probe = doc.get("probe", {})
-    _check_keys(probe, _PROBE_KEYS, "probe")
-    cfg.probe_modes = _number(probe.get("modes", cfg.probe_modes),
-                              "probe.modes", low=1)
-    cfg.probe_p_grid = _floats(probe.get("p_grid", cfg.probe_p_grid),
-                               "probe.p_grid")
-    if not cfg.probe_p_grid or not all(2 <= p <= 4 for p in cfg.probe_p_grid):
-        raise ConfigError("probe.p_grid must be a non-empty list of exponents "
-                          f"in [2, 4], got {cfg.probe_p_grid}")
-    cfg.probe_trials = _number(probe.get("trials", cfg.probe_trials),
-                               "probe.trials", low=1)
-    cfg.probe_cells_per_eps = _number(
-        probe.get("cells_per_eps", cfg.probe_cells_per_eps),
-        "probe.cells_per_eps", low=1)
-
-    cfg.seed = _number(doc.get("seed", cfg.seed), "seed", low=0)
-    cfg.output = str(doc.get("output", cfg.output))
+    cfg = _section(ProblemConfig, yaml.safe_load(text))
 
     # eager builds validate entry shapes, expressions and catalog membership
     try:
         base = cfg.coefficient
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid tensor: {exc}") from exc
-    try:
         cfg.flux
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid nonlinearity: {exc}") from exc
+        raise ConfigError(f"invalid tensor or nonlinearity: {exc}") from exc
 
     # hypothesis dichotomy: two space dimensions, or triangular coefficients
     if cfg.dim != 2 and not base.triangular:
         cfg.warnings.append(
             "neither N=2 nor triangular coefficients: existence/uniqueness "
             "guarantees do not apply; running for exploration only")
-    if float(cfg.nonlinearity.get("p0", 4.0)) <= cfg.dim:
+    if cfg.nonlinearity.p0 <= cfg.dim:
         cfg.warnings.append(
-            f"nonlinearity exponent p0={cfg.nonlinearity.get('p0')} does not "
+            f"nonlinearity exponent p0={cfg.nonlinearity.p0} does not "
             f"exceed the space dimension {cfg.dim}")
-    if cfg.cells_per_eps < cfg.solver.mesh_ratio:
+    if cfg.mesh.cells_per_eps < cfg.solver.mesh_ratio:
         cfg.warnings.append(
-            f"cells_per_eps={cfg.cells_per_eps} below the resolution rule "
-            f"h <= eps/{cfg.solver.mesh_ratio:g}")
+            f"cells_per_eps={cfg.mesh.cells_per_eps} below the resolution "
+            f"rule h <= eps/{cfg.solver.mesh_ratio:g}")
     return cfg
 
 
@@ -382,7 +382,7 @@ def compute_effective_tensor(cfg: ProblemConfig):
     correctors = solve_cell_problems(base, cfg.build_cell_mesh())
     ahat = correctors.ahat
     info = {
-        "cell_resolution": cfg.cell_resolution,
+        "cell_resolution": cfg.mesh.cell_resolution,
         "corrector_max_abs": correctors.max_abs,
         "corrector_mean_max": float(np.max(np.abs(correctors.means))),
         "margin": ahat.margin,
@@ -483,15 +483,15 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
     solve per probe mesh; returns the Meyers observed range."""
     flux = _default_probe_flux(cfg.dim, cfg.system_dim)
     hrows = h_convergence_probe(
-        cfg.coefficient, ahat, flux, cfg.eps, modes=cfg.probe_modes,
-        cells_per_eps=cfg.probe_cells_per_eps)
+        cfg.coefficient, ahat, flux, cfg.eps, modes=cfg.probe.modes,
+        cells_per_eps=cfg.probe.cells_per_eps)
     _write_csv(out / "hconv.csv", "hconv", [{
         "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
         "pairing_max": float(r.pairings.max()),
         "flux_pairing_max": float(r.flux_pairings.max()),
         "linf_diff": r.linf_diff, "grad_l2_diff": r.grad_l2_diff,
     } for r in hrows])
-    mtable = meyers_probe(hrows, cfg.probe_p_grid)
+    mtable = meyers_probe(hrows, cfg.probe.p_grid)
     _write_csv(out / "meyers.csv", "meyers", [
         {"eps": e, "p": p, "grad_lp": float(mtable.norms[r, c])}
         for r, e in enumerate(mtable.eps_list)
@@ -535,7 +535,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         rows.append(row)
         if uniqueness is None and row["status"] == "converged":
             probe = local_uniqueness_probe(
-                frozen, cfg.solver, trials=cfg.probe_trials, seed=cfg.seed,
+                frozen, cfg.solver, trials=cfg.probe.trials, seed=cfg.seed,
                 ubar=fields["ubar"], u_eps=fields["ueps"])
             uniqueness = {
                 "eps": eps,
@@ -638,13 +638,14 @@ def main(argv=None) -> int:
             (out / "ahat.json").write_text(ahat.to_json())
             log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
         elif args.command == "solve":
-            row, space, fields, _ = run_single(
+            row, space, solution, _ = _guarded_run(
                 cfg, ahat, eps if eps is not None else cfg.eps[0])
             (out / "solve.json").write_text(
                 json.dumps(row, indent=2, sort_keys=True, default=repr))
             _write_csv(out / "solution.csv", "solution",
-                       _solution_rows(space, fields))
+                       _solution_rows(space, solution) if space else [])
             log.info("solve row: %s", json.dumps(row, default=repr))
+            return int(row["status"].startswith("error-"))
         elif args.command == "probe":
             _write_probe_tables(cfg, ahat, out)
     return 0

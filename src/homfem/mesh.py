@@ -40,7 +40,7 @@ class Mesh:
         For periodic meshes, ``periodic_map[v]`` is the master vertex that
         ``v`` is identified with (the identity on non-slave vertices).
     resolution : int
-        Cells per side of the structured grid; used for point location.
+        Cells per side of the structured grid; ``spacing`` is its inverse.
     """
 
     dim: int

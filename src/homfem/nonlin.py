@@ -232,15 +232,15 @@ class Nonlinearity:
         self.n = int(n)
         self.dim = int(dim)
         self.p0 = float(p0)
-        self.terms = list(terms)
-        for t in self.terms:
-            if not (0 <= t.alpha < n and 0 <= t.i < dim):
-                raise ValueError(
-                    f"term targets ({t.alpha}, {t.i}) outside the "
-                    f"(n={n}, N={dim}) flux index range")
+        self.terms = []
+        for t in terms:
+            self.term(t.alpha, t.i, t.g, t.h, t.p0)
 
     def term(self, alpha, i, g, h, p0=None):
-        """Convenience: append a term and return self."""
+        """Append a term, with its target range checked, and return self."""
+        if not (0 <= alpha < self.n and 0 <= i < self.dim):
+            raise ValueError(f"term targets ({alpha}, {i}) outside the "
+                             f"(n={self.n}, N={self.dim}) flux index range")
         self.terms.append(Term(alpha, i, g, h, p0 if p0 is not None else self.p0))
         return self
 

@@ -40,7 +40,7 @@ the contraction factors of a converged run by orders of magnitude.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -83,11 +83,10 @@ class SolverConfig:
     mesh_ratio: float = 8.0
 
     def __post_init__(self):
-        for name in ("newton_tol", "newton_max_iter", "fp_tol", "fp_max_iter",
-                     "delta", "mesh_ratio"):
-            value = getattr(self, name)
-            if not (name == "delta" and value is None or value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (f.name == "delta" and value is None or value > 0):
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,17 @@ def oscillatory_scenario_1d():
     nl.term(0, 0, ExpressionFactor("0.5*sin(2*pi*x)", 1), Constant(1.0, 1))
     nl.term(0, 0, ExpressionFactor("0.25", 1), Polynomial([(1.0, (2,))], 1))
     return base, ahat, nl
+
+
+def config_key_paths(section, prefix=""):
+    """Every YAML key path that a config dataclass declares: its init fields,
+    and the fields of its nested sections as ``section.key``."""
+    for f in fields(section):
+        if f.init:
+            yield prefix + f.name
+            value = getattr(section, f.name)
+            if is_dataclass(value):
+                yield from config_key_paths(value, f"{prefix}{f.name}.")
 
 
 def space_1d(n, quadrature="midpoint"):

@@ -8,8 +8,11 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import config_key_paths
 from homfem.cli import (ConfigError, ProblemConfig, load_schema, main,
                         parse_config, run_sweep)
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 MINIMAL = """
 domain: interval
@@ -42,16 +45,9 @@ def _read_csv(path, schema_name):
     return [dict(zip(names, r)) for r in rows[1:]]
 
 
-# every top-level key, and every scalar key of the mesh, solver, probe and
-# nonlinearity sections
-_MUTABLE_KEYS = ["domain", "system_dim", "tensor", "defect", "nonlinearity",
-                 "eps", "mesh", "solver", "quadrature", "probe", "seed",
-                 "output", "nonlinearity.p0", "mesh.cells_per_eps",
-                 "mesh.cell_resolution", "solver.newton_tol",
-                 "solver.newton_max_iter", "solver.fp_tol",
-                 "solver.fp_max_iter", "solver.delta", "solver.mesh_ratio",
-                 "probe.modes", "probe.p_grid", "probe.trials",
-                 "probe.cells_per_eps"]
+# every top-level key, and every key of the nonlinearity, mesh, solver and
+# probe sections
+_MUTABLE_KEYS = list(config_key_paths(ProblemConfig()))
 # YAML sources: wrong types, values out of range, and scalars PyYAML reads
 # as strings (1e-9, 1e3) or as non-finite floats
 _MUTATED_VALUES = ["abc", "1e-9", "1e3", ".inf", "-.inf", ".nan", "0", "-1",
@@ -67,7 +63,7 @@ class TestParseConfig:
         assert cfg.solver.newton_tol == 1e-10
         assert cfg.solver.fp_tol == 1e-9
         assert cfg.seed == 0
-        assert cfg.probe_trials == 10
+        assert cfg.probe.trials == 10
         assert not cfg.warnings
 
     def test_unknown_key_named(self):
@@ -138,10 +134,32 @@ eps: [0.25]
         ("system_dim", MINIMAL + "system_dim: 0\n"),
         ("probe.trials", MINIMAL + "probe: {trials: 2.5}\n"),
         ("eps", MINIMAL.replace("eps: [0.125, 0.0625]", "eps: 0.125")),
+        # booleans are not numbers, NaN is not a value, output is a path
+        ("seed", MINIMAL + "seed: true\n"),
+        ("solver.newton_tol", MINIMAL + "solver: {newton_tol: true}\n"),
+        ("mesh.cells_per_eps",
+         MINIMAL.replace("cells_per_eps: 16", "cells_per_eps: true")),
+        ("probe.trials", MINIMAL + "probe: {trials: true}\n"),
+        ("eps", MINIMAL.replace("eps: [0.125, 0.0625]", "eps: [true]")),
+        ("output", MINIMAL + "output: null\n"),
+        ("output", MINIMAL + "output: [a, b]\n"),
+        ("nonlinearity.p0", MINIMAL.replace("p0: 4.0", "p0: .nan")),
+        ("nonlinearity.p0", MINIMAL.replace("p0: 4.0", "p0: abc")),
     ])
     def test_out_of_range_key_named(self, key, text):
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
+
+    @pytest.mark.parametrize("target", ["[1, 3]", "[0, 1]", "[1.5, 1]",
+                                        "[2, 1]", "[1]", "1"])
+    def test_flux_target_outside_the_index_range_named(self, target):
+        # every term of the shipped 1D config targets the only flux entry
+        text = (CONFIGS / "two_phase_1d.yaml").read_text()
+        bad = text.replace("target: [1, 1]", f"target: {target}", 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert "nonlinearity.terms[0].target" in str(info.value)
+        assert target in str(info.value)
 
     def test_float_without_decimal_point_parses(self):
         # PyYAML reads 1e-9 (no decimal point) as a string
@@ -172,6 +190,15 @@ eps: [0.25]
         doc = cfg.effective_dict()
         assert doc["quadrature"] == "midpoint"
         assert doc["solver"]["fp_max_iter"] == 50
+        assert doc["probe"]["trials"] == 10
+
+    @pytest.mark.parametrize("name", ["two_phase_1d", "coupled_2d"])
+    def test_effective_dict_is_a_config(self, name):
+        # the effective config that run.log records parses back to itself
+        cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
+        doc = cfg.effective_dict()
+        del doc["warnings"]
+        assert parse_config(yaml.safe_dump(doc)) == cfg
 
 
 # value factors of the flux catalog; under the strong spatial factor the
@@ -453,6 +480,28 @@ class TestMain:
         assert row["status"] == "converged"
         rows = _read_csv(tmp_path / "o" / "solution.csv", "solution")
         assert len(rows) == 129  # 128 cells -> 129 vertices, one component
+
+    def test_solve_stage_failure_recorded(self, tmp_path):
+        # h = 1/u has its pole at the Newton start u = 0: the solve ends in
+        # a status, as the same row of a sweep does, not in a traceback
+        path = tmp_path / "pole.yaml"
+        path.write_text("""
+domain: interval
+tensor: {kind: piecewise, grid: [2], values: [1.0, 4.0]}
+nonlinearity:
+  terms:
+    - target: [1, 1]
+      g: "0.5"
+      h: {kind: rational, numerator: [{coeff: 1.0, powers: [0]}],
+          denominator: [{coeff: 1.0, powers: [1]}]}
+eps: [0.125]
+mesh: {cells_per_eps: 16, cell_resolution: 16}
+""")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
+        row = json.loads((out / "solve.json").read_text())
+        assert row["status"] == "error-ValueError"
+        assert _read_csv(out / "solution.csv", "solution") == []
 
     @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1.5"])
     def test_eps_override_out_of_range_named(self, tmp_path, monkeypatch,

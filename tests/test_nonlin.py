@@ -120,6 +120,16 @@ class TestCatalog:
         assert _gradient_matches_central_differences(h, u)
 
 
+@pytest.mark.parametrize("alpha, i", [(1, 0), (0, 1), (-1, 0)])
+def test_term_target_outside_the_index_range_rejected(alpha, i):
+    # the constructor and term() share one range check
+    g, h = ExpressionFactor("1", 1), Constant(1.0, 1)
+    with pytest.raises(ValueError, match="flux index range"):
+        Nonlinearity(1, 1, [Term(alpha, i, g, h, 4.0)], p0=4.0)
+    with pytest.raises(ValueError, match="flux index range"):
+        Nonlinearity(1, 1, [], p0=4.0).term(alpha, i, g, h)
+
+
 class TestEvalF:
     def _u_field(self, space, fn):
         x = space.mesh.vertices.ravel()
