@@ -36,12 +36,13 @@ import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import FemSpace, assemble_diffusion
+from .fem import FemSpace, LinearSolveError, assemble_diffusion
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
                      validate)
-from .norms import fit_rate, h_convergence_probe, linf_norm, meyers_probe
+from .norms import (fit_rate, h_convergence_probe, homogenized_probe_solution,
+                    linf_norm, meyers_probe)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
                      fixed_point_solve, local_uniqueness_probe,
                      nondegeneracy_margin, oscillatory_operator,
@@ -233,16 +234,28 @@ def _build_spatial_factor(spec, dim: int, where: str):
 
 def _build_value_factor(spec: dict, n: int, where: str):
     _check_keys(spec, _H_KEYS, where)
+    where = f"{where}.h"
     kind = spec.get("kind", "constant")
+
+    def number(key, default):
+        return _number(spec.get(key, default), f"{where}.{key}", float)
+
+    def coeffs():
+        values = spec.get("coeffs")
+        if not isinstance(values, list):
+            raise ConfigError(f"{where}.coeffs must be a list of numbers, "
+                              f"got {values!r}")
+        return [_number(v, f"{where}.coeffs", float) for v in values]
+
     if kind == "constant":
-        return Constant(float(spec.get("value", 1.0)), n)
+        return Constant(number("value", 1.0), n)
     if kind == "polynomial":
         monomials = [(m["coeff"], m["powers"]) for m in spec["monomials"]]
         return Polynomial(monomials, n)
     if kind in ("sin", "cos"):
-        return Sinusoid(kind, spec["coeffs"], float(spec.get("shift", 0.0)), n)
+        return Sinusoid(kind, coeffs(), number("shift", 0.0), n)
     if kind == "exp":
-        return ExpLinear(spec["coeffs"], float(spec.get("shift", 0.0)), n)
+        return ExpLinear(coeffs(), number("shift", 0.0), n)
     if kind == "rational":
         num = Polynomial([(m["coeff"], m["powers"])
                           for m in spec["numerator"]], n)
@@ -410,7 +423,8 @@ def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
             "iterations": 0, "max_contraction": np.nan, "status": status}
 
 
-def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
+def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+               hconv: dict | None = None):
     """One full solve at a single oscillation period.
 
     Returns ``(row, space, fields, frozen)``: the sweep row, the solve
@@ -418,7 +432,14 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
     ``ueps``, and the row's FrozenOperator once the fixed point ran (None
     before).  ``Ahat`` and ``A_eps`` are each assembled once and handed to
     every stage that uses them; the resolution check runs once, as
-    ``A_eps`` is built.
+    ``A_eps`` is built.  Past Newton the row factors its two linearizations
+    at ``u0`` once each, ``Ahat + C(u0)`` and then ``A_eps + C(u0)``, and
+    never holds both.
+
+    ``hconv``, when given, receives ``{eps: HConvergenceRow}`` once the
+    fixed point ran, if the probe mesh is this row's mesh: the linear probe
+    at this eps, with each of its solves refined over the matching
+    linearization.
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
@@ -429,17 +450,32 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
                space.mesh.spacing, space.mesh.num_cells)
     if newton_report.status == "converged":
         fields["u0"] = u0
-        margin = nondegeneracy_margin(A_hat, nl, u0)
+        try:
+            linearized = FrozenOperator(A_hat, nl, u0)
+        except LinearSolveError:  # discretely degenerate
+            linearized = None
+        margin = (nondegeneracy_margin(linearized)
+                  if linearized is not None else 0.0)
         row["margin"] = margin
         if margin <= 0:
             row["status"] = "degenerate"
         else:
+            # the probe builds at least 4 cells per side, the row at least
+            # 2: from 4 cells per period on both build cells_per_eps / eps
+            probe = (hconv is not None and
+                     cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4)
+            if probe:
+                flux = _default_probe_flux(cfg.dim, cfg.system_dim)
+                u_hat = homogenized_probe_solution(A_hat, flux,
+                                                   near=linearized.lu)
+            # no two linearizations are held at once
+            del A_hat, linearized
             A_eps = oscillatory_operator(
                 space, cfg.coefficient.with_epsilon(eps), cfg.solver)
-            ubar = approximate_solution(A_eps, nl, u0)
+            frozen = FrozenOperator(A_eps, nl, u0)
+            ubar = approximate_solution(frozen)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)
-            frozen = FrozenOperator(A_eps, nl, u0)
             u_eps, fp_report = fixed_point_solve(frozen, ubar, cfg.solver)
             fields["ueps"] = u_eps
             row["ueps_err_linf"] = linf_norm(u_eps - u0)
@@ -447,6 +483,12 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
+            if probe:
+                hconv[eps], = h_convergence_probe(
+                    cfg.coefficient, ahat, flux, [eps],
+                    modes=cfg.probe.modes,
+                    cells_per_eps=cfg.probe.cells_per_eps, u_hat=u_hat,
+                    near=frozen.lu)
     return row, space, fields, frozen
 
 
@@ -467,24 +509,30 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
     return rows
 
 
-def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float):
+def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+                 hconv: dict | None = None):
     """run_single, but any stage failure lands in the row (with no space,
     no fields and no frozen operator) and the sweep continues."""
     try:
-        return run_single(cfg, ahat, eps)
+        return run_single(cfg, ahat, eps, hconv=hconv)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
         log.warning("solve at eps=%g failed: %s", eps, exc)
         return _row(eps, f"error-{type(exc).__name__}"), None, {}, None
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
-                        out: Path) -> float:
+                        out: Path, done: dict | None = None) -> float:
     """The linear probes: writes ``hconv.csv`` and ``meyers.csv`` from one
-    solve per probe mesh; returns the Meyers observed range."""
+    solve per probe mesh; returns the Meyers observed range.  ``done`` maps
+    the periods whose probe ran inside their sweep row to its row; the
+    others are probed here, factoring their own matrices."""
+    done = done or {}
+    rest = [eps for eps in cfg.eps if eps not in done]
     flux = _default_probe_flux(cfg.dim, cfg.system_dim)
-    hrows = h_convergence_probe(
-        cfg.coefficient, ahat, flux, cfg.eps, modes=cfg.probe.modes,
-        cells_per_eps=cfg.probe.cells_per_eps)
+    done = {**done, **dict(zip(rest, h_convergence_probe(
+        cfg.coefficient, ahat, flux, rest, modes=cfg.probe.modes,
+        cells_per_eps=cfg.probe.cells_per_eps)))}
+    hrows = [done[eps] for eps in cfg.eps]
     _write_csv(out / "hconv.csv", "hconv", [{
         "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
         "pairing_max": float(r.pairings.max()),
@@ -529,9 +577,9 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 
     # finest first: the probe runs while its row's factors are alive, and
     # the next row runs without this row's mesh
-    rows, uniqueness = [], None
+    rows, hconv, uniqueness = [], {}, None
     for eps in reversed(cfg.eps):
-        row, _, fields, frozen = _guarded_run(cfg, ahat, eps)
+        row, _, fields, frozen = _guarded_run(cfg, ahat, eps, hconv)
         rows.append(row)
         if uniqueness is None and row["status"] == "converged":
             probe = local_uniqueness_probe(
@@ -563,7 +611,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         slope, intercept = fit_rate(fit_points)
         summary["rate"] = {"slope": slope, "intercept": intercept}
 
-    summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out)
+    summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out,
+                                                           hconv)
 
     if uniqueness is not None:
         summary["uniqueness"] = uniqueness
@@ -640,8 +689,11 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             row, space, solution, _ = _guarded_run(
                 cfg, ahat, eps if eps is not None else cfg.eps[0])
-            (out / "solve.json").write_text(
-                json.dumps(row, indent=2, sort_keys=True, default=repr))
+            # strict JSON: what was not measured, or not finite, is null
+            (out / "solve.json").write_text(json.dumps(
+                {k: None if isinstance(v, float) and not np.isfinite(v)
+                 else v for k, v in row.items()},
+                indent=2, sort_keys=True, default=repr, allow_nan=False))
             _write_csv(out / "solution.csv", "solution",
                        _solution_rows(space, solution) if space else [])
             log.info("solve row: %s", json.dumps(row, default=repr))

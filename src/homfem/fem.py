@@ -22,6 +22,7 @@ plain system ``A u = rhs``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -112,7 +113,6 @@ class FemSpace:
             raise ValueError("system dimension must be at least 1")
         self.mesh = mesh
         self.n = n
-        self.quad = quadrature_rule(mesh.dim, quadrature)
 
         masters = mesh.master_vertices()
         indep, inverse = np.unique(masters, return_inverse=True)
@@ -135,10 +135,26 @@ class FemSpace:
         self.cell_dofs = (self._vertex_slot[mesh.cells][:, :, None] * n
                           + np.arange(n)[None, None, :])
         self.grads = _hat_gradients(mesh)
+        self._set_quadrature(quadrature)
+
+    def _set_quadrature(self, kind: str) -> None:
+        mesh = self.mesh
+        self.quad = quadrature_rule(mesh.dim, kind)
         pts = mesh.vertices[mesh.cells]  # (nc, nv, dim)
         self.quad_points = np.einsum("qv,cvd->cqd", self.quad.barycentric, pts)
         self.quad_weights = (self.quad.weights[None, :]
                              * mesh.cell_measures[:, None])  # (nc, nq)
+
+    def with_quadrature(self, kind: str) -> "FemSpace":
+        """The same space under another quadrature rule.
+
+        It shares the mesh, the dof layout and every per-space operator
+        built so far (``vertex_pattern``, ``gradient_matrix``,
+        ``gram_matrix``), none of which depends on the rule.
+        """
+        other = copy.copy(self)
+        other._set_quadrature(kind)
+        return other
 
     # -- vector plumbing -------------------------------------------------
 
@@ -328,14 +344,17 @@ class DiscreteField:
 
 
 def _restrict(space, local):
-    """Sum local blocks, shape (nc, nv, n, nv, n), into a free-dof matrix."""
+    """Sum local blocks into a free-dof matrix: ``local(a, b)`` is the
+    (nc, nv, nv) local matrix of test component a against trial component
+    b, built one pair at a time so that the (nc, nv, n, nv, n) array of
+    all of them never exists."""
     pattern = space.vertex_pattern
     nnzb, n = len(pattern.indices), space.n
     blocks = np.empty((nnzb, n, n))
     for a in range(n):
         for b in range(n):
             blocks[:, a, b] = np.bincount(
-                pattern.slot, weights=local[:, :, a, :, b].ravel(),
+                pattern.slot, weights=local(a, b).ravel(),
                 minlength=nnzb + 1)[:nnzb]
     # the matrix gets its own index arrays: in-place operations on it, such
     # as eliminate_zeros compacting them, must never reach the cache
@@ -354,11 +373,16 @@ def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
     column of the trial hat.
     """
     nc, nq = space.quad_points.shape[:2]
-    a = tensor.evaluate(space.quad_points.reshape(nc * nq, space.mesh.dim))
-    a = a.reshape(nc, nq, *a.shape[1:])  # (nc,nq,n,n,N,N)
-    local = np.einsum("cq,cqabij,cwi,cvj->cwavb", space.quad_weights, a,
-                      space.grads, space.grads, optimize=True)
-    return SparseOperator(space, _restrict(space, local))
+    values = tensor.evaluate(
+        space.quad_points.reshape(nc * nq, space.mesh.dim))
+    # hat gradients are constant per cell, so the coefficient enters only
+    # through its integral over each cell, (nc, n, n, N, N)
+    cell_a = np.einsum("cq,cq...->c...", space.quad_weights,
+                       values.reshape(nc, nq, *values.shape[1:]))
+    del values
+    grads = space.grads
+    return SparseOperator(space, _restrict(space, lambda a, b: np.einsum(
+        "cij,cwi,cvj->cwv", cell_a[:, a, b], grads, grads, optimize=True)))
 
 
 def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> np.ndarray:
@@ -402,9 +426,9 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
                          f"({nc}, {nq}, {space.n}, {space.mesh.dim}, {space.n})")
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite jacobian value")
-    local = np.einsum("cq,cqaib,qv,cwi->cwavb", space.quad_weights, jac,
-                      space.quad.barycentric, space.grads, optimize=True)
-    return SparseOperator(space, _restrict(space, local))
+    return SparseOperator(space, _restrict(space, lambda a, b: np.einsum(
+        "cq,cqi,qv,cwi->cwv", space.quad_weights, jac[:, :, a, :, b],
+        space.quad.barycentric, space.grads, optimize=True)))
 
 
 def lu_factor(matrix: sp.spmatrix):
@@ -421,24 +445,59 @@ def lu_factor(matrix: sp.spmatrix):
         raise LinearSolveError(f"linear solve failed: {exc}") from exc
 
 
-def solve_linear(A: SparseOperator, rhs: np.ndarray) -> DiscreteField:
+def _refine(matrix: sp.spmatrix, lu, rhs: np.ndarray) -> np.ndarray:
+    """Iterative refinement ``x <- x + M^{-1} (rhs - A x)`` from ``x = 0``,
+    with ``A = matrix`` and ``M`` the matrix that ``lu`` factors.
+
+    Stops once a correction is at most 1e-16 ``|x|_inf``, or when it did
+    not shrink to at most half the previous one, in which case it is not
+    applied (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 12).  Contracts when ``rho(M^{-1} (M - A)) < 1``.
+    """
+    x = np.zeros_like(rhs)
+    residual, last = rhs, np.inf
+    while True:
+        step = lu.solve(residual)
+        size = np.linalg.norm(step, np.inf)
+        if not size <= 0.5 * last:
+            return x
+        x = x + step
+        if size <= 1e-16 * np.linalg.norm(x, np.inf):
+            return x
+        residual, last = rhs - matrix @ x, size
+
+
+def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray) -> bool:
+    """The residual check: ``|A u - rhs| <= 1e-10 (1 + |rhs|)``."""
+    residual = np.linalg.norm(matrix @ u_free - rhs)
+    return bool(residual <= 1e-10 * (1.0 + np.linalg.norm(rhs)))
+
+
+def solve_linear(A: SparseOperator, rhs: np.ndarray,
+                 near=None) -> DiscreteField:
     """Solve A u = rhs on the free dofs; constrained entries stay zero.
 
-    The residual is verified against 1e-10 * (1 + |rhs|); a quiet
-    rank-deficient factorization fails this check and raises with a
-    conditioning diagnostic.
+    ``near``, when given, is the factorization of a nearby matrix on the
+    same free dofs, such as a linearization the caller already holds: the
+    solve first refines over it (:func:`_refine`) and factors ``A`` only
+    when the refined solution fails the residual check.  The residual is
+    verified against 1e-10 * (1 + |rhs|); a quiet rank-deficient
+    factorization fails this check and raises with a conditioning
+    diagnostic.
     """
     if rhs.shape != (A.space.num_free,):
         raise ValueError("right-hand side length does not match free dofs")
+    if near is not None:
+        u_free = _refine(A.matrix, near, rhs)
+        if _solved(A.matrix, u_free, rhs):
+            return A.space.field_from_free(u_free)
     lu = lu_factor(A.matrix)
     u_free = lu.solve(rhs)
-    bnorm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(A.matrix @ u_free - rhs)
-    if not np.isfinite(residual) or residual > 1e-10 * (1.0 + bnorm):
+    if not _solved(A.matrix, u_free, rhs):
+        residual = np.linalg.norm(A.matrix @ u_free - rhs)
         diag = np.abs(lu.U.diagonal())
         cond = float(diag.max() / diag.min()) if diag.min() > 0 else np.inf
         raise LinearSolveError(
             f"linear solve failed: residual {residual:.3e} exceeds tolerance "
             f"(pivot ratio {cond:.3e})")
     return A.space.field_from_free(u_free)
-

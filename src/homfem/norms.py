@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeff import HomogenizedTensor, TensorField
-from .fem import (DiscreteField, FemSpace, assemble_diffusion,
+from .fem import (DiscreteField, FemSpace, SparseOperator, assemble_diffusion,
                   assemble_divergence_load, solve_linear)
 from .mesh import build_interval_mesh, build_unit_square_mesh
 
 __all__ = [
     "linf_norm",
     "w1p_norm",
+    "homogenized_probe_solution",
     "h_convergence_probe",
     "meyers_probe",
     "fit_rate",
@@ -51,8 +52,13 @@ def w1p_norm(u: DiscreteField) -> float:
 def gradient_lp_norm(u: DiscreteField, p: float) -> float:
     """(sum_a,i int |d_i u^a|^p)^(1/p), exact for P1."""
     space = u.space
-    grads = space.gradients_on_cells(u.values)
-    total = np.einsum("c,cad->", space.mesh.cell_measures, np.abs(grads) ** p)
+    return _lp_norm(space.mesh.cell_measures,
+                    space.gradients_on_cells(u.values), p)
+
+
+def _lp_norm(cell_measures: np.ndarray, grads: np.ndarray, p: float) -> float:
+    """The gradient L^p norm from per-cell gradients, shape (cells, n, N)."""
+    total = np.einsum("c,cad->", cell_measures, np.abs(grads) ** p)
     return float(total ** (1.0 / p))
 
 
@@ -102,7 +108,10 @@ class HConvergenceRow:
     flux_pairings: np.ndarray   # per test function
     linf_diff: float
     grad_l2_diff: float
-    u_eps: DiscreteField        # the A_eps solve, reused by meyers_probe
+    # what meyers_probe reads of the A_eps solve: its per-cell gradients,
+    # shape (cells, n, N), and the cell measures
+    grad_eps: np.ndarray
+    cell_measures: np.ndarray
 
 
 def _probe_space(dim: int, eps: float, cells_per_eps: int, n: int) -> FemSpace:
@@ -112,62 +121,96 @@ def _probe_space(dim: int, eps: float, cells_per_eps: int, n: int) -> FemSpace:
     return FemSpace(mesh, n, quadrature="3point")
 
 
+def _probe_load(space: FemSpace, flux_fn) -> np.ndarray:
+    """Free-dof load of ``D g``, ``g = flux_fn`` at the quadrature points
+    of ``space``, which uses the 3-point rule."""
+    nc, nq = space.quad_points.shape[:2]
+    g = flux_fn(space.quad_points.reshape(nc * nq, space.mesh.dim))
+    return assemble_divergence_load(space, np.asarray(g, dtype=float).reshape(
+        nc, nq, space.n, space.mesh.dim))
+
+
+def homogenized_probe_solution(A_hat: SparseOperator, flux_fn,
+                               near=None) -> DiscreteField:
+    """The probe's ``Ahat uhat + D g = 0`` on ``A_hat.space``.
+
+    ``A_hat`` is the effective operator under any quadrature rule: its
+    tensor is constant, so every rule assembles it exactly.  The solve
+    refines over ``near``, a factorization of a nearby matrix on the same
+    free dofs (see :func:`~homfem.fem.solve_linear`), when given.
+    """
+    load = _probe_load(A_hat.space.with_quadrature("3point"), flux_fn)
+    return solve_linear(A_hat, -load, near=near)
+
+
 def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
                         flux_fn, eps_list, modes: int = 4,
-                        cells_per_eps: int = 8) -> list[HConvergenceRow]:
+                        cells_per_eps: int = 8, *, u_hat=None,
+                        near=None) -> list[HConvergenceRow]:
     """Weak-convergence diagnostics of a coefficient family toward its limit.
 
     For each scale the linear problems ``A_eps u + D g = 0`` and
     ``Ahat uhat + D g = 0`` are solved on a shared mesh (resolved at
-    ``cells_per_eps`` cells per oscillation) and the rows report the smeared
-    differences ``|int (u_eps - uhat) psi|`` and
+    ``cells_per_eps`` cells per oscillation, under the 3-point rule) and
+    the rows report the smeared differences ``|int (u_eps - uhat) psi|`` and
     ``|int (flux_eps - fluxhat) . grad psi|`` per test function, together
     with the max-norm distance and the gradient L2 distance.  The test
     functions are the tensor-product sines ``prod_i sin(k_i pi x_i)`` with
-    ``1 <= k_i <= modes``, ``modes**N`` of them.  Each row keeps
-    its ``u_eps`` solve, from which :func:`meyers_probe` reads its norms.
+    ``1 <= k_i <= modes``, ``modes**N`` of them.  Each row keeps the
+    gradients of its ``u_eps`` solve, from which :func:`meyers_probe` reads
+    its norms.
+
+    A sweep row whose solve mesh is the probe mesh runs its own scale alone
+    (``eps_list`` of one) over its two linearizations at u0: ``u_hat`` is
+    its :func:`homogenized_probe_solution`, refined over ``Ahat + C(u0)``,
+    and the probe runs on ``u_hat``'s space, where the ``A_eps`` solve
+    refines over ``near``, the factorization of ``A_eps + C(u0)``.  Without
+    them each scale builds its mesh and factors both matrices.
 
     ``flux_fn`` maps points (m, N) to load flux values (m, n, N).
     """
+    if u_hat is not None and len(eps_list) != 1:
+        raise ValueError("u_hat is the solution at one scale")
     dim, n = tensor_family.dim, tensor_family.n
     rows = []
     for eps in eps_list:
-        space = _probe_space(dim, eps, cells_per_eps, n)
-        nc, nq = space.quad_points.shape[:2]
-        pts = space.quad_points.reshape(nc * nq, dim)
-        g = np.asarray(flux_fn(pts), dtype=float).reshape(nc, nq, n, dim)
-        load = assemble_divergence_load(space, g)
-
+        space = (u_hat.space.with_quadrature("3point") if u_hat is not None
+                 else _probe_space(dim, eps, cells_per_eps, n))
+        load = _probe_load(space, flux_fn)
         tensor_eps = tensor_family.with_epsilon(eps)
-        u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load)
-        u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
-                             -load)
-
-        du_q = space.values_at_quadrature(u_eps.values - u_hat.values)
-        a_eps = tensor_eps.evaluate(pts).reshape(nc, nq, n, n, dim, dim)
+        u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load,
+                             near=near)
+        uhat = (DiscreteField(space, u_hat.values) if u_hat is not None else
+                solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
+                             -load))
         grad_eps = space.gradients_on_cells(u_eps.values)
-        grad_hat = space.gradients_on_cells(u_hat.values)
-        flux_eps = np.einsum("cqabij,cbj->cqai", a_eps, grad_eps)
-        flux_hat = np.einsum("abij,cbj->cai", ahat.values,
-                             grad_hat)[:, None, :, :]
-        dflux = flux_eps - flux_hat
+        fluxhat = np.einsum("abij,cbj->cai", ahat.values,
+                            space.gradients_on_cells(uhat.values))
 
-        # quadrature-weighted differences, so that each test function's
-        # pairings are two matvecs: rows (point) and (point, direction)
-        weights = space.quad_weights[:, :, None]
-        wdu = (weights * du_q).reshape(nc * nq, n)
-        wdflux = (weights[..., None] * dflux).transpose(0, 1, 3, 2).reshape(
-            nc * nq * dim, n)
+        # quadrature-weighted differences, one quadrature point at a time,
+        # so that each test function's pairings are two matvecs: rows
+        # (point) and (point, direction)
+        nc, nq = space.quad_points.shape[:2]
+        weights = space.quad_weights
+        wdu = (weights[:, :, None] * space.values_at_quadrature(
+            u_eps.values - uhat.values)).reshape(nc * nq, n)
+        wdflux = np.empty((nc, nq, dim, n))
+        for q in range(nq):
+            a_q = tensor_eps.evaluate(space.quad_points[:, q])
+            dflux = np.einsum("cabij,cbj->cai", a_q, grad_eps) - fluxhat
+            wdflux[:, q] = weights[:, q, None, None] * dflux.transpose(0, 2, 1)
+        wdflux = wdflux.reshape(nc * nq * dim, n)
         pairings, flux_pairings = [], []
+        pts = space.quad_points.reshape(nc * nq, dim)
         for val, grad in _sine_modes(pts, modes):
             pairings.append(abs(val @ wdu).sum())
             flux_pairings.append(abs(grad @ wdflux).sum())
-        diff = u_eps - u_hat
+        diff = u_eps - uhat
         rows.append(HConvergenceRow(
             eps=eps, h=space.mesh.h, n_cells=space.mesh.num_cells,
             pairings=np.array(pairings), flux_pairings=np.array(flux_pairings),
             linf_diff=linf_norm(diff), grad_l2_diff=gradient_lp_norm(diff, 2.0),
-            u_eps=u_eps))
+            grad_eps=grad_eps, cell_measures=space.mesh.cell_measures))
     return rows
 
 
@@ -198,7 +241,7 @@ def meyers_probe(rows: list[HConvergenceRow], p_grid) -> MeyersTable:
     norms = np.empty((len(rows), len(p_grid)))
     for r, row in enumerate(rows):
         for c, p in enumerate(p_grid):
-            norms[r, c] = gradient_lp_norm(row.u_eps, p)
+            norms[r, c] = _lp_norm(row.cell_measures, row.grad_eps, p)
     stable = np.array([
         bool(np.all(norms[1:, c] <= np.minimum.accumulate(norms[:, c])[:-1]
                     * (1.0 + MEYERS_SLACK)))

@@ -2,9 +2,8 @@
 
 Four stages: a Newton solve of the effective (non-oscillatory) semilinear
 problem for u0, a smallest-singular-value estimate certifying that u0 is
-non-degenerate, the one-linear-solve approximate solution
-``ubar = -A_eps^{-1} D F(u0)``, and the frozen-operator fixed-point
-iteration
+non-degenerate, the approximate solution ``ubar = -A_eps^{-1} D F(u0)``,
+and the frozen-operator fixed-point iteration
 
     (A_eps + C(u0)) u_{l+1} = C(u0) u_l - D F(u_l),    u_1 = ubar,
 
@@ -19,9 +18,15 @@ Every stage takes its diffusion operator already assembled, as a
 sweep row assembles each once: ``Ahat`` for the Newton solve and the
 margin, and ``A_eps`` for ``ubar`` and the frozen operator, in
 :func:`oscillatory_operator`, the one place a tensor becomes ``A_eps`` and
-which checks the oscillation resolution.  :class:`FrozenOperator` holds
-``A_eps + C(u0)`` over its one factorization; the fixed-point solve and
-every perturbed restart of the uniqueness probe iterate over that one value.
+which checks the oscillation resolution.
+
+Past Newton, a row factors its two linearizations at u0 once each, as a
+:class:`FrozenOperator`: ``Ahat + C(u0)``, over which the margin iterates,
+and ``A_eps + C(u0)``, over which the fixed-point solve and every perturbed
+restart of the uniqueness probe iterate.  ``ubar`` is not a solve with a
+factorization of its own: ``A_eps`` differs from the frozen operator only
+by ``C(u0)``, so :func:`approximate_solution` refines over the frozen
+factors (see :func:`~homfem.fem.solve_linear`).
 
 Newton's iteration and the fixed point run through one loop,
 :func:`_iterate`, which owns the start residual, the finiteness check, the
@@ -193,22 +198,18 @@ def solve_homogenized(ahat: SparseOperator, nl: Nonlinearity,
     return newton_solve(ahat, nl, cfg)
 
 
-def nondegeneracy_margin(ahat: SparseOperator, nl: Nonlinearity,
-                         u0: DiscreteField) -> float:
+def nondegeneracy_margin(linearized: FrozenOperator) -> float:
     """Smallest singular value of the linearized effective operator.
 
-    Estimated by inverse power iteration on the normal equations of
-    ``Ahat + C(u0)`` over the free dofs (at most 30 iterations, stopping at
-    a relative change of 1e-8), then normalized by the cell measure so
-    estimates are comparable across mesh resolutions.  Returns 0.0 when the
-    operator cannot be factorized (discretely degenerate).
+    ``linearized`` holds ``Ahat + C(u0)`` over its factorization.  Estimated
+    by inverse power iteration on the normal equations over the free dofs
+    (at most 30 iterations, stopping at a relative change of 1e-8), then
+    normalized by the cell measure so estimates are comparable across mesh
+    resolutions.  Returns 0.0 when the iteration breaks down (discretely
+    degenerate); an operator that cannot be factored at all raises
+    LinearSolveError as the FrozenOperator is built.
     """
-    space = ahat.space
-    C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u0))
-    try:
-        lu = lu_factor((ahat + C).matrix)
-    except LinearSolveError:
-        return 0.0
+    lu, space = linearized.lu, linearized.diffusion.space
     rng = np.random.default_rng(0)
     x = rng.standard_normal(space.num_free)
     x /= np.linalg.norm(x)
@@ -243,38 +244,43 @@ def oscillatory_operator(space: FemSpace, tensor_eps: TensorField,
     return assemble_diffusion(space, tensor_eps)
 
 
-def approximate_solution(A_eps: SparseOperator, nl: Nonlinearity,
-                         u0: DiscreteField) -> DiscreteField:
-    """One linear solve: A_eps ubar + D F(u0) = 0.
+def approximate_solution(frozen: FrozenOperator) -> DiscreteField:
+    """The linear solve ``A_eps ubar + D F(u0) = 0`` of ``frozen``'s
+    diffusion operator and linearization point.
 
     The cheap oscillation-aware starting element: it carries the fine-scale
-    structure of the coefficient while borrowing the flux from u0.
+    structure of the coefficient while borrowing the flux from u0.  It
+    refines over the frozen factors, which differ from ``A_eps`` by
+    ``C(u0)`` alone, and factors ``A_eps`` only when that does not converge.
     """
-    return solve_linear(A_eps, -_flux_load(A_eps.space, nl, u0))
+    A_eps = frozen.diffusion
+    return solve_linear(A_eps, -_flux_load(A_eps.space, frozen.nl, frozen.u0),
+                        near=frozen.lu)
 
 
 class FrozenOperator:
-    """``A_eps + C(u0)`` over its one factorization.
+    """``A + C(u0)`` over its one factorization, for a diffusion operator
+    ``A``: ``Ahat`` for the margin, ``A_eps`` for the fixed point.
 
     ``C(u0)`` couples trial values against test gradients through the flux
     derivative at ``u0``.  Building it factors once, and raises
     LinearSolveError when the frozen operator is singular; every iteration
     from it, the fixed-point solve and each restart of the uniqueness
-    probe, reuses that factorization.
+    probe, and every solve refined over it reuses that factorization.
     """
 
-    def __init__(self, A_eps: SparseOperator, nl: Nonlinearity,
+    def __init__(self, diffusion: SparseOperator, nl: Nonlinearity,
                  u0: DiscreteField):
-        space = A_eps.space
-        self.A_eps, self.nl, self.u0 = A_eps, nl, u0
+        space = diffusion.space
+        self.diffusion, self.nl, self.u0 = diffusion, nl, u0
         self.C = assemble_jacobian_coupling(space,
                                             eval_F_jacobian(nl, space, u0))
-        self.lu = lu_factor((A_eps + self.C).matrix)
+        self.lu = lu_factor((diffusion + self.C).matrix)
 
     def advance(self, u, load, residual):
         """The fixed-point step: ``u_next`` solves
-        ``(A_eps + C(u0)) u_next = C(u0) u - D F(u)``."""
-        return self.A_eps.space.field_from_free(
+        ``(A + C(u0)) u_next = C(u0) u - D F(u)``."""
+        return self.diffusion.space.field_from_free(
             self.lu.solve(self.C.matrix @ u.free() - load))
 
 
@@ -289,7 +295,7 @@ def fixed_point_solve(frozen: FrozenOperator, start: DiscreteField,
     too large for the frozen linearization to contract.
     """
     cfg = cfg or SolverConfig()
-    return _iterate(frozen.A_eps, frozen.nl, start, frozen.advance,
+    return _iterate(frozen.diffusion, frozen.nl, start, frozen.advance,
                     cfg.fp_tol, cfg.fp_max_iter, "step_norms")
 
 
@@ -332,7 +338,7 @@ def local_uniqueness_probe(frozen: FrozenOperator,
     diverged, at the start's distance from ``u_eps``.
     """
     cfg = cfg or SolverConfig()
-    space = frozen.A_eps.space
+    space = frozen.diffusion.space
     delta = (cfg.delta if cfg.delta is not None
              else 0.1 * (1.0 + linf_norm(frozen.u0)))
     if magnitude is None:

@@ -57,7 +57,7 @@ def fixed_point_from_ubar(A_eps, nl, u0, cfg):
     """The pipeline's fixed point: over the frozen operator at ``u0``,
     started at the approximate solution; returns ``(u_eps, report)``."""
     frozen = FrozenOperator(A_eps, nl, u0)
-    return fixed_point_solve(frozen, approximate_solution(A_eps, nl, u0), cfg)
+    return fixed_point_solve(frozen, approximate_solution(frozen), cfg)
 
 
 # spaces on which the sparse per-space kernels are checked against the

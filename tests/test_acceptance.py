@@ -54,8 +54,8 @@ def sweep_1d():
                                               nl, cfg)
         assert newton_report.status == "converged"
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
         frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
         u_eps, fp_report = fixed_point_solve(frozen, ubar, cfg)
         runs.append({
             "eps": eps, "frozen": frozen, "u0": u0, "ubar": ubar,
@@ -151,7 +151,7 @@ def test_criterion_05_convergence_2d_system():
         A_hat = effective_operator(space, ahat)
         u0, newton_report = solve_homogenized(A_hat, nl, cfg)
         assert newton_report.status == "converged"
-        margin = nondegeneracy_margin(A_hat, nl, u0)
+        margin = nondegeneracy_margin(FrozenOperator(A_hat, nl, u0))
         assert margin > 0
         u_eps, fp_report = fixed_point_from_ubar(
             oscillatory_operator(space, base.with_epsilon(eps), cfg), nl, u0,
@@ -277,7 +277,7 @@ def test_criterion_12_margin_mesh_stability(sweep_1d):
         space = space_1d(n)
         A_hat = effective_operator(space, ahat)
         u0, _ = solve_homogenized(A_hat, nl, cfg)
-        margins.append(nondegeneracy_margin(A_hat, nl, u0))
+        margins.append(nondegeneracy_margin(FrozenOperator(A_hat, nl, u0)))
     rel = abs(margins[1] - margins[0]) / margins[0]
     ok = rel <= 0.10
     _report(12, "non-degeneracy estimate stable under refinement", ok,

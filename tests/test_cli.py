@@ -150,6 +150,20 @@ eps: [0.25]
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, h", [
+        ("value", "{kind: constant, value: .nan}"),
+        ("value", "{kind: constant, value: abc}"),
+        ("value", "{kind: constant, value: true}"),
+        ("shift", "{kind: sin, coeffs: [1.0], shift: abc}"),
+        ("coeffs", "{kind: sin, coeffs: 1.0}"),
+        ("coeffs", "{kind: exp, coeffs: [.nan]}"),
+    ])
+    def test_value_factor_number_named(self, key, h):
+        bad = MINIMAL.replace("h: {kind: constant}", f"h: {h}", 1)
+        with pytest.raises(ConfigError,
+                           match=rf"nonlinearity\.terms\[0\]\.h\.{key}"):
+            parse_config(bad)
+
     @pytest.mark.parametrize("target", ["[1, 3]", "[0, 1]", "[1.5, 1]",
                                         "[2, 1]", "[1]", "1"])
     def test_flux_target_outside_the_index_range_named(self, target):
@@ -388,10 +402,10 @@ mesh: {cells_per_eps: 16, cell_resolution: 16}
         cfg = parse_config(MINIMAL)
         original = cli.run_single
 
-        def failing_finest(cfg_, ahat_, eps_):
+        def failing_finest(cfg_, ahat_, eps_, **kw):
             if eps_ == cfg.eps[-1]:
                 raise RuntimeError("synthetic stage failure")
-            return original(cfg_, ahat_, eps_)
+            return original(cfg_, ahat_, eps_, **kw)
 
         monkeypatch.setattr(cli, "run_single", failing_finest)
         summary = run_sweep(cfg, tmp_path)
@@ -459,6 +473,20 @@ class TestSchemas:
                 assert col["name"] and col["description"]
 
 
+POLE = """
+domain: interval
+tensor: {kind: piecewise, grid: [2], values: [1.0, 4.0]}
+nonlinearity:
+  terms:
+    - target: [1, 1]
+      g: "0.5"
+      h: {kind: rational, numerator: [{coeff: 1.0, powers: [0]}],
+          denominator: [{coeff: 1.0, powers: [1]}]}
+eps: [0.125]
+mesh: {cells_per_eps: 16, cell_resolution: 16}
+"""
+
+
 class TestMain:
     def _write_cfg(self, tmp_path):
         path = tmp_path / "prob.yaml"
@@ -485,23 +513,27 @@ class TestMain:
         # h = 1/u has its pole at the Newton start u = 0: the solve ends in
         # a status, as the same row of a sweep does, not in a traceback
         path = tmp_path / "pole.yaml"
-        path.write_text("""
-domain: interval
-tensor: {kind: piecewise, grid: [2], values: [1.0, 4.0]}
-nonlinearity:
-  terms:
-    - target: [1, 1]
-      g: "0.5"
-      h: {kind: rational, numerator: [{coeff: 1.0, powers: [0]}],
-          denominator: [{coeff: 1.0, powers: [1]}]}
-eps: [0.125]
-mesh: {cells_per_eps: 16, cell_resolution: 16}
-""")
+        path.write_text(POLE)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
         row = json.loads((out / "solve.json").read_text())
         assert row["status"] == "error-ValueError"
         assert _read_csv(out / "solution.csv", "solution") == []
+
+    def test_failed_solve_writes_strict_json(self, tmp_path):
+        # what the failed solve did not measure is null, never NaN
+        path = tmp_path / "pole.yaml"
+        path.write_text(POLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        row = json.loads((out / "solve.json").read_text(),
+                         parse_constant=reject)
+        assert row["margin"] is None and row["h"] is None
+        assert row["eps"] == 0.125 and row["iterations"] == 0
 
     @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1.5"])
     def test_eps_override_out_of_range_named(self, tmp_path, monkeypatch,

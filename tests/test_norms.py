@@ -254,22 +254,28 @@ def _sine_test_functions_2d(modes):
             for k in range(1, modes + 1) for l in range(1, modes + 1)]
 
 
-def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
+def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions,
+                     cells_per_eps):
     """Per-test-function pairings of one probe row, contracted one einsum
-    at a time as the probe did before it weighted the differences once."""
-    space = row.u_eps.space
+    at a time as the probe did before it weighted the differences once,
+    from both solves on the row's own mesh; and the gradients of the
+    ``A_eps`` solve."""
+    space = FemSpace(build_unit_square_mesh(round(cells_per_eps / row.eps)),
+                     ahat.n, quadrature="3point")
+    assert space.mesh.num_cells == row.n_cells
     nc, nq = space.quad_points.shape[:2]
     n, dim = space.n, space.mesh.dim
     pts = space.quad_points.reshape(nc * nq, dim)
     load = assemble_divergence_load(
         space, flux_fn(pts).reshape(nc, nq, n, dim))
+    tensor_eps = tensor_family.with_epsilon(row.eps)
+    u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load)
     u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
                          -load)
-    du_q = space.values_at_quadrature(row.u_eps.values - u_hat.values)
-    a_eps = tensor_family.with_epsilon(row.eps).evaluate(pts).reshape(
-        nc, nq, n, n, dim, dim)
-    flux_eps = np.einsum("cqabij,cbj->cqai", a_eps,
-                         space.gradients_on_cells(row.u_eps.values))
+    du_q = space.values_at_quadrature(u_eps.values - u_hat.values)
+    a_eps = tensor_eps.evaluate(pts).reshape(nc, nq, n, n, dim, dim)
+    grad_eps = space.gradients_on_cells(u_eps.values)
+    flux_eps = np.einsum("cqabij,cbj->cqai", a_eps, grad_eps)
     flux_hat = np.einsum("abij,cbj->cai", ahat.values,
                          space.gradients_on_cells(u_hat.values))
     dflux = flux_eps - flux_hat[:, None, :, :]
@@ -282,7 +288,7 @@ def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions):
         flux_pairings.append(abs(np.einsum("cq,cqai,cqi->a",
                                            space.quad_weights, dflux,
                                            dpsi)).sum())
-    return np.array(pairings), np.array(flux_pairings)
+    return np.array(pairings), np.array(flux_pairings), grad_eps
 
 
 def test_probe_pairings_match_per_function_einsum():
@@ -299,10 +305,13 @@ def test_probe_pairings_match_per_function_einsum():
     rows = h_convergence_probe(base, ahat, flux, [1 / 2, 1 / 4], modes=3,
                                cells_per_eps=4)
     for row in rows:
-        pairings, flux_pairings = _einsum_pairings(row, base, ahat, flux, fns)
+        pairings, flux_pairings, grad_eps = _einsum_pairings(
+            row, base, ahat, flux, fns, cells_per_eps=4)
         assert row.pairings.max() > 0 and row.flux_pairings.max() > 0
         assert_relative_close(row.pairings, pairings, 1e-12)
         assert_relative_close(row.flux_pairings, flux_pairings, 1e-12)
+        # what meyers_probe reads of the row
+        np.testing.assert_array_equal(row.grad_eps, grad_eps)
 
 
 def _linear_solves(tensor, eps_list):

@@ -92,16 +92,16 @@ class TestNondegeneracyMargin:
         ahat = _unit_ahat(value=1.6)
         A_hat = effective_operator(space, ahat)
         u0, _ = solve_homogenized(A_hat, _linear_nl(), SolverConfig())
-        margin = nondegeneracy_margin(A_hat, _linear_nl(), u0)
+        margin = nondegeneracy_margin(FrozenOperator(A_hat, _linear_nl(), u0))
         assert abs(margin - 1.6 * np.pi ** 2) <= 0.01 * 1.6 * np.pi ** 2
 
     def test_scaling_homogeneity(self):
         space = space_1d(64)
         u0 = space.zero_field()
-        m1 = nondegeneracy_margin(
-            effective_operator(space, _unit_ahat(value=1.0)), _linear_nl(), u0)
-        m3 = nondegeneracy_margin(
-            effective_operator(space, _unit_ahat(value=3.0)), _linear_nl(), u0)
+        m1 = nondegeneracy_margin(FrozenOperator(
+            effective_operator(space, _unit_ahat(value=1.0)), _linear_nl(), u0))
+        m3 = nondegeneracy_margin(FrozenOperator(
+            effective_operator(space, _unit_ahat(value=3.0)), _linear_nl(), u0))
         assert np.isclose(m3, 3.0 * m1, rtol=1e-6)
 
     def test_margin_collapses_under_tuned_coupling(self):
@@ -116,8 +116,8 @@ class TestNondegeneracyMargin:
             nl = Nonlinearity(1, 1, [], p0=4.0)
             nl.term(0, 0, ExpressionFactor(f"{kappa}*(x - 0.5)", 1),
                     Polynomial([(1.0, (1,))], 1))
-            return nondegeneracy_margin(effective_operator(space, ahat), nl,
-                                        u0)
+            return nondegeneracy_margin(FrozenOperator(
+                effective_operator(space, ahat), nl, u0))
 
         margins = [margin_at(k) for k in (0.0, 10.0, 30.0, 50.0)]
         assert all(b < a for a, b in zip(margins, margins[1:]))
@@ -142,7 +142,7 @@ class TestApproximateSolution:
         cfg = SolverConfig()
         A_hat = effective_operator(space, ahat)
         u0, _ = solve_homogenized(A_hat, nl, cfg)
-        ubar = approximate_solution(A_hat, nl, u0)
+        ubar = approximate_solution(FrozenOperator(A_hat, nl, u0))
         assert linf_norm(ubar - u0) <= 1e-10
 
     def test_u_independent_flux_is_exact_solution(self):
@@ -153,9 +153,10 @@ class TestApproximateSolution:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(1 / 16), cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
-        u_eps, report = fixed_point_solve(FrozenOperator(A_eps, nl, u0), ubar,
+        frozen = FrozenOperator(A_eps, nl, u0)
+        u_eps, report = fixed_point_solve(frozen, approximate_solution(frozen),
                                           cfg)
+        ubar = approximate_solution(frozen)
         assert report.iterations == 1
         assert linf_norm(u_eps - ubar) <= 1e-12
 
@@ -166,9 +167,9 @@ class TestApproximateSolution:
         for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
             space = space_1d(round(16 / eps))
             u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
-            ubar = approximate_solution(
+            ubar = approximate_solution(FrozenOperator(
                 oscillatory_operator(space, base.with_epsilon(eps), cfg), nl,
-                u0)
+                u0))
             gaps.append(linf_norm(ubar - u0))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -188,8 +189,8 @@ class TestFixedPointSolve:
         assert len([w for w in caught if "resolve" in str(w.message)]) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ubar = approximate_solution(A_eps, nl, u0)
             frozen = FrozenOperator(A_eps, nl, u0)
+            ubar = approximate_solution(frozen)
             u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
             local_uniqueness_probe(frozen, cfg, trials=1, ubar=ubar,
                                    u_eps=u_eps)
@@ -244,8 +245,9 @@ class TestFixedPointSolve:
                                   SolverConfig())
         te = base.with_epsilon(eps)
         A_eps = oscillatory_operator(space, te, cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
-        u_next, _ = fixed_point_solve(FrozenOperator(A_eps, nl, u0), ubar, cfg)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
+        u_next, _ = fixed_point_solve(frozen, ubar, cfg)
 
         from homfem.fem import assemble_divergence_load, lu_factor
         from homfem.nonlin import eval_F
@@ -294,9 +296,9 @@ class TestFixedPointSolve:
             space = space_1d(round(16 / eps))
             u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
             A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-            ubar = approximate_solution(A_eps, nl, u0)
-            u_eps, report = fixed_point_solve(FrozenOperator(A_eps, nl, u0),
-                                              ubar, cfg)
+            frozen = FrozenOperator(A_eps, nl, u0)
+            ubar = approximate_solution(frozen)
+            u_eps, report = fixed_point_solve(frozen, ubar, cfg)
             bound = linf_norm(ubar - u0) + report.step_norms[0]
             ratios.append(linf_norm(u_eps - u0) / bound)
         assert max(ratios) / min(ratios) <= 2.0
@@ -347,8 +349,8 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
         frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
         u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
         probe = local_uniqueness_probe(frozen, cfg, trials=2, seed=0,
                                        magnitude=0.0, ubar=ubar, u_eps=u_eps)
@@ -361,8 +363,8 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
         frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
         u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
         probe = local_uniqueness_probe(frozen, cfg, trials=5, seed=11,
                                        ubar=ubar, u_eps=u_eps)
@@ -377,8 +379,8 @@ class TestLocalUniquenessProbe:
         cfg = SolverConfig()
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-        ubar = approximate_solution(A_eps, nl, u0)
         frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
         u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
         probe = local_uniqueness_probe(frozen, cfg, trials=2, seed=1,
                                        magnitude=1000.0, ubar=ubar,

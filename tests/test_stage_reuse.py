@@ -5,25 +5,34 @@ The counters wrap a homfem function at every homfem module that binds it
 ``solve_homogenized`` from ``solver``), so every call is seen.
 """
 
+import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import homfem.cli
+from homfem.cell import solve_cell_problems
 from homfem.cli import main, parse_config, run_single, run_sweep
 from homfem.fem import (FemSpace, assemble_diffusion,
-                        assemble_jacobian_coupling, lu_factor)
-from homfem.mesh import build_unit_square_mesh
-from homfem.nonlin import eval_F, eval_F_jacobian
+                        assemble_divergence_load, assemble_jacobian_coupling,
+                        lu_factor, solve_linear)
+from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
+from homfem.nonlin import (Constant, ExpressionFactor, Nonlinearity,
+                           Polynomial, eval_F, eval_F_jacobian)
+from homfem.norms import homogenized_probe_solution
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
                            local_uniqueness_probe, newton_solve,
                            oscillatory_operator, solve_homogenized)
 
-from conftest import (coo_diffusion, coupled_scenario_2d, effective_operator,
-                      space_1d)
+from conftest import (assert_relative_close, coo_diffusion,
+                      coupled_scenario_2d, effective_operator,
+                      piecewise_14_tensor, space_1d)
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 CONFIG = """
 domain: interval
@@ -69,14 +78,14 @@ def test_uniqueness_probe_factors_once(scenario_1d, count_calls):
     cfg = SolverConfig()
     u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
     A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-    ubar = approximate_solution(A_eps, nl, u0)
     factored = count_calls(lu_factor)
     frozen = FrozenOperator(A_eps, nl, u0)
+    ubar = approximate_solution(frozen)
     u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
     probe = local_uniqueness_probe(frozen, cfg, trials=5, seed=3,
                                    ubar=ubar, u_eps=u_eps)
-    # the caller's ubar: only A_eps + C(u0), shared by the fixed point and
-    # every restart
+    # only A_eps + C(u0): ubar refines over it, and the fixed point and
+    # every restart iterate over it
     assert len(factored) == 1
     assert probe.all_same and len(probe.statuses) == 5
 
@@ -190,10 +199,120 @@ def test_fixed_point_evaluates_the_flux_once_per_iterate(scenario_1d,
     cfg = SolverConfig()
     u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
     A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
-    ubar = approximate_solution(A_eps, nl, u0)
     frozen = FrozenOperator(A_eps, nl, u0)
+    ubar = approximate_solution(frozen)
     evaluated = count_calls(eval_F)
     _, report = fixed_point_solve(frozen, ubar, cfg)
     assert report.status == "converged" and report.iterations >= 2
     # the start's load, then one load per iterate
     assert len(evaluated) == report.iterations + 1
+
+
+def test_refined_solves_equal_direct_solves(count_calls):
+    # the coupled 2D system on a 32 x 32 grid at eps = 1/4: ubar and both
+    # linear-probe systems, refined over the two linearizations at u0
+    base, nl = coupled_scenario_2d()
+    ahat = solve_cell_problems(base, build_periodic_cell_mesh(16, 2)).ahat
+    space = FemSpace(build_unit_square_mesh(32), 2)
+    A_hat = effective_operator(space, ahat)
+    u0, report = solve_homogenized(A_hat, nl)
+    assert report.status == "converged"
+    tensor_eps = base.with_epsilon(1 / 4)
+    A_eps = assemble_diffusion(space, tensor_eps)
+    probe_space = space.with_quadrature("3point")
+    flux = homfem.cli._default_probe_flux(2, 2)
+    nc, nq = probe_space.quad_points.shape[:2]
+    load = assemble_divergence_load(probe_space, flux(
+        probe_space.quad_points.reshape(nc * nq, 2)).reshape(nc, nq, 2, 2))
+    A_eps_probe = assemble_diffusion(probe_space, tensor_eps)
+    direct = {
+        "ubar": solve_linear(A_eps, -assemble_divergence_load(
+            space, eval_F(nl, space, u0))),
+        "probe Ahat": solve_linear(
+            effective_operator(probe_space, ahat), -load),
+        "probe A_eps": solve_linear(A_eps_probe, -load),
+    }
+    linearized = FrozenOperator(A_hat, nl, u0)
+    frozen = FrozenOperator(A_eps, nl, u0)
+    factored = count_calls(lu_factor)
+    refined = {
+        "ubar": approximate_solution(frozen),
+        "probe Ahat": homogenized_probe_solution(A_hat, flux,
+                                                 near=linearized.lu),
+        "probe A_eps": solve_linear(A_eps_probe, -load, near=frozen.lu),
+    }
+    assert factored == []
+    for name, u in refined.items():
+        assert_relative_close(u.free(), direct[name].free(), 1e-12)
+
+
+def test_lu_that_does_not_contract_falls_back_to_one_factorization(
+        count_calls):
+    # a coupling far stronger than the diffusion: the refinement's
+    # iteration matrix (A + C)^{-1} C has spectral radius about 2
+    space = space_1d(64)
+    A_eps = assemble_diffusion(space, piecewise_14_tensor().with_epsilon(1 / 8))
+    nl = Nonlinearity(1, 1, [], p0=4.0)
+    nl.term(0, 0, ExpressionFactor("200*(x - 0.5)", 1),
+            Polynomial([(1.0, (1,))], 1))
+    nl.term(0, 0, ExpressionFactor("sin(2*pi*x)", 1), Constant(1.0, 1))
+    u0 = space.zero_field()
+    frozen = FrozenOperator(A_eps, nl, u0)
+    C, M = frozen.C.matrix.toarray(), (A_eps + frozen.C).matrix.toarray()
+    assert max(abs(np.linalg.eigvals(np.linalg.solve(M, C)))) > 1
+    factored = count_calls(lu_factor)
+    ubar = approximate_solution(frozen)
+    assert len(factored) == 1 and factored[0] is A_eps.matrix
+    direct = solve_linear(A_eps, -assemble_divergence_load(
+        space, eval_F(nl, space, u0)))
+    np.testing.assert_array_equal(ubar.values, direct.values)
+
+
+def test_sweep_on_the_probe_mesh_factors_nothing_for_ubar_or_the_probe(
+        tmp_path, monkeypatch, count_calls):
+    cfg = parse_config(CONFIG.replace("cells_per_eps: 16", "cells_per_eps: 8"))
+    assert cfg.mesh.cells_per_eps == cfg.probe.cells_per_eps
+    factored = count_calls(lu_factor)
+    during = {"approximate_solution": [], "h_convergence_probe": []}
+
+    def counted(name):
+        stage = getattr(homfem.cli, name)
+
+        def run(*args, **kwargs):
+            before = len(factored)
+            result = stage(*args, **kwargs)
+            during[name].append(len(factored) - before)
+            return result
+        monkeypatch.setattr(homfem.cli, name, run)
+
+    for name in during:
+        counted(name)
+    run_sweep(cfg, tmp_path)
+    # each row's ubar and probe refine over the row's two linearizations
+    assert during["approximate_solution"] == [0] * len(cfg.eps)
+    assert len(during["h_convergence_probe"]) >= len(cfg.eps)
+    assert not any(during["h_convergence_probe"])
+    assert len(factored) > 0
+
+
+def _numeric_rows(path):
+    with open(path, newline="") as fh:
+        return [{k: float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def test_sweep_and_probe_tables_agree_on_the_coupled_config(tmp_path):
+    # the sweep probes each eps inside its row, refined over the row's
+    # linearizations; the probe command factors every probe matrix
+    config = str(CONFIGS / "coupled_2d.yaml")
+    for command in ("sweep", "probe"):
+        assert main([command, "--config", config,
+                     "--out", str(tmp_path / command)]) == 0
+    for name in ("hconv.csv", "meyers.csv"):
+        swept = _numeric_rows(tmp_path / "sweep" / name)
+        probed = _numeric_rows(tmp_path / "probe" / name)
+        assert len(swept) == len(probed) > 0
+        for a, b in zip(swept, probed):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert abs(a[key] - b[key]) <= 1e-9 * abs(b[key]), (name, key)
