@@ -36,13 +36,13 @@ import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import FemSpace, LinearSolveError, assemble_diffusion
+from .fem import DiscreteField, FemSpace, LinearSolveError, assemble_diffusion
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
                      validate)
-from .norms import (fit_rate, h_convergence_probe, homogenized_probe_solution,
-                    linf_norm, meyers_probe)
+from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
+                    homogenized_probe_solution, linf_norm, meyers_probe)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
                      fixed_point_solve, local_uniqueness_probe,
                      nondegeneracy_margin, oscillatory_operator,
@@ -195,10 +195,18 @@ class ProblemConfig:
         return Nonlinearity(self.system_dim, self.dim, terms, p0=spec.p0)
 
     def build_domain_space(self, eps: float) -> FemSpace:
-        cells = max(2, int(round(self.mesh.cells_per_eps / eps)))
+        return self._space(max(2, round(self.mesh.cells_per_eps / eps)),
+                           self.quadrature)
+
+    def build_probe_space(self, eps: float) -> FemSpace:
+        """The linear probe's own space at ``eps``, under the 3-point rule."""
+        return self._space(max(4, round(self.probe.cells_per_eps / eps)),
+                           "3point")
+
+    def _space(self, cells: int, quadrature: str) -> FemSpace:
         mesh = (build_interval_mesh(cells) if self.dim == 1
                 else build_unit_square_mesh(cells))
-        return FemSpace(mesh, self.system_dim, quadrature=self.quadrature)
+        return FemSpace(mesh, self.system_dim, quadrature=quadrature)
 
     def build_cell_mesh(self):
         return build_periodic_cell_mesh(self.mesh.cell_resolution, self.dim)
@@ -423,31 +431,41 @@ def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
             "iterations": 0, "max_contraction": np.nan, "status": status}
 
 
-def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-               hconv: dict | None = None):
+@dataclass
+class RowResult:
+    """What one period's solve reached: the sweep row, the solve space, the
+    fields among ``u0``, ``ubar`` and ``ueps``, the FrozenOperator once the
+    fixed point ran, and the row's linear probe (or its error record)."""
+
+    row: dict
+    space: FemSpace | None = None
+    fields: dict = dc_field(default_factory=dict)
+    frozen: FrozenOperator | None = None
+    probe: HConvergenceRow | str | None = None
+
+
+def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
+               eps: float) -> RowResult:
     """One full solve at a single oscillation period.
 
-    Returns ``(row, space, fields, frozen)``: the sweep row, the solve
-    space, the fields that the solve reached, among ``u0``, ``ubar`` and
-    ``ueps``, and the row's FrozenOperator once the fixed point ran (None
-    before).  ``Ahat`` and ``A_eps`` are each assembled once and handed to
-    every stage that uses them; the resolution check runs once, as
-    ``A_eps`` is built.  Past Newton the row factors its two linearizations
-    at ``u0`` once each, ``Ahat + C(u0)`` and then ``A_eps + C(u0)``, and
-    never holds both.
+    ``Ahat`` and ``A_eps`` are each assembled once and handed to every
+    stage that uses them; the resolution check runs once, as ``A_eps`` is
+    built.  Past Newton the row factors its two linearizations at ``u0``
+    once each, ``Ahat + C(u0)`` and then ``A_eps + C(u0)``, and never holds
+    both.
 
-    ``hconv``, when given, receives ``{eps: HConvergenceRow}`` once the
-    fixed point ran, if the probe mesh is this row's mesh: the linear probe
-    at this eps, with each of its solves refined over the matching
-    linearization.
+    When the probe mesh is the row's mesh, the row runs the linear probe at
+    its period with the two calls of :func:`_probe_scale`, its ``Ahat`` and
+    ``A_eps`` solves refined over ``Ahat + C(u0)`` and ``A_eps + C(u0)``.
+    A probe failure is recorded in ``probe`` and leaves the row as it is.
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
-    fields, frozen = {}, None
     A_hat = assemble_diffusion(space, ahat.as_tensor_field())
     u0, newton_report = solve_homogenized(A_hat, nl, cfg.solver)
-    row = _row(eps, "homogenized-" + newton_report.status,
-               space.mesh.spacing, space.mesh.num_cells)
+    result = RowResult(_row(eps, "homogenized-" + newton_report.status,
+                            space.mesh.spacing, space.mesh.num_cells), space)
+    row, fields = result.row, result.fields
     if newton_report.status == "converged":
         fields["u0"] = u0
         try:
@@ -460,19 +478,18 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
         if margin <= 0:
             row["status"] = "degenerate"
         else:
+            flux = _default_probe_flux(cfg.dim, cfg.system_dim)
             # the probe builds at least 4 cells per side, the row at least
             # 2: from 4 cells per period on both build cells_per_eps / eps
-            probe = (hconv is not None and
-                     cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4)
-            if probe:
-                flux = _default_probe_flux(cfg.dim, cfg.system_dim)
-                u_hat = homogenized_probe_solution(A_hat, flux,
-                                                   near=linearized.lu)
+            if cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4:
+                result.probe = _guarded_probe(
+                    eps, homogenized_probe_solution, A_hat, flux,
+                    near=linearized.lu)
             # no two linearizations are held at once
             del A_hat, linearized
-            A_eps = oscillatory_operator(
-                space, cfg.coefficient.with_epsilon(eps), cfg.solver)
-            frozen = FrozenOperator(A_eps, nl, u0)
+            tensor_eps = cfg.coefficient.with_epsilon(eps)
+            A_eps = oscillatory_operator(space, tensor_eps, cfg.solver)
+            result.frozen = frozen = FrozenOperator(A_eps, nl, u0)
             ubar = approximate_solution(frozen)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)
@@ -483,13 +500,11 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
-            if probe:
-                hconv[eps], = h_convergence_probe(
-                    cfg.coefficient, ahat, flux, [eps],
-                    modes=cfg.probe.modes,
-                    cells_per_eps=cfg.probe.cells_per_eps, u_hat=u_hat,
-                    near=frozen.lu)
-    return row, space, fields, frozen
+            if isinstance(result.probe, DiscreteField):
+                result.probe = _guarded_probe(
+                    eps, h_convergence_probe, tensor_eps, ahat, result.probe,
+                    flux, modes=cfg.probe.modes, near=frozen.lu)
+    return result
 
 
 def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
@@ -509,30 +524,48 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
     return rows
 
 
-def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-                 hconv: dict | None = None):
+def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
+                 eps: float) -> RowResult:
     """run_single, but any stage failure lands in the row (with no space,
     no fields and no frozen operator) and the sweep continues."""
     try:
-        return run_single(cfg, ahat, eps, hconv=hconv)
+        return run_single(cfg, ahat, eps)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
         log.warning("solve at eps=%g failed: %s", eps, exc)
-        return _row(eps, f"error-{type(exc).__name__}"), None, {}, None
+        return RowResult(_row(eps, f"error-{type(exc).__name__}"))
+
+
+def _guarded_probe(eps: float, stage, *args, **kwargs):
+    """``stage(*args, **kwargs)``, a step of the linear probe at ``eps``;
+    a failure is logged and returned as ``"error-<Type>: <message>"``."""
+    try:
+        return stage(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - recorded in summary.json
+        log.warning("linear probe at eps=%g failed: %s", eps, exc)
+        return f"error-{type(exc).__name__}: {exc}"
+
+
+def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+                 flux) -> HConvergenceRow:
+    """The linear probe at ``eps`` on its own space, factoring both solves."""
+    u_hat = homogenized_probe_solution(assemble_diffusion(
+        cfg.build_probe_space(eps), ahat.as_tensor_field()), flux)
+    return h_convergence_probe(cfg.coefficient.with_epsilon(eps), ahat,
+                               u_hat, flux, modes=cfg.probe.modes)
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
-                        out: Path, done: dict | None = None) -> float:
-    """The linear probes: writes ``hconv.csv`` and ``meyers.csv`` from one
-    solve per probe mesh; returns the Meyers observed range.  ``done`` maps
-    the periods whose probe ran inside their sweep row to its row; the
-    others are probed here, factoring their own matrices."""
+                        out: Path, done: dict | None = None) -> dict:
+    """Writes ``hconv.csv`` and ``meyers.csv`` from one probe per period:
+    ``done``'s, run in the sweep rows, then :func:`_probe_scale`'s.  Returns
+    the ``summary.json`` entries: the Meyers observed range and, when a
+    period failed (it is left out of both tables), ``probe_errors``."""
     done = done or {}
-    rest = [eps for eps in cfg.eps if eps not in done]
     flux = _default_probe_flux(cfg.dim, cfg.system_dim)
-    done = {**done, **dict(zip(rest, h_convergence_probe(
-        cfg.coefficient, ahat, flux, rest, modes=cfg.probe.modes,
-        cells_per_eps=cfg.probe.cells_per_eps)))}
-    hrows = [done[eps] for eps in cfg.eps]
+    probes = {eps: done[eps] if eps in done else
+              _guarded_probe(eps, _probe_scale, cfg, ahat, eps, flux)
+              for eps in cfg.eps}
+    hrows = [r for r in probes.values() if isinstance(r, HConvergenceRow)]
     _write_csv(out / "hconv.csv", "hconv", [{
         "eps": r.eps, "h": r.h, "n_cells": r.n_cells,
         "pairing_max": float(r.pairings.max()),
@@ -544,7 +577,11 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
         {"eps": e, "p": p, "grad_lp": float(mtable.norms[r, c])}
         for r, e in enumerate(mtable.eps_list)
         for c, p in enumerate(mtable.p_grid)])
-    return mtable.observed_range
+    entries = {"meyers_observed_range": mtable.observed_range}
+    errors = {eps: r for eps, r in probes.items() if isinstance(r, str)}
+    if errors:
+        entries["probe_errors"] = errors
+    return entries
 
 
 def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
@@ -563,9 +600,6 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
 
 
 def _sweep(cfg: ProblemConfig, out: Path) -> dict:
-    log.info("effective config: %s",
-             json.dumps(cfg.effective_dict(), sort_keys=True))
-
     validation = validate(cfg.flux)
     if not validation.passed:
         log.warning("nonlinearity validation failed: %s",
@@ -577,22 +611,25 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 
     # finest first: the probe runs while its row's factors are alive, and
     # the next row runs without this row's mesh
-    rows, hconv, uniqueness = [], {}, None
+    rows, probes, uniqueness = [], {}, None
     for eps in reversed(cfg.eps):
-        row, _, fields, frozen = _guarded_run(cfg, ahat, eps, hconv)
-        rows.append(row)
-        if uniqueness is None and row["status"] == "converged":
-            probe = local_uniqueness_probe(
-                frozen, cfg.solver, trials=cfg.probe.trials, seed=cfg.seed,
-                ubar=fields["ubar"], u_eps=fields["ueps"])
+        result = _guarded_run(cfg, ahat, eps)
+        rows.append(result.row)
+        if result.probe is not None:
+            probes[eps] = result.probe
+        if uniqueness is None and result.row["status"] == "converged":
+            report = local_uniqueness_probe(
+                result.frozen, cfg.solver, trials=cfg.probe.trials,
+                seed=cfg.seed, ubar=result.fields["ubar"],
+                u_eps=result.fields["ueps"])
             uniqueness = {
                 "eps": eps,
-                "all_same": probe.all_same,
-                "outside_ball": probe.outside_ball,
-                "max_distance": max(probe.distances),
-                "statuses": probe.statuses,
+                "all_same": report.all_same,
+                "outside_ball": report.outside_ball,
+                "max_distance": max(report.distances),
+                "statuses": report.statuses,
             }
-        del _, fields, frozen
+        del result
     rows.reverse()
     _write_csv(out / "sweep.csv", "sweep", rows)
     for row in rows:
@@ -611,8 +648,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         slope, intercept = fit_rate(fit_points)
         summary["rate"] = {"slope": slope, "intercept": intercept}
 
-    summary["meyers_observed_range"] = _write_probe_tables(cfg, ahat, out,
-                                                           hconv)
+    summary.update(_write_probe_tables(cfg, ahat, out, probes))
 
     if uniqueness is not None:
         summary["uniqueness"] = uniqueness
@@ -636,6 +672,8 @@ def _run_log(cfg: ProblemConfig, out: Path):
     log.handlers[:] = handlers
     for w in cfg.warnings:
         log.warning(w)
+    log.info("effective config: %s",
+             json.dumps(cfg.effective_dict(), sort_keys=True))
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, category, *_: log.warning(
@@ -687,19 +725,21 @@ def main(argv=None) -> int:
             (out / "ahat.json").write_text(ahat.to_json())
             log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
         elif args.command == "solve":
-            row, space, solution, _ = _guarded_run(
-                cfg, ahat, eps if eps is not None else cfg.eps[0])
+            result = _guarded_run(cfg, ahat,
+                                  eps if eps is not None else cfg.eps[0])
+            row = result.row
             # strict JSON: what was not measured, or not finite, is null
             (out / "solve.json").write_text(json.dumps(
                 {k: None if isinstance(v, float) and not np.isfinite(v)
                  else v for k, v in row.items()},
                 indent=2, sort_keys=True, default=repr, allow_nan=False))
             _write_csv(out / "solution.csv", "solution",
-                       _solution_rows(space, solution) if space else [])
+                       _solution_rows(result.space, result.fields)
+                       if result.space else [])
             log.info("solve row: %s", json.dumps(row, default=repr))
             return int(row["status"].startswith("error-"))
         elif args.command == "probe":
-            _write_probe_tables(cfg, ahat, out)
+            return int("probe_errors" in _write_probe_tables(cfg, ahat, out))
     return 0
 
 

@@ -306,8 +306,6 @@ class TermReport:
     i: int
     source: str
     integral_estimate: float
-    refinement_ratio: float
-    integrable: bool
     passed: bool
 
 
@@ -339,8 +337,7 @@ def validate(nl: Nonlinearity) -> ValidationReport:
     last refinement grows the value by at most 20% (integrable singularities
     stabilize, divergent ones keep growing: a local |x|^-s blow-up of the
     integrand inflates the estimate by 2^(s-1) per refinement).  Marginally
-    divergent factors can evade a sampled check; the ratio is reported so
-    borderline terms are visible.
+    divergent factors can evade a sampled check.
     """
     dim = nl.dim
     report = ValidationReport(p0=nl.p0, dim=dim, exponent_ok=nl.p0 > dim)
@@ -354,8 +351,7 @@ def validate(nl: Nonlinearity) -> ValidationReport:
         source = getattr(t.g, "source", type(t.g).__name__)
         report.terms.append(TermReport(
             alpha=t.alpha, i=t.i, source=source,
-            integral_estimate=estimates[-1], refinement_ratio=ratio,
-            integrable=stable, passed=stable and exponent_ok))
+            integral_estimate=estimates[-1], passed=stable and exponent_ok))
     if not report.exponent_ok:
         report.reason = f"p0 must exceed N (p0={nl.p0}, N={dim})"
     return report

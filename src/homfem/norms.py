@@ -16,7 +16,6 @@ import numpy as np
 from .coeff import HomogenizedTensor, TensorField
 from .fem import (DiscreteField, FemSpace, SparseOperator, assemble_diffusion,
                   assemble_divergence_load, solve_linear)
-from .mesh import build_interval_mesh, build_unit_square_mesh
 
 __all__ = [
     "linf_norm",
@@ -114,13 +113,6 @@ class HConvergenceRow:
     cell_measures: np.ndarray
 
 
-def _probe_space(dim: int, eps: float, cells_per_eps: int, n: int) -> FemSpace:
-    cells = max(4, int(round(cells_per_eps / eps)))
-    mesh = (build_interval_mesh(cells) if dim == 1
-            else build_unit_square_mesh(cells))
-    return FemSpace(mesh, n, quadrature="3point")
-
-
 def _probe_load(space: FemSpace, flux_fn) -> np.ndarray:
     """Free-dof load of ``D g``, ``g = flux_fn`` at the quadrature points
     of ``space``, which uses the 3-point rule."""
@@ -143,75 +135,59 @@ def homogenized_probe_solution(A_hat: SparseOperator, flux_fn,
     return solve_linear(A_hat, -load, near=near)
 
 
-def h_convergence_probe(tensor_family: TensorField, ahat: HomogenizedTensor,
-                        flux_fn, eps_list, modes: int = 4,
-                        cells_per_eps: int = 8, *, u_hat=None,
-                        near=None) -> list[HConvergenceRow]:
-    """Weak-convergence diagnostics of a coefficient family toward its limit.
+def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
+                        u_hat: DiscreteField, flux_fn, modes: int = 4,
+                        near=None) -> HConvergenceRow:
+    """Weak-convergence diagnostics of one family member toward its limit.
 
-    For each scale the linear problems ``A_eps u + D g = 0`` and
-    ``Ahat uhat + D g = 0`` are solved on a shared mesh (resolved at
-    ``cells_per_eps`` cells per oscillation, under the 3-point rule) and
-    the rows report the smeared differences ``|int (u_eps - uhat) psi|`` and
-    ``|int (flux_eps - fluxhat) . grad psi|`` per test function, together
-    with the max-norm distance and the gradient L2 distance.  The test
-    functions are the tensor-product sines ``prod_i sin(k_i pi x_i)`` with
-    ``1 <= k_i <= modes``, ``modes**N`` of them.  Each row keeps the
-    gradients of its ``u_eps`` solve, from which :func:`meyers_probe` reads
-    its norms.
-
-    A sweep row whose solve mesh is the probe mesh runs its own scale alone
-    (``eps_list`` of one) over its two linearizations at u0: ``u_hat`` is
-    its :func:`homogenized_probe_solution`, refined over ``Ahat + C(u0)``,
-    and the probe runs on ``u_hat``'s space, where the ``A_eps`` solve
-    refines over ``near``, the factorization of ``A_eps + C(u0)``.  Without
-    them each scale builds its mesh and factors both matrices.
+    ``u_hat`` is the :func:`homogenized_probe_solution` of ``Ahat uhat + D g
+    = 0``; on its mesh, under the 3-point rule, the probe solves ``A_eps
+    u + D g = 0`` for ``A_eps`` of ``tensor_eps`` and reports, at the
+    scale ``tensor_eps.epsilon``, the smeared differences ``|int (u_eps -
+    uhat) psi|`` and ``|int (flux_eps - fluxhat) . grad psi|`` per test
+    function, together with the max-norm distance and the gradient L2
+    distance.  The test functions are the tensor-product sines ``prod_i
+    sin(k_i pi x_i)`` with ``1 <= k_i <= modes``, ``modes**N`` of them.  The
+    row keeps the gradients of its ``u_eps`` solve, from which
+    :func:`meyers_probe` reads its norms.  The ``A_eps`` solve refines over
+    ``near``, the factorization of a nearby matrix on the same free dofs
+    (see :func:`~homfem.fem.solve_linear`), when given.
 
     ``flux_fn`` maps points (m, N) to load flux values (m, n, N).
     """
-    if u_hat is not None and len(eps_list) != 1:
-        raise ValueError("u_hat is the solution at one scale")
-    dim, n = tensor_family.dim, tensor_family.n
-    rows = []
-    for eps in eps_list:
-        space = (u_hat.space.with_quadrature("3point") if u_hat is not None
-                 else _probe_space(dim, eps, cells_per_eps, n))
-        load = _probe_load(space, flux_fn)
-        tensor_eps = tensor_family.with_epsilon(eps)
-        u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load,
-                             near=near)
-        uhat = (DiscreteField(space, u_hat.values) if u_hat is not None else
-                solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
-                             -load))
-        grad_eps = space.gradients_on_cells(u_eps.values)
-        fluxhat = np.einsum("abij,cbj->cai", ahat.values,
-                            space.gradients_on_cells(uhat.values))
+    space = u_hat.space.with_quadrature("3point")
+    dim, n = space.mesh.dim, space.n
+    u_eps = solve_linear(assemble_diffusion(space, tensor_eps),
+                         -_probe_load(space, flux_fn), near=near)
+    uhat = DiscreteField(space, u_hat.values)
+    grad_eps = space.gradients_on_cells(u_eps.values)
+    fluxhat = np.einsum("abij,cbj->cai", ahat.values,
+                        space.gradients_on_cells(uhat.values))
 
-        # quadrature-weighted differences, one quadrature point at a time,
-        # so that each test function's pairings are two matvecs: rows
-        # (point) and (point, direction)
-        nc, nq = space.quad_points.shape[:2]
-        weights = space.quad_weights
-        wdu = (weights[:, :, None] * space.values_at_quadrature(
-            u_eps.values - uhat.values)).reshape(nc * nq, n)
-        wdflux = np.empty((nc, nq, dim, n))
-        for q in range(nq):
-            a_q = tensor_eps.evaluate(space.quad_points[:, q])
-            dflux = np.einsum("cabij,cbj->cai", a_q, grad_eps) - fluxhat
-            wdflux[:, q] = weights[:, q, None, None] * dflux.transpose(0, 2, 1)
-        wdflux = wdflux.reshape(nc * nq * dim, n)
-        pairings, flux_pairings = [], []
-        pts = space.quad_points.reshape(nc * nq, dim)
-        for val, grad in _sine_modes(pts, modes):
-            pairings.append(abs(val @ wdu).sum())
-            flux_pairings.append(abs(grad @ wdflux).sum())
-        diff = u_eps - uhat
-        rows.append(HConvergenceRow(
-            eps=eps, h=space.mesh.h, n_cells=space.mesh.num_cells,
-            pairings=np.array(pairings), flux_pairings=np.array(flux_pairings),
-            linf_diff=linf_norm(diff), grad_l2_diff=gradient_lp_norm(diff, 2.0),
-            grad_eps=grad_eps, cell_measures=space.mesh.cell_measures))
-    return rows
+    # quadrature-weighted differences, one quadrature point at a time, so
+    # that each test function's pairings are two matvecs: rows (point) and
+    # (point, direction)
+    nc, nq = space.quad_points.shape[:2]
+    weights = space.quad_weights
+    wdu = (weights[:, :, None] * space.values_at_quadrature(
+        u_eps.values - uhat.values)).reshape(nc * nq, n)
+    wdflux = np.empty((nc, nq, dim, n))
+    for q in range(nq):
+        a_q = tensor_eps.evaluate(space.quad_points[:, q])
+        dflux = np.einsum("cabij,cbj->cai", a_q, grad_eps) - fluxhat
+        wdflux[:, q] = weights[:, q, None, None] * dflux.transpose(0, 2, 1)
+    wdflux = wdflux.reshape(nc * nq * dim, n)
+    pairings, flux_pairings = [], []
+    pts = space.quad_points.reshape(nc * nq, dim)
+    for val, grad in _sine_modes(pts, modes):
+        pairings.append(abs(val @ wdu).sum())
+        flux_pairings.append(abs(grad @ wdflux).sum())
+    diff = u_eps - uhat
+    return HConvergenceRow(
+        eps=tensor_eps.epsilon, h=space.mesh.h, n_cells=space.mesh.num_cells,
+        pairings=np.array(pairings), flux_pairings=np.array(flux_pairings),
+        linf_diff=linf_norm(diff), grad_l2_diff=gradient_lp_norm(diff, 2.0),
+        grad_eps=grad_eps, cell_measures=space.mesh.cell_measures)
 
 
 @dataclass

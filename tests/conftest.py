@@ -13,6 +13,7 @@ from homfem.fem import FemSpace, assemble_diffusion
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.nonlin import Constant, ExpressionFactor, Nonlinearity, Polynomial
+from homfem.norms import h_convergence_probe, homogenized_probe_solution
 
 
 def piecewise_14_tensor():
@@ -134,6 +135,23 @@ def coupled_scenario_2d():
     nl.term(1, 1, ExpressionFactor("0.5*sin(2*pi*x2)", 2), Constant(1.0, 2))
     nl.term(1, 1, ExpressionFactor("0.2", 2), Polynomial([(1.0, (1, 1))], 2))
     return base, nl
+
+
+def probe_rows(tensor, ahat, flux_fn, eps_list, modes=4, cells_per_eps=8):
+    """The linear probe at each scale of ``eps_list``, as ``homfem probe``
+    runs it: on its own mesh of ``max(4, round(cells_per_eps / eps))``
+    cells per side under the 3-point rule, factoring both matrices."""
+    rows = []
+    for eps in eps_list:
+        cells = max(4, round(cells_per_eps / eps))
+        mesh = (build_interval_mesh(cells) if tensor.dim == 1
+                else build_unit_square_mesh(cells))
+        space = FemSpace(mesh, tensor.n, quadrature="3point")
+        u_hat = homogenized_probe_solution(
+            assemble_diffusion(space, ahat.as_tensor_field()), flux_fn)
+        rows.append(h_convergence_probe(tensor.with_epsilon(eps), ahat,
+                                        u_hat, flux_fn, modes=modes))
+    return rows
 
 
 def flux_identity(pts):

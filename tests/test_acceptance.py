@@ -15,7 +15,7 @@ from homfem.coeff import TensorField
 from homfem.fem import FemSpace
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
 from homfem.nonlin import (ExpLinear, Polynomial, Rational, Sinusoid)
-from homfem.norms import fit_rate, h_convergence_probe, linf_norm
+from homfem.norms import fit_rate, linf_norm
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
                            local_uniqueness_probe, newton_solve,
@@ -24,7 +24,8 @@ from homfem.solver import (FrozenOperator, SolverConfig,
 
 from conftest import (coupled_scenario_2d, effective_operator,
                       fixed_point_from_ubar, flux_identity,
-                      oscillatory_scenario_1d, piecewise_14_tensor, space_1d)
+                      oscillatory_scenario_1d, piecewise_14_tensor,
+                      probe_rows, space_1d)
 
 EPS_SWEEP_1D = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
@@ -226,8 +227,8 @@ def test_criterion_09_starting_element_asymmetry(sweep_1d):
 def test_criterion_10_h_convergence_probe():
     base = piecewise_14_tensor()
     ahat = homogenized_tensor_1d(base)
-    rows = h_convergence_probe(base, ahat, flux_identity,
-                               [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    rows = probe_rows(base, ahat, flux_identity,
+                      [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     # solution pairings must decrease mode by mode; flux pairings decrease
     # or sit at the solver floor (in one dimension the discrete flux
     # difference is a constant, so these pairings vanish identically)

@@ -303,10 +303,21 @@ class TestRunSweep:
         doc = json.loads((out / "ahat.json").read_text())
         assert abs(doc["values"][0][0][0][0] - 1.6) < 1e-9
 
-    def test_run_log_written(self, sweep_out):
-        out, _ = sweep_out
-        text = (out / "run.log").read_text()
-        assert "effective config" in text
+    @pytest.mark.parametrize("command",
+                             ["homogenize", "solve", "sweep", "probe"])
+    def test_run_log_written(self, tmp_path, command):
+        # every subcommand's run.log records the config it ran
+        path = tmp_path / "prob.yaml"
+        path.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        prefix = "INFO effective config: "
+        logged = [line[len(prefix):] for line in
+                  (out / "run.log").read_text().splitlines()
+                  if line.startswith(prefix)]
+        assert len(logged) == 1
+        assert json.loads(logged[0]) == json.loads(json.dumps(
+            parse_config(MINIMAL).effective_dict()))
 
     def test_deterministic_rerun(self, tmp_path):
         cfg = parse_config(MINIMAL)
@@ -461,8 +472,8 @@ class TestQuadratureConfig:
         cfg = parse_config(MINIMAL + "\nquadrature: 3point\n")
         assert cfg.quadrature == "3point"
         ahat, _ = compute_effective_tensor(cfg)
-        row, _, _, _ = run_single(cfg, ahat, 0.125)
-        assert row["status"] == "converged"
+        result = run_single(cfg, ahat, 0.125)
+        assert result.row["status"] == "converged"
 
 
 class TestSchemas:

@@ -10,13 +10,12 @@ from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
                         solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.norms import (fit_rate, gradient_lp_norm,
-                          h_convergence_probe, linf_norm, meyers_probe,
+from homfem.norms import (fit_rate, gradient_lp_norm, linf_norm, meyers_probe,
                           w1p_norm)
 
 from conftest import (KERNEL_SPACES, assert_relative_close,
                       coupled_scenario_2d, flux_identity, piecewise_14_tensor,
-                      space_1d)
+                      probe_rows, space_1d)
 from homfem.cell import homogenized_tensor_1d
 
 
@@ -178,7 +177,7 @@ class TestHConvergenceProbe:
     def test_constant_tensor_is_its_own_limit(self):
         t = TensorField.constant(1, 1, 1.6)
         ahat = homogenized_tensor_1d(piecewise_14_tensor())
-        rows = h_convergence_probe(t, ahat, flux_identity, [0.25, 0.125])
+        rows = probe_rows(t, ahat, flux_identity, [0.25, 0.125])
         for r in rows:
             assert r.pairings.max() <= 1e-12
             assert r.linf_diff <= 1e-12
@@ -186,8 +185,8 @@ class TestHConvergenceProbe:
     def test_two_phase_weak_but_not_strong(self):
         base = piecewise_14_tensor()
         ahat = homogenized_tensor_1d(base)
-        rows = h_convergence_probe(base, ahat, flux_identity,
-                                   [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+        rows = probe_rows(base, ahat, flux_identity,
+                          [1 / 8, 1 / 16, 1 / 32, 1 / 64])
         for a, b in zip(rows, rows[1:]):
             assert np.all(b.pairings < a.pairings)
             assert b.linf_diff < a.linf_diff
@@ -208,14 +207,14 @@ class TestHConvergenceProbe:
                                      zero_outside=True)
         family = add_defect(base, bump, 0.125).with_epsilon(None)
         ahat = homogenized_tensor_1d(base)
-        rows = h_convergence_probe(family, ahat, flux_identity,
-                                   [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+        rows = probe_rows(family, ahat, flux_identity,
+                          [1 / 8, 1 / 16, 1 / 32, 1 / 64])
         for a, b in zip(rows, rows[1:]):
             assert np.all(b.pairings < a.pairings)
 
     def test_2d_mode_count(self):
         identity = np.eye(2).reshape(1, 1, 2, 2)
-        (row,) = h_convergence_probe(
+        (row,) = probe_rows(
             TensorField.constant(1, 2, identity), HomogenizedTensor(identity),
             lambda pts: pts[:, None, :], [1 / 2], modes=3, cells_per_eps=2)
         assert row.pairings.shape == row.flux_pairings.shape == (9,)
@@ -233,8 +232,7 @@ class TestHConvergenceProbe:
             out[:, 0, 1] = pts[:, 1]
             return out
 
-        rows = h_convergence_probe(base, ahat, flux, [1 / 4, 1 / 8],
-                                   cells_per_eps=8)
+        rows = probe_rows(base, ahat, flux, [1 / 4, 1 / 8], cells_per_eps=8)
         assert np.all(rows[1].pairings < rows[0].pairings)
         assert rows[1].linf_diff < rows[0].linf_diff
 
@@ -302,8 +300,8 @@ def test_probe_pairings_match_per_function_einsum():
                          np.stack([1.0 + y, x - y], axis=1)], axis=1)
 
     fns = _sine_test_functions_2d(modes=3)
-    rows = h_convergence_probe(base, ahat, flux, [1 / 2, 1 / 4], modes=3,
-                               cells_per_eps=4)
+    rows = probe_rows(base, ahat, flux, [1 / 2, 1 / 4], modes=3,
+                      cells_per_eps=4)
     for row in rows:
         pairings, flux_pairings, grad_eps = _einsum_pairings(
             row, base, ahat, flux, fns, cells_per_eps=4)
@@ -316,7 +314,7 @@ def test_probe_pairings_match_per_function_einsum():
 
 def _linear_solves(tensor, eps_list):
     ahat = homogenized_tensor_1d(tensor)
-    return h_convergence_probe(tensor, ahat, flux_identity, eps_list)
+    return probe_rows(tensor, ahat, flux_identity, eps_list)
 
 
 class TestMeyersProbe:

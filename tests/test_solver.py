@@ -269,7 +269,7 @@ class TestFixedPointSolve:
         cfg = load_config(Path(__file__).parents[1] / "configs"
                           / "two_phase_1d.yaml")
         ahat, _ = compute_effective_tensor(cfg)
-        row, _, _, _ = run_single(cfg, ahat, 1 / 1024)
+        row = run_single(cfg, ahat, 1 / 1024).row
         assert row["n_cells"] == 16384 and row["status"] == "converged"
         assert row["max_contraction"] <= 1e-6
 

@@ -6,6 +6,7 @@ The counters wrap a homfem function at every homfem module that binds it
 """
 
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import homfem.cli
+import homfem.norms
 from homfem.cell import solve_cell_problems
 from homfem.cli import main, parse_config, run_single, run_sweep
-from homfem.fem import (FemSpace, assemble_diffusion,
+from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
                         assemble_divergence_load, assemble_jacobian_coupling,
                         lu_factor, solve_linear)
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
@@ -94,9 +96,9 @@ def test_converged_row_assembles_each_diffusion_operator_once(count_calls):
     cfg = parse_config(CONFIG)
     ahat, _ = homfem.cli.compute_effective_tensor(cfg)
     assembled = count_calls(assemble_diffusion)
-    row, _, fields, _ = run_single(cfg, ahat, cfg.eps[0])
-    assert row["status"] == "converged" and set(fields) == {"u0", "ubar",
-                                                            "ueps"}
+    result = run_single(cfg, ahat, cfg.eps[0])
+    assert result.row["status"] == "converged"
+    assert set(result.fields) == {"u0", "ubar", "ueps"}
     # Ahat for Newton and the margin, A_eps for ubar and the frozen operator
     assert len(assembled) == 2
 
@@ -301,18 +303,106 @@ def _numeric_rows(path):
                 for row in csv.DictReader(fh)]
 
 
-def test_sweep_and_probe_tables_agree_on_the_coupled_config(tmp_path):
+def _statuses(path):
+    with open(path, newline="") as fh:
+        return [row["status"] for row in csv.DictReader(fh)]
+
+
+@pytest.fixture(scope="module")
+def coupled_probe_out(tmp_path_factory):
+    """``homfem probe`` on the coupled config, which factors every probe
+    matrix."""
+    out = tmp_path_factory.mktemp("probe")
+    assert main(["probe", "--config", str(CONFIGS / "coupled_2d.yaml"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("finest_fails", [False, True])
+def test_sweep_and_probe_tables_agree_on_the_coupled_config(
+        tmp_path, monkeypatch, coupled_probe_out, finest_fails):
     # the sweep probes each eps inside its row, refined over the row's
-    # linearizations; the probe command factors every probe matrix
-    config = str(CONFIGS / "coupled_2d.yaml")
-    for command in ("sweep", "probe"):
-        assert main([command, "--config", config,
-                     "--out", str(tmp_path / command)]) == 0
+    # linearizations; when the finest row's Newton solve fails, that eps is
+    # probed after the rows on its own probe space, as the probe command does
+    config = CONFIGS / "coupled_2d.yaml"
+    cfg = parse_config(config.read_text())
+    if finest_fails:
+        finest = cfg.build_domain_space(cfg.eps[-1]).mesh.num_cells
+        newton = homfem.cli.solve_homogenized
+
+        def failing_finest(A_hat, *args, **kwargs):
+            if A_hat.space.mesh.num_cells == finest:
+                raise RuntimeError("synthetic Newton failure")
+            return newton(A_hat, *args, **kwargs)
+
+        monkeypatch.setattr(homfem.cli, "solve_homogenized", failing_finest)
+    assert main(["sweep", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    statuses = _statuses(tmp_path / "sweep.csv")
+    assert (statuses[-1] == "error-RuntimeError") == finest_fails
+    # every probe ran, so the summary carries no probe_errors
+    assert "probe_errors" not in json.loads(
+        (tmp_path / "summary.json").read_text())
     for name in ("hconv.csv", "meyers.csv"):
-        swept = _numeric_rows(tmp_path / "sweep" / name)
-        probed = _numeric_rows(tmp_path / "probe" / name)
+        swept = _numeric_rows(tmp_path / name)
+        probed = _numeric_rows(coupled_probe_out / name)
         assert len(swept) == len(probed) > 0
+        # both tables keep the config's eps order
+        assert sorted({r["eps"] for r in swept}, reverse=True) == cfg.eps
         for a, b in zip(swept, probed):
             assert a.keys() == b.keys()
             for key in a:
                 assert abs(a[key] - b[key]) <= 1e-9 * abs(b[key]), (name, key)
+
+
+def _probe_failing_at(monkeypatch, eps):
+    """Make every linear probe at ``eps`` raise as it assembles its
+    ``A_eps``, in a row or on its own probe space."""
+    assemble = homfem.norms.assemble_diffusion
+
+    def failing(space, tensor):
+        if tensor.epsilon == eps:
+            raise LinearSolveError("synthetic probe failure")
+        return assemble(space, tensor)
+
+    monkeypatch.setattr(homfem.norms, "assemble_diffusion", failing)
+
+
+@pytest.mark.parametrize("cells_per_eps", [8, 16],
+                         ids=["in-row", "standalone"])
+def test_probe_failure_is_recorded_and_the_sweep_completes(
+        tmp_path, monkeypatch, cells_per_eps):
+    cfg = parse_config(CONFIG.replace("cells_per_eps: 16",
+                                      f"cells_per_eps: {cells_per_eps}"))
+    failed, kept = cfg.eps
+    _probe_failing_at(monkeypatch, failed)
+    summary = run_sweep(cfg, tmp_path)
+    # the rows are untouched by their probe's failure
+    statuses = _statuses(tmp_path / "sweep.csv")
+    assert statuses == ["converged", "converged"]
+    # the failed eps is left out of both tables and named in the summary
+    for name in ("hconv.csv", "meyers.csv"):
+        assert {r["eps"] for r in _numeric_rows(tmp_path / name)} == {kept}
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["probe_errors"] == {
+        repr(failed): "error-LinearSolveError: synthetic probe failure"}
+    assert summary["probe_errors"] == {
+        failed: "error-LinearSolveError: synthetic probe failure"}
+    assert "uniqueness" in doc and "rate" in doc
+    assert f"linear probe at eps={failed:g} failed" in (
+        tmp_path / "run.log").read_text()
+
+
+def test_probe_command_records_a_failed_eps_and_returns_1(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG)
+    failed, kept = parse_config(CONFIG).eps
+    _probe_failing_at(monkeypatch, failed)
+    out = tmp_path / "out"
+    assert main(["probe", "--config", str(path), "--out", str(out)]) == 1
+    for name in ("hconv.csv", "meyers.csv"):
+        assert {r["eps"] for r in _numeric_rows(out / name)} == {kept}
+    assert f"linear probe at eps={failed:g} failed" in (
+        out / "run.log").read_text()
+
