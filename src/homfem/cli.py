@@ -25,6 +25,7 @@ import importlib.resources
 import json
 import logging
 import sys
+import traceback
 import types
 import typing
 import warnings
@@ -36,13 +37,14 @@ import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
-from .fem import DiscreteField, FemSpace, LinearSolveError, assemble_diffusion
+from .fem import (FemSpace, LinearSolveError, SparseOperator,
+                  assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
                      Polynomial, Rational, Sinusoid, TableFactor, Term,
                      validate)
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
-                    homogenized_probe_solution, linf_norm, meyers_probe)
+                    linf_norm, meyers_probe, probe_load)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
                      fixed_point_solve, local_uniqueness_probe,
                      nondegeneracy_margin, oscillatory_operator,
@@ -409,19 +411,20 @@ def compute_effective_tensor(cfg: ProblemConfig):
         "margin": ahat.margin,
     }
     if cfg.dim == 1:
-        ahat_direct = homogenized_tensor_1d(base)
-        info["inverse_average_gap"] = float(
-            np.max(np.abs(ahat.values - ahat_direct.values)))
+        info["inverse_average_gap"] = float(np.max(np.abs(
+            ahat.values - homogenized_tensor_1d(base).values)))
     return ahat, info
 
 
-def _default_probe_flux(dim: int, n: int):
-    def flux(pts):
-        out = np.zeros((pts.shape[0], n, dim))
-        for i in range(dim):
-            out[:, :, i] = pts[:, i:i + 1]
-        return out
-    return flux
+def _effective_tensor(cfg: ProblemConfig, out: Path):
+    """:func:`compute_effective_tensor`, or on failure ``(None, info)``, with
+    ``info["status"]`` the error, also written to ``summary.json``."""
+    try:
+        return compute_effective_tensor(cfg)
+    except Exception as exc:  # noqa: BLE001 - recorded in summary.json
+        info = {"status": f"{_failed('cell problems', exc)}: {exc}"}
+        (out / "summary.json").write_text(json.dumps({"cell": info}, indent=2))
+        return None, info
 
 
 def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
@@ -454,10 +457,10 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     once each, ``Ahat + C(u0)`` and then ``A_eps + C(u0)``, and never holds
     both.
 
-    When the probe mesh is the row's mesh, the row runs the linear probe at
-    its period with the two calls of :func:`_probe_scale`, its ``Ahat`` and
-    ``A_eps`` solves refined over ``Ahat + C(u0)`` and ``A_eps + C(u0)``.
-    A probe failure is recorded in ``probe`` and leaves the row as it is.
+    When the probe mesh is the row's mesh, the row probes its period on its
+    space's 3-point view (where the midpoint ``Ahat`` is exact, as it is
+    constant), the solves refined over ``Ahat + C(u0)`` and ``A_eps +
+    C(u0)``.  A probe failure is recorded in ``probe``; the row is kept.
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
@@ -478,13 +481,14 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
         if margin <= 0:
             row["status"] = "degenerate"
         else:
-            flux = _default_probe_flux(cfg.dim, cfg.system_dim)
             # the probe builds at least 4 cells per side, the row at least
             # 2: from 4 cells per period on both build cells_per_eps / eps
-            if cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4:
-                result.probe = _guarded_probe(
-                    eps, homogenized_probe_solution, A_hat, flux,
-                    near=linearized.lu)
+            probing = cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4
+            if probing:
+                probe_space = space.with_quadrature("3point")
+                load = probe_load(probe_space)
+                u_hat = _guarded_probe(eps, solve_linear, SparseOperator(
+                    probe_space, A_hat.matrix), -load, near=linearized.lu)
             # no two linearizations are held at once
             del A_hat, linearized
             tensor_eps = cfg.coefficient.with_epsilon(eps)
@@ -500,10 +504,11 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
-            if isinstance(result.probe, DiscreteField):
-                result.probe = _guarded_probe(
-                    eps, h_convergence_probe, tensor_eps, ahat, result.probe,
-                    flux, modes=cfg.probe.modes, near=frozen.lu)
+            if probing:  # u_hat is the Ahat step's error record if it failed
+                result.probe = u_hat if isinstance(u_hat, str) else (
+                    _guarded_probe(eps, h_convergence_probe, tensor_eps, ahat,
+                                   u_hat, load, cfg.probe.modes,
+                                   near=frozen.lu))
     return result
 
 
@@ -517,11 +522,23 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
                 "vertex": int(v), "component": comp,
                 "x1": float(coords[slot, 0]),
                 "x2": float(coords[slot, 1]) if space.mesh.dim == 2 else np.nan,
-                "u0": float(nodal["u0"][slot, comp]) if "u0" in nodal else np.nan,
-                "ubar": float(nodal["ubar"][slot, comp]) if "ubar" in nodal else np.nan,
-                "ueps": float(nodal["ueps"][slot, comp]) if "ueps" in nodal else np.nan,
+                **{k: float(nodal[k][slot, comp]) if k in nodal else np.nan
+                   for k in ("u0", "ubar", "ueps")},
             })
     return rows
+
+
+def _failed(what: str, exc: Exception) -> str:
+    """Logs that ``what`` failed, naming the outermost homfem function of
+    ``exc``'s traceback outside this module; returns ``"error-<Type>"``."""
+    frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    frame = next((f for f in frames
+                  if f.f_globals.get("__name__", "").startswith("homfem.")
+                  and f.f_globals["__name__"] != __name__), frames[-1])
+    stage = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)
+    log.warning("%s failed in %s: %s", what, stage.removesuffix(".__init__"),
+                exc)
+    return f"error-{type(exc).__name__}"
 
 
 def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
@@ -531,8 +548,7 @@ def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
     try:
         return run_single(cfg, ahat, eps)
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
-        log.warning("solve at eps=%g failed: %s", eps, exc)
-        return RowResult(_row(eps, f"error-{type(exc).__name__}"))
+        return RowResult(_row(eps, _failed(f"solve at eps={eps:g}", exc)))
 
 
 def _guarded_probe(eps: float, stage, *args, **kwargs):
@@ -541,17 +557,18 @@ def _guarded_probe(eps: float, stage, *args, **kwargs):
     try:
         return stage(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - recorded in summary.json
-        log.warning("linear probe at eps=%g failed: %s", eps, exc)
-        return f"error-{type(exc).__name__}: {exc}"
+        return f"{_failed(f'linear probe at eps={eps:g}', exc)}: {exc}"
 
 
-def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-                 flux) -> HConvergenceRow:
+def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor,
+                 eps: float) -> HConvergenceRow:
     """The linear probe at ``eps`` on its own space, factoring both solves."""
-    u_hat = homogenized_probe_solution(assemble_diffusion(
-        cfg.build_probe_space(eps), ahat.as_tensor_field()), flux)
+    space = cfg.build_probe_space(eps)
+    load = probe_load(space)
+    u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
+                         -load)
     return h_convergence_probe(cfg.coefficient.with_epsilon(eps), ahat,
-                               u_hat, flux, modes=cfg.probe.modes)
+                               u_hat, load, cfg.probe.modes)
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
@@ -561,9 +578,8 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
     the ``summary.json`` entries: the Meyers observed range and, when a
     period failed (it is left out of both tables), ``probe_errors``."""
     done = done or {}
-    flux = _default_probe_flux(cfg.dim, cfg.system_dim)
     probes = {eps: done[eps] if eps in done else
-              _guarded_probe(eps, _probe_scale, cfg, ahat, eps, flux)
+              _guarded_probe(eps, _probe_scale, cfg, ahat, eps)
               for eps in cfg.eps}
     hrows = [r for r in probes.values() if isinstance(r, HConvergenceRow)]
     _write_csv(out / "hconv.csv", "hconv", [{
@@ -588,11 +604,12 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     """The full pipeline over the configured period list.
 
     Writes ``ahat.json``, ``sweep.csv``, ``hconv.csv``, ``meyers.csv`` and
-    ``summary.json`` into the output directory and returns the summary.
-    Deterministic for a fixed config and seed; per-period failures are
-    recorded in their row and the sweep continues.  Rows run finest-first;
-    the uniqueness probe restarts around the first converged row's own
-    ``u0``, ``ubar`` and ``ueps``, over that row's frozen operator.
+    ``summary.json`` into the output directory and returns the summary;
+    failed cell problems end it with ``summary.json``'s ``cell.status``.
+    Deterministic for a fixed config and seed; a period's failure lands in
+    its row.  Rows run finest-first; the uniqueness probe restarts around
+    the first converged row's ``u0``, ``ubar`` and ``ueps``, over its
+    frozen operator.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
     with _run_log(cfg, out):
@@ -605,7 +622,9 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         log.warning("nonlinearity validation failed: %s",
                     validation.reason or "see term reports")
 
-    ahat, cell_info = compute_effective_tensor(cfg)
+    ahat, cell_info = _effective_tensor(cfg, out)
+    if ahat is None:
+        return {"cell": cell_info}
     (out / "ahat.json").write_text(ahat.to_json())
     log.info("effective tensor computed: %s", json.dumps(cell_info))
 
@@ -715,12 +734,13 @@ def main(argv=None) -> int:
     if eps is not None and not 0 < eps <= 1:
         raise ConfigError(f"--eps must lie in (0, 1], got {eps}")
     out = Path(args.out if args.out is not None else cfg.output)
-    if args.command == "sweep":
-        run_sweep(cfg, out)  # opens its own run log
-        return 0
+    if args.command == "sweep":  # opens its own run log
+        return int("status" in run_sweep(cfg, out)["cell"])
 
     with _run_log(cfg, out):
-        ahat, info = compute_effective_tensor(cfg)
+        ahat, info = _effective_tensor(cfg, out)
+        if ahat is None:
+            return 1
         if args.command == "homogenize":
             (out / "ahat.json").write_text(ahat.to_json())
             log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeff import HomogenizedTensor, TensorField
-from .fem import (DiscreteField, FemSpace, SparseOperator, assemble_diffusion,
+from .fem import (DiscreteField, FemSpace, assemble_diffusion,
                   assemble_divergence_load, solve_linear)
 
 __all__ = [
     "linf_norm",
     "w1p_norm",
-    "homogenized_probe_solution",
+    "probe_load",
     "h_convergence_probe",
     "meyers_probe",
     "fit_rate",
@@ -113,56 +113,35 @@ class HConvergenceRow:
     cell_measures: np.ndarray
 
 
-def _probe_load(space: FemSpace, flux_fn) -> np.ndarray:
-    """Free-dof load of ``D g``, ``g = flux_fn`` at the quadrature points
-    of ``space``, which uses the 3-point rule."""
-    nc, nq = space.quad_points.shape[:2]
-    g = flux_fn(space.quad_points.reshape(nc * nq, space.mesh.dim))
-    return assemble_divergence_load(space, np.asarray(g, dtype=float).reshape(
-        nc, nq, space.n, space.mesh.dim))
-
-
-def homogenized_probe_solution(A_hat: SparseOperator, flux_fn,
-                               near=None) -> DiscreteField:
-    """The probe's ``Ahat uhat + D g = 0`` on ``A_hat.space``.
-
-    ``A_hat`` is the effective operator under any quadrature rule: its
-    tensor is constant, so every rule assembles it exactly.  The solve
-    refines over ``near``, a factorization of a nearby matrix on the same
-    free dofs (see :func:`~homfem.fem.solve_linear`), when given.
-    """
-    load = _probe_load(A_hat.space.with_quadrature("3point"), flux_fn)
-    return solve_linear(A_hat, -load, near=near)
+def probe_load(space: FemSpace) -> np.ndarray:
+    """Free-dof load of ``D g`` for the probe flux ``g_i^a(x) = x_i``, at
+    the quadrature points of ``space``, which uses the 3-point rule."""
+    pts = space.quad_points[:, :, None, :]  # (cells, points, 1, N)
+    return assemble_divergence_load(space, np.repeat(pts, space.n, axis=2))
 
 
 def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
-                        u_hat: DiscreteField, flux_fn, modes: int = 4,
+                        u_hat: DiscreteField, load: np.ndarray, modes: int,
                         near=None) -> HConvergenceRow:
     """Weak-convergence diagnostics of one family member toward its limit.
 
-    ``u_hat`` is the :func:`homogenized_probe_solution` of ``Ahat uhat + D g
-    = 0``; on its mesh, under the 3-point rule, the probe solves ``A_eps
-    u + D g = 0`` for ``A_eps`` of ``tensor_eps`` and reports, at the
-    scale ``tensor_eps.epsilon``, the smeared differences ``|int (u_eps -
-    uhat) psi|`` and ``|int (flux_eps - fluxhat) . grad psi|`` per test
-    function, together with the max-norm distance and the gradient L2
-    distance.  The test functions are the tensor-product sines ``prod_i
-    sin(k_i pi x_i)`` with ``1 <= k_i <= modes``, ``modes**N`` of them.  The
-    row keeps the gradients of its ``u_eps`` solve, from which
-    :func:`meyers_probe` reads its norms.  The ``A_eps`` solve refines over
-    ``near``, the factorization of a nearby matrix on the same free dofs
-    (see :func:`~homfem.fem.solve_linear`), when given.
-
-    ``flux_fn`` maps points (m, N) to load flux values (m, n, N).
+    ``u_hat`` solves ``Ahat uhat + D g = 0`` on a space under the 3-point
+    rule, whose free-dof load of ``D g`` is ``load`` (:func:`probe_load`).
+    On the same space the probe solves ``A_eps u + D g = 0``, refined over
+    ``near`` when given (see :func:`~homfem.fem.solve_linear`), and reports
+    at the scale ``tensor_eps.epsilon`` the smeared differences ``|int
+    (u_eps - uhat) psi|`` and ``|int (flux_eps - fluxhat) . grad psi|`` per
+    test function ``psi = prod_i sin(k_i pi x_i)``, ``1 <= k_i <= modes``,
+    the max-norm distance and the gradient L2 distance.  The row keeps the
+    gradients of ``u_eps``, from which :func:`meyers_probe` reads its norms.
     """
-    space = u_hat.space.with_quadrature("3point")
+    space = u_hat.space
     dim, n = space.mesh.dim, space.n
-    u_eps = solve_linear(assemble_diffusion(space, tensor_eps),
-                         -_probe_load(space, flux_fn), near=near)
-    uhat = DiscreteField(space, u_hat.values)
+    u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load,
+                         near=near)
     grad_eps = space.gradients_on_cells(u_eps.values)
     fluxhat = np.einsum("abij,cbj->cai", ahat.values,
-                        space.gradients_on_cells(uhat.values))
+                        space.gradients_on_cells(u_hat.values))
 
     # quadrature-weighted differences, one quadrature point at a time, so
     # that each test function's pairings are two matvecs: rows (point) and
@@ -170,7 +149,7 @@ def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
     nc, nq = space.quad_points.shape[:2]
     weights = space.quad_weights
     wdu = (weights[:, :, None] * space.values_at_quadrature(
-        u_eps.values - uhat.values)).reshape(nc * nq, n)
+        u_eps.values - u_hat.values)).reshape(nc * nq, n)
     wdflux = np.empty((nc, nq, dim, n))
     for q in range(nq):
         a_q = tensor_eps.evaluate(space.quad_points[:, q])
@@ -182,7 +161,7 @@ def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
     for val, grad in _sine_modes(pts, modes):
         pairings.append(abs(val @ wdu).sum())
         flux_pairings.append(abs(grad @ wdflux).sum())
-    diff = u_eps - uhat
+    diff = u_eps - u_hat
     return HConvergenceRow(
         eps=tensor_eps.epsilon, h=space.mesh.h, n_cells=space.mesh.num_cells,
         pairings=np.array(pairings), flux_pairings=np.array(flux_pairings),

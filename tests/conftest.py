@@ -9,11 +9,12 @@ import scipy.sparse as sp
 from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
-from homfem.fem import FemSpace, assemble_diffusion
+from homfem.fem import (FemSpace, assemble_diffusion, assemble_divergence_load,
+                        solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.nonlin import Constant, ExpressionFactor, Nonlinearity, Polynomial
-from homfem.norms import h_convergence_probe, homogenized_probe_solution
+from homfem.norms import h_convergence_probe
 
 
 def piecewise_14_tensor():
@@ -140,17 +141,22 @@ def coupled_scenario_2d():
 def probe_rows(tensor, ahat, flux_fn, eps_list, modes=4, cells_per_eps=8):
     """The linear probe at each scale of ``eps_list``, as ``homfem probe``
     runs it: on its own mesh of ``max(4, round(cells_per_eps / eps))``
-    cells per side under the 3-point rule, factoring both matrices."""
+    cells per side under the 3-point rule, factoring both matrices, with
+    the load of ``g = flux_fn`` at the quadrature points."""
     rows = []
     for eps in eps_list:
         cells = max(4, round(cells_per_eps / eps))
         mesh = (build_interval_mesh(cells) if tensor.dim == 1
                 else build_unit_square_mesh(cells))
         space = FemSpace(mesh, tensor.n, quadrature="3point")
-        u_hat = homogenized_probe_solution(
-            assemble_diffusion(space, ahat.as_tensor_field()), flux_fn)
+        nc, nq = space.quad_points.shape[:2]
+        load = assemble_divergence_load(space, flux_fn(
+            space.quad_points.reshape(nc * nq, tensor.dim)).reshape(
+                nc, nq, tensor.n, tensor.dim))
+        u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
+                             -load)
         rows.append(h_convergence_probe(tensor.with_epsilon(eps), ahat,
-                                        u_hat, flux_fn, modes=modes))
+                                        u_hat, load, modes))
     return rows
 
 

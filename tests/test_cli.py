@@ -466,6 +466,95 @@ seed: 0
             parse_config(bad)
 
 
+def _failing_frozen_operator(matrix):
+    raise RuntimeError("synthetic stage failure")
+
+
+def _failing_approximate_solution(solve_linear):
+    # only approximate_solution refines over a factorization here
+    def solve(A, rhs, near=None):
+        if near is not None:
+            raise RuntimeError("synthetic stage failure")
+        return solve_linear(A, rhs)
+    return solve
+
+
+def _failing_fixed_point(iterate):
+    def run(*args):
+        if args[-1] == "step_norms":  # the fixed point stops on steps
+            raise RuntimeError("synthetic stage failure")
+        return iterate(*args)
+    return run
+
+
+class TestFailingStageNamed:
+    @pytest.mark.parametrize("attr, make, stage", [
+        ("lu_factor", lambda _: _failing_frozen_operator, "FrozenOperator"),
+        ("solve_linear", _failing_approximate_solution,
+         "approximate_solution"),
+        ("_iterate", _failing_fixed_point, "fixed_point_solve"),
+    ])
+    def test_run_log_names_the_stage(self, tmp_path, monkeypatch, attr, make,
+                                     stage):
+        import homfem.solver as solver
+        monkeypatch.setattr(solver, attr, make(getattr(solver, attr)))
+        path = tmp_path / "prob.yaml"
+        path.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--eps", "0.125",
+                     "--out", str(out)]) == 1
+        # the status keeps its form; the log names the stage
+        row = json.loads((out / "solve.json").read_text())
+        assert row["status"] == "error-RuntimeError"
+        assert (f"WARNING solve at eps=0.125 failed in {stage}: synthetic "
+                f"stage failure") in (out / "run.log").read_text()
+
+
+# parses: the cell problems are the first to see that -1 is not elliptic
+NOT_ELLIPTIC = MINIMAL.replace("""tensor:
+  kind: piecewise
+  grid: [2]
+  values: [1.0, 4.0]""", "tensor: {kind: constant, value: -1}")
+
+
+class TestCellFailure:
+    @pytest.mark.parametrize("command",
+                             ["homogenize", "solve", "sweep", "probe"])
+    def test_not_elliptic_tensor_is_recorded(self, tmp_path, command):
+        assert parse_config(NOT_ELLIPTIC).tensor["value"] == -1
+        path = tmp_path / "prob.yaml"
+        path.write_text(NOT_ELLIPTIC)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        status = json.loads((out / "summary.json").read_text())["cell"][
+            "status"]
+        assert status.startswith("error-ValueError: tensor fails the "
+                                 "pointwise ellipticity check")
+        assert ("cell problems failed in solve_cell_problems: tensor fails"
+                in (out / "run.log").read_text())
+        assert sorted(p.name for p in out.iterdir()) == ["run.log",
+                                                         "summary.json"]
+
+    def test_failed_cell_solve_ends_the_sweep_with_its_summary(
+            self, tmp_path, monkeypatch):
+        import homfem.cell
+        from homfem.fem import LinearSolveError
+
+        def singular(matrix):
+            raise LinearSolveError("synthetic cell failure")
+
+        monkeypatch.setattr(homfem.cell, "lu_factor", singular)
+        summary = run_sweep(parse_config(MINIMAL), tmp_path)
+        # solve_cell_problems restates a singular system as a RuntimeError
+        status = ("error-RuntimeError: singular periodic cell system: "
+                  "synthetic cell failure")
+        assert summary == {"cell": {"status": status}}
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        assert not (tmp_path / "sweep.csv").exists()
+        assert ("cell problems failed in solve_cell_problems: singular "
+                "periodic cell system") in (tmp_path / "run.log").read_text()
+
+
 class TestQuadratureConfig:
     def test_3point_rule_runs(self, tmp_path):
         from homfem.cli import compute_effective_tensor, run_single

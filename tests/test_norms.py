@@ -11,7 +11,7 @@ from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.norms import (fit_rate, gradient_lp_norm, linf_norm, meyers_probe,
-                          w1p_norm)
+                          probe_load, w1p_norm)
 
 from conftest import (KERNEL_SPACES, assert_relative_close,
                       coupled_scenario_2d, flux_identity, piecewise_14_tensor,
@@ -250,6 +250,18 @@ def _sine_test_functions_2d(modes):
     return [(lambda pts, k=k, l=l: val(pts, k, l),
              lambda pts, k=k, l=l: grad(pts, k, l))
             for k in range(1, modes + 1) for l in range(1, modes + 1)]
+
+
+def test_probe_load_is_the_load_of_the_coordinates():
+    # g_i^a(x) = x_i for both components, from its point values
+    space = FemSpace(build_unit_square_mesh(6), 2, quadrature="3point")
+    pts = space.quad_points
+    flux = np.empty(pts.shape[:2] + (2, 2))
+    for a in range(2):
+        for i in range(2):
+            flux[:, :, a, i] = pts[:, :, i]
+    np.testing.assert_array_equal(probe_load(space),
+                                  assemble_divergence_load(space, flux))
 
 
 def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions,

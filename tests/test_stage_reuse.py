@@ -24,7 +24,7 @@ from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
 from homfem.nonlin import (Constant, ExpressionFactor, Nonlinearity,
                            Polynomial, eval_F, eval_F_jacobian)
-from homfem.norms import homogenized_probe_solution
+from homfem.norms import probe_load
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
                            local_uniqueness_probe, newton_solve,
@@ -222,10 +222,7 @@ def test_refined_solves_equal_direct_solves(count_calls):
     tensor_eps = base.with_epsilon(1 / 4)
     A_eps = assemble_diffusion(space, tensor_eps)
     probe_space = space.with_quadrature("3point")
-    flux = homfem.cli._default_probe_flux(2, 2)
-    nc, nq = probe_space.quad_points.shape[:2]
-    load = assemble_divergence_load(probe_space, flux(
-        probe_space.quad_points.reshape(nc * nq, 2)).reshape(nc, nq, 2, 2))
+    load = probe_load(probe_space)
     A_eps_probe = assemble_diffusion(probe_space, tensor_eps)
     direct = {
         "ubar": solve_linear(A_eps, -assemble_divergence_load(
@@ -239,8 +236,7 @@ def test_refined_solves_equal_direct_solves(count_calls):
     factored = count_calls(lu_factor)
     refined = {
         "ubar": approximate_solution(frozen),
-        "probe Ahat": homogenized_probe_solution(A_hat, flux,
-                                                 near=linearized.lu),
+        "probe Ahat": solve_linear(A_hat, -load, near=linearized.lu),
         "probe A_eps": solve_linear(A_eps_probe, -load, near=frozen.lu),
     }
     assert factored == []
@@ -295,6 +291,51 @@ def test_sweep_on_the_probe_mesh_factors_nothing_for_ubar_or_the_probe(
     assert len(during["h_convergence_probe"]) >= len(cfg.eps)
     assert not any(during["h_convergence_probe"])
     assert len(factored) > 0
+
+
+def _probe_loads_per_mesh(count_calls):
+    """Cells of the 3-point space of every ``assemble_divergence_load``
+    call, counted per mesh size: the probe's loads."""
+    calls = count_calls(assemble_divergence_load)
+
+    def per_mesh():
+        cells = [space.mesh.num_cells for space in calls
+                 if space.quad.name == "3point"]
+        return {n: cells.count(n) for n in cells}
+    return per_mesh
+
+
+def test_probe_command_builds_one_load_per_eps(tmp_path, count_calls):
+    config = CONFIGS / "two_phase_1d.yaml"
+    cfg = parse_config(config.read_text())
+    loads = _probe_loads_per_mesh(count_calls)
+    assert main(["probe", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    assert loads() == {cfg.build_probe_space(eps).mesh.num_cells: 1
+                       for eps in cfg.eps}
+
+
+def test_in_row_probe_builds_one_load_per_eps(tmp_path, monkeypatch,
+                                              count_calls):
+    # the coupled config probes in-row; its two coarsest periods
+    cfg = parse_config((CONFIGS / "coupled_2d.yaml").read_text())
+    cfg.eps = cfg.eps[:2]
+    during = []
+    run = homfem.cli.run_single
+    loads = _probe_loads_per_mesh(count_calls)
+
+    def row(*args):
+        result = run(*args)
+        during.append(loads())
+        return result
+
+    monkeypatch.setattr(homfem.cli, "run_single", row)
+    run_sweep(cfg, tmp_path)
+    cells = [cfg.build_domain_space(eps).mesh.num_cells
+             for eps in reversed(cfg.eps)]
+    # each row builds its own period's load, and no scale is left over
+    assert during == [{cells[0]: 1}, {cells[0]: 1, cells[1]: 1}]
+    assert loads() == during[-1]
 
 
 def _numeric_rows(path):
@@ -403,6 +444,7 @@ def test_probe_command_records_a_failed_eps_and_returns_1(tmp_path,
     assert main(["probe", "--config", str(path), "--out", str(out)]) == 1
     for name in ("hconv.csv", "meyers.csv"):
         assert {r["eps"] for r in _numeric_rows(out / name)} == {kept}
-    assert f"linear probe at eps={failed:g} failed" in (
+    # the log names the probe step that raised
+    assert f"linear probe at eps={failed:g} failed in h_convergence_probe" in (
         out / "run.log").read_text()
 
