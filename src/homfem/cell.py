@@ -142,7 +142,7 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
 
 
 def _submatrix(matrix, keep):
-    return matrix.tocsr()[keep][:, keep].tocsc()
+    return matrix.tocsr()[keep][:, keep]
 
 
 def homogenized_tensor_1d(base: TensorField) -> HomogenizedTensor:

@@ -18,6 +18,13 @@ the toolkit: divergence-form problems are posed as ``A u + b = 0`` where
 ``A`` comes from :func:`assemble_diffusion` and ``b`` from
 :func:`assemble_divergence_load`; :func:`solve_linear` itself solves the
 plain system ``A u = rhs``.
+
+Every factorization goes through :func:`lu_factor`, which reads the storage
+from the matrix: a matrix whose lower and upper bandwidths are both below
+its widest row's entry count, as every 1D P1 matrix is (block-tridiagonal),
+factors in LAPACK band storage (:class:`BandLU`); any other, such as a 2D
+one on all but the coarsest grids, goes to SuperLU with a minimum-degree
+ordering.  Both factors answer ``solve(rhs, trans)`` and ``nnz``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .mesh import Mesh
 
@@ -432,17 +440,79 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
 
 
 def lu_factor(matrix: sp.spmatrix):
-    """Sparse LU with partial pivoting; raises LinearSolveError on failure.
+    """LU with partial pivoting; raises LinearSolveError on failure.
 
-    Columns are ordered by minimum degree on the pattern of ``A + A^T``
-    (SuperLU's ``MMD_AT_PLUS_A``): the P1 matrices are structurally
-    symmetric, and on them it gives about half the fill of the default
-    COLAMD ordering.
+    The storage is read from the matrix.  When its lower and upper
+    bandwidths are both below the entry count of its widest row
+    (:func:`_bandwidths`), it factors in LAPACK band storage
+    (:class:`BandLU`).  Every 1D P1 matrix does, with ``kl = ku = 2n - 1``
+    against ``3n`` entries; a 2D one does only on the coarsest grids.  Any
+    other matrix goes to SuperLU, with columns ordered by minimum degree on
+    the pattern of ``A + A^T`` (``MMD_AT_PLUS_A``): the P1 matrices are
+    structurally symmetric, and on them it gives about half the fill of the
+    default COLAMD ordering.
     """
+    bands = _bandwidths(matrix)
+    if bands is not None:
+        return BandLU(matrix, *bands)
     try:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveError(f"linear solve failed: {exc}") from exc
+
+
+def _bandwidths(matrix: sp.spmatrix):
+    """``(kl, ku)`` of a matrix to factor in band storage, else None.
+
+    Reads each CSR row's first and last column, so it needs sorted,
+    duplicate-free indices and no empty row, and allocates O(rows).
+    """
+    if matrix.format != "csr" or matrix.shape[0] == 0:
+        return None
+    counts = np.diff(matrix.indptr)
+    if counts.min() == 0 or not matrix.has_canonical_format:
+        return None
+    rows = np.arange(matrix.shape[0])
+    kl = max(0, int((rows - matrix.indices[matrix.indptr[:-1]]).max()))
+    ku = max(0, int((matrix.indices[matrix.indptr[1:] - 1] - rows).max()))
+    return (kl, ku) if max(kl, ku) < counts.max() else None
+
+
+class BandLU:
+    """LAPACK's band LU with partial pivoting (``dgbtrf``) of a CSR matrix
+    with lower and upper bandwidths ``kl`` and ``ku``.
+
+    Answers what the pipeline reads from a SuperLU factor: ``solve`` with
+    ``trans`` "N" or "T" (``dgbtrs``) and ``nnz``, here the
+    ``(2 kl + ku + 1) n`` entries of the band storage.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, kl: int, ku: int):
+        n = matrix.shape[0]
+        ldab = 2 * kl + ku + 1
+        # A[i, j] sits at ab[kl + ku + i - j, j]; Fortran order, so that
+        # dgbtrf factors it in place instead of copying it
+        ab = np.zeros((ldab, n), order="F")
+        at = np.repeat(np.arange(kl + ku, kl + ku + n), np.diff(matrix.indptr))
+        at += np.intp(ldab - 1) * matrix.indices
+        ab.reshape(-1, order="F")[at] = matrix.data
+        self.factor, self.ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise LinearSolveError(
+                f"linear solve failed: factor is exactly singular (zero "
+                f"pivot in column {info - 1})")
+        self.kl, self.ku = kl, ku
+        self.nnz = ab.size
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        x, _ = dgbtrs(self.factor, self.kl, self.ku, rhs, self.ipiv,
+                      trans={"N": 0, "T": 1}[trans])
+        return x
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The diagonal of U."""
+        return self.factor[self.kl + self.ku]
 
 
 def _refine(matrix: sp.spmatrix, lu, rhs: np.ndarray) -> np.ndarray:
@@ -495,7 +565,8 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
     u_free = lu.solve(rhs)
     if not _solved(A.matrix, u_free, rhs):
         residual = np.linalg.norm(A.matrix @ u_free - rhs)
-        diag = np.abs(lu.U.diagonal())
+        diag = np.abs(lu.pivots if isinstance(lu, BandLU)
+                      else lu.U.diagonal())
         cond = float(diag.max() / diag.min()) if diag.min() > 0 else np.inf
         raise LinearSolveError(
             f"linear solve failed: residual {residual:.3e} exceeds tolerance "

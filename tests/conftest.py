@@ -170,5 +170,22 @@ def flux_identity(pts):
 
 
 @pytest.fixture
+def superlu_calls(monkeypatch):
+    """The matrices that ``homfem.fem`` hands to SuperLU (``spla.splu``)
+    while the test runs."""
+    import homfem.fem
+
+    calls = []
+    splu = homfem.fem.spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(homfem.fem.spla, "splu", counted)
+    return calls
+
+
+@pytest.fixture
 def scenario_1d():
     return oscillatory_scenario_1d()

@@ -1,17 +1,33 @@
+import copy
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import homfem
 from homfem.coeff import TensorField
-from homfem.fem import (DiscreteField, FemSpace, LinearSolveError,
-                        assemble_diffusion, assemble_divergence_load,
-                        assemble_jacobian_coupling, solve_linear)
+from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
+                        SparseOperator, assemble_diffusion,
+                        assemble_divergence_load, assemble_jacobian_coupling,
+                        lu_factor, solve_linear)
 from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
+from homfem.nonlin import (ExpressionFactor, Nonlinearity, Polynomial,
+                           eval_F_jacobian)
+from homfem.solver import (FrozenOperator, nondegeneracy_margin,
+                           solve_homogenized)
 
 from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
-                      coo_jacobian_coupling, space_1d)
+                      coo_jacobian_coupling, effective_operator,
+                      oscillatory_scenario_1d, space_1d)
 
 
 def _flux_from_fn(space, fn):
@@ -172,13 +188,139 @@ class TestSolveLinear:
         assert np.linalg.norm(res) <= 1e-10 * (1 + np.linalg.norm(b))
 
     def test_singular_matrix_reported(self):
-        import scipy.sparse as sp
-        from homfem.fem import SparseOperator
         space = space_1d(3)
         singular = sp.csr_matrix((space.num_free, space.num_free))
         A = SparseOperator(space, singular)
         with pytest.raises(LinearSolveError, match="linear solve failed"):
             solve_linear(A, np.ones(space.num_free))
+
+
+def _scalar_newton_matrix():
+    """``Ahat + C(u)`` of the two-phase interval problem at a rough ``u``."""
+    _, ahat, nl = oscillatory_scenario_1d()
+    space = space_1d(256)
+    u = space.field_from_free(
+        np.random.default_rng(2).uniform(-1.0, 1.0, space.num_free))
+    return (effective_operator(space, ahat) + assemble_jacobian_coupling(
+        space, eval_F_jacobian(nl, space, u))).matrix
+
+
+def _two_component_newton_matrix():
+    """``A_eps + C(u)`` of a coupled 1D system whose flux in component 1
+    depends on component 2 only, so that ``C(u)`` is nonsymmetric."""
+    tensor = TensorField.from_expressions(
+        2, 1, [[[["2 + cos(2*pi*x)"]], [["0.25"]]],
+               [[["0.25"]], [["3 + sin(2*pi*x)"]]]])
+    nl = Nonlinearity(2, 1, [], p0=4.0)
+    nl.term(0, 0, ExpressionFactor("0.5*sin(2*pi*x)", 1),
+            Polynomial([(1.0, (0, 2))], 2))
+    space = FemSpace(build_interval_mesh(128), 2)
+    u = space.field_from_free(
+        np.random.default_rng(3).uniform(-1.0, 1.0, space.num_free))
+    matrix = (assemble_diffusion(space, tensor.with_epsilon(1 / 8))
+              + assemble_jacobian_coupling(
+                  space, eval_F_jacobian(nl, space, u))).matrix
+    assert abs(matrix - matrix.T).max() > 0.1
+    return matrix
+
+
+class TestBandLU:
+    """Every 1D matrix factors in LAPACK band storage and answers as the
+    SuperLU factor of the same matrix does; every other matrix keeps
+    SuperLU."""
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("build, bands", [
+        (_scalar_newton_matrix, (1, 1)),
+        (_two_component_newton_matrix, (3, 3)),
+    ], ids=["scalar", "two-component"])
+    def test_solves_agree_with_superlu(self, build, bands, trans,
+                                       superlu_calls):
+        matrix = build()
+        lu = lu_factor(matrix)
+        assert isinstance(lu, BandLU) and superlu_calls == []
+        assert (lu.kl, lu.ku) == bands
+        assert lu.nnz == (2 * lu.kl + lu.ku + 1) * matrix.shape[0]
+        reference = spla.splu(matrix.tocsc())
+        rhs = np.random.default_rng(4).standard_normal(matrix.shape[0])
+        x, y = lu.solve(rhs, trans=trans), reference.solve(rhs, trans=trans)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_exactly_singular_band_raises(self, superlu_calls):
+        singular = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                           [1.0, 1.0, 0.0],
+                                           [0.0, 1.0, 1.0]]))
+        with pytest.raises(LinearSolveError, match="exactly singular"):
+            lu_factor(singular)
+        assert superlu_calls == []
+
+    def test_pivot_ratio_reported_from_the_band(self):
+        space = space_1d(3)
+        nearly = SparseOperator(space, sp.csr_matrix(
+            np.array([[1.0, 1.0 / 3.0], [3.0, 1.0 + 1e-14]])))
+        with pytest.raises(LinearSolveError,
+                           match=r"pivot ratio 9\.00\de\+14"):
+            solve_linear(nearly, np.array([1.0, 0.0]))
+
+    def test_empty_and_unsorted_matrices_keep_superlu(self, superlu_calls):
+        empty = lu_factor(sp.csr_matrix((0, 0)))
+        assert empty.solve(np.zeros(0)).shape == (0,)
+        with pytest.raises(LinearSolveError, match="exactly singular"):
+            lu_factor(sp.csr_matrix(np.diag([1.0, 0.0, 2.0])))  # empty row
+        unsorted = sp.csr_matrix((np.array([1.0, 4.0, 1.0, 4.0]),
+                                  np.array([1, 0, 0, 1]),
+                                  np.array([0, 2, 4])), shape=(2, 2))
+        assert not unsorted.has_sorted_indices
+        x = lu_factor(unsorted).solve(np.array([5.0, 5.0]))
+        assert np.allclose(x, 1.0)
+        assert len(superlu_calls) == 3
+
+    def test_margin_matches_the_superlu_margin(self):
+        _, ahat, nl = oscillatory_scenario_1d()
+        space = space_1d(round(16 * 256))
+        A_hat = effective_operator(space, ahat)
+        u0, report = solve_homogenized(A_hat, nl)
+        assert report.status == "converged"
+        banded = FrozenOperator(A_hat, nl, u0)
+        assert isinstance(banded.lu, BandLU)
+        margin = nondegeneracy_margin(banded)
+        matrix = (A_hat + banded.C).matrix.tocsc()
+        # SuperLU in the band's elimination order agrees to round-off; its
+        # minimum-degree order, which lu_factor gives 2D matrices, moves the
+        # margin by 1.8e-12 relative, within the benchmark output check's
+        # bound of 2e-10
+        for order, rtol in (("NATURAL", 1e-12), ("MMD_AT_PLUS_A", 2e-10)):
+            reference = copy.copy(banded)
+            reference.lu = spla.splu(matrix, permc_spec=order)
+            expected = nondegeneracy_margin(reference)
+            assert abs(margin - expected) <= rtol * expected
+
+    def test_factoring_131071_dofs_keeps_the_peak_memory(self):
+        # ru_maxrss is in KiB; SuperLU's workspace raises the peak by about
+        # 18 MB here, and the band holds 4 entries per dof, 4.2 MB
+        script = textwrap.dedent("""
+            import resource
+            from homfem.coeff import TensorField
+            from homfem.fem import FemSpace, assemble_diffusion, lu_factor
+            from homfem.mesh import build_interval_mesh
+
+            def peak():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+            A = assemble_diffusion(FemSpace(build_interval_mesh(131072), 1),
+                                   TensorField.constant(1, 1, 1.0)).matrix
+            before = peak()
+            lu = lu_factor(A)
+            print(A.shape[0], peak() - before)
+            """)
+        src = str(Path(homfem.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        dofs, grown_kib = map(int, out.stdout.split())
+        assert dofs == 131071
+        assert grown_kib < 12 * 1024
 
 
 class TestFemSpace:

@@ -112,11 +112,30 @@ def test_lu_factor_orders_for_less_fill_than_colamd():
               + assemble_jacobian_coupling(
                   space, eval_F_jacobian(nl, space, u0))).matrix
     ordered = lu_factor(frozen)
+    assert isinstance(ordered, spla.SuperLU)
     colamd = spla.splu(frozen.tocsc())
     assert ordered.nnz < colamd.nnz
     rhs = np.arange(1.0, space.num_free + 1.0)
     x, y = ordered.solve(rhs), colamd.solve(rhs)
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_1d_sweep_factors_without_superlu(tmp_path, count_calls,
+                                          superlu_calls):
+    # every 1D matrix, the pinned cell matrix included, is banded
+    cfg = parse_config((CONFIGS / "two_phase_1d.yaml").read_text())
+    factored = count_calls(lu_factor)
+    run_sweep(cfg, tmp_path)
+    assert len(factored) > 0 and superlu_calls == []
+
+
+def test_2d_row_factors_every_matrix_with_superlu(count_calls, superlu_calls):
+    cfg = parse_config((CONFIGS / "coupled_2d.yaml").read_text())
+    factored = count_calls(lu_factor)
+    ahat, _ = homfem.cli.compute_effective_tensor(cfg)
+    result = run_single(cfg, ahat, 0.25)
+    assert result.row["status"] == "converged"
+    assert len(superlu_calls) == len(factored) > 0
 
 
 def test_vertex_pattern_adds_no_fill():
