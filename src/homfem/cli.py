@@ -37,12 +37,12 @@ import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect
+from .expressions import compile_expression
 from .fem import (FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .nonlin import (Constant, ExpLinear, ExpressionFactor, Nonlinearity,
-                     Polynomial, Rational, Sinusoid, TableFactor, Term,
-                     validate)
+from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
+                     Sinusoid, TableFactor, Term, validate)
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
                     linf_norm, meyers_probe, probe_load)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
@@ -159,9 +159,6 @@ class ProblemConfig:
     def dim(self) -> int:
         return 1 if self.domain == "interval" else 2
 
-    def effective_dict(self) -> dict:
-        return asdict(self)
-
     # -- builders ---------------------------------------------------------
     # built once, and so validated, by parse_config; asdict skips them
 
@@ -210,9 +207,6 @@ class ProblemConfig:
                 else build_unit_square_mesh(cells))
         return FemSpace(mesh, self.system_dim, quadrature=quadrature)
 
-    def build_cell_mesh(self):
-        return build_periodic_cell_mesh(self.mesh.cell_resolution, self.dim)
-
 
 def _build_tensor_field(spec: dict, n: int, dim: int, where: str,
                         zero_outside: bool = False) -> TensorField:
@@ -234,9 +228,9 @@ def _build_tensor_field(spec: dict, n: int, dim: int, where: str,
 
 def _build_spatial_factor(spec, dim: int, where: str):
     if isinstance(spec, str):
-        return ExpressionFactor(spec, dim)
+        return compile_expression(spec, dim)
     if isinstance(spec, (int, float)):
-        return ExpressionFactor(repr(float(spec)), dim)
+        return compile_expression(repr(float(spec)), dim)
     if isinstance(spec, dict) and set(spec) <= {"grid", "values"}:
         return TableFactor(spec["grid"], spec["values"], dim)
     raise ConfigError(f"cannot interpret spatial factor in {where}")
@@ -383,6 +377,22 @@ def _write_csv(path: Path, schema_name: str, rows: list[dict]) -> None:
             writer.writerow([_format_value(row[n]) for n in names])
 
 
+def _write_json(path: Path, doc) -> None:
+    """Writes ``doc`` as strict JSON: a float that is not finite is null."""
+    path.write_text(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
+                               default=repr, allow_nan=False))
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _format_value(v):
     if isinstance(v, float):
         return repr(float(v))
@@ -402,7 +412,8 @@ def compute_effective_tensor(cfg: ProblemConfig):
     effective tensor unchanged, so it never enters the cell formula.
     """
     base = cfg.coefficient.without_defect()
-    correctors = solve_cell_problems(base, cfg.build_cell_mesh())
+    correctors = solve_cell_problems(base, build_periodic_cell_mesh(
+        cfg.mesh.cell_resolution, cfg.dim))
     ahat = correctors.ahat
     info = {
         "cell_resolution": cfg.mesh.cell_resolution,
@@ -423,7 +434,7 @@ def _effective_tensor(cfg: ProblemConfig, out: Path):
         return compute_effective_tensor(cfg)
     except Exception as exc:  # noqa: BLE001 - recorded in summary.json
         info = {"status": f"{_failed('cell problems', exc)}: {exc}"}
-        (out / "summary.json").write_text(json.dumps({"cell": info}, indent=2))
+        _write_json(out / "summary.json", {"cell": info})
         return None, info
 
 
@@ -464,7 +475,7 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
-    A_hat = assemble_diffusion(space, ahat.as_tensor_field())
+    A_hat = assemble_diffusion(space, ahat)
     u0, newton_report = solve_homogenized(A_hat, nl, cfg.solver)
     result = RowResult(_row(eps, "homogenized-" + newton_report.status,
                             space.mesh.spacing, space.mesh.num_cells), space)
@@ -565,8 +576,7 @@ def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor,
     """The linear probe at ``eps`` on its own space, factoring both solves."""
     space = cfg.build_probe_space(eps)
     load = probe_load(space)
-    u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
-                         -load)
+    u_hat = solve_linear(assemble_diffusion(space, ahat), -load)
     return h_convergence_probe(cfg.coefficient.with_epsilon(eps), ahat,
                                u_hat, load, cfg.probe.modes)
 
@@ -671,8 +681,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 
     if uniqueness is not None:
         summary["uniqueness"] = uniqueness
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=repr))
+    _write_json(out / "summary.json", summary)
     log.info("summary: %s", json.dumps(summary, sort_keys=True, default=repr))
     return summary
 
@@ -692,7 +701,7 @@ def _run_log(cfg: ProblemConfig, out: Path):
     for w in cfg.warnings:
         log.warning(w)
     log.info("effective config: %s",
-             json.dumps(cfg.effective_dict(), sort_keys=True))
+             json.dumps(asdict(cfg), sort_keys=True))
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, category, *_: log.warning(
@@ -748,11 +757,7 @@ def main(argv=None) -> int:
             result = _guarded_run(cfg, ahat,
                                   eps if eps is not None else cfg.eps[0])
             row = result.row
-            # strict JSON: what was not measured, or not finite, is null
-            (out / "solve.json").write_text(json.dumps(
-                {k: None if isinstance(v, float) and not np.isfinite(v)
-                 else v for k, v in row.items()},
-                indent=2, sort_keys=True, default=repr, allow_nan=False))
+            _write_json(out / "solve.json", row)
             _write_csv(out / "solution.csv", "solution",
                        _solution_rows(result.space, result.fields)
                        if result.space else [])

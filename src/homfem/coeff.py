@@ -255,8 +255,6 @@ class TensorField:
             raise ValueError(
                 f"tensor fails the pointwise ellipticity check: observed "
                 f"quadratic-form margin {margin:.3e} <= 0")
-        if not np.isfinite(self.observed_magnitude()):
-            raise ValueError("tensor magnitude unbounded on sample grid")
         return margin
 
 
@@ -334,12 +332,15 @@ def add_defect(base: TensorField, defect: TensorField, epsilon: float) -> Tensor
 
 
 class HomogenizedTensor:
-    """A constant effective diffusion tensor."""
+    """A constant effective diffusion tensor; it answers ``evaluate`` as a
+    :class:`TensorField` does, so it assembles directly."""
 
     def __init__(self, values):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise ValueError(f"expected shape (n,n,N,N), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("effective tensor has non-finite entries")
         self.values = arr
         self.n = arr.shape[0]
         self.dim = arr.shape[2]
@@ -350,14 +351,10 @@ class HomogenizedTensor:
                 f"(margin {self.margin:.3e}); the cell mesh is likely "
                 f"under-resolved")
 
-    def as_tensor_field(self) -> TensorField:
-        return TensorField.constant(self.n, self.dim, self.values)
-
-    def matrix(self):
-        """For one space dimension, the n x n coefficient matrix."""
-        if self.dim != 1:
-            raise ValueError("matrix() only applies in one space dimension")
-        return self.values[:, :, 0, 0].copy()
+    def evaluate(self, points):
+        """The tensor at every point, shape (m, n, n, N, N)."""
+        m = len(np.atleast_2d(points))
+        return np.broadcast_to(self.values, (m,) + self.values.shape).copy()
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "N": self.dim,

@@ -111,12 +111,12 @@ class FemSpace:
         Number of field components.
     quadrature : str
         "midpoint" (default) or "3point".
-    constrain_boundary : bool
-        Impose homogeneous Dirichlet values on the mesh boundary markers.
+
+    The mesh's boundary vertices carry homogeneous Dirichlet values; a
+    periodic mesh has none, so every dof of its space is free.
     """
 
-    def __init__(self, mesh: Mesh, n: int, quadrature: str = "midpoint",
-                 constrain_boundary: bool = True):
+    def __init__(self, mesh: Mesh, n: int, quadrature: str = "midpoint"):
         if n < 1:
             raise ValueError("system dimension must be at least 1")
         self.mesh = mesh
@@ -131,7 +131,7 @@ class FemSpace:
         self.indep_vertices = indep
 
         mask = np.zeros(self.num_dofs, dtype=bool)
-        for v in (mesh.boundary if constrain_boundary else ()):
+        for v in mesh.boundary:
             slot = self._vertex_slot[v]
             mask[slot * n:(slot + 1) * n] = True
         self.constrained_mask = mask
@@ -168,9 +168,6 @@ class FemSpace:
 
     def dof_index(self, vertex: int, component: int = 0) -> int:
         return int(self._vertex_slot[vertex]) * self.n + component
-
-    def full_to_free(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.free_dofs]
 
     def free_to_full(self, free_values: np.ndarray) -> np.ndarray:
         full = np.zeros(self.num_dofs)
@@ -327,7 +324,7 @@ class DiscreteField:
         return DiscreteField(self.space, self.values.copy())
 
     def free(self) -> np.ndarray:
-        return self.space.full_to_free(self.values)
+        return self.values[self.space.free_dofs]
 
     def nodal_matrix(self) -> np.ndarray:
         """Values per independent vertex, shape (num_indep_vertices, n)."""

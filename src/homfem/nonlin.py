@@ -1,21 +1,24 @@
 """Flux nonlinearities f_i^a(x, u) in separable product form.
 
 Each flux component is a finite sum of terms g(x) * h(u) where g is a
-spatial factor (expression string or piecewise table, with a declared
-integrability exponent p0) and h comes from a small catalog with exact
-derivatives: polynomials in the field components, sin/cos and exp of linear
-forms, and rationals with nonvanishing denominator.  The catalog keeps
-validation decidable; no growth restriction is imposed on h since all
-evaluations happen on bounded nodal ranges.
+spatial factor with a declared integrability exponent p0 (an expression
+compiled by :func:`~homfem.expressions.compile_expression`, or a piecewise
+table; either maps points (m, N) to values (m,)) and h comes from a small
+catalog with exact derivatives: polynomials in the field components,
+sin/cos and exp of linear forms, and rationals with nonvanishing
+denominator, each mapping samples (m, n) to values (m,) and, by
+``gradient``, to (m, n).  The catalog keeps validation decidable; no growth
+restriction is imposed on h since all evaluations happen on bounded nodal
+ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .expressions import compile_expression
 from .fem import FemSpace, DiscreteField
 
 __all__ = [
@@ -46,17 +49,7 @@ class EvaluationDomainError(ValueError):
 # value-factor catalog
 
 
-class _ValueFactor:
-    """Base class: h(u) with exact gradient, vectorized over (m, n) samples."""
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class Constant(_ValueFactor):
+class Constant:
     """h(u) = c, the field-independent factor."""
 
     def __init__(self, value: float = 1.0, n: int = 1):
@@ -70,7 +63,7 @@ class Constant(_ValueFactor):
         return np.zeros_like(u)
 
 
-class Polynomial(_ValueFactor):
+class Polynomial:
     """h(u) = sum of coeff * u1^e1 * ... * un^en monomials."""
 
     def __init__(self, monomials, n: int):
@@ -106,7 +99,7 @@ class Polynomial(_ValueFactor):
         return out
 
 
-class _LinearFormFactor(_ValueFactor):
+class _LinearFormFactor:
     def __init__(self, coeffs, shift: float = 0.0, n: int = 1):
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (n,):
@@ -147,7 +140,7 @@ class ExpLinear(_LinearFormFactor):
         return np.exp(self._form(u))[:, None] * self.coeffs[None, :]
 
 
-class Rational(_ValueFactor):
+class Rational:
     """h(u) = P(u) / Q(u) with polynomial P, Q and Q nonvanishing."""
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
@@ -179,21 +172,7 @@ class Rational(_ValueFactor):
 # spatial factors
 
 
-class _SpatialFactor:
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ExpressionFactor(_SpatialFactor):
-    def __init__(self, text: str, dim: int):
-        self.fn = compile_expression(text, dim)
-        self.source = text
-
-    def __call__(self, pts):
-        return self.fn(pts)
-
-
-class TableFactor(_SpatialFactor):
+class TableFactor:
     """Piecewise-constant values on a uniform grid over the domain."""
 
     def __init__(self, grid, values, dim: int):
@@ -216,8 +195,8 @@ class Term:
 
     alpha: int
     i: int
-    g: _SpatialFactor
-    h: _ValueFactor
+    g: Callable[[np.ndarray], np.ndarray]  # spatial factor
+    h: Callable[[np.ndarray], np.ndarray]  # catalog value factor
     p0: float
 
 

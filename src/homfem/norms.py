@@ -144,23 +144,24 @@ def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
                         space.gradients_on_cells(u_hat.values))
 
     # quadrature-weighted differences, one quadrature point at a time, so
-    # that each test function's pairings are two matvecs: rows (point) and
-    # (point, direction)
+    # that each test function's pairings are two sums over columns (point)
+    # and (point, direction) per component; einsum over contiguous rows,
+    # unlike a BLAS matvec, sums in the same order on any thread count
     nc, nq = space.quad_points.shape[:2]
     weights = space.quad_weights
     wdu = (weights[:, :, None] * space.values_at_quadrature(
-        u_eps.values - u_hat.values)).reshape(nc * nq, n)
-    wdflux = np.empty((nc, nq, dim, n))
+        u_eps.values - u_hat.values)).reshape(nc * nq, n).T.copy()
+    wdflux = np.empty((n, nc, nq, dim))
     for q in range(nq):
         a_q = tensor_eps.evaluate(space.quad_points[:, q])
         dflux = np.einsum("cabij,cbj->cai", a_q, grad_eps) - fluxhat
-        wdflux[:, q] = weights[:, q, None, None] * dflux.transpose(0, 2, 1)
-    wdflux = wdflux.reshape(nc * nq * dim, n)
+        wdflux[:, :, q] = np.moveaxis(weights[:, q, None, None] * dflux, 1, 0)
+    wdflux = wdflux.reshape(n, nc * nq * dim)
     pairings, flux_pairings = [], []
     pts = space.quad_points.reshape(nc * nq, dim)
     for val, grad in _sine_modes(pts, modes):
-        pairings.append(abs(val @ wdu).sum())
-        flux_pairings.append(abs(grad @ wdflux).sum())
+        pairings.append(abs(np.einsum("ap,p->a", wdu, val)).sum())
+        flux_pairings.append(abs(np.einsum("ap,p->a", wdflux, grad)).sum())
     diff = u_eps - u_hat
     return HConvergenceRow(
         eps=tensor_eps.epsilon, h=space.mesh.h, n_cells=space.mesh.num_cells,

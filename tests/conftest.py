@@ -9,11 +9,12 @@ import scipy.sparse as sp
 from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
+from homfem.expressions import compile_expression
 from homfem.fem import (FemSpace, assemble_diffusion, assemble_divergence_load,
                         solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.nonlin import Constant, ExpressionFactor, Nonlinearity, Polynomial
+from homfem.nonlin import Constant, Nonlinearity, Polynomial
 from homfem.norms import h_convergence_probe
 
 
@@ -30,8 +31,8 @@ def oscillatory_scenario_1d():
     base = piecewise_14_tensor()
     ahat = homogenized_tensor_1d(base)
     nl = Nonlinearity(1, 1, [], p0=4.0)
-    nl.term(0, 0, ExpressionFactor("0.5*sin(2*pi*x)", 1), Constant(1.0, 1))
-    nl.term(0, 0, ExpressionFactor("0.25", 1), Polynomial([(1.0, (2,))], 1))
+    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1), Constant(1.0, 1))
+    nl.term(0, 0, compile_expression("0.25", 1), Polynomial([(1.0, (2,))], 1))
     return base, ahat, nl
 
 
@@ -52,7 +53,7 @@ def space_1d(n, quadrature="midpoint"):
 
 def effective_operator(space, ahat):
     """``Ahat`` assembled on ``space``, as the solver stages take it."""
-    return assemble_diffusion(space, ahat.as_tensor_field())
+    return assemble_diffusion(space, ahat)
 
 
 def fixed_point_from_ubar(A_eps, nl, u0, cfg):
@@ -70,8 +71,7 @@ KERNEL_SPACES = {
     "square-midpoint": lambda: FemSpace(build_unit_square_mesh(5), 2),
     "square-3point": lambda: FemSpace(build_unit_square_mesh(5), 2,
                                       quadrature="3point"),
-    "periodic-cell": lambda: FemSpace(build_periodic_cell_mesh(2, 2), 2,
-                                      constrain_boundary=False),
+    "periodic-cell": lambda: FemSpace(build_periodic_cell_mesh(2, 2), 2),
 }
 
 
@@ -131,10 +131,10 @@ def coupled_scenario_2d():
                     entries[a][b][i][i] = "0.25"
     base = TensorField.from_expressions(2, 2, entries)
     nl = Nonlinearity(2, 2, [], p0=4.0)
-    nl.term(0, 0, ExpressionFactor("0.5*sin(2*pi*x1)", 2), Constant(1.0, 2))
-    nl.term(0, 0, ExpressionFactor("0.25", 2), Polynomial([(1.0, (2, 0))], 2))
-    nl.term(1, 1, ExpressionFactor("0.5*sin(2*pi*x2)", 2), Constant(1.0, 2))
-    nl.term(1, 1, ExpressionFactor("0.2", 2), Polynomial([(1.0, (1, 1))], 2))
+    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x1)", 2), Constant(1.0, 2))
+    nl.term(0, 0, compile_expression("0.25", 2), Polynomial([(1.0, (2, 0))], 2))
+    nl.term(1, 1, compile_expression("0.5*sin(2*pi*x2)", 2), Constant(1.0, 2))
+    nl.term(1, 1, compile_expression("0.2", 2), Polynomial([(1.0, (1, 1))], 2))
     return base, nl
 
 
@@ -153,8 +153,7 @@ def probe_rows(tensor, ahat, flux_fn, eps_list, modes=4, cells_per_eps=8):
         load = assemble_divergence_load(space, flux_fn(
             space.quad_points.reshape(nc * nq, tensor.dim)).reshape(
                 nc, nq, tensor.n, tensor.dim))
-        u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
-                             -load)
+        u_hat = solve_linear(assemble_diffusion(space, ahat), -load)
         rows.append(h_convergence_probe(tensor.with_epsilon(eps), ahat,
                                         u_hat, load, modes))
     return rows

@@ -77,9 +77,9 @@ def sweep_1d():
 def test_criterion_01_effective_tensor_1d():
     t0 = time.perf_counter()
     base = piecewise_14_tensor()
-    direct = homogenized_tensor_1d(base).matrix()[0, 0]
+    direct = homogenized_tensor_1d(base).values[0, 0, 0, 0]
     cellmesh = build_periodic_cell_mesh(16, 1)
-    via_correctors = solve_cell_problems(base, cellmesh).ahat.matrix()[0, 0]
+    via_correctors = solve_cell_problems(base, cellmesh).ahat.values[0, 0, 0, 0]
     elapsed = time.perf_counter() - t0
     ok = (abs(direct - 1.6) <= 1e-12 and abs(via_correctors - 1.6) <= 1e-10
           and elapsed < 1.0)

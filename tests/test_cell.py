@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homfem import cell
 from homfem.cell import homogenized_tensor_1d, solve_cell_problems
 from homfem.coeff import TensorField
 from homfem.mesh import build_interval_mesh, build_periodic_cell_mesh
@@ -9,7 +10,33 @@ from conftest import (assert_relative_close, coupled_scenario_2d,
                       piecewise_14_tensor)
 
 
+class _NanFactor:
+    """Stands in for ``lu_factor``: every solve returns NaN, as a quietly
+    failed factorization of the cell system would."""
+
+    def __init__(self, matrix):
+        self.size = matrix.shape[0]
+
+    def solve(self, rhs):
+        return np.full(self.size, np.nan)
+
+
 class TestSolveCellProblems:
+    def test_nan_correctors_fail_the_mean_check(self, monkeypatch):
+        monkeypatch.setattr(cell, "lu_factor", _NanFactor)
+        with pytest.raises(RuntimeError, match="means exceed"):
+            solve_cell_problems(piecewise_14_tensor(),
+                                build_periodic_cell_mesh(8, 1))
+
+    def test_nan_residuals_fail_the_residual_check(self, monkeypatch):
+        # zero means, so that only the residual check sees the NaN
+        monkeypatch.setattr(cell, "lu_factor", _NanFactor)
+        monkeypatch.setattr(cell, "_component_means",
+                            lambda space, values: np.zeros(space.n))
+        with pytest.raises(RuntimeError, match="residual nan exceeds"):
+            solve_cell_problems(piecewise_14_tensor(),
+                                build_periodic_cell_mesh(8, 1))
+
     def test_constant_base_gives_zero_correctors(self):
         cm = build_periodic_cell_mesh(8, 1)
         corr = solve_cell_problems(TensorField.constant(1, 1, 2.5), cm)
@@ -59,7 +86,7 @@ class TestSolveCellProblems:
             homogenized_tensor_1d(family.with_epsilon(None))
         # stripping recovers the plain base both ways
         stripped = family.without_defect().with_epsilon(None)
-        assert abs(homogenized_tensor_1d(stripped).matrix()[0, 0] - 1.6) \
+        assert abs(homogenized_tensor_1d(stripped).values[0, 0, 0, 0] - 1.6) \
             <= 1e-12
 
 
@@ -68,11 +95,11 @@ class TestHomogenizedTensor1d:
         A = np.array([[2.0, 0.3], [0.3, 1.5]])
         t = TensorField.constant(2, 1, A.reshape(2, 2))
         ahat = homogenized_tensor_1d(t)
-        assert np.allclose(ahat.matrix(), A, atol=1e-12)
+        assert np.allclose(ahat.values[:, :, 0, 0], A, atol=1e-12)
 
     def test_two_phase_harmonic_mean(self):
         ahat = homogenized_tensor_1d(piecewise_14_tensor())
-        assert abs(ahat.matrix()[0, 0] - 1.6) <= 1e-12
+        assert abs(ahat.values[0, 0, 0, 0] - 1.6) <= 1e-12
 
     def test_piecewise_matrices_formula(self):
         A1 = np.array([[2.0, 0.5], [0.1, 1.0]])
@@ -81,7 +108,7 @@ class TestHomogenizedTensor1d:
         expected = np.linalg.inv(0.5 * np.linalg.inv(A1)
                                  + 0.5 * np.linalg.inv(A2))
         ahat = homogenized_tensor_1d(t)
-        assert np.allclose(ahat.matrix(), expected, atol=1e-12)
+        assert np.allclose(ahat.values[:, :, 0, 0], expected, atol=1e-12)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="N == 1"):
@@ -106,7 +133,7 @@ class TestHomogenizedTensorCorrectorPath:
         base = piecewise_14_tensor()
         cm = build_periodic_cell_mesh(8, 1)
         ahat = solve_cell_problems(base, cm).ahat
-        assert abs(ahat.matrix()[0, 0] - 1.6) <= 1e-10
+        assert abs(ahat.values[0, 0, 0, 0] - 1.6) <= 1e-10
 
     def test_smooth_base_matches_inverse_average(self):
         # inverse-average value sqrt(3) for 2 + sin; per-cell midpoint
@@ -115,7 +142,7 @@ class TestHomogenizedTensorCorrectorPath:
         base = TensorField.from_expressions(1, 1, "2 + sin(2*pi*x)")
         cm = build_periodic_cell_mesh(32, 1)
         ahat = solve_cell_problems(base, cm).ahat
-        assert abs(ahat.matrix()[0, 0] - np.sqrt(3.0)) < 1e-12
+        assert abs(ahat.values[0, 0, 0, 0] - np.sqrt(3.0)) < 1e-12
 
     def test_unaligned_discontinuity_converges_under_refinement(self):
         # thirds laminate: exact inverse average (1/3 + (2/3)/4)^-1 = 2;
@@ -126,7 +153,7 @@ class TestHomogenizedTensorCorrectorPath:
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)
             ahat = solve_cell_problems(base, cm).ahat
-            gaps.append(abs(ahat.matrix()[0, 0] - 2.0))
+            gaps.append(abs(ahat.values[0, 0, 0, 0] - 2.0))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
 
@@ -136,7 +163,7 @@ class TestHomogenizedTensorCorrectorPath:
         base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
         cm = build_periodic_cell_mesh(16, 2)
         ahat = solve_cell_problems(base, cm).ahat
-        lamina = homogenized_tensor_1d(piecewise_14_tensor()).matrix()[0, 0]
+        lamina = homogenized_tensor_1d(piecewise_14_tensor()).values[0, 0, 0, 0]
         arith = 0.5 * (1.0 + 4.0)
         assert np.allclose(ahat.values[0, 0], np.diag([lamina, arith]),
                            atol=1e-10)
@@ -157,7 +184,7 @@ class TestHomogenizedTensorCorrectorPath:
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)
             ahat = solve_cell_problems(base, cm).ahat
-            values.append(ahat.matrix()[0, 0])
+            values.append(ahat.values[0, 0, 0, 0])
         diffs = [abs(b - a) for a, b in zip(values, values[1:])]
         assert diffs[-1] < diffs[0]
 

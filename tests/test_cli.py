@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,14 @@ mesh:
   cells_per_eps: 16
   cell_resolution: 16
 """
+
+
+def _strict_json(path):
+    """``path`` parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds the non-standard {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def _read_csv(path, schema_name):
@@ -199,18 +208,18 @@ eps: [0.25]
         except ConfigError:
             pass
 
-    def test_effective_dict_echoes_defaults(self):
+    def test_echoed_config_has_defaults(self):
         cfg = parse_config(MINIMAL)
-        doc = cfg.effective_dict()
+        doc = asdict(cfg)
         assert doc["quadrature"] == "midpoint"
         assert doc["solver"]["fp_max_iter"] == 50
         assert doc["probe"]["trials"] == 10
 
     @pytest.mark.parametrize("name", ["two_phase_1d", "coupled_2d"])
-    def test_effective_dict_is_a_config(self, name):
+    def test_echoed_config_is_a_config(self, name):
         # the effective config that run.log records parses back to itself
         cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
-        doc = cfg.effective_dict()
+        doc = asdict(cfg)
         del doc["warnings"]
         assert parse_config(yaml.safe_dump(doc)) == cfg
 
@@ -227,6 +236,8 @@ _H_FACTORS = [
      "denominator": [{"coeff": 1.0, "powers": [0]},
                      {"coeff": -1.0, "powers": [1]}]},
 ]
+# a spatial factor that is infinite on the whole interval
+NON_INTEGRABLE = "1/floor(x)"
 _OUTPUTS = ("ahat.json", "sweep.csv", "hconv.csv", "meyers.csv",
             "summary.json", "run.log")
 
@@ -239,11 +250,14 @@ _OUTPUTS = ("ahat.json", "sweep.csv", "hconv.csv", "meyers.csv",
        terms=st.lists(st.fixed_dictionaries({
            "target": st.just([1, 1]),
            "g": st.sampled_from(["0.25", "0.5*sin(2*pi*x)",
-                                 "5*sin(2*pi*x)"]),
+                                 "5*sin(2*pi*x)", NON_INTEGRABLE]),
            "h": st.sampled_from(_H_FACTORS)}), min_size=1, max_size=2))
 @example(eps=[0.5, 0.25], cells_per_eps=8, cell_resolution=8, trials=1,
          terms=[{"target": [1, 1], "g": "5*sin(2*pi*x)",
                  "h": _H_FACTORS[-1]}])
+@example(eps=[0.5], cells_per_eps=8, cell_resolution=8, trials=1,
+         terms=[{"target": [1, 1], "g": NON_INTEGRABLE,
+                 "h": _H_FACTORS[0]}])
 def test_small_config_fails_at_parse_or_writes_every_output(
         eps, cells_per_eps, cell_resolution, trials, terms):
     doc = yaml.safe_load(MINIMAL)
@@ -259,6 +273,22 @@ def test_small_config_fails_at_parse_or_writes_every_output(
         run_sweep(cfg, out)
         assert all((Path(out) / name).exists() for name in _OUTPUTS)
         assert len(_read_csv(Path(out) / "sweep.csv", "sweep")) == len(eps)
+        for path in Path(out).glob("*.json"):
+            _strict_json(path)
+
+
+def test_non_integrable_factor_writes_strict_summary(tmp_path):
+    # |g|^p0 integrates to Infinity; summary.json records it as null
+    doc = yaml.safe_load(MINIMAL)
+    doc["nonlinearity"]["terms"].append(
+        {"target": [1, 1], "g": NON_INTEGRABLE, "h": {"kind": "constant"}})
+    summary = run_sweep(parse_config(yaml.safe_dump(doc)), tmp_path)
+    terms = summary["nonlinearity_validation"]["terms"]
+    assert terms[-1]["integral_estimate"] == np.inf
+    written = _strict_json(tmp_path / "summary.json")
+    assert written["nonlinearity_validation"]["terms"][-1] == {
+        "target": [1, 1], "source": NON_INTEGRABLE,
+        "integral_estimate": None, "passed": False}
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +347,7 @@ class TestRunSweep:
                   if line.startswith(prefix)]
         assert len(logged) == 1
         assert json.loads(logged[0]) == json.loads(json.dumps(
-            parse_config(MINIMAL).effective_dict()))
+            asdict(parse_config(MINIMAL))))
 
     def test_deterministic_rerun(self, tmp_path):
         cfg = parse_config(MINIMAL)
@@ -626,12 +656,7 @@ class TestMain:
         path.write_text(POLE)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        row = json.loads((out / "solve.json").read_text(),
-                         parse_constant=reject)
+        row = _strict_json(out / "solve.json")
         assert row["margin"] is None and row["h"] is None
         assert row["eps"] == 0.125 and row["iterations"] == 0
 

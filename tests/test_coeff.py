@@ -203,12 +203,16 @@ class TestHomogenizedTensor:
         assert np.allclose(doc["values"], t.values)
         assert doc["n"] == 1 and doc["N"] == 2
 
-    def test_matrix_for_1d(self):
-        t = HomogenizedTensor(np.array(1.6).reshape(1, 1, 1, 1))
-        assert np.isclose(t.matrix()[0, 0], 1.6)
+    def test_evaluate_is_the_constant_field(self):
+        # assembled directly, it must give the bytes of the constant field
+        values = np.array([[1.6, 0.1], [0.2, 2.5]]).reshape(1, 1, 2, 2)
+        pts = np.array([[0.3, 0.7], [0.9, 0.1], [0.5, 0.5]])
+        got = HomogenizedTensor(values).evaluate(pts)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(
+            got, TensorField.constant(1, 2, values).evaluate(pts))
 
-    def test_as_tensor_field(self):
-        t = HomogenizedTensor(np.diag([1.6, 2.5]).reshape(1, 1, 2, 2))
-        field = t.as_tensor_field()
-        assert np.allclose(field.evaluate(np.array([[0.3, 0.7]]))[0, 0, 0],
-                           np.diag([1.6, 2.5]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            HomogenizedTensor(np.full((1, 1, 1, 1), bad))

@@ -15,13 +15,13 @@ from hypothesis.extra import numpy as hnp
 
 import homfem
 from homfem.coeff import TensorField
+from homfem.expressions import compile_expression
 from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
                         SparseOperator, assemble_diffusion,
                         assemble_divergence_load, assemble_jacobian_coupling,
                         lu_factor, solve_linear)
 from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
-from homfem.nonlin import (ExpressionFactor, Nonlinearity, Polynomial,
-                           eval_F_jacobian)
+from homfem.nonlin import Nonlinearity, Polynomial, eval_F_jacobian
 from homfem.solver import (FrozenOperator, nondegeneracy_margin,
                            solve_homogenized)
 
@@ -212,7 +212,7 @@ def _two_component_newton_matrix():
         2, 1, [[[["2 + cos(2*pi*x)"]], [["0.25"]]],
                [[["0.25"]], [["3 + sin(2*pi*x)"]]]])
     nl = Nonlinearity(2, 1, [], p0=4.0)
-    nl.term(0, 0, ExpressionFactor("0.5*sin(2*pi*x)", 1),
+    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1),
             Polynomial([(1.0, (0, 2))], 2))
     space = FemSpace(build_interval_mesh(128), 2)
     u = space.field_from_free(
@@ -330,9 +330,9 @@ class TestFemSpace:
         assert space.num_free + space.constrained_mask.sum() == space.num_dofs
 
     def test_vertex_pattern_needs_whole_vertices_constrained(self):
-        space = FemSpace(build_unit_square_mesh(3), 2,
-                         constrain_boundary=False)
-        space.constrained_mask[0] = True  # one component of one vertex
+        space = FemSpace(build_unit_square_mesh(3), 2)
+        # one component of one free vertex
+        space.constrained_mask[space.free_dofs[0]] = True
         with pytest.raises(ValueError, match="every component"):
             space.vertex_pattern
 
@@ -344,8 +344,7 @@ class TestFemSpace:
 
     def test_periodic_space_dof_count(self):
         from homfem.mesh import build_periodic_cell_mesh
-        space = FemSpace(build_periodic_cell_mesh(4, 2), 3,
-                         constrain_boundary=False)
+        space = FemSpace(build_periodic_cell_mesh(4, 2), 3)
         assert space.num_dofs == 3 * 16
         assert space.num_free == space.num_dofs
 
@@ -374,8 +373,7 @@ class TestFemSpace:
 
     def test_periodic_field_agrees_on_identified_faces(self):
         from homfem.mesh import build_periodic_cell_mesh
-        space = FemSpace(build_periodic_cell_mesh(4, 2), 2,
-                         constrain_boundary=False)
+        space = FemSpace(build_periodic_cell_mesh(4, 2), 2)
         rng = np.random.default_rng(12)
         u = DiscreteField(space, rng.standard_normal(space.num_dofs))
         verts = space.mesh.vertices

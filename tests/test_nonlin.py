@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfem.cli import parse_config
+from homfem.expressions import compile_expression
 from homfem.fem import DiscreteField, FemSpace
 from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, ExpLinear, ExpressionFactor,
-                           Nonlinearity, Polynomial, Rational, Sinusoid,
-                           TableFactor, Term, eval_F, eval_F_jacobian,
-                           validate)
+from homfem.nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial,
+                           Rational, Sinusoid, TableFactor, Term, eval_F,
+                           eval_F_jacobian, validate)
 
 from conftest import space_1d
 
@@ -123,7 +123,7 @@ class TestCatalog:
 @pytest.mark.parametrize("alpha, i", [(1, 0), (0, 1), (-1, 0)])
 def test_term_target_outside_the_index_range_rejected(alpha, i):
     # the constructor and term() share one range check
-    g, h = ExpressionFactor("1", 1), Constant(1.0, 1)
+    g, h = compile_expression("1", 1), Constant(1.0, 1)
     with pytest.raises(ValueError, match="flux index range"):
         Nonlinearity(1, 1, [Term(alpha, i, g, h, 4.0)], p0=4.0)
     with pytest.raises(ValueError, match="flux index range"):
@@ -138,7 +138,7 @@ class TestEvalF:
     def test_u_independent_flux(self):
         space = space_1d(8)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("x", 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("x", 1), Constant(1.0, 1))
         for fn in (np.zeros_like, np.ones_like):
             u = self._u_field(space, fn)
             vals = eval_F(nl, space, u)
@@ -147,7 +147,7 @@ class TestEvalF:
     def test_square_of_constant_field(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("1", 1), Polynomial([(1.0, (2,))], 1))
+        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (2,))], 1))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F(nl, space, u), 4.0)
 
@@ -155,7 +155,7 @@ class TestEvalF:
         # f = sin(2 pi x) * u at x=0.25 with u(x)=x: sin(pi/2) * 0.25
         space = space_1d(8)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("sin(2*pi*x)", 1),
+        nl.term(0, 0, compile_expression("sin(2*pi*x)", 1),
                 Polynomial([(1.0, (1,))], 1))
         u = self._u_field(space, lambda x: x.copy())
         # use an explicit sample, not a mesh quadrature point
@@ -165,21 +165,21 @@ class TestEvalF:
     def test_jacobian_zero_for_u_independent(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("x", 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("x", 1), Constant(1.0, 1))
         u = self._u_field(space, np.ones_like)
         assert np.allclose(eval_F_jacobian(nl, space, u), 0.0)
 
     def test_jacobian_cubic(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("1", 1), Polynomial([(1.0, (3,))], 1))
+        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (3,))], 1))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F_jacobian(nl, space, u), 12.0)
 
     def test_locality_under_permutation(self):
         # the flux at a sample depends only on the value at that sample
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("1", 1), Polynomial([(1.0, (2,))], 1))
+        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (2,))], 1))
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(20, 1))
         u = rng.uniform(size=(20, 1))
@@ -197,7 +197,7 @@ class TestEvalF:
         # pole at u = -5, reached by the constant field
         pole = Rational(Polynomial([(1.0, (0,))], 1),
                         Polynomial([(1.0, (1,)), (5.0, (0,))], 1))
-        nl.term(0, 0, ExpressionFactor("1", 1), pole)
+        nl.term(0, 0, compile_expression("1", 1), pole)
         u = DiscreteField(space, np.full(space.num_dofs, -5.0))
         with pytest.raises(ValueError, match="quadrature point"):
             eval_F(nl, space, u)
@@ -217,7 +217,7 @@ class TestEvalF:
         # |F(u+tv) - F(u) - t J(u) v| / t -> 0 with decreasing ratios
         space = space_1d(32)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("1 + 0.5*sin(2*pi*x)", 1),
+        nl.term(0, 0, compile_expression("1 + 0.5*sin(2*pi*x)", 1),
                 Polynomial([(1.0, (3,)), (0.5, (2,))], 1))
         rng = np.random.default_rng(4)
         u = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
@@ -238,12 +238,12 @@ class TestEvalF:
 class TestValidate:
     def _nl_with_g(self, expr, p0):
         nl = Nonlinearity(1, 1, [], p0=p0)
-        nl.term(0, 0, ExpressionFactor(expr, 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression(expr, 1), Constant(1.0, 1))
         return nl
 
     def test_smooth_factor_passes(self):
         nl = Nonlinearity(1, 2, [], p0=4.0)
-        nl.term(0, 0, ExpressionFactor("sin(2*pi*x1)", 2), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("sin(2*pi*x1)", 2), Constant(1.0, 1))
         assert validate(nl).passed
 
     def test_exponent_must_exceed_dimension(self):
@@ -255,7 +255,7 @@ class TestValidate:
         # p0 = 1.5 exceeds N = 1 but not N = 2
         for dim, passed in ((1, True), (2, False)):
             nl = Nonlinearity(1, dim, [], p0=1.5)
-            nl.term(0, 0, ExpressionFactor("1", dim), Constant(1.0, 1))
+            nl.term(0, 0, compile_expression("1", dim), Constant(1.0, 1))
             report = validate(nl)
             assert report.dim == dim
             assert report.passed is passed

@@ -59,8 +59,7 @@ class TestW1pNorm:
 
     def test_constant_components_on_unit_cell(self):
         # no gradient; the value part is (3^2 + 4^2) times the unit measure
-        space = FemSpace(build_periodic_cell_mesh(4, 2), 2,
-                         constrain_boundary=False)
+        space = FemSpace(build_periodic_cell_mesh(4, 2), 2)
         u = DiscreteField(space, np.tile([3.0, -4.0], space.num_indep_vertices))
         assert np.isclose(w1p_norm(u), 5.0, rtol=1e-12)
 
@@ -280,8 +279,7 @@ def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions,
         space, flux_fn(pts).reshape(nc, nq, n, dim))
     tensor_eps = tensor_family.with_epsilon(row.eps)
     u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load)
-    u_hat = solve_linear(assemble_diffusion(space, ahat.as_tensor_field()),
-                         -load)
+    u_hat = solve_linear(assemble_diffusion(space, ahat), -load)
     du_q = space.values_at_quadrature(u_eps.values - u_hat.values)
     a_eps = tensor_eps.evaluate(pts).reshape(nc, nq, n, n, dim, dim)
     grad_eps = space.gradients_on_cells(u_eps.values)
