@@ -377,10 +377,10 @@ def _write_csv(path: Path, schema_name: str, rows: list[dict]) -> None:
             writer.writerow([_format_value(row[n]) for n in names])
 
 
-def _write_json(path: Path, doc) -> None:
-    """Writes ``doc`` as strict JSON: a float that is not finite is null."""
-    path.write_text(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
-                               default=repr, allow_nan=False))
+def _json(doc, indent=None) -> str:
+    """``doc`` as strict JSON: a float that is not finite is null."""
+    return json.dumps(_finite_or_null(doc), indent=indent, sort_keys=True,
+                      default=repr, allow_nan=False)
 
 
 def _finite_or_null(value):
@@ -430,12 +430,12 @@ def compute_effective_tensor(cfg: ProblemConfig):
 def _effective_tensor(cfg: ProblemConfig, out: Path):
     """:func:`compute_effective_tensor`, or on failure ``(None, info)``, with
     ``info["status"]`` the error, also written to ``summary.json``."""
-    try:
-        return compute_effective_tensor(cfg)
-    except Exception as exc:  # noqa: BLE001 - recorded in summary.json
-        info = {"status": f"{_failed('cell problems', exc)}: {exc}"}
-        _write_json(out / "summary.json", {"cell": info})
-        return None, info
+    result = _guarded("cell problems", compute_effective_tensor, cfg)
+    if not isinstance(result, str):
+        return result
+    info = {"status": result}
+    (out / "summary.json").write_text(_json({"cell": info}, indent=2))
+    return None, info
 
 
 def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
@@ -498,8 +498,9 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
             if probing:
                 probe_space = space.with_quadrature("3point")
                 load = probe_load(probe_space)
-                u_hat = _guarded_probe(eps, solve_linear, SparseOperator(
-                    probe_space, A_hat.matrix), -load, near=linearized.lu)
+                u_hat = _guarded(f"linear probe at eps={eps:g}", solve_linear,
+                                 SparseOperator(probe_space, A_hat.matrix),
+                                 -load, near=linearized.lu)
             # no two linearizations are held at once
             del A_hat, linearized
             tensor_eps = cfg.coefficient.with_epsilon(eps)
@@ -516,10 +517,10 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
             if probing:  # u_hat is the Ahat step's error record if it failed
-                result.probe = u_hat if isinstance(u_hat, str) else (
-                    _guarded_probe(eps, h_convergence_probe, tensor_eps, ahat,
-                                   u_hat, load, cfg.probe.modes,
-                                   near=frozen.lu))
+                result.probe = u_hat if isinstance(u_hat, str) else _guarded(
+                    f"linear probe at eps={eps:g}", h_convergence_probe,
+                    tensor_eps, ahat, u_hat, load, cfg.probe.modes,
+                    near=frozen.lu)
     return result
 
 
@@ -539,36 +540,31 @@ def _solution_rows(space: FemSpace, fields: dict) -> list[dict]:
     return rows
 
 
-def _failed(what: str, exc: Exception) -> str:
-    """Logs that ``what`` failed, naming the outermost homfem function of
-    ``exc``'s traceback outside this module; returns ``"error-<Type>"``."""
-    frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
-    frame = next((f for f in frames
-                  if f.f_globals.get("__name__", "").startswith("homfem.")
-                  and f.f_globals["__name__"] != __name__), frames[-1])
-    stage = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)
-    log.warning("%s failed in %s: %s", what, stage.removesuffix(".__init__"),
-                exc)
-    return f"error-{type(exc).__name__}"
+def _guarded(what: str, step, *args, **kwargs):
+    """``step(*args, **kwargs)``; on failure, logs that ``what`` failed in
+    the outermost homfem function of the traceback outside this module, and
+    returns ``"error-<Type>: <message>"`` for a row or summary status."""
+    try:
+        return step(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - recorded in a status
+        frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+        frame = next((f for f in frames
+                      if f.f_globals.get("__name__", "").startswith("homfem.")
+                      and f.f_globals["__name__"] != __name__), frames[-1])
+        stage = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)
+        log.warning("%s failed in %s: %s", what,
+                    stage.removesuffix(".__init__"), exc)
+        return f"error-{type(exc).__name__}: {exc}"
 
 
 def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
                  eps: float) -> RowResult:
-    """run_single, but any stage failure lands in the row (with no space,
-    no fields and no frozen operator) and the sweep continues."""
-    try:
-        return run_single(cfg, ahat, eps)
-    except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
-        return RowResult(_row(eps, _failed(f"solve at eps={eps:g}", exc)))
-
-
-def _guarded_probe(eps: float, stage, *args, **kwargs):
-    """``stage(*args, **kwargs)``, a step of the linear probe at ``eps``;
-    a failure is logged and returned as ``"error-<Type>: <message>"``."""
-    try:
-        return stage(*args, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - recorded in summary.json
-        return f"{_failed(f'linear probe at eps={eps:g}', exc)}: {exc}"
+    """run_single, but a failure lands in the row's ``error-<Type>`` status
+    (with no space, no fields and no frozen operator); the sweep goes on."""
+    result = _guarded(f"solve at eps={eps:g}", run_single, cfg, ahat, eps)
+    if isinstance(result, str):
+        return RowResult(_row(eps, result.partition(": ")[0]))
+    return result
 
 
 def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor,
@@ -589,7 +585,8 @@ def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
     period failed (it is left out of both tables), ``probe_errors``."""
     done = done or {}
     probes = {eps: done[eps] if eps in done else
-              _guarded_probe(eps, _probe_scale, cfg, ahat, eps)
+              _guarded(f"linear probe at eps={eps:g}", _probe_scale, cfg,
+                       ahat, eps)
               for eps in cfg.eps}
     hrows = [r for r in probes.values() if isinstance(r, HConvergenceRow)]
     _write_csv(out / "hconv.csv", "hconv", [{
@@ -619,7 +616,8 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
     Deterministic for a fixed config and seed; a period's failure lands in
     its row.  Rows run finest-first; the uniqueness probe restarts around
     the first converged row's ``u0``, ``ubar`` and ``ueps``, over its
-    frozen operator.
+    frozen operator; ``summary.json``'s ``uniqueness`` holds its ``eps`` and
+    report, or its ``error-<Type>: <message>`` ``status`` if it failed.
     """
     out = Path(out_dir if out_dir is not None else cfg.output)
     with _run_log(cfg, out):
@@ -636,7 +634,7 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     if ahat is None:
         return {"cell": cell_info}
     (out / "ahat.json").write_text(ahat.to_json())
-    log.info("effective tensor computed: %s", json.dumps(cell_info))
+    log.info("effective tensor computed: %s", _json(cell_info))
 
     # finest first: the probe runs while its row's factors are alive, and
     # the next row runs without this row's mesh
@@ -647,22 +645,22 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
         if result.probe is not None:
             probes[eps] = result.probe
         if uniqueness is None and result.row["status"] == "converged":
-            report = local_uniqueness_probe(
+            report = _guarded(
+                f"uniqueness probe at eps={eps:g}", local_uniqueness_probe,
                 result.frozen, cfg.solver, trials=cfg.probe.trials,
                 seed=cfg.seed, ubar=result.fields["ubar"],
                 u_eps=result.fields["ueps"])
-            uniqueness = {
-                "eps": eps,
-                "all_same": report.all_same,
-                "outside_ball": report.outside_ball,
-                "max_distance": max(report.distances),
-                "statuses": report.statuses,
-            }
+            uniqueness = ({"eps": eps, "status": report}
+                          if isinstance(report, str) else
+                          {"eps": eps, "all_same": report.all_same,
+                           "outside_ball": report.outside_ball,
+                           "max_distance": max(report.distances),
+                           "statuses": report.statuses})
         del result
     rows.reverse()
     _write_csv(out / "sweep.csv", "sweep", rows)
     for row in rows:
-        log.info("sweep row: %s", json.dumps(row, default=repr))
+        log.info("sweep row: %s", _json(row))
 
     summary = {"cell": cell_info, "rows": len(rows)}
     summary["nonlinearity_validation"] = {
@@ -681,8 +679,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 
     if uniqueness is not None:
         summary["uniqueness"] = uniqueness
-    _write_json(out / "summary.json", summary)
-    log.info("summary: %s", json.dumps(summary, sort_keys=True, default=repr))
+    (out / "summary.json").write_text(_json(summary, indent=2))
+    log.info("summary: %s", _json(summary))
     return summary
 
 
@@ -744,7 +742,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"--eps must lie in (0, 1], got {eps}")
     out = Path(args.out if args.out is not None else cfg.output)
     if args.command == "sweep":  # opens its own run log
-        return int("status" in run_sweep(cfg, out)["cell"])
+        summary = run_sweep(cfg, out)
+        return int("status" in summary["cell"]
+                   or "status" in summary.get("uniqueness", {}))
 
     with _run_log(cfg, out):
         ahat, info = _effective_tensor(cfg, out)
@@ -752,16 +752,16 @@ def main(argv=None) -> int:
             return 1
         if args.command == "homogenize":
             (out / "ahat.json").write_text(ahat.to_json())
-            log.info("wrote %s: %s", out / "ahat.json", json.dumps(info))
+            log.info("wrote %s: %s", out / "ahat.json", _json(info))
         elif args.command == "solve":
             result = _guarded_run(cfg, ahat,
                                   eps if eps is not None else cfg.eps[0])
             row = result.row
-            _write_json(out / "solve.json", row)
+            (out / "solve.json").write_text(_json(row, indent=2))
             _write_csv(out / "solution.csv", "solution",
                        _solution_rows(result.space, result.fields)
                        if result.space else [])
-            log.info("solve row: %s", json.dumps(row, default=repr))
+            log.info("solve row: %s", _json(row))
             return int(row["status"].startswith("error-"))
         elif args.command == "probe":
             return int("probe_errors" in _write_probe_tables(cfg, ahat, out))

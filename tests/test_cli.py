@@ -39,10 +39,21 @@ mesh:
 
 def _strict_json(path):
     """``path`` parsed as strict JSON, which has no NaN or Infinity."""
-    def reject(constant):
-        raise ValueError(f"{path.name} holds the non-standard {constant}")
+    return _strict_loads(path.read_text(), path.name)
 
-    return json.loads(path.read_text(), parse_constant=reject)
+
+def _strict_loads(text, what):
+    def reject(constant):
+        raise ValueError(f"{what} holds the non-standard {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _logged(out, prefix):
+    """The payloads of ``out/run.log``'s lines that start with ``prefix``."""
+    return [line.removeprefix(prefix) for line in
+            (out / "run.log").read_text().splitlines()
+            if line.startswith(prefix)]
 
 
 def _read_csv(path, schema_name):
@@ -341,10 +352,7 @@ class TestRunSweep:
         path.write_text(MINIMAL)
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        prefix = "INFO effective config: "
-        logged = [line[len(prefix):] for line in
-                  (out / "run.log").read_text().splitlines()
-                  if line.startswith(prefix)]
+        logged = _logged(out, "INFO effective config: ")
         assert len(logged) == 1
         assert json.loads(logged[0]) == json.loads(json.dumps(
             asdict(parse_config(MINIMAL))))
@@ -496,7 +504,7 @@ seed: 0
             parse_config(bad)
 
 
-def _failing_frozen_operator(matrix):
+def _failing(*args, **kwargs):
     raise RuntimeError("synthetic stage failure")
 
 
@@ -519,7 +527,9 @@ def _failing_fixed_point(iterate):
 
 class TestFailingStageNamed:
     @pytest.mark.parametrize("attr, make, stage", [
-        ("lu_factor", lambda _: _failing_frozen_operator, "FrozenOperator"),
+        ("lu_factor", lambda _: _failing, "FrozenOperator"),
+        # Newton's first step is the first solve of a row
+        ("solve_linear", lambda _: _failing, "solve_homogenized"),
         ("solve_linear", _failing_approximate_solution,
          "approximate_solution"),
         ("_iterate", _failing_fixed_point, "fixed_point_solve"),
@@ -538,6 +548,32 @@ class TestFailingStageNamed:
         assert row["status"] == "error-RuntimeError"
         assert (f"WARNING solve at eps=0.125 failed in {stage}: synthetic "
                 f"stage failure") in (out / "run.log").read_text()
+
+
+class TestUniquenessFailure:
+    def test_failed_probe_is_recorded_and_the_sweep_exits_1(
+            self, tmp_path, monkeypatch):
+        # every row is solved before the probe fails: all five result files
+        # are written, and summary.json records the probe's status
+        import homfem.cli as cli
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("synthetic probe failure")
+
+        monkeypatch.setattr(cli, "local_uniqueness_probe", failing)
+        path = tmp_path / "prob.yaml"
+        path.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert all((out / name).exists() for name in _OUTPUTS)
+        finest = parse_config(MINIMAL).eps[-1]
+        assert _strict_json(out / "summary.json")["uniqueness"] == {
+            "eps": finest,
+            "status": "error-FloatingPointError: synthetic probe failure"}
+        assert (f"WARNING uniqueness probe at eps={finest:g} failed in "
+                in (out / "run.log").read_text())
+        rows = _read_csv(out / "sweep.csv", "sweep")
+        assert all(r["status"] == "converged" for r in rows)
 
 
 # parses: the cell problems are the first to see that -1 is not elliptic
@@ -659,6 +695,26 @@ class TestMain:
         row = _strict_json(out / "solve.json")
         assert row["margin"] is None and row["h"] is None
         assert row["eps"] == 0.125 and row["iterations"] == 0
+
+    def test_failed_solve_logs_strict_json(self, tmp_path):
+        # run.log's JSON payloads are strict too: null, never NaN
+        path = tmp_path / "pole.yaml"
+        path.write_text(POLE)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
+        [payload] = _logged(out, "INFO solve row: ")
+        row = _strict_loads(payload, "solve row")
+        assert row["margin"] is None and row["h"] is None
+
+    def test_failed_sweep_logs_strict_json(self, tmp_path):
+        path = tmp_path / "pole.yaml"
+        path.write_text(POLE)
+        out = tmp_path / "o"
+        main(["sweep", "--config", str(path), "--out", str(out)])
+        for prefix in ("INFO effective tensor computed: ", "INFO sweep row: ",
+                       "INFO summary: "):
+            [payload] = _logged(out, prefix)
+            _strict_loads(payload, prefix)
 
     @pytest.mark.parametrize("eps", ["0", "-0.5", "nan", "1.5"])
     def test_eps_override_out_of_range_named(self, tmp_path, monkeypatch,
