@@ -19,12 +19,18 @@ the toolkit: divergence-form problems are posed as ``A u + b = 0`` where
 :func:`assemble_divergence_load`; :func:`solve_linear` itself solves the
 plain system ``A u = rhs``.
 
+A scalar field's matrices are built as CSR directly (a block CSR matrix
+with 1 x 1 blocks is one), and two operators on the same pattern add by
+adding their data arrays.
+
 Every factorization goes through :func:`lu_factor`, which reads the storage
 from the matrix: a matrix whose lower and upper bandwidths are both below
 its widest row's entry count, as every 1D P1 matrix is (block-tridiagonal),
-factors in LAPACK band storage (:class:`BandLU`); any other, such as a 2D
-one on all but the coarsest grids, goes to SuperLU with a minimum-degree
-ordering.  Both factors answer ``solve(rhs, trans)`` and ``nnz``.
+factors through LAPACK (:class:`BandLU`): a tridiagonal one, as a scalar
+field's is, by ``dgttrf``, any other in band storage by ``dgbtrf``.  Any
+other matrix, such as a 2D one on all but the coarsest grids, goes to
+SuperLU with a minimum-degree ordering.  Both factors answer
+``solve(rhs, trans)`` and ``nnz``.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .mesh import Mesh
 
@@ -152,13 +158,15 @@ class FemSpace:
         self.quad_points = np.einsum("qv,cvd->cqd", self.quad.barycentric, pts)
         self.quad_weights = (self.quad.weights[None, :]
                              * mesh.cell_measures[:, None])  # (nc, nq)
+        self._quadrature_values = {}
 
     def with_quadrature(self, kind: str) -> "FemSpace":
         """The same space under another quadrature rule.
 
         It shares the mesh, the dof layout and every per-space operator
         built so far (``vertex_pattern``, ``gradient_matrix``,
-        ``gram_matrix``), none of which depends on the rule.
+        ``gram_matrix``), none of which depends on the rule; the
+        :meth:`quadrature_values` it keeps are its own.
         """
         other = copy.copy(self)
         other._set_quadrature(kind)
@@ -186,6 +194,23 @@ class FemSpace:
         """Field values at quadrature points, shape (nc, nq, n)."""
         cellwise = values[self.cell_dofs]  # (nc, nv, n)
         return np.einsum("qv,cva->cqa", self.quad.barycentric, cellwise)
+
+    def quadrature_values(self, function) -> np.ndarray:
+        """``function`` of the points, shape (m, dim) -> (m,), at the
+        quadrature points, shape (num_cells * nq,).
+
+        Evaluated on first use and kept, read-only, for as long as the
+        space lives: the points never change, so a function of ``x`` alone,
+        such as a flux term's spatial factor, is evaluated once per space.
+        """
+        values = self._quadrature_values.get(function)
+        if values is None:
+            nc, nq = self.quad_points.shape[:2]
+            values = np.asarray(function(
+                self.quad_points.reshape(nc * nq, self.mesh.dim)))
+            values.flags.writeable = False
+            self._quadrature_values[function] = values
+        return values
 
     def gradients_on_cells(self, values: np.ndarray) -> np.ndarray:
         """Per-cell constant gradients, shape (nc, n, dim)."""
@@ -306,7 +331,18 @@ class SparseOperator:
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if other.space is not self.space:
             raise ValueError("operators live on different spaces")
-        return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
+        a, b = self.matrix, other.matrix
+        if not (a.has_canonical_format and b.has_canonical_format
+                and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices)):
+            return SparseOperator(self.space, (a + b).tocsr())
+        # one pattern: the sum is the sum of the data arrays, with the
+        # entries that cancel dropped, as SciPy's add drops them
+        total = sp.csr_matrix((a.data + b.data, a.indices.copy(),
+                               a.indptr.copy()), shape=a.shape)
+        total.has_canonical_format = True
+        total.eliminate_zeros()
+        return SparseOperator(self.space, total)
 
 
 class DiscreteField:
@@ -363,9 +399,15 @@ def _restrict(space, local):
                 minlength=nnzb + 1)[:nnzb]
     # the matrix gets its own index arrays: in-place operations on it, such
     # as eliminate_zeros compacting them, must never reach the cache
-    matrix = sp.bsr_matrix(
-        (blocks, pattern.indices.copy(), pattern.indptr.copy()),
-        shape=(space.num_free, space.num_free)).tocsr()
+    own = (pattern.indices.copy(), pattern.indptr.copy())
+    shape = (space.num_free, space.num_free)
+    if n == 1:
+        # 1 x 1 blocks: the block pattern is the CSR pattern, sorted and
+        # duplicate-free
+        matrix = sp.csr_matrix((blocks.reshape(nnzb), *own), shape=shape)
+        matrix.has_canonical_format = True
+    else:
+        matrix = sp.bsr_matrix((blocks, *own), shape=shape).tocsr()
     # entries that vanish inside a block must not reach the LU ordering
     matrix.eliminate_zeros()
     return matrix
@@ -431,9 +473,22 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
                          f"({nc}, {nq}, {space.n}, {space.mesh.dim}, {space.n})")
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite jacobian value")
-    return SparseOperator(space, _restrict(space, lambda a, b: np.einsum(
-        "cq,cqi,qv,cwi->cwv", space.quad_weights, jac[:, :, a, :, b],
-        space.quad.barycentric, space.grads, optimize=True)))
+    weights, bary, grads = (space.quad_weights, space.quad.barycentric,
+                            space.grads)
+    if space.mesh.dim == 1:
+        # one direction: the weighted derivative times the test gradient,
+        # spread over the trial hats; on a one-point rule these are the
+        # products of the einsum below, in its order, bit for bit
+        def local(a, b):
+            tested = ((weights * jac[:, :, a, 0, b])[:, :, None]
+                      * grads[:, None, :, 0])
+            return np.einsum("cqw,qv->cwv", tested, bary)
+    else:
+        def local(a, b):
+            return np.einsum("cq,cqi,qv,cwi->cwv", weights,
+                             jac[:, :, a, :, b], bary, grads, optimize=True)
+
+    return SparseOperator(space, _restrict(space, local))
 
 
 def lu_factor(matrix: sp.spmatrix):
@@ -441,13 +496,13 @@ def lu_factor(matrix: sp.spmatrix):
 
     The storage is read from the matrix.  When its lower and upper
     bandwidths are both below the entry count of its widest row
-    (:func:`_bandwidths`), it factors in LAPACK band storage
-    (:class:`BandLU`).  Every 1D P1 matrix does, with ``kl = ku = 2n - 1``
-    against ``3n`` entries; a 2D one does only on the coarsest grids.  Any
-    other matrix goes to SuperLU, with columns ordered by minimum degree on
-    the pattern of ``A + A^T`` (``MMD_AT_PLUS_A``): the P1 matrices are
-    structurally symmetric, and on them it gives about half the fill of the
-    default COLAMD ordering.
+    (:func:`_bandwidths`), it factors through LAPACK (:class:`BandLU`).
+    Every 1D P1 matrix does, with ``kl = ku = 2n - 1`` against ``3n``
+    entries, so a scalar field's is tridiagonal; a 2D one does only on the
+    coarsest grids.  Any other matrix goes to SuperLU, with columns ordered
+    by minimum degree on the pattern of ``A + A^T`` (``MMD_AT_PLUS_A``): the
+    P1 matrices are structurally symmetric, and on them it gives about half
+    the fill of the default COLAMD ordering.
     """
     bands = _bandwidths(matrix)
     if bands is not None:
@@ -476,40 +531,56 @@ def _bandwidths(matrix: sp.spmatrix):
 
 
 class BandLU:
-    """LAPACK's band LU with partial pivoting (``dgbtrf``) of a CSR matrix
-    with lower and upper bandwidths ``kl`` and ``ku``.
+    """LAPACK's LU with partial pivoting of a CSR matrix with lower and
+    upper bandwidths ``kl`` and ``ku``.
 
-    Answers what the pipeline reads from a SuperLU factor: ``solve`` with
-    ``trans`` "N" or "T" (``dgbtrs``) and ``nnz``, here the
-    ``(2 kl + ku + 1) n`` entries of the band storage.
+    A tridiagonal matrix that stores its three diagonals whole (``kl = ku
+    = 1`` and ``3n - 2`` entries), as a scalar 1D P1 matrix does, factors
+    by ``dgttrf`` into them and the second superdiagonal that pivoting
+    fills in U.  Every other band, and orders below 3, which SciPy's
+    ``dgttrf`` refuses, goes to ``dgbtrf``, in ``2 kl + ku + 1`` rows of
+    band storage.  Answers what the pipeline reads from a SuperLU factor:
+    ``solve`` with ``trans`` "N" or "T" (``dgttrs`` or ``dgbtrs``) and
+    ``nnz``, the entries the factors hold; and, for ``solve_linear``'s
+    pivot ratio, ``pivots``, the diagonal of U.
     """
 
     def __init__(self, matrix: sp.csr_matrix, kl: int, ku: int):
         n = matrix.shape[0]
-        ldab = 2 * kl + ku + 1
-        # A[i, j] sits at ab[kl + ku + i - j, j]; Fortran order, so that
-        # dgbtrf factors it in place instead of copying it
-        ab = np.zeros((ldab, n), order="F")
-        at = np.repeat(np.arange(kl + ku, kl + ku + n), np.diff(matrix.indptr))
-        at += np.intp(ldab - 1) * matrix.indices
-        ab.reshape(-1, order="F")[at] = matrix.data
-        self.factor, self.ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        self.kl, self.ku = kl, ku
+        self.tridiagonal = kl == ku == 1 and n >= 3 and matrix.nnz == 3 * n - 2
+        if self.tridiagonal:
+            # sorted CSR rows holding every entry interleave the diagonals:
+            # A[i, i], A[i, i + 1] and A[i + 1, i] sit at 3i, 3i + 1, 3i + 2
+            d, du, dl = (matrix.data[k::3].copy() for k in range(3))
+            *self.factor, info = dgttrf(dl, d, du, overwrite_dl=1,
+                                        overwrite_d=1, overwrite_du=1)
+            self.pivots = self.factor[1]
+            self.nnz = sum(f.size for f in self.factor[:4])
+        else:
+            ldab = 2 * kl + ku + 1
+            # A[i, j] sits at ab[kl + ku + i - j, j]; Fortran order, so
+            # that dgbtrf factors it in place instead of copying it
+            ab = np.zeros((ldab, n), order="F")
+            at = np.repeat(np.arange(kl + ku, kl + ku + n),
+                           np.diff(matrix.indptr))
+            at += np.intp(ldab - 1) * matrix.indices
+            ab.reshape(-1, order="F")[at] = matrix.data
+            self.factor, self.ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+            self.pivots = self.factor[kl + ku]
+            self.nnz = ab.size
         if info > 0:
             raise LinearSolveError(
                 f"linear solve failed: factor is exactly singular (zero "
                 f"pivot in column {info - 1})")
-        self.kl, self.ku = kl, ku
-        self.nnz = ab.size
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        x, _ = dgbtrs(self.factor, self.kl, self.ku, rhs, self.ipiv,
-                      trans={"N": 0, "T": 1}[trans])
+        if self.tridiagonal:
+            x, _ = dgttrs(*self.factor, rhs, trans=trans)
+        else:
+            x, _ = dgbtrs(self.factor, self.kl, self.ku, rhs, self.ipiv,
+                          trans={"N": 0, "T": 1}[trans])
         return x
-
-    @property
-    def pivots(self) -> np.ndarray:
-        """The diagonal of U."""
-        return self.factor[self.kl + self.ku]
 
 
 def _refine(matrix: sp.spmatrix, lu, rhs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ denominator, each mapping samples (m, n) to values (m,) and, by
 ``gradient``, to (m, n).  The catalog keeps validation decidable; no growth
 restriction is imposed on h since all evaluations happen on bounded nodal
 ranges.
+
+:func:`eval_F` and :func:`eval_F_jacobian` take each term's g at a space's
+quadrature points from :meth:`~homfem.fem.FemSpace.quadrature_values`, so
+it is evaluated once per space, not once per flux evaluation.
 """
 
 from __future__ import annotations
@@ -223,37 +227,40 @@ class Nonlinearity:
         self.terms.append(Term(alpha, i, g, h, p0 if p0 is not None else self.p0))
         return self
 
-    def flux_values(self, pts: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
-        """f_i^a at the given points, shape (m, n, dim)."""
-        m = pts.shape[0]
-        out = np.zeros((m, self.n, self.dim))
-        for t in self.terms:
-            out[:, t.alpha, t.i] += t.g(pts) * t.h(u_vals)
+    def flux_values(self, spatial: list, u_vals: np.ndarray) -> np.ndarray:
+        """f_i^a at m points, shape (m, n, dim), from each term's spatial
+        factor g there, shape (m,), and the field values, shape (m, n)."""
+        out = np.zeros((u_vals.shape[0], self.n, self.dim))
+        for t, g in zip(self.terms, spatial):
+            out[:, t.alpha, t.i] += g * t.h(u_vals)
         return out
 
-    def flux_jacobian(self, pts: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
-        """d f_i^a / d u^b at the given points, shape (m, n, dim, n)."""
-        m = pts.shape[0]
-        out = np.zeros((m, self.n, self.dim, self.n))
-        for t in self.terms:
-            out[:, t.alpha, t.i, :] += t.g(pts)[:, None] * t.h.gradient(u_vals)
+    def flux_jacobian(self, spatial: list, u_vals: np.ndarray) -> np.ndarray:
+        """d f_i^a / d u^b at m points, shape (m, n, dim, n), from the same
+        data as :meth:`flux_values`."""
+        out = np.zeros((u_vals.shape[0], self.n, self.dim, self.n))
+        for t, g in zip(self.terms, spatial):
+            out[:, t.alpha, t.i, :] += g[:, None] * t.h.gradient(u_vals)
         return out
 
 
-def _quad_data(space: FemSpace, u: DiscreteField):
+def _quad_data(nl: Nonlinearity, space: FemSpace, u: DiscreteField):
+    """The space's quadrature points, the terms' spatial factors there
+    (evaluated once per space), and ``u`` there."""
     if u.space is not space:
         raise ValueError("field does not live on the given space")
     nc, nq = space.quad_points.shape[:2]
     pts = space.quad_points.reshape(nc * nq, space.mesh.dim)
+    spatial = [space.quadrature_values(t.g) for t in nl.terms]
     u_vals = space.values_at_quadrature(u.values).reshape(nc * nq, space.n)
-    return nc, nq, pts, u_vals
+    return nc, nq, pts, spatial, u_vals
 
 
 def eval_F(nl: Nonlinearity, space: FemSpace, u: DiscreteField) -> np.ndarray:
     """Flux values f(x_q, u(x_q)), shape (num_cells, nq, n, dim)."""
-    nc, nq, pts, u_vals = _quad_data(space, u)
+    nc, nq, pts, spatial, u_vals = _quad_data(nl, space, u)
     try:
-        vals = nl.flux_values(pts, u_vals)
+        vals = nl.flux_values(spatial, u_vals)
     except EvaluationDomainError as exc:
         raise ValueError(
             f"flux undefined at quadrature point {pts[exc.index]}: {exc}") from exc
@@ -265,9 +272,9 @@ def eval_F(nl: Nonlinearity, space: FemSpace, u: DiscreteField) -> np.ndarray:
 
 def eval_F_jacobian(nl: Nonlinearity, space: FemSpace, u: DiscreteField) -> np.ndarray:
     """Flux derivatives at u, shape (num_cells, nq, n, dim, n)."""
-    nc, nq, pts, u_vals = _quad_data(space, u)
+    nc, nq, pts, spatial, u_vals = _quad_data(nl, space, u)
     try:
-        jac = nl.flux_jacobian(pts, u_vals)
+        jac = nl.flux_jacobian(spatial, u_vals)
     except EvaluationDomainError as exc:
         raise ValueError(
             f"flux derivative undefined at quadrature point "

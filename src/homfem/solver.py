@@ -90,8 +90,10 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (f.name == "delta" and value is None or value > 0):
-                raise ValueError(f"{f.name} must be positive, got {value}")
+            if not (f.name == "delta" and value is None
+                    or 0 < value < np.inf):
+                raise ValueError(
+                    f"{f.name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -210,13 +212,19 @@ def nondegeneracy_margin(linearized: FrozenOperator) -> float:
     LinearSolveError as the FrozenOperator is built.
     """
     lu, space = linearized.lu, linearized.diffusion.space
+
+    def norm(v):
+        # an einsum sum: np.linalg.norm's BLAS dot splits a long vector
+        # across threads, so its last bits follow the BLAS thread count
+        return np.sqrt(np.einsum("i,i->", v, v))
+
     rng = np.random.default_rng(0)
     x = rng.standard_normal(space.num_free)
-    x /= np.linalg.norm(x)
+    x /= norm(x)
     sigma = np.inf
     for _ in range(30):
         y = lu.solve(lu.solve(x, trans="T"), trans="N")
-        lam = np.linalg.norm(y)
+        lam = norm(y)
         if lam == 0 or not np.isfinite(lam):
             return 0.0
         new_sigma = 1.0 / np.sqrt(lam)

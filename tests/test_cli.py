@@ -149,6 +149,11 @@ eps: [0.25]
         ("solver.delta", MINIMAL + "solver: {delta: 0}\n"),
         ("solver.delta", MINIMAL + "solver: {delta: -0.5}\n"),
         ("solver.mesh_ratio", MINIMAL + "solver: {mesh_ratio: 0}\n"),
+        # an infinite tolerance would call every row converged after one step
+        ("solver.newton_tol", MINIMAL + "solver: {newton_tol: .inf}\n"),
+        ("solver.fp_tol", MINIMAL + "solver: {fp_tol: .inf}\n"),
+        ("solver.delta", MINIMAL + "solver: {delta: .inf}\n"),
+        ("solver.mesh_ratio", MINIMAL + "solver: {mesh_ratio: .inf}\n"),
         ("solver.fp_tol", MINIMAL + "solver: {fp_tol: tight}\n"),
         ("solver.newton_max_iter", MINIMAL + "solver: {newton_max_iter: 1e3}\n"),
         ("system_dim", MINIMAL + "system_dim: 0\n"),

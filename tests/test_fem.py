@@ -224,8 +224,62 @@ def _two_component_newton_matrix():
     return matrix
 
 
+class _TridiagonalLU:
+    """LAPACK's ``dgttrf`` and ``dgttrs`` written out in Python: partial
+    pivoting between neighbouring rows, each multiplier a quotient by its
+    pivot.  A reference in the tridiagonal LU's order and arithmetic."""
+
+    def __init__(self, matrix):
+        dl, d, du = (matrix.diagonal(k).tolist() for k in (-1, 0, 1))
+        n = len(d)
+        du2, swapped = [0.0] * max(n - 2, 0), [False] * n
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                dl[i] /= d[i]
+                d[i + 1] -= dl[i] * du[i]
+            else:
+                fact = d[i] / dl[i]
+                d[i], dl[i], swapped[i] = dl[i], fact, True
+                du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
+                if i < n - 2:
+                    du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+        self.dl, self.d, self.du, self.du2 = dl, d, du, du2
+        self.swapped = swapped
+
+    def solve(self, rhs, trans="N"):
+        dl, d, du, du2 = self.dl, self.d, self.du, self.du2
+        b, n = list(rhs), len(rhs)
+        if trans == "N":
+            for i in range(n - 1):
+                if self.swapped[i]:
+                    b[i], b[i + 1] = b[i + 1], b[i] - dl[i] * b[i + 1]
+                else:
+                    b[i + 1] -= dl[i] * b[i]
+            for i in reversed(range(n)):
+                if i + 1 < n:
+                    b[i] -= du[i] * b[i + 1]
+                if i + 2 < n:
+                    b[i] -= du2[i] * b[i + 2]
+                b[i] /= d[i]
+        else:
+            for i in range(n):
+                if i >= 1:
+                    b[i] -= du[i - 1] * b[i - 1]
+                if i >= 2:
+                    b[i] -= du2[i - 2] * b[i - 2]
+                b[i] /= d[i]
+            for i in reversed(range(n - 1)):
+                rest = b[i] - dl[i] * b[i + 1]
+                if self.swapped[i]:
+                    b[i], b[i + 1] = b[i + 1], rest
+                else:
+                    b[i] = rest
+        return np.array(b)
+
+
 class TestBandLU:
-    """Every 1D matrix factors in LAPACK band storage and answers as the
+    """Every 1D matrix factors through LAPACK, a scalar field's by the
+    tridiagonal LU and a system's in band storage, and answers as the
     SuperLU factor of the same matrix does; every other matrix keeps
     SuperLU."""
 
@@ -240,16 +294,51 @@ class TestBandLU:
         lu = lu_factor(matrix)
         assert isinstance(lu, BandLU) and superlu_calls == []
         assert (lu.kl, lu.ku) == bands
-        assert lu.nnz == (2 * lu.kl + lu.ku + 1) * matrix.shape[0]
+        assert lu.tridiagonal == (bands == (1, 1))
+        # the tridiagonal factors hold the three diagonals and U's second
+        # superdiagonal; a band holds 2 kl + ku + 1 rows
+        n = matrix.shape[0]
+        assert lu.nnz == (4 * n - 4 if lu.tridiagonal
+                          else (2 * lu.kl + lu.ku + 1) * n)
         reference = spla.splu(matrix.tocsc())
         rhs = np.random.default_rng(4).standard_normal(matrix.shape[0])
         x, y = lu.solve(rhs, trans=trans), reference.solve(rhs, trans=trans)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32767])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_tridiagonal_solves_agree_with_superlu(self, n, trans,
+                                                   superlu_calls):
+        # SciPy's dgttrf wrapper refuses orders 1 and 2, which keep dgbtrf
+        rng = np.random.default_rng(n)
+        matrix = sp.diags([rng.uniform(-1.0, 1.0, n - 1),
+                           rng.uniform(3.0, 4.0, n),
+                           rng.uniform(-1.0, 1.0, n - 1)], [-1, 0, 1],
+                          format="csr")
+        lu = lu_factor(matrix)
+        assert isinstance(lu, BandLU) and superlu_calls == []
+        assert lu.tridiagonal == (n >= 3)
+        rhs = rng.standard_normal(n)
+        x = lu.solve(rhs, trans=trans)
+        y = spla.splu(matrix.tocsc()).solve(rhs, trans=trans)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
     def test_exactly_singular_band_raises(self, superlu_calls):
         singular = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
                                            [1.0, 1.0, 0.0],
                                            [0.0, 1.0, 1.0]]))
+        with pytest.raises(LinearSolveError, match="exactly singular"):
+            lu_factor(singular)
+        assert superlu_calls == []
+
+    def test_exactly_singular_tridiagonal_raises(self, monkeypatch,
+                                                 superlu_calls):
+        # every tridiagonal entry stored, the middle row the sum of the others
+        singular = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                           [1.0, 2.0, 1.0],
+                                           [0.0, 1.0, 1.0]]))
+        # the band LU must not run
+        monkeypatch.setattr(homfem.fem, "dgbtrf", None)
         with pytest.raises(LinearSolveError, match="exactly singular"):
             lu_factor(singular)
         assert superlu_calls == []
@@ -261,6 +350,17 @@ class TestBandLU:
         with pytest.raises(LinearSolveError,
                            match=r"pivot ratio 9\.00\de\+14"):
             solve_linear(nearly, np.array([1.0, 0.0]))
+
+    def test_pivot_ratio_reported_from_the_tridiagonal_factor(self):
+        # every tridiagonal entry stored, the third row all but decoupled
+        matrix = sp.csr_matrix(np.array([[1.0, 1.0 / 3.0, 0.0],
+                                         [3.0, 1.0 + 1e-14, 1e-16],
+                                         [0.0, 1e-16, 1.0]]))
+        assert lu_factor(matrix).tridiagonal
+        nearly = SparseOperator(space_1d(4), matrix)
+        with pytest.raises(LinearSolveError,
+                           match=r"pivot ratio 9\.00\de\+14"):
+            solve_linear(nearly, np.array([1.0, 0.0, 0.0]))
 
     def test_empty_and_unsorted_matrices_keep_superlu(self, superlu_calls):
         empty = lu_factor(sp.csr_matrix((0, 0)))
@@ -282,16 +382,19 @@ class TestBandLU:
         u0, report = solve_homogenized(A_hat, nl)
         assert report.status == "converged"
         banded = FrozenOperator(A_hat, nl, u0)
-        assert isinstance(banded.lu, BandLU)
+        assert isinstance(banded.lu, BandLU) and banded.lu.tridiagonal
         margin = nondegeneracy_margin(banded)
-        matrix = (A_hat + banded.C).matrix.tocsc()
-        # SuperLU in the band's elimination order agrees to round-off; its
-        # minimum-degree order, which lu_factor gives 2D matrices, moves the
-        # margin by 1.8e-12 relative, within the benchmark output check's
-        # bound of 2e-10
-        for order, rtol in (("NATURAL", 1e-12), ("MMD_AT_PLUS_A", 2e-10)):
+        matrix = (A_hat + banded.C).matrix
+        # LAPACK's tridiagonal LU written out agrees to round-off (here to
+        # the bit); SuperLU, in the minimum-degree order lu_factor gives 2D
+        # matrices and multiplying by each pivot's reciprocal where dgttrf
+        # divides, moves the margin by 6.8e-13 relative, within the
+        # benchmark output check's bound of 2e-10
+        for lu, rtol in ((_TridiagonalLU(matrix), 1e-12),
+                         (spla.splu(matrix.tocsc(),
+                                    permc_spec="MMD_AT_PLUS_A"), 2e-10)):
             reference = copy.copy(banded)
-            reference.lu = spla.splu(matrix, permc_spec=order)
+            reference.lu = lu
             expected = nondegeneracy_margin(reference)
             assert abs(margin - expected) <= rtol * expected
 

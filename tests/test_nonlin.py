@@ -159,7 +159,8 @@ class TestEvalF:
                 Polynomial([(1.0, (1,))], 1))
         u = self._u_field(space, lambda x: x.copy())
         # use an explicit sample, not a mesh quadrature point
-        vals = nl.flux_values(np.array([[0.25]]), np.array([[0.25]]))
+        vals = nl.flux_values([t.g(np.array([[0.25]])) for t in nl.terms],
+                               np.array([[0.25]]))
         assert np.isclose(vals[0, 0, 0], 0.25)
 
     def test_jacobian_zero_for_u_independent(self):
@@ -183,12 +184,13 @@ class TestEvalF:
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(20, 1))
         u = rng.uniform(size=(20, 1))
-        vals = nl.flux_values(pts, u)
+        spatial = [t.g(pts) for t in nl.terms]
+        vals = nl.flux_values(spatial, u)
         perm = rng.permutation(20)
         k = int(perm[0])
         u_perm = u.copy()
         u_perm[perm[1:]] = rng.uniform(size=(19, 1))
-        vals_perm = nl.flux_values(pts, u_perm)
+        vals_perm = nl.flux_values(spatial, u_perm)
         assert np.isclose(vals[k, 0, 0], vals_perm[k, 0, 0])
 
     def test_pole_error_names_point(self):
@@ -223,13 +225,14 @@ class TestEvalF:
         u = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
         v = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
         nc, nq = space.quad_points.shape[:2]
-        pts = space.quad_points.reshape(-1, 1)
+        spatial = [space.quadrature_values(t.g) for t in nl.terms]
         uq = space.values_at_quadrature(u.values).reshape(-1, 1)
         vq = space.values_at_quadrature(v.values).reshape(-1, 1)
-        jac_v = np.einsum("maib,mb->mai", nl.flux_jacobian(pts, uq), vq)
+        jac_v = np.einsum("maib,mb->mai", nl.flux_jacobian(spatial, uq), vq)
         ratios = []
         for t in (1e-2, 1e-3, 1e-4):
-            lhs = nl.flux_values(pts, uq + t * vq) - nl.flux_values(pts, uq)
+            lhs = (nl.flux_values(spatial, uq + t * vq)
+                   - nl.flux_values(spatial, uq))
             rem = np.abs(lhs - t * jac_v).max() / t
             ratios.append(rem)
         assert ratios[2] < ratios[1] < ratios[0]

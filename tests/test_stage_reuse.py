@@ -6,8 +6,11 @@ The counters wrap a homfem function at every homfem module that binds it
 """
 
 import csv
+import gc
 import json
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
                         assemble_divergence_load, assemble_jacobian_coupling,
                         lu_factor, solve_linear)
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from homfem.nonlin import (Constant, Nonlinearity, Polynomial, eval_F,
+from homfem.nonlin import (Constant, Nonlinearity, Polynomial, Term, eval_F,
                            eval_F_jacobian)
 from homfem.norms import probe_load
 from homfem.solver import (FrozenOperator, SolverConfig,
@@ -50,6 +53,29 @@ nonlinearity:
       g: "0.25"
       h: {kind: polynomial, monomials: [{coeff: 1.0, powers: [2]}]}
 eps: [0.125, 0.0625]
+mesh: {cells_per_eps: 16, cell_resolution: 16}
+probe: {trials: 3}
+"""
+
+# a coupled 1D system: its matrices are block-tridiagonal, not tridiagonal
+TWO_COMPONENT_1D = """
+domain: interval
+system_dim: 2
+tensor:
+  kind: expression
+  entries:
+    - [[["2 + cos(2*pi*x)"]], [["0.25"]]]
+    - [[["0.25"]], [["3 + sin(2*pi*x)"]]]
+nonlinearity:
+  p0: 4.0
+  terms:
+    - target: [1, 1]
+      g: "0.5*sin(2*pi*x)"
+      h: {kind: constant}
+    - target: [1, 1]
+      g: "0.25"
+      h: {kind: polynomial, monomials: [{coeff: 1.0, powers: [0, 2]}]}
+eps: [0.125]
 mesh: {cells_per_eps: 16, cell_resolution: 16}
 probe: {trials: 3}
 """
@@ -121,13 +147,47 @@ def test_lu_factor_orders_for_less_fill_than_colamd():
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
+@pytest.fixture
+def lapack_factors(monkeypatch):
+    """The LAPACK factorizations ``homfem.fem`` runs while the test runs,
+    by routine name: "dgttrf" (tridiagonal) or "dgbtrf" (band)."""
+    import homfem.fem
+
+    calls = []
+
+    def counting(name):
+        routine = getattr(homfem.fem, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return counted
+
+    for name in ("dgttrf", "dgbtrf"):
+        monkeypatch.setattr(homfem.fem, name, counting(name))
+    return calls
+
+
 def test_1d_sweep_factors_without_superlu(tmp_path, count_calls,
-                                          superlu_calls):
-    # every 1D matrix, the pinned cell matrix included, is banded
+                                          superlu_calls, lapack_factors):
+    # every 1D matrix, the pinned cell matrix included, is banded, and a
+    # scalar field's is tridiagonal
     cfg = parse_config((CONFIGS / "two_phase_1d.yaml").read_text())
     factored = count_calls(lu_factor)
     run_sweep(cfg, tmp_path)
     assert len(factored) > 0 and superlu_calls == []
+    assert lapack_factors == ["dgttrf"] * len(factored)
+
+
+def test_1d_system_sweep_factors_in_band_storage(tmp_path, count_calls,
+                                                 superlu_calls,
+                                                 lapack_factors):
+    cfg = parse_config(TWO_COMPONENT_1D)
+    factored = count_calls(lu_factor)
+    summary = run_sweep(cfg, tmp_path)
+    assert summary["uniqueness"]["all_same"]
+    assert len(factored) > 0 and superlu_calls == []
+    assert lapack_factors == ["dgbtrf"] * len(factored)
 
 
 def test_2d_row_factors_every_matrix_with_superlu(count_calls, superlu_calls):
@@ -199,6 +259,38 @@ def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
     assert len(factored) == 2 * len(cfg.eps)
     digests = {(A.shape, A.data.tobytes()) for A in factored}
     assert len(digests) == len(factored)
+
+
+def test_spatial_factors_are_evaluated_once_per_space(scenario_1d):
+    _, ahat, nl = scenario_1d
+    evaluated = []
+
+    def counted(g):
+        def spatial(points):
+            evaluated.append(g)
+            return g(points)
+        return spatial
+
+    counting = Nonlinearity(nl.n, nl.dim, [
+        Term(t.alpha, t.i, counted(t.g), t.h, t.p0) for t in nl.terms],
+        nl.p0)
+
+    def solve(cells):
+        space = space_1d(cells)
+        _, report = solve_homogenized(effective_operator(space, ahat),
+                                      counting)
+        assert report.status == "converged" and report.iterations >= 2
+        return [weakref.ref(space), *(
+            weakref.ref(space.quadrature_values(t.g))
+            for t in counting.terms)]
+
+    kept = solve(128) + solve(256)
+    # one evaluation per term on each space, however many flux
+    # evaluations and Jacobians its Newton iterates took
+    assert Counter(evaluated) == Counter(2 * [t.g for t in nl.terms])
+    # and the values go with their space
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * len(kept)
 
 
 def test_newton_evaluates_the_flux_once_per_iterate(scenario_1d,
