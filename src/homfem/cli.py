@@ -36,7 +36,7 @@ import numpy as np
 import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
-from .coeff import HomogenizedTensor, TensorField, add_defect
+from .coeff import HomogenizedTensor, TensorField, add_defect, sample_grid
 from .expressions import compile_expression
 from .fem import (FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, solve_linear)
@@ -187,6 +187,14 @@ class ProblemConfig:
                                   f"[1, {self.system_dim}] x [1, {self.dim}], "
                                   f"got {target!r}")
             g = _build_spatial_factor(term["g"], self.dim, where)
+            # a factor that is not finite where a mesh may put a quadrature
+            # point would fail every row at run time
+            grid = sample_grid(self.dim, 16)
+            values = g(grid)
+            if not np.isfinite(values).all():
+                k = np.argmin(np.isfinite(values))
+                raise ConfigError(f"{where}.g must be finite, got "
+                                  f"{values[k]} at {grid[k]}")
             h = _build_value_factor(term.get("h", {"kind": "constant"}),
                                     self.system_dim, where)
             p0 = _number(term.get("p0", spec.p0), f"{where}.p0", float)

@@ -11,8 +11,8 @@ on a uniform grid over the unit cell, and closed-form expression strings (see
 supported so that problem configs stay serializable.
 
 Ellipticity bookkeeping is observational: the pointwise quadratic-form margin
-and the magnitude bound are sampled on a grid (default 256 per axis) and
-reported as observed values, since the entries are only essentially bounded.
+is sampled on a grid (default 256 per axis) and reported as an observed
+value, since the entries are only essentially bounded.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ class TensorField:
         self.epsilon = epsilon
         self.defect = defect  # entries evaluated at x/eps, unwrapped
         self._margin = None
-        self._magnitude = None
         if epsilon is not None and epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         detected = self._detect_triangular()
@@ -234,20 +233,11 @@ class TensorField:
         # samples the physical domain, so rescaled oscillations are included
         return self.evaluate(sample_grid(self.dim, per_axis))
 
-    def _observe(self):
-        # one evaluation of the default grid fills both cached bounds
+    def observed_margin(self):
         if self._margin is None:
             vals = self._sample_values(DEFAULT_SAMPLE_GRID)
             self._margin = float(_quadratic_form_margin(vals).min())
-            self._magnitude = float(np.abs(vals).max())
-
-    def observed_margin(self):
-        self._observe()
         return self._margin
-
-    def observed_magnitude(self):
-        self._observe()
-        return self._magnitude
 
     def require_elliptic(self):
         margin = self.observed_margin()

@@ -31,6 +31,11 @@ field's is, by ``dgttrf``, any other in band storage by ``dgbtrf``.  Any
 other matrix, such as a 2D one on all but the coarsest grids, goes to
 SuperLU with a minimum-degree ordering.  Both factors answer
 ``solve(rhs, trans)`` and ``nnz``.
+
+Every solver 2-norm is :func:`norm2`, an einsum sum that does not depend
+on the BLAS thread count.  :func:`solve_linear` checks each solution's
+residual and reports a failed one by its normwise backward error, the same
+formula whatever the factor.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
     "SparseOperator",
     "DiscreteField",
     "LinearSolveError",
+    "norm2",
     "assemble_diffusion",
     "assemble_divergence_load",
     "assemble_jacobian_coupling",
@@ -136,12 +142,13 @@ class FemSpace:
         self._vertex_slot = inverse
         self.indep_vertices = indep
 
-        mask = np.zeros(self.num_dofs, dtype=bool)
-        for v in mesh.boundary:
-            slot = self._vertex_slot[v]
-            mask[slot * n:(slot + 1) * n] = True
-        self.constrained_mask = mask
-        self.free_dofs = np.nonzero(~mask)[0]
+        # free index of each independent vertex, -1 on the boundary; the
+        # free dofs are the free vertices' blocks, component fastest
+        free = np.ones(self.num_indep_vertices, dtype=bool)
+        free[inverse[mesh.boundary]] = False
+        self.free_vertices = np.where(free, np.cumsum(free) - 1, -1)
+        self.free_dofs = (np.nonzero(free)[0][:, None] * n
+                          + np.arange(n)).ravel()
         self.num_free = len(self.free_dofs)
 
         # geometry caches: per-cell hat gradients, quadrature points,
@@ -261,21 +268,9 @@ class FemSpace:
 
     @cached_property
     def vertex_pattern(self) -> VertexPattern:
-        """The pattern every matrix on the space is assembled into.
-
-        Constraints must remove whole vertices (all n components), so that
-        the free dofs are the free vertices' blocks, component fastest.
-        """
-        n = self.n
-        by_vertex = self.constrained_mask.reshape(-1, n)
-        constrained = by_vertex[:, 0]
-        if not (by_vertex == constrained[:, None]).all():
-            raise ValueError("constraints must remove every component of a "
-                             "vertex")
-        num_free = self.num_free // n
-        free_index = np.cumsum(~constrained) - 1
-        free_index[constrained] = -1
-        cells = free_index[self._vertex_slot[self.mesh.cells]]   # (nc, nv)
+        """The pattern every matrix on the space is assembled into."""
+        num_free = self.num_free // self.n
+        cells = self.free_vertices[self._vertex_slot[self.mesh.cells]]
         nc, nv = cells.shape
         rows = np.broadcast_to(cells[:, :, None], (nc, nv, nv)).ravel()
         cols = np.broadcast_to(cells[:, None, :], (nc, nv, nv)).ravel()
@@ -541,8 +536,7 @@ class BandLU:
     ``dgttrf`` refuses, goes to ``dgbtrf``, in ``2 kl + ku + 1`` rows of
     band storage.  Answers what the pipeline reads from a SuperLU factor:
     ``solve`` with ``trans`` "N" or "T" (``dgttrs`` or ``dgbtrs``) and
-    ``nnz``, the entries the factors hold; and, for ``solve_linear``'s
-    pivot ratio, ``pivots``, the diagonal of U.
+    ``nnz``, the entries the factors hold.
     """
 
     def __init__(self, matrix: sp.csr_matrix, kl: int, ku: int):
@@ -555,7 +549,6 @@ class BandLU:
             d, du, dl = (matrix.data[k::3].copy() for k in range(3))
             *self.factor, info = dgttrf(dl, d, du, overwrite_dl=1,
                                         overwrite_d=1, overwrite_du=1)
-            self.pivots = self.factor[1]
             self.nnz = sum(f.size for f in self.factor[:4])
         else:
             ldab = 2 * kl + ku + 1
@@ -567,7 +560,6 @@ class BandLU:
             at += np.intp(ldab - 1) * matrix.indices
             ab.reshape(-1, order="F")[at] = matrix.data
             self.factor, self.ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-            self.pivots = self.factor[kl + ku]
             self.nnz = ab.size
         if info > 0:
             raise LinearSolveError(
@@ -605,10 +597,21 @@ def _refine(matrix: sp.spmatrix, lu, rhs: np.ndarray) -> np.ndarray:
         residual, last = rhs - matrix @ x, size
 
 
-def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray) -> bool:
-    """The residual check: ``|A u - rhs| <= 1e-10 (1 + |rhs|)``."""
-    residual = np.linalg.norm(matrix @ u_free - rhs)
-    return bool(residual <= 1e-10 * (1.0 + np.linalg.norm(rhs)))
+def norm2(v: np.ndarray) -> float:
+    """The 2-norm of a vector, as an einsum sum of squares.
+
+    Every solver 2-norm goes through it: ``np.linalg.norm`` takes a long
+    vector's sum through the BLAS dot, which splits it across threads, so
+    its last bits would follow the BLAS thread count.
+    """
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
+def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray):
+    """The residual check ``|A u - rhs| <= 1e-10 (1 + |rhs|)``, and the
+    residual norm it read."""
+    residual = norm2(matrix @ u_free - rhs)
+    return residual <= 1e-10 * (1.0 + norm2(rhs)), residual
 
 
 def solve_linear(A: SparseOperator, rhs: np.ndarray,
@@ -620,23 +623,24 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
     solve first refines over it (:func:`_refine`) and factors ``A`` only
     when the refined solution fails the residual check.  The residual is
     verified against 1e-10 * (1 + |rhs|); a quiet rank-deficient
-    factorization fails this check and raises with a conditioning
-    diagnostic.
+    factorization fails this check and raises with the normwise backward
+    error ``|r| / (|A|_F |u| + |rhs|)`` of the solution (Rigal and Gaches;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, section
+    7.1), which reads nothing from the factor.
     """
     if rhs.shape != (A.space.num_free,):
         raise ValueError("right-hand side length does not match free dofs")
     if near is not None:
         u_free = _refine(A.matrix, near, rhs)
-        if _solved(A.matrix, u_free, rhs):
+        if _solved(A.matrix, u_free, rhs)[0]:
             return A.space.field_from_free(u_free)
-    lu = lu_factor(A.matrix)
-    u_free = lu.solve(rhs)
-    if not _solved(A.matrix, u_free, rhs):
-        residual = np.linalg.norm(A.matrix @ u_free - rhs)
-        diag = np.abs(lu.pivots if isinstance(lu, BandLU)
-                      else lu.U.diagonal())
-        cond = float(diag.max() / diag.min()) if diag.min() > 0 else np.inf
+    u_free = lu_factor(A.matrix).solve(rhs)
+    solved, residual = _solved(A.matrix, u_free, rhs)
+    if not solved:
+        # |A|_F from the stored entries, which the assembly keeps canonical
+        error = residual / (norm2(A.matrix.data) * norm2(u_free)
+                            + norm2(rhs))
         raise LinearSolveError(
             f"linear solve failed: residual {residual:.3e} exceeds tolerance "
-            f"(pivot ratio {cond:.3e})")
+            f"(backward error {error:.3e})")
     return A.space.field_from_free(u_free)

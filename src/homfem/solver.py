@@ -52,7 +52,8 @@ import numpy as np
 from .coeff import TensorField
 from .fem import (DiscreteField, FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, assemble_divergence_load,
-                  assemble_jacobian_coupling, lu_factor, solve_linear)
+                  assemble_jacobian_coupling, lu_factor, norm2,
+                  solve_linear)
 from .nonlin import Nonlinearity, eval_F, eval_F_jacobian
 from .norms import linf_norm, w1p_norm
 
@@ -161,7 +162,7 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
         u = u_next
         report.iterations += 1
         residual = diffusion.matrix @ u.free() + load
-        report.residual_history.append(float(np.linalg.norm(residual)))
+        report.residual_history.append(norm2(residual))
         if history[-1] <= tol:
             report.status = "converged"
             break
@@ -213,18 +214,13 @@ def nondegeneracy_margin(linearized: FrozenOperator) -> float:
     """
     lu, space = linearized.lu, linearized.diffusion.space
 
-    def norm(v):
-        # an einsum sum: np.linalg.norm's BLAS dot splits a long vector
-        # across threads, so its last bits follow the BLAS thread count
-        return np.sqrt(np.einsum("i,i->", v, v))
-
     rng = np.random.default_rng(0)
     x = rng.standard_normal(space.num_free)
-    x /= norm(x)
+    x /= norm2(x)
     sigma = np.inf
     for _ in range(30):
         y = lu.solve(lu.solve(x, trans="T"), trans="N")
-        lam = norm(y)
+        lam = norm2(y)
         if lam == 0 or not np.isfinite(lam):
             return 0.0
         new_sigma = 1.0 / np.sqrt(lam)

@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import sys
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -183,6 +184,26 @@ def superlu_calls(monkeypatch):
 
     monkeypatch.setattr(homfem.fem.spla, "splu", counted)
     return calls
+
+
+@pytest.fixture
+def blas_norms(monkeypatch):
+    """The homfem modules that ask ``np.linalg.norm`` for a vector 2-norm
+    while the test runs; each such call also raises.  Its BLAS dot splits
+    a long vector across threads, so the result's last bits would follow
+    the thread count.  Max-norms and ``axis=`` calls pass through."""
+    norm, asked = np.linalg.norm, []
+
+    def guarded(x, ord=None, axis=None, keepdims=False):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("homfem") and axis is None and ord in (
+                None, 2, "fro"):
+            asked.append(caller)
+            raise AssertionError(f"{caller} takes a 2-norm through BLAS")
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", guarded)
+    return asked
 
 
 @pytest.fixture

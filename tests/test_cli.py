@@ -200,6 +200,20 @@ eps: [0.25]
         assert "nonlinearity.terms[0].target" in str(info.value)
         assert target in str(info.value)
 
+    @pytest.mark.parametrize("dim, g", [
+        (1, "1/floor(x)"), (1, "1/abs(x - 17/32)"), (2, "1/floor(2*x2)")])
+    def test_non_finite_spatial_factor_named(self, dim, g):
+        # infinite on the whole cell, at one point of the 16-per-axis
+        # sample grid, or on half the square
+        doc = yaml.safe_load(MINIMAL)
+        if dim == 2:
+            doc.update(domain="unit-square", tensor={"kind": "constant",
+                                                     "value": 1.0})
+        doc["nonlinearity"]["terms"].append(
+            {"target": [1, 1], "g": g, "h": {"kind": "constant"}})
+        with pytest.raises(ConfigError, match=r"nonlinearity\.terms\[2\]\.g"):
+            parse_config(yaml.safe_dump(doc))
+
     def test_float_without_decimal_point_parses(self):
         # PyYAML reads 1e-9 (no decimal point) as a string
         cfg = parse_config(MINIMAL + "solver: {fp_tol: 1e-9, mesh_ratio: 8e0,"
@@ -252,8 +266,10 @@ _H_FACTORS = [
      "denominator": [{"coeff": 1.0, "powers": [0]},
                      {"coeff": -1.0, "powers": [1]}]},
 ]
-# a spatial factor that is infinite on the whole interval
-NON_INTEGRABLE = "1/floor(x)"
+# a spatial factor that is finite on the parse-time sample grid, whose
+# |g|^p0 integral validate estimates as Infinity: 1/floor(64 x) is infinite
+# on the first 64th of the interval
+NON_INTEGRABLE = "1/floor(64*x)"
 _OUTPUTS = ("ahat.json", "sweep.csv", "hconv.csv", "meyers.csv",
             "summary.json", "run.log")
 
@@ -370,6 +386,18 @@ class TestRunSweep:
                      "ahat.json"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+    def test_solver_norms_do_not_go_through_blas(self, tmp_path, blas_norms):
+        # the shipped 2D config, cut to two coarse periods
+        coupled = yaml.safe_load((CONFIGS / "coupled_2d.yaml").read_text())
+        coupled.update(eps=[0.5, 0.25], mesh={"cells_per_eps": 8,
+                                              "cell_resolution": 16},
+                       probe={"trials": 2})
+        for name, text in (("1d", MINIMAL), ("2d", yaml.safe_dump(coupled))):
+            run_sweep(parse_config(text), tmp_path / name)
+            rows = _read_csv(tmp_path / name / "sweep.csv", "sweep")
+            assert [r["status"] for r in rows] == ["converged"] * 2
+        assert blas_norms == []
 
 
 class TestDefectConfig:
@@ -616,14 +644,12 @@ class TestCellFailure:
 
         monkeypatch.setattr(homfem.cell, "lu_factor", singular)
         summary = run_sweep(parse_config(MINIMAL), tmp_path)
-        # solve_cell_problems restates a singular system as a RuntimeError
-        status = ("error-RuntimeError: singular periodic cell system: "
-                  "synthetic cell failure")
+        status = "error-LinearSolveError: synthetic cell failure"
         assert summary == {"cell": {"status": status}}
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
         assert not (tmp_path / "sweep.csv").exists()
-        assert ("cell problems failed in solve_cell_problems: singular "
-                "periodic cell system") in (tmp_path / "run.log").read_text()
+        assert ("cell problems failed in solve_cell_problems: synthetic cell "
+                "failure") in (tmp_path / "run.log").read_text()
 
 
 class TestQuadratureConfig:

@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -343,24 +344,47 @@ class TestBandLU:
             lu_factor(singular)
         assert superlu_calls == []
 
-    def test_pivot_ratio_reported_from_the_band(self):
-        space = space_1d(3)
-        nearly = SparseOperator(space, sp.csr_matrix(
-            np.array([[1.0, 1.0 / 3.0], [3.0, 1.0 + 1e-14]])))
+    @staticmethod
+    def _backward_error(A, rhs, blas_norms):
+        """The backward error that ``solve_linear`` reports on ``A``."""
         with pytest.raises(LinearSolveError,
-                           match=r"pivot ratio 9\.00\de\+14"):
-            solve_linear(nearly, np.array([1.0, 0.0]))
+                           match="exceeds tolerance") as failed:
+            solve_linear(A, rhs)
+        assert blas_norms == []
+        return float(re.search(r"backward error (\S+)\)$",
+                               str(failed.value))[1])
 
-    def test_pivot_ratio_reported_from_the_tridiagonal_factor(self):
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1.0, 1.0 / 3.0], [3.0, 1.0 + 1e-14]]),
         # every tridiagonal entry stored, the third row all but decoupled
-        matrix = sp.csr_matrix(np.array([[1.0, 1.0 / 3.0, 0.0],
-                                         [3.0, 1.0 + 1e-14, 1e-16],
-                                         [0.0, 1e-16, 1.0]]))
-        assert lu_factor(matrix).tridiagonal
-        nearly = SparseOperator(space_1d(4), matrix)
-        with pytest.raises(LinearSolveError,
-                           match=r"pivot ratio 9\.00\de\+14"):
-            solve_linear(nearly, np.array([1.0, 0.0, 0.0]))
+        np.array([[1.0, 1.0 / 3.0, 0.0],
+                  [3.0, 1.0 + 1e-14, 1e-16],
+                  [0.0, 1e-16, 1.0]]),
+    ], ids=["band", "tridiagonal"])
+    def test_nearly_singular_solve_reports_a_small_backward_error(
+            self, matrix, blas_norms):
+        # the residual fails the check only because the solution is huge:
+        # the factor solved a nearby system, as a backward-stable LU does
+        n = len(matrix)
+        A = SparseOperator(space_1d(n + 1), sp.csr_matrix(matrix))
+        assert lu_factor(A.matrix).tridiagonal == (n == 3)
+        rhs = np.zeros(n)
+        rhs[0] = 1.0
+        assert self._backward_error(A, rhs, blas_norms) < 1e-15
+
+    def test_pivot_growth_reports_a_large_backward_error(self, superlu_calls,
+                                                         blas_norms):
+        # Wilkinson's matrix: partial pivoting grows its entries by 2^(n-1);
+        # its last column and last row make it a full band
+        n = 40
+        matrix = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        matrix[:, -1] = 1.0
+        A = SparseOperator(space_1d(n + 1), sp.csr_matrix(matrix))
+        lu = lu_factor(A.matrix)
+        assert isinstance(lu, BandLU) and not lu.tridiagonal
+        rhs = np.random.default_rng(0).standard_normal(n)
+        assert self._backward_error(A, rhs, blas_norms) > 1e-10
+        assert superlu_calls == []
 
     def test_empty_and_unsorted_matrices_keep_superlu(self, superlu_calls):
         empty = lu_factor(sp.csr_matrix((0, 0)))
@@ -430,14 +454,14 @@ class TestFemSpace:
     def test_dof_partition(self):
         space = FemSpace(build_unit_square_mesh(3), 2)
         assert space.num_dofs == 2 * 16
-        assert space.num_free + space.constrained_mask.sum() == space.num_dofs
-
-    def test_vertex_pattern_needs_whole_vertices_constrained(self):
-        space = FemSpace(build_unit_square_mesh(3), 2)
-        # one component of one free vertex
-        space.constrained_mask[space.free_dofs[0]] = True
-        with pytest.raises(ValueError, match="every component"):
-            space.vertex_pattern
+        # the four interior vertices are free, numbered in vertex order, and
+        # each brings both components of its block
+        interior = np.setdiff1d(np.arange(16), space.mesh.boundary)
+        expected = np.full(16, -1)
+        expected[interior] = np.arange(4)
+        assert np.array_equal(space.free_vertices, expected)
+        assert np.array_equal(space.free_dofs,
+                              (2 * interior[:, None] + np.arange(2)).ravel())
 
     def test_fully_constrained_space_assembles_empty_matrices(self):
         space = space_1d(1)

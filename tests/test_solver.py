@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -6,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import homfem
 from homfem.cell import homogenized_tensor_1d
 from homfem.coeff import HomogenizedTensor, TensorField
 from homfem.expressions import compile_expression
@@ -412,3 +417,33 @@ class TestSolverConfig:
             SolverConfig(newton_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(fp_max_iter=0)
+
+
+def test_newton_residuals_do_not_depend_on_the_blas_thread_count():
+    # eps = 2^-11 on the shipped 1D config: 32,767 dofs, a residual long
+    # enough for OpenBLAS to split a dot product across its threads
+    script = textwrap.dedent("""
+        import sys
+        from homfem.cli import compute_effective_tensor, load_config
+        from homfem.fem import assemble_diffusion
+        from homfem.solver import solve_homogenized
+
+        cfg = load_config(sys.argv[1])
+        ahat, _ = compute_effective_tensor(cfg)
+        A_hat = assemble_diffusion(cfg.build_domain_space(2.0 ** -11), ahat)
+        _, report = solve_homogenized(A_hat, cfg.flux, cfg.solver)
+        print(*map(float.hex, report.residual_history))
+        """)
+    config = Path(__file__).parents[1] / "configs" / "two_phase_1d.yaml"
+    src = str(Path(homfem.__file__).parents[1])
+    histories = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script, str(config)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        histories.append(out.stdout.split())
+    assert len(histories[0]) > 1
+    assert histories[0] == histories[1]
