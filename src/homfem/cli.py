@@ -760,7 +760,7 @@ def main(argv=None) -> int:
             return 1
         if args.command == "homogenize":
             (out / "ahat.json").write_text(ahat.to_json())
-            log.info("wrote %s: %s", out / "ahat.json", _json(info))
+            log.info("wrote ahat.json: %s", _json(info))
         elif args.command == "solve":
             result = _guarded_run(cfg, ahat,
                                   eps if eps is not None else cfg.eps[0])

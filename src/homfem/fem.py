@@ -5,12 +5,14 @@ with ``n`` components.  Degrees of freedom are laid out per independent
 vertex (periodic slaves share their master's dofs), component fastest.
 Dirichlet constraints are handled by free-dof elimination, never by penalty.
 
-Every matrix on a space has the same sparsity pattern: the vertex adjacency
-of the mesh restricted to the free vertices, with an ``n x n`` block per
-entry.  ``FemSpace.vertex_pattern`` builds it once, with the position in it
-of each (cell, test vertex, trial vertex) pair; :func:`assemble_diffusion`
-and :func:`assemble_jacobian_coupling` sum their local blocks into it by
-``np.bincount`` and drop the entries that cancel to zero.
+Every matrix on a space stores the same sparsity pattern: the vertex
+adjacency of the mesh restricted to the free vertices, with an ``n x n``
+block per entry.  ``FemSpace.vertex_pattern`` builds it once, with the
+position in it of each (cell, test vertex, trial vertex) pair;
+:func:`assemble_diffusion` and :func:`assemble_jacobian_coupling` sum their
+local blocks into it by ``np.bincount`` and keep every entry, also one that
+cancels to exactly zero, so two operators add by adding their data arrays.
+Only :func:`lu_factor` drops zeros, from SuperLU's copy.
 
 Matrices cross the module as :class:`SparseOperator` (the matrix with its
 space) and loads as plain free-dof arrays.  Sign convention used throughout
@@ -19,12 +21,8 @@ the toolkit: divergence-form problems are posed as ``A u + b = 0`` where
 :func:`assemble_divergence_load`; :func:`solve_linear` itself solves the
 plain system ``A u = rhs``.
 
-A scalar field's matrices are built as CSR directly (a block CSR matrix
-with 1 x 1 blocks is one), and two operators on the same pattern add by
-adding their data arrays.
-
-Every factorization goes through :func:`lu_factor`, which reads the storage
-from the matrix: a matrix whose lower and upper bandwidths are both below
+Every factorization goes through :func:`lu_factor`, which reads its storage
+from the stored pattern: a matrix whose lower and upper bandwidths are below
 its widest row's entry count, as every 1D P1 matrix is (block-tridiagonal),
 factors through LAPACK (:class:`BandLU`): a tridiagonal one, as a scalar
 field's is, by ``dgttrf``, any other in band storage by ``dgbtrf``.  Any
@@ -324,20 +322,17 @@ class SparseOperator:
                 f"{nf} free dofs")
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        """The sum of the data arrays of two operators on one pattern;
+        raises ValueError when the stored patterns differ."""
         if other.space is not self.space:
             raise ValueError("operators live on different spaces")
         a, b = self.matrix, other.matrix
-        if not (a.has_canonical_format and b.has_canonical_format
-                and np.array_equal(a.indptr, b.indptr)
+        if not (np.array_equal(a.indptr, b.indptr)
                 and np.array_equal(a.indices, b.indices)):
-            return SparseOperator(self.space, (a + b).tocsr())
-        # one pattern: the sum is the sum of the data arrays, with the
-        # entries that cancel dropped, as SciPy's add drops them
-        total = sp.csr_matrix((a.data + b.data, a.indices.copy(),
-                               a.indptr.copy()), shape=a.shape)
-        total.has_canonical_format = True
-        total.eliminate_zeros()
-        return SparseOperator(self.space, total)
+            raise ValueError("operators store different sparsity patterns")
+        return SparseOperator(self.space, sp.csr_matrix(
+            (a.data + b.data, a.indices.copy(), a.indptr.copy()),
+            shape=a.shape))
 
 
 class DiscreteField:
@@ -383,7 +378,8 @@ def _restrict(space, local):
     """Sum local blocks into a free-dof matrix: ``local(a, b)`` is the
     (nc, nv, nv) local matrix of test component a against trial component
     b, built one pair at a time so that the (nc, nv, n, nv, n) array of
-    all of them never exists."""
+    all of them never exists.  The matrix stores every entry of
+    ``space.vertex_pattern``, also one that cancels to exactly zero."""
     pattern = space.vertex_pattern
     nnzb, n = len(pattern.indices), space.n
     blocks = np.empty((nnzb, n, n))
@@ -392,19 +388,17 @@ def _restrict(space, local):
             blocks[:, a, b] = np.bincount(
                 pattern.slot, weights=local(a, b).ravel(),
                 minlength=nnzb + 1)[:nnzb]
-    # the matrix gets its own index arrays: in-place operations on it, such
-    # as eliminate_zeros compacting them, must never reach the cache
-    own = (pattern.indices.copy(), pattern.indptr.copy())
     shape = (space.num_free, space.num_free)
-    if n == 1:
-        # 1 x 1 blocks: the block pattern is the CSR pattern, sorted and
-        # duplicate-free
-        matrix = sp.csr_matrix((blocks.reshape(nnzb), *own), shape=shape)
-        matrix.has_canonical_format = True
-    else:
-        matrix = sp.bsr_matrix((blocks, *own), shape=shape).tocsr()
-    # entries that vanish inside a block must not reach the LU ordering
-    matrix.eliminate_zeros()
+    if n > 1:
+        return sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
+                             shape=shape).tocsr()
+    # 1 x 1 blocks: the block pattern is the CSR pattern, sorted and
+    # duplicate-free.  The matrix gets its own index arrays: in-place
+    # operations on it, such as a caller compacting out its zeros, must
+    # never reach the cache
+    matrix = sp.csr_matrix((blocks.reshape(nnzb), pattern.indices.copy(),
+                            pattern.indptr.copy()), shape=shape)
+    matrix.has_canonical_format = True
     return matrix
 
 
@@ -489,21 +483,24 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
 def lu_factor(matrix: sp.spmatrix):
     """LU with partial pivoting; raises LinearSolveError on failure.
 
-    The storage is read from the matrix.  When its lower and upper
-    bandwidths are both below the entry count of its widest row
-    (:func:`_bandwidths`), it factors through LAPACK (:class:`BandLU`).
+    The storage is read from the stored pattern, zeros included.  When its
+    lower and upper bandwidths are both below the entry count of its widest
+    row (:func:`_bandwidths`), it factors through LAPACK (:class:`BandLU`).
     Every 1D P1 matrix does, with ``kl = ku = 2n - 1`` against ``3n``
     entries, so a scalar field's is tridiagonal; a 2D one does only on the
     coarsest grids.  Any other matrix goes to SuperLU, with columns ordered
     by minimum degree on the pattern of ``A + A^T`` (``MMD_AT_PLUS_A``): the
     P1 matrices are structurally symmetric, and on them it gives about half
-    the fill of the default COLAMD ordering.
+    the fill of the default COLAMD ordering.  Its copy drops exact zeros
+    first, as the ordering would pay fill for each.
     """
     bands = _bandwidths(matrix)
     if bands is not None:
         return BandLU(matrix, *bands)
+    csc = matrix.tocsc(copy=True)
+    csc.eliminate_zeros()
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise LinearSolveError(f"linear solve failed: {exc}") from exc
 
@@ -530,7 +527,7 @@ class BandLU:
     upper bandwidths ``kl`` and ``ku``.
 
     A tridiagonal matrix that stores its three diagonals whole (``kl = ku
-    = 1`` and ``3n - 2`` entries), as a scalar 1D P1 matrix does, factors
+    = 1`` and ``3n - 2`` entries), as every scalar 1D P1 matrix does, factors
     by ``dgttrf`` into them and the second superdiagonal that pivoting
     fills in U.  Every other band, and orders below 3, which SciPy's
     ``dgttrf`` refuses, goes to ``dgbtrf``, in ``2 kl + ku + 1`` rows of

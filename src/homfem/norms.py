@@ -9,7 +9,7 @@ load vectors, with no equivalence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,7 @@ class MeyersTable:
     p_grid: list
     norms: np.ndarray           # (len(eps_list), len(p_grid))
     observed_range: float       # largest stable p
-    stable: np.ndarray = field(default=None)  # per-p boundedness flags
+    stable: np.ndarray          # per-p boundedness flags
 
 
 def meyers_probe(rows: list[HConvergenceRow], p_grid) -> MeyersTable:

@@ -310,6 +310,7 @@ class UniquenessProbeReport:
     magnitude: float
     delta: float
     outside_ball: bool
+    tolerance: float
     distances: list = dc_field(default_factory=list)
     statuses: list = dc_field(default_factory=list)
 
@@ -318,8 +319,6 @@ class UniquenessProbeReport:
         return bool(self.distances) and all(
             s == "converged" for s in self.statuses) and all(
             d <= self.tolerance for d in self.distances)
-
-    tolerance: float = np.nan
 
 
 def local_uniqueness_probe(frozen: FrozenOperator,

@@ -79,15 +79,14 @@ KERNEL_SPACES = {
 def coo_restrict(space, local):
     """The assembly that ``FemSpace.vertex_pattern`` replaced: local blocks
     (nc, nv, n, nv, n) scattered as a COO over all dofs, summed in CSR,
-    restricted to the free dofs."""
+    restricted to the free dofs.  It stores every entry the cells touch,
+    also one that cancels to exactly zero."""
     rows = np.broadcast_to(space.cell_dofs[:, :, :, None, None], local.shape)
     cols = np.broadcast_to(space.cell_dofs[:, None, None, :, :], local.shape)
     full = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(space.num_dofs, space.num_dofs)).tocsr()
     free = space.free_dofs
-    out = full[free][:, free].tocsr()
-    out.eliminate_zeros()
-    return out
+    return full[free][:, free].tocsr()
 
 
 def coo_diffusion(space, tensor):

@@ -697,6 +697,17 @@ class TestMain:
         doc = json.loads((tmp_path / "o" / "ahat.json").read_text())
         assert abs(doc["values"][0][0][0][0] - 1.6) < 1e-9
 
+    def test_homogenize_run_log_is_the_same_in_any_directory(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        logs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["homogenize", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            logs.append((out / "run.log").read_bytes())
+        assert b"wrote ahat.json: " in logs[0]
+        assert logs[0] == logs[1]
+
     def test_solve_command(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         assert main(["solve", "--config", str(cfg), "--eps", "0.125",

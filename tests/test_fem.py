@@ -124,8 +124,11 @@ class TestAssembleJacobianCoupling:
     def test_zero_jacobian(self):
         space = space_1d(4)
         jac = np.zeros((4, 1, 1, 1, 1))
-        C = assemble_jacobian_coupling(space, jac)
-        assert C.matrix.nnz == 0 or np.allclose(C.matrix.toarray(), 0.0)
+        C = assemble_jacobian_coupling(space, jac).matrix
+        # the whole tridiagonal pattern of the three free vertices, all zero
+        assert np.array_equal(C.indptr, [0, 2, 5, 7])
+        assert np.array_equal(C.indices, [0, 1, 0, 1, 2, 1, 2])
+        assert not C.data.any()
 
     def test_linear_scaling(self):
         space = space_1d(6)
@@ -147,6 +150,31 @@ class TestAssembleJacobianCoupling:
         jac = np.full((4, 1, 1, 1, 1), np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             assemble_jacobian_coupling(space, jac)
+
+
+class TestSparseOperatorSum:
+    """Every operator on a space stores its whole pattern, so ``+`` is the
+    sum of the data arrays."""
+
+    def test_isotropic_diffusion_and_coupling_share_one_pattern(self):
+        space = FemSpace(build_unit_square_mesh(6), 2)
+        A = assemble_diffusion(space, TensorField.constant(2, 2, 1.0))
+        C = assemble_jacobian_coupling(space, _random_jacobian(space, 7))
+        assert not A.matrix.data.all()
+        assert np.array_equal(A.matrix.indptr, C.matrix.indptr)
+        assert np.array_equal(A.matrix.indices, C.matrix.indices)
+        total = (A + C).matrix
+        assert np.array_equal(total.indices, A.matrix.indices)
+        assert np.array_equal(total.toarray(),
+                              A.matrix.toarray() + C.matrix.toarray())
+
+    def test_different_patterns_are_refused(self):
+        space = space_1d(4)
+        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        diagonal = SparseOperator(space, sp.identity(space.num_free,
+                                                     format="csr"))
+        with pytest.raises(ValueError, match="different sparsity patterns"):
+            A + diagonal
 
 
 class TestSolveLinear:
@@ -386,6 +414,18 @@ class TestBandLU:
         assert self._backward_error(A, rhs, blas_norms) > 1e-10
         assert superlu_calls == []
 
+    def test_cancelled_entries_keep_the_tridiagonal_lu(self, superlu_calls):
+        # the zero-coefficient cell cancels the entries that couple its two
+        # vertices; the matrix still stores all three diagonals
+        tensor = TensorField.piecewise(1, 1, [8], [1, 1, 1, 0, 1, 1, 1, 1])
+        A = assemble_diffusion(space_1d(8), tensor).matrix
+        assert A.nnz == 3 * 7 - 2 and not A.data.all()
+        lu = lu_factor(A)
+        assert isinstance(lu, BandLU) and lu.tridiagonal
+        rhs = np.arange(1.0, 8.0)
+        assert np.allclose(A @ lu.solve(rhs), rhs, rtol=0, atol=1e-12)
+        assert superlu_calls == []
+
     def test_empty_and_unsorted_matrices_keep_superlu(self, superlu_calls):
         empty = lu_factor(sp.csr_matrix((0, 0)))
         assert empty.solve(np.zeros(0)).shape == (0,)
@@ -595,6 +635,13 @@ class TestSparseKernelsMatchEinsum:
         tensor = _RandomTensor(space, 5)
         _assert_matches_coo(name, assemble_diffusion(space, tensor).matrix,
                             coo_diffusion(space, tensor))
+        if name.startswith("square"):
+            # an isotropic tensor: the diagonal-edge entries cancel to
+            # exactly zero, and both assemblies store them
+            isotropic = TensorField.constant(space.n, 2, 1.0)
+            matrix = assemble_diffusion(space, isotropic).matrix
+            assert not matrix.data.all()
+            _assert_matches_coo(name, matrix, coo_diffusion(space, isotropic))
 
     def test_assemble_jacobian_coupling(self, name):
         space = KERNEL_SPACES[name]()
@@ -609,7 +656,9 @@ class TestSparseKernelsMatchEinsum:
         saved = [array.copy() for array in pattern]
         zero = assemble_jacobian_coupling(space,
                                           0.0 * _random_jacobian(space, 0))
-        assert zero.matrix.nnz == 0
+        # the zero coupling stores the whole pattern
+        assert zero.matrix.nnz == len(pattern.indices) * space.n ** 2
+        assert not zero.matrix.data.any()
         tensor = _RandomTensor(space, 6)
         first = assemble_diffusion(space, tensor).matrix
         second = assemble_diffusion(space, tensor).matrix

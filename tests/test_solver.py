@@ -8,14 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 import homfem
 from homfem.cell import homogenized_tensor_1d
 from homfem.coeff import HomogenizedTensor, TensorField
 from homfem.expressions import compile_expression
-from homfem.fem import (FemSpace, LinearSolveError, SparseOperator,
-                        assemble_diffusion, assemble_jacobian_coupling)
+from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
+                        assemble_jacobian_coupling)
 from homfem.mesh import build_interval_mesh
 from homfem.nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial,
                            eval_F_jacobian)
@@ -316,10 +315,10 @@ class TestFailureRule:
 
     def test_failed_first_linear_solve_propagates(self):
         # Newton's first step fails; the fixed point's one factorization
-        # fails as its frozen operator is built
+        # fails as its frozen operator is built.  The singular operator is
+        # all zero on the space's pattern, as every operator stores it
         space = space_1d(16)
-        singular = SparseOperator(
-            space, sp.csr_matrix((space.num_free, space.num_free)))
+        singular = assemble_diffusion(space, TensorField.constant(1, 1, 0.0))
         u0 = space.zero_field()
         with pytest.raises(LinearSolveError):
             newton_solve(singular, _linear_nl())
