@@ -38,7 +38,7 @@ import yaml
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import HomogenizedTensor, TensorField, add_defect, sample_grid
 from .expressions import compile_expression
-from .fem import (FemSpace, LinearSolveError, SparseOperator,
+from .fem import (FemSpace, LinearSolveError, SineSolver, SparseOperator,
                   assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
@@ -472,30 +472,32 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
 
     ``Ahat`` and ``A_eps`` are each assembled once and handed to every
     stage that uses them; the resolution check runs once, as ``A_eps`` is
-    built.  Past Newton the row factors its two linearizations at ``u0``
-    once each, ``Ahat + C(u0)`` and then ``A_eps + C(u0)``, and never holds
-    both.
+    built.  In 2D, every solve with ``Ahat`` refines over its sine
+    transform (:func:`_ahat_near`), so Newton factors nothing there; in 1D
+    each Newton step factors ``Ahat + C(u_k)``.  Past Newton the row
+    factors its two linearizations at ``u0`` once each, ``Ahat + C(u0)``
+    for the margin and then ``A_eps + C(u0)``, and never holds both.
 
     When the probe mesh is the row's mesh, the row probes its period on its
     space's 3-point view (where the midpoint ``Ahat`` is exact, as it is
-    constant), the solves refined over ``Ahat + C(u0)`` and ``A_eps +
-    C(u0)``.  A probe failure is recorded in ``probe``; the row is kept.
+    constant), the ``Ahat`` solve refined over the sine transform in 2D
+    (factored in 1D) and the ``A_eps`` one over ``A_eps + C(u0)``.  A probe
+    failure is recorded in ``probe``; the row is kept.
     """
     nl = cfg.flux
     space = cfg.build_domain_space(eps)
     A_hat = assemble_diffusion(space, ahat)
-    u0, newton_report = solve_homogenized(A_hat, nl, cfg.solver)
+    near = _ahat_near(space, ahat)
+    u0, newton_report = solve_homogenized(A_hat, nl, cfg.solver, near=near)
     result = RowResult(_row(eps, "homogenized-" + newton_report.status,
                             space.mesh.spacing, space.mesh.num_cells), space)
     row, fields = result.row, result.fields
     if newton_report.status == "converged":
         fields["u0"] = u0
         try:
-            linearized = FrozenOperator(A_hat, nl, u0)
+            margin = nondegeneracy_margin(FrozenOperator(A_hat, nl, u0))
         except LinearSolveError:  # discretely degenerate
-            linearized = None
-        margin = (nondegeneracy_margin(linearized)
-                  if linearized is not None else 0.0)
+            margin = 0.0
         row["margin"] = margin
         if margin <= 0:
             row["status"] = "degenerate"
@@ -508,9 +510,8 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
                 load = probe_load(probe_space)
                 u_hat = _guarded(f"linear probe at eps={eps:g}", solve_linear,
                                  SparseOperator(probe_space, A_hat.matrix),
-                                 -load, near=linearized.lu)
-            # no two linearizations are held at once
-            del A_hat, linearized
+                                 -load, near=near)
+            del A_hat, near  # the A_eps stages need neither
             tensor_eps = cfg.coefficient.with_epsilon(eps)
             A_eps = oscillatory_operator(space, tensor_eps, cfg.solver)
             result.frozen = frozen = FrozenOperator(A_eps, nl, u0)
@@ -575,12 +576,22 @@ def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
     return result
 
 
+def _ahat_near(space: FemSpace, ahat: HomogenizedTensor):
+    """The sine-transform solver of ``Ahat`` on a 2D (unit-square) space,
+    the ``near`` that every solve with ``Ahat`` refines over; None in 1D,
+    where those solves factor."""
+    return SineSolver(space, ahat.values) if space.mesh.dim == 2 else None
+
+
 def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor,
                  eps: float) -> HConvergenceRow:
-    """The linear probe at ``eps`` on its own space, factoring both solves."""
+    """The linear probe at ``eps`` on its own space: ``A_eps`` is factored,
+    and ``Ahat`` too in 1D; in 2D its solve refines over the sine
+    transform."""
     space = cfg.build_probe_space(eps)
     load = probe_load(space)
-    u_hat = solve_linear(assemble_diffusion(space, ahat), -load)
+    u_hat = solve_linear(assemble_diffusion(space, ahat), -load,
+                         near=_ahat_near(space, ahat))
     return h_convergence_probe(cfg.coefficient.with_epsilon(eps), ahat,
                                u_hat, load, cfg.probe.modes)
 

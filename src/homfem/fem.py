@@ -28,7 +28,11 @@ factors through LAPACK (:class:`BandLU`): a tridiagonal one, as a scalar
 field's is, by ``dgttrf``, any other in band storage by ``dgbtrf``.  Any
 other matrix, such as a 2D one on all but the coarsest grids, goes to
 SuperLU with a minimum-degree ordering.  Both factors answer
-``solve(rhs, trans)`` and ``nnz``.
+``solve(rhs, trans)`` and ``nnz``.  A solve need not factor at all:
+:func:`solve_linear` refines over any ``near`` with ``solve(rhs)``, such as
+a factor already held or a :class:`SineSolver`, the sine-transform inverse
+of a constant tensor's matrix on a unit-square space, which factors
+nothing.
 
 Every solver 2-norm is :func:`norm2`, an einsum sum that does not depend
 on the BLAS thread count.  :func:`solve_linear` checks each solution's
@@ -61,6 +65,7 @@ __all__ = [
     "assemble_divergence_load",
     "assemble_jacobian_coupling",
     "solve_linear",
+    "SineSolver",
 ]
 
 
@@ -572,9 +577,65 @@ class BandLU:
         return x
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I of ``x`` along its first axis; it is its own
+    inverse.  Built from the real FFT of the odd extension ``[0, x, 0,
+    -reversed x]`` of length ``2 (m + 1)``, whose frequency k holds
+    ``-2i sum_j x_j sin(pi (j + 1) k / (m + 1))``."""
+    m = len(x)
+    zero = np.zeros((1,) + x.shape[1:])
+    odd = np.concatenate([zero, x, zero, -x[::-1]])
+    return np.fft.rfft(odd, axis=0)[1:m + 1].imag / -np.sqrt(2.0 * (m + 1))
+
+
+class SineSolver:
+    """The fast Poisson solver for a constant tensor on a Dirichlet
+    unit-square space (Buzbee, Golub and Nielsen, "On direct methods for
+    solving Poisson's equations", SIAM J. Numer. Anal. 7, 1970).
+
+    ``ahat``, shape (n, n, 2, 2), without mixed-derivative entries gives on
+    the structured grid a P1 matrix whose (a, b) block is the 5-point
+    stencil ``ahat[a, b, 0, 0] L_x + ahat[a, b, 1, 1] L_y``, for L the
+    second difference along one axis.  The free dofs reshape to (x index,
+    y index, component), and a 2D DST-I diagonalizes both L, with
+    eigenvalues ``lam_k = 2 - 2 cos(pi k / (m + 1))`` over the ``m`` interior
+    grid lines.  That leaves one n x n matrix per sine mode (k, l),
+    ``ahat[:, :, 0, 0] lam_k + ahat[:, :, 1, 1] lam_l``, inverted once.  For
+    an elliptic ``ahat`` each is invertible: taking xi = e_i in the
+    ellipticity condition makes the symmetric part of every ``ahat[:, :, i,
+    i]`` positive definite, so no mode needs a fallback.
+
+    Mixed entries are ignored, so for a tensor with them ``solve`` inverts a
+    nearby matrix: it is a ``near`` for :func:`solve_linear`, which refines
+    over it.  Raises ValueError on any other space, such as a 1D or a
+    periodic-cell one.
+    """
+
+    def __init__(self, space: FemSpace, ahat: np.ndarray):
+        mesh, n = space.mesh, space.n
+        m = mesh.resolution - 1
+        if (mesh.dim != 2 or mesh.is_periodic or m < 1
+                or space.num_free != m * m * n
+                or np.shape(ahat) != (n, n, 2, 2)):
+            raise ValueError("the sine solver needs an (n, n, 2, 2) tensor "
+                             "on a Dirichlet unit-square space")
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        modes = (lam[:, None, None, None] * ahat[:, :, 0, 0]
+                 + lam[None, :, None, None] * ahat[:, :, 1, 1])
+        self._inverse = np.linalg.inv(modes)  # (m, m, n, n)
+        self._shape = (m, m, n)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        def dst2(x):
+            return _dst1(_dst1(x).swapaxes(0, 1)).swapaxes(0, 1)
+
+        modal = dst2(rhs.reshape(self._shape))
+        return dst2(np.einsum("klab,klb->kla", self._inverse, modal)).ravel()
+
+
 def _refine(matrix: sp.spmatrix, lu, rhs: np.ndarray) -> np.ndarray:
     """Iterative refinement ``x <- x + M^{-1} (rhs - A x)`` from ``x = 0``,
-    with ``A = matrix`` and ``M`` the matrix that ``lu`` factors.
+    with ``A = matrix`` and ``M^{-1}`` the map ``lu.solve``.
 
     Stops once a correction is at most 1e-16 ``|x|_inf``, or when it did
     not shrink to at most half the previous one, in which case it is not
@@ -615,8 +676,9 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
                  near=None) -> DiscreteField:
     """Solve A u = rhs on the free dofs; constrained entries stay zero.
 
-    ``near``, when given, is the factorization of a nearby matrix on the
-    same free dofs, such as a linearization the caller already holds: the
+    ``near``, when given, is any object with ``solve(rhs)`` that inverts a
+    nearby matrix on the same free dofs, such as the factorization of a
+    linearization the caller already holds or a :class:`SineSolver`: the
     solve first refines over it (:func:`_refine`) and factors ``A`` only
     when the refined solution fails the residual check.  The residual is
     verified against 1e-10 * (1 + |rhs|); a quiet rank-deficient

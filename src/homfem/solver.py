@@ -20,6 +20,10 @@ margin, and ``A_eps`` for ``ubar`` and the frozen operator, in
 :func:`oscillatory_operator`, the one place a tensor becomes ``A_eps`` and
 which checks the oscillation resolution.
 
+Newton's steps ``Ahat + C(u_k)`` refine over a ``near`` when the caller
+gives one: in 2D a sweep row passes the sine-transform inverse of ``Ahat``
+(:class:`~homfem.fem.SineSolver`), so Newton factors nothing there, and a
+step is factored only when refinement fails; in 1D each step factors.
 Past Newton, a row factors its two linearizations at u0 once each, as a
 :class:`FrozenOperator`: ``Ahat + C(u0)``, over which the margin iterates,
 and ``A_eps + C(u0)``, over which the fixed-point solve and every perturbed
@@ -176,18 +180,20 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
 
 def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
                  cfg: SolverConfig | None = None,
-                 start: DiscreteField | None = None):
+                 start: DiscreteField | None = None, near=None):
     """Newton iteration on A u + D F(u) = 0 over ``diffusion.space``.
 
-    Each step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``.  Linear
-    problems (flux independent of u) converge in exactly one step.
+    Each step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``, refined over
+    ``near`` when given (see :func:`~homfem.fem.solve_linear`), such as the
+    :class:`~homfem.fem.SineSolver` of ``A``.  Linear problems (flux
+    independent of u) converge in exactly one step.
     """
     cfg = cfg or SolverConfig()
     space = diffusion.space
 
     def advance(u, load, residual):
         C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u))
-        return u + solve_linear(diffusion + C, -residual)
+        return u + solve_linear(diffusion + C, -residual, near=near)
 
     u = start.copy() if start is not None else space.zero_field()
     return _iterate(diffusion, nl, u, advance, cfg.newton_tol,
@@ -195,10 +201,11 @@ def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
 
 
 def solve_homogenized(ahat: SparseOperator, nl: Nonlinearity,
-                      cfg: SolverConfig | None = None):
+                      cfg: SolverConfig | None = None, near=None):
     """Newton solve of the effective problem Ahat u + D F(u) = 0, with
-    ``ahat`` the assembled effective operator."""
-    return newton_solve(ahat, nl, cfg)
+    ``ahat`` the assembled effective operator; each step refines over
+    ``near`` when given."""
+    return newton_solve(ahat, nl, cfg, near=near)
 
 
 def nondegeneracy_margin(linearized: FrozenOperator) -> float:

@@ -169,6 +169,25 @@ def flux_identity(pts):
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` wraps ``fn`` wherever homfem binds it and returns
+    the list of the first positional argument of every call."""
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "homfem" or name.startswith("homfem."))
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, counted)
+        return calls
+    return install
+
+
+@pytest.fixture
 def superlu_calls(monkeypatch):
     """The matrices that ``homfem.fem`` hands to SuperLU (``spla.splu``)
     while the test runs."""

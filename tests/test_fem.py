@@ -17,18 +17,21 @@ from hypothesis.extra import numpy as hnp
 import homfem
 from homfem.coeff import TensorField
 from homfem.expressions import compile_expression
+from homfem.cli import compute_effective_tensor, parse_config
+from homfem.coeff import HomogenizedTensor
 from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
-                        SparseOperator, assemble_diffusion,
+                        SineSolver, SparseOperator, assemble_diffusion,
                         assemble_divergence_load, assemble_jacobian_coupling,
                         lu_factor, solve_linear)
-from homfem.mesh import Mesh, build_interval_mesh, build_unit_square_mesh
+from homfem.mesh import (Mesh, build_interval_mesh, build_periodic_cell_mesh,
+                         build_unit_square_mesh)
 from homfem.nonlin import Nonlinearity, Polynomial, eval_F_jacobian
 from homfem.solver import (FrozenOperator, nondegeneracy_margin,
                            solve_homogenized)
 
 from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
-                      coo_jacobian_coupling, effective_operator,
-                      oscillatory_scenario_1d, space_1d)
+                      coo_jacobian_coupling, coupled_scenario_2d,
+                      effective_operator, oscillatory_scenario_1d, space_1d)
 
 
 def _flux_from_fn(space, fn):
@@ -488,6 +491,82 @@ class TestBandLU:
         dofs, grown_kib = map(int, out.stdout.split())
         assert dofs == 131071
         assert grown_kib < 12 * 1024
+
+
+@pytest.fixture(scope="module")
+def coupled_ahat():
+    """The effective tensor of the shipped ``coupled_2d`` config."""
+    config = Path(__file__).parents[1] / "configs" / "coupled_2d.yaml"
+    ahat, _ = compute_effective_tensor(parse_config(config.read_text()))
+    return ahat
+
+
+def _mixed_ahat(c):
+    """A 2 x 2 system whose first diagonal block ``[[2, c], [c, 2]]`` has
+    mixed-derivative entries; elliptic for |c| < 2."""
+    values = np.zeros((2, 2, 2, 2))
+    values[0, 0] = [[2.0, c], [c, 2.0]]
+    values[1, 1] = 2.0 * np.eye(2)
+    values[0, 1] = values[1, 0] = 0.25 * np.eye(2)
+    return HomogenizedTensor(values)
+
+
+class TestSineSolver:
+    """The sine transform inverts a constant tensor without mixed entries
+    on a Dirichlet unit-square space, and is a ``near`` for one with
+    them."""
+
+    @pytest.mark.parametrize("cells", [32, 64, 128])
+    def test_inverts_the_assembled_coupled_ahat(self, coupled_ahat, cells):
+        space = FemSpace(build_unit_square_mesh(cells), 2)
+        A = assemble_diffusion(space, coupled_ahat).matrix
+        u = np.random.default_rng(cells).standard_normal(space.num_free)
+        solved = SineSolver(space, coupled_ahat.values).solve(A @ u)
+        assert_relative_close(solved, u, 1e-12)
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: build_interval_mesh(8),
+        lambda: build_periodic_cell_mesh(8, 2),
+    ], ids=["interval", "periodic-cell"])
+    def test_other_spaces_raise(self, coupled_ahat, mesh):
+        with pytest.raises(ValueError, match="Dirichlet unit-square"):
+            SineSolver(FemSpace(mesh(), 2), coupled_ahat.values)
+
+    def test_tensor_of_another_system_raises(self, coupled_ahat):
+        space = FemSpace(build_unit_square_mesh(8), 1)
+        with pytest.raises(ValueError, match="Dirichlet unit-square"):
+            SineSolver(space, coupled_ahat.values)
+
+    # which path a mixed tensor takes does not depend on the mesh: it is
+    # the same from 16 to 128 cells per side
+    @pytest.mark.parametrize("c, factors", [(0.8, 0), (1.5, 1)])
+    def test_mixed_entries_refine_or_fall_back(self, count_calls, c,
+                                               factors):
+        ahat = _mixed_ahat(c)
+        space = FemSpace(build_unit_square_mesh(32), 2)
+        A = assemble_diffusion(space, ahat)
+        rhs = np.random.default_rng(0).standard_normal(space.num_free)
+        factored = count_calls(lu_factor)
+        refined = solve_linear(A, rhs, near=SineSolver(space, ahat.values))
+        assert len(factored) == factors
+        assert_relative_close(refined.free(), solve_linear(A, rhs).free(),
+                              1e-12)
+
+    @pytest.mark.parametrize("c, factors", [(0.8, 0), (1.5, 2)])
+    def test_newton_over_a_mixed_tensor_converges_as_without_it(
+            self, count_calls, c, factors):
+        _, nl = coupled_scenario_2d()
+        ahat = _mixed_ahat(c)
+        space = FemSpace(build_unit_square_mesh(32), 2)
+        A_hat = assemble_diffusion(space, ahat)
+        factored = count_calls(lu_factor)
+        u0, report = solve_homogenized(A_hat, nl,
+                                       near=SineSolver(space, ahat.values))
+        # two steps, each refined or factored as a single solve is
+        assert report.iterations == 2 and len(factored) == factors
+        reference, reference_report = solve_homogenized(A_hat, nl)
+        assert report.status == reference_report.status == "converged"
+        assert_relative_close(u0.values, reference.values, 1e-12)
 
 
 class TestFemSpace:

@@ -8,7 +8,6 @@ The counters wrap a homfem function at every homfem module that binds it
 import csv
 import gc
 import json
-import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -16,15 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+import yaml
 
 import homfem.cli
 import homfem.norms
 from homfem.cell import solve_cell_problems
 from homfem.cli import main, parse_config, run_single, run_sweep
 from homfem.expressions import compile_expression
-from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
-                        assemble_divergence_load, assemble_jacobian_coupling,
-                        lu_factor, solve_linear)
+from homfem.fem import (FemSpace, LinearSolveError, SineSolver,
+                        assemble_diffusion, assemble_divergence_load,
+                        assemble_jacobian_coupling, lu_factor, solve_linear)
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
 from homfem.nonlin import (Constant, Nonlinearity, Polynomial, Term, eval_F,
                            eval_F_jacobian)
@@ -79,25 +79,6 @@ eps: [0.125]
 mesh: {cells_per_eps: 16, cell_resolution: 16}
 probe: {trials: 3}
 """
-
-
-@pytest.fixture
-def count_calls(monkeypatch):
-    """``count_calls(fn)`` wraps ``fn`` wherever homfem binds it and returns
-    the list of the first positional argument of every call."""
-    def install(fn):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return fn(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if ((name == "homfem" or name.startswith("homfem."))
-                    and getattr(module, fn.__name__, None) is fn):
-                monkeypatch.setattr(module, fn.__name__, counted)
-        return calls
-    return install
 
 
 def test_uniqueness_probe_factors_once(scenario_1d, count_calls):
@@ -199,6 +180,21 @@ def test_2d_row_factors_every_matrix_with_superlu(count_calls, superlu_calls):
     assert len(superlu_calls) == len(factored) > 0
 
 
+def test_coupled_sweep_factors_the_cell_and_two_linearizations_per_row(
+        tmp_path, count_calls):
+    doc = yaml.safe_load((CONFIGS / "coupled_2d.yaml").read_text())
+    doc["eps"] = [0.25, 0.125]
+    cfg = parse_config(yaml.safe_dump(doc))
+    factored = count_calls(lu_factor)
+    summary = run_sweep(cfg, tmp_path)
+    assert summary["uniqueness"]["all_same"]
+    # the cell problem, then per row Ahat + C(u0) for the margin and
+    # A_eps + C(u0) for the fixed point; Newton and the in-row probe
+    # refine over the sine transform of Ahat, ubar and the probe's A_eps
+    # over A_eps + C(u0)
+    assert len(factored) == 1 + 2 * len(cfg.eps)
+
+
 def test_vertex_pattern_adds_no_fill():
     base, _ = coupled_scenario_2d()
     space = FemSpace(build_unit_square_mesh(16), 2)
@@ -243,11 +239,16 @@ def test_sweep_probe_factors_nothing(tmp_path, monkeypatch, count_calls):
     assert summary["uniqueness"]["all_same"]
 
 
+@pytest.mark.parametrize("text, factored_per_eps", [
+    (CONFIG, 2),
+    ((CONFIGS / "coupled_2d.yaml").read_text(), 1),
+], ids=["1d", "coupled_2d"])
 def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
-                                               count_calls):
+                                               count_calls, text,
+                                               factored_per_eps):
     path = tmp_path / "config.yaml"
-    path.write_text(CONFIG)
-    cfg = parse_config(CONFIG)
+    path.write_text(text)
+    cfg = parse_config(text)
     # the cell problems are factored outside the probes: reuse their result
     effective = homfem.cli.compute_effective_tensor(cfg)
     monkeypatch.setattr(homfem.cli, "compute_effective_tensor",
@@ -257,8 +258,9 @@ def test_linear_probes_factor_each_matrix_once(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "hconv.csv").exists()
     assert (tmp_path / "out" / "meyers.csv").exists()
-    # per probe mesh: A_eps once, shared by both tables, and Ahat once
-    assert len(factored) == 2 * len(cfg.eps)
+    # per probe mesh: A_eps once, shared by both tables, and Ahat once in
+    # 1D; a 2D Ahat solve refines over the sine transform
+    assert len(factored) == factored_per_eps * len(cfg.eps)
     digests = {(A.shape, A.data.tobytes()) for A in factored}
     assert len(digests) == len(factored)
 
@@ -325,8 +327,9 @@ def test_fixed_point_evaluates_the_flux_once_per_iterate(scenario_1d,
 
 
 def test_refined_solves_equal_direct_solves(count_calls):
-    # the coupled 2D system on a 32 x 32 grid at eps = 1/4: ubar and both
-    # linear-probe systems, refined over the two linearizations at u0
+    # the coupled 2D system on a 32 x 32 grid at eps = 1/4: ubar and the
+    # probe's A_eps system refined over A_eps + C(u0), as a sweep row does,
+    # and the probe's Ahat system over the sine transform of Ahat
     base, nl = coupled_scenario_2d()
     ahat = solve_cell_problems(base, build_periodic_cell_mesh(16, 2)).ahat
     space = FemSpace(build_unit_square_mesh(32), 2)
@@ -345,12 +348,12 @@ def test_refined_solves_equal_direct_solves(count_calls):
             effective_operator(probe_space, ahat), -load),
         "probe A_eps": solve_linear(A_eps_probe, -load),
     }
-    linearized = FrozenOperator(A_hat, nl, u0)
     frozen = FrozenOperator(A_eps, nl, u0)
     factored = count_calls(lu_factor)
     refined = {
         "ubar": approximate_solution(frozen),
-        "probe Ahat": solve_linear(A_hat, -load, near=linearized.lu),
+        "probe Ahat": solve_linear(A_hat, -load,
+                                   near=SineSolver(space, ahat.values)),
         "probe A_eps": solve_linear(A_eps_probe, -load, near=frozen.lu),
     }
     assert factored == []
@@ -466,7 +469,7 @@ def _statuses(path):
 @pytest.fixture(scope="module")
 def coupled_probe_out(tmp_path_factory):
     """``homfem probe`` on the coupled config, which factors every probe
-    matrix."""
+    ``A_eps`` and refines each ``Ahat`` solve over the sine transform."""
     out = tmp_path_factory.mktemp("probe")
     assert main(["probe", "--config", str(CONFIGS / "coupled_2d.yaml"),
                  "--out", str(out)]) == 0
@@ -476,8 +479,8 @@ def coupled_probe_out(tmp_path_factory):
 @pytest.mark.parametrize("finest_fails", [False, True])
 def test_sweep_and_probe_tables_agree_on_the_coupled_config(
         tmp_path, monkeypatch, coupled_probe_out, finest_fails):
-    # the sweep probes each eps inside its row, refined over the row's
-    # linearizations; when the finest row's Newton solve fails, that eps is
+    # the sweep probes each eps inside its row, refined over Ahat's sine
+    # transform and the row's A_eps + C(u0); when the finest row's Newton solve fails, that eps is
     # probed after the rows on its own probe space, as the probe command does
     config = CONFIGS / "coupled_2d.yaml"
     cfg = parse_config(config.read_text())
