@@ -10,8 +10,10 @@ entirely: the effective matrix is the inverse of the cell average of the
 inverse coefficient matrix.
 
 The singular constant mode of the periodic systems is removed by pinning one
-vertex, solving, and subtracting the component means afterwards, so the same
-sparse LU path serves every solve in the toolkit.
+vertex, solving, and subtracting the component means afterwards, so the
+pinned matrix factors through :func:`~homfem.fem.lu_factor` like any other:
+by LAPACK's band or tridiagonal LU in 1D, by SuperLU in 2D on all but the
+coarsest grids.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """Declarative experiment driver.
 
-Problem configs are YAML documents with a fixed key set (unknown keys are
-rejected by name); runs are reproducible functions of the config and the
-seed.  Subcommands:
+Problem configs are YAML documents read by one reader (:func:`_section`):
+every section, the tensor, flux-term, value-factor and monomial specs
+included, is a dataclass whose fields are its keys, and a spec of several
+kinds is one dataclass per kind, chosen by its ``kind`` key.  A bad config
+fails at parse time with a :class:`ConfigError` naming the key by its full
+path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.  Runs are
+reproducible functions of the config and the seed.  Subcommands:
 
 * ``homogenize``: solve the cell problems and export the effective tensor.
 * ``solve``: run the pipeline at a single oscillation period.
@@ -14,8 +18,6 @@ seed.  Subcommands:
 Every CSV column is documented in the JSON schema files shipped under
 ``homfem/schemas``; consumers should read CSVs through those schemas.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -29,7 +31,8 @@ import traceback
 import types
 import typing
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field, fields, is_dataclass
+from dataclasses import (MISSING, asdict, dataclass, field as dc_field, fields,
+                         is_dataclass)
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +64,15 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# config schema: each section is a dataclass whose fields are its YAML keys
+# config schema: each section is a dataclass whose fields are its YAML keys;
+# a spec of several kinds is one dataclass per kind, chosen by its ``kind``
 
 
-_TENSOR_KEYS = {"kind", "value", "values", "grid", "entries", "triangular"}
-_TERM_KEYS = {"target", "g", "h", "p0"}
-_H_KEYS = {"kind", "value", "coeffs", "shift", "monomials",
-           "numerator", "denominator"}
+class Nested(typing.Generic[typing.TypeVar("T")]):
+    """The field type of a ``T`` or a list of ``Nested[T]``, to any depth."""
 
 
-def _check_keys(section, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a mapping, got "
-                          f"{type(section).__name__}")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} in {where}")
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _at_least(section, **lows) -> None:
@@ -86,12 +82,212 @@ def _at_least(section, **lows) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _check_count(key: str, values: list, count: int, source: str, low=None):
+    """A ConfigError naming ``key`` and ``source`` unless ``values`` has
+    ``count`` entries, each at least ``low`` when given."""
+    if len(values) != count or low is not None and min(values) < low:
+        least = "" if low is None else f", each at least {low}"
+        raise ConfigError(f"{key} must have {count} entries{least} "
+                          f"({source} is {count}), got {values}")
+
+
+@contextlib.contextmanager
+def _naming(key: str):
+    """A ValueError in the block, a constructor's, as a ConfigError naming
+    ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+@dataclass(kw_only=True)
+class _TensorSpec:
+    """A tensor kind's ``table`` key, and ``triangular``: when true, it is
+    verified against samples; when false, the tensor is not triangular."""
+
+    triangular: bool | None = None
+
+    def build(self, n, dim, key, zero_outside=False) -> TensorField:
+        with _naming(f"{key}.{self.table}"):
+            tensor = self.make(n, dim, zero_outside)
+        if self.triangular and not tensor.triangular:
+            raise ConfigError(f"{key}.triangular is true, but {key}."
+                              f"{self.table} has entries with alpha > beta")
+        if self.triangular is not None:
+            tensor.triangular = self.triangular
+        return tensor
+
+
+@dataclass(kw_only=True)
+class ConstantTensor(_TensorSpec):
+    """``value`` everywhere: ``c delta_ab delta_ij`` for a number ``c``, or
+    a full ``[alpha][beta][i][j]`` nest."""
+
+    kind: typing.Literal["constant"]
+    value: Nested[float]
+    table = "value"
+
+    def make(self, n, dim, zero_outside) -> TensorField:
+        return TensorField.constant(n, dim, self.value)
+
+
+@dataclass(kw_only=True)
+class PiecewiseTensor(_TensorSpec):
+    """``values`` on the cells of a uniform ``grid`` of the unit cell, each
+    entry as a constant tensor's ``value``."""
+
+    kind: typing.Literal["piecewise"]
+    grid: list[int]
+    values: list[Nested[float]]
+    table = "values"
+
+    def build(self, n, dim, key, zero_outside=False) -> TensorField:
+        _check_count(f"{key}.grid", self.grid, dim, "the domain's dimension",
+                     low=1)
+        return super().build(n, dim, key, zero_outside)
+
+    def make(self, n, dim, zero_outside) -> TensorField:
+        return TensorField.piecewise(n, dim, self.grid, self.values,
+                                     zero_outside=zero_outside)
+
+
+@dataclass(kw_only=True)
+class ExpressionTensor(_TensorSpec):
+    """``entries``, an ``[alpha][beta][i][j]`` nest of expression strings
+    and numbers, or one string ``s`` for ``s delta_ab delta_ij``."""
+
+    kind: typing.Literal["expression"]
+    entries: Nested[float | str]
+    table = "entries"
+
+    def make(self, n, dim, zero_outside) -> TensorField:
+        return TensorField.from_expressions(n, dim, self.entries)
+
+
+@dataclass(kw_only=True)
+class Monomial:
+    """``coeff * u1^p1 * ... * un^pn``, with ``powers`` ``[p1, ..., pn]``."""
+
+    coeff: float
+    powers: list[int]
+
+
+def _polynomial(monomials: list, n: int, key: str) -> Polynomial:
+    for k, m in enumerate(monomials):
+        _check_count(f"{key}[{k}].powers", m.powers, n, "system_dim", low=0)
+    return Polynomial([(m.coeff, m.powers) for m in monomials], n)
+
+
+@dataclass(kw_only=True)
+class ConstantFactor:
+    """``h(u) = value``; an ``h`` without ``kind`` is read as this one."""
+
+    kind: typing.Literal["constant"] = "constant"
+    value: float = 1.0
+
+    def build(self, n, key) -> Constant:
+        return Constant(self.value, n)
+
+
+@dataclass(kw_only=True)
+class PolynomialFactor:
+    """``h(u)``, the sum of the ``monomials``."""
+
+    kind: typing.Literal["polynomial"]
+    monomials: list[Monomial]
+
+    def build(self, n, key) -> Polynomial:
+        return _polynomial(self.monomials, n, f"{key}.monomials")
+
+
+@dataclass(kw_only=True)
+class LinearFormFactor:
+    """``h(u)``, the ``kind`` function of ``coeffs . u + shift``."""
+
+    kind: typing.Literal["sin", "cos", "exp"]
+    coeffs: list[float]
+    shift: float = 0.0
+
+    def build(self, n, key) -> Sinusoid | ExpLinear:
+        _check_count(f"{key}.coeffs", self.coeffs, n, "system_dim")
+        if self.kind == "exp":
+            return ExpLinear(self.coeffs, self.shift, n)
+        return Sinusoid(self.kind, self.coeffs, self.shift, n)
+
+
+@dataclass(kw_only=True)
+class RationalFactor:
+    """``h(u)``, the ``numerator`` monomials' sum over the ``denominator``
+    ones', which must not vanish where ``h`` is evaluated."""
+
+    kind: typing.Literal["rational"]
+    numerator: list[Monomial]
+    denominator: list[Monomial]
+
+    def build(self, n, key) -> Rational:
+        return Rational(_polynomial(self.numerator, n, f"{key}.numerator"),
+                        _polynomial(self.denominator, n,
+                                    f"{key}.denominator"))
+
+
+@dataclass(kw_only=True)
+class SpatialTable:
+    """``g(x)``, ``values`` on the cells of a uniform ``grid`` of the
+    domain."""
+
+    grid: list[int]
+    values: list[Nested[float]]
+
+    def build(self, dim, key) -> TableFactor:
+        _check_count(f"{key}.grid", self.grid, dim, "the domain's dimension",
+                     low=1)
+        with _naming(f"{key}.values"):
+            return TableFactor(self.grid, self.values, dim)
+
+
+@dataclass(kw_only=True)
+class TermConfig:
+    """``g(x) h(u)``, added to the flux entry ``target`` ``[alpha, i]``;
+    ``p0`` defaults to ``nonlinearity.p0``."""
+
+    target: list[int]
+    g: float | str | SpatialTable
+    h: (ConstantFactor | PolynomialFactor | LinearFormFactor
+        | RationalFactor) = dc_field(default_factory=ConstantFactor)
+    p0: float | None = None
+
+    def build(self, n, dim, p0, key) -> Term:
+        target = self.target
+        if not (len(target) == 2 and 0 < target[0] <= n
+                and 0 < target[1] <= dim):
+            raise ConfigError(f"{key}.target must be an integer pair in "
+                              f"[1, {n}] x [1, {dim}], got {target!r}")
+        if isinstance(self.g, SpatialTable):
+            g = self.g.build(dim, f"{key}.g")
+        else:
+            with _naming(f"{key}.g"):
+                g = compile_expression(
+                    self.g if isinstance(self.g, str) else repr(self.g), dim)
+        # a factor that is not finite where a mesh may put a quadrature
+        # point would fail every row at run time
+        grid = sample_grid(dim, 16)
+        values = g(grid)
+        if not np.isfinite(values).all():
+            k = np.argmin(np.isfinite(values))
+            raise ConfigError(f"{key}.g must be finite, got {values[k]} at "
+                              f"{grid[k]}")
+        return Term(target[0] - 1, target[1] - 1, g,
+                    self.h.build(n, f"{key}.h"),
+                    p0 if self.p0 is None else self.p0)
+
+
 @dataclass
 class NonlinearityConfig:
-    """The spatial factors' exponent and the flux terms (checked by flux)."""
+    """The spatial factors' exponent and the flux terms."""
 
     p0: float = 4.0
-    terms: list = dc_field(default_factory=list)
+    terms: list[TermConfig] = dc_field(default_factory=list)
 
 
 @dataclass
@@ -122,16 +318,20 @@ class ProbeConfig:
                              f"in [2, 4], got {self.p_grid}")
 
 
+TensorSpec = ConstantTensor | PiecewiseTensor | ExpressionTensor
+
+
 @dataclass
 class ProblemConfig:
     """A fully validated experiment description with defaults filled in;
-    its init fields and its sections' fields are the YAML document's keys."""
+    its init fields and its sections' fields are the YAML document's keys,
+    those of the tensor, flux-term and value-factor specs included."""
 
     domain: str = "interval"
     system_dim: int = 1
-    tensor: dict = dc_field(default_factory=lambda: {"kind": "constant",
-                                                     "value": 1.0})
-    defect: dict | None = None
+    tensor: TensorSpec = dc_field(
+        default_factory=lambda: ConstantTensor(kind="constant", value=1.0))
+    defect: TensorSpec | None = None
     nonlinearity: NonlinearityConfig = dc_field(
         default_factory=NonlinearityConfig)
     eps: list[float] = dc_field(default_factory=lambda: [0.125, 0.0625,
@@ -164,42 +364,22 @@ class ProblemConfig:
 
     @functools.cached_property
     def coefficient(self) -> TensorField:
-        base = _build_tensor_field(self.tensor, self.system_dim, self.dim,
-                                   "tensor")
-        if self.defect is not None:
-            dfield = _build_tensor_field(self.defect, self.system_dim,
-                                         self.dim, "defect", zero_outside=True)
-            # probe scale only used for the margin check; callers rescale
-            return add_defect(base, dfield, epsilon=self.eps[0]).with_epsilon(None)
-        return base
+        base = self.tensor.build(self.system_dim, self.dim, "tensor")
+        if self.defect is None:
+            return base
+        dfield = self.defect.build(self.system_dim, self.dim, "defect",
+                                   zero_outside=True)
+        # probe scale only used for the margin check; callers rescale
+        with _naming("defect"):
+            return add_defect(base, dfield,
+                              epsilon=self.eps[0]).with_epsilon(None)
 
     @functools.cached_property
     def flux(self) -> Nonlinearity:
-        spec, terms = self.nonlinearity, []
-        for k, term in enumerate(spec.terms):
-            where = f"nonlinearity.terms[{k}]"
-            _check_keys(term, _TERM_KEYS, where)
-            target = term.get("target")
-            if not (isinstance(target, list) and [type(v) for v in target]
-                    == [int, int] and 0 < target[0] <= self.system_dim
-                    and 0 < target[1] <= self.dim):
-                raise ConfigError(f"{where}.target must be an integer pair in "
-                                  f"[1, {self.system_dim}] x [1, {self.dim}], "
-                                  f"got {target!r}")
-            g = _build_spatial_factor(term["g"], self.dim, where)
-            # a factor that is not finite where a mesh may put a quadrature
-            # point would fail every row at run time
-            grid = sample_grid(self.dim, 16)
-            values = g(grid)
-            if not np.isfinite(values).all():
-                k = np.argmin(np.isfinite(values))
-                raise ConfigError(f"{where}.g must be finite, got "
-                                  f"{values[k]} at {grid[k]}")
-            h = _build_value_factor(term.get("h", {"kind": "constant"}),
-                                    self.system_dim, where)
-            p0 = _number(term.get("p0", spec.p0), f"{where}.p0", float)
-            terms.append(Term(target[0] - 1, target[1] - 1, g, h, p0))
-        return Nonlinearity(self.system_dim, self.dim, terms, p0=spec.p0)
+        n, dim, p0 = self.system_dim, self.dim, self.nonlinearity.p0
+        return Nonlinearity(n, dim, [
+            term.build(n, dim, p0, f"nonlinearity.terms[{k}]")
+            for k, term in enumerate(self.nonlinearity.terms)], p0=p0)
 
     def build_domain_space(self, eps: float) -> FemSpace:
         return self._space(max(2, round(self.mesh.cells_per_eps / eps)),
@@ -216,81 +396,22 @@ class ProblemConfig:
         return FemSpace(mesh, self.system_dim, quadrature=quadrature)
 
 
-def _build_tensor_field(spec: dict, n: int, dim: int, where: str,
-                        zero_outside: bool = False) -> TensorField:
-    _check_keys(spec, _TENSOR_KEYS, where)
-    kind = spec.get("kind")
-    triangular = spec.get("triangular")
-    if kind == "constant":
-        return TensorField.constant(n, dim, spec["value"],
-                                    triangular=triangular)
-    if kind == "piecewise":
-        return TensorField.piecewise(n, dim, spec["grid"], spec["values"],
-                                     zero_outside=zero_outside,
-                                     triangular=triangular)
-    if kind == "expression":
-        return TensorField.from_expressions(n, dim, spec["entries"],
-                                            triangular=triangular)
-    raise ConfigError(f"unknown tensor kind {kind!r} in {where}")
-
-
-def _build_spatial_factor(spec, dim: int, where: str):
-    if isinstance(spec, str):
-        return compile_expression(spec, dim)
-    if isinstance(spec, (int, float)):
-        return compile_expression(repr(float(spec)), dim)
-    if isinstance(spec, dict) and set(spec) <= {"grid", "values"}:
-        return TableFactor(spec["grid"], spec["values"], dim)
-    raise ConfigError(f"cannot interpret spatial factor in {where}")
-
-
-def _build_value_factor(spec: dict, n: int, where: str):
-    _check_keys(spec, _H_KEYS, where)
-    where = f"{where}.h"
-    kind = spec.get("kind", "constant")
-
-    def number(key, default):
-        return _number(spec.get(key, default), f"{where}.{key}", float)
-
-    def coeffs():
-        values = spec.get("coeffs")
-        if not isinstance(values, list):
-            raise ConfigError(f"{where}.coeffs must be a list of numbers, "
-                              f"got {values!r}")
-        return [_number(v, f"{where}.coeffs", float) for v in values]
-
-    if kind == "constant":
-        return Constant(number("value", 1.0), n)
-    if kind == "polynomial":
-        monomials = [(m["coeff"], m["powers"]) for m in spec["monomials"]]
-        return Polynomial(monomials, n)
-    if kind in ("sin", "cos"):
-        return Sinusoid(kind, coeffs(), number("shift", 0.0), n)
-    if kind == "exp":
-        return ExpLinear(coeffs(), number("shift", 0.0), n)
-    if kind == "rational":
-        num = Polynomial([(m["coeff"], m["powers"])
-                          for m in spec["numerator"]], n)
-        den = Polynomial([(m["coeff"], m["powers"])
-                          for m in spec["denominator"]], n)
-        return Rational(num, den)
-    raise ConfigError(f"unknown value-factor kind {kind!r} in {where}")
-
-
 def _number(value, key: str, kind=int, low=None):
     """``value`` converted by ``kind`` and, when ``low`` is given, at least
     ``low``; otherwise a ConfigError naming ``key``.
 
     PyYAML reads a float written without a decimal point, such as ``1e-9``,
-    as a string; the conversion accepts it.  Booleans and NaN are rejected,
-    and an integer key rejects a fractional value instead of truncating it.
+    as a string; the conversion accepts it.  Booleans and numbers that are
+    not finite (NaN and the infinities) are rejected, and an integer key
+    rejects a fractional value instead of truncating it.
     """
     try:
         number = kind(value)
-        if isinstance(value, bool) or number != float(value):
-            raise ValueError("boolean, fractional or NaN")
+        if (isinstance(value, bool) or number != float(value)
+                or not np.isfinite(number)):
+            raise ValueError("boolean, fractional or not finite")
     except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from exc
     if low is not None and not number >= low:
         raise ConfigError(f"{key} must be at least {low}, got {value}")
@@ -299,12 +420,21 @@ def _number(value, key: str, kind=int, low=None):
 
 def _section(cls, doc, name: str = ""):
     """``cls`` built from the YAML mapping ``doc`` of section ``name``: its
-    init fields are the allowed keys, and a ValueError from its
-    ``__post_init__`` becomes a ConfigError that names the section."""
-    _check_keys(doc, {f.name for f in fields(cls) if f.init},
-                name or "top level")
+    init fields are the allowed keys, those without a default required, and
+    a ValueError from its ``__post_init__`` becomes a ConfigError that names
+    the section."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name or 'top level'} must be a mapping, got "
+                          f"{type(doc).__name__}")
     prefix = f"{name}." if name else ""
-    hints = typing.get_type_hints(cls)
+    keys = {f.name: f for f in fields(cls) if f.init}
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    for key, f in keys.items():
+        if key not in doc and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{key} is required")
+    hints = _type_hints(cls)
     values = {key: _convert(hints[key], value, prefix + key)
               for key, value in doc.items()}
     try:
@@ -315,21 +445,45 @@ def _section(cls, doc, name: str = ""):
 
 def _convert(kind, value, key: str):
     """``value`` as the declared field type ``kind``, or a ConfigError
-    naming ``key``; a dataclass type is a nested section."""
-    if isinstance(kind, types.UnionType):  # ``X | None``
-        if value is None:
-            return None
-        kind = typing.get_args(kind)[0]
+    naming ``key``: a dataclass type is a nested section, a union is read
+    as the member that :func:`_member` picks, each entry of a list is named
+    by its index, and a ``Nested[T]`` is read as a ``T`` or a list."""
+    if typing.get_origin(kind) is Nested:
+        kind = list[kind] if isinstance(value, list) else typing.get_args(
+            kind)[0]
+    if isinstance(kind, types.UnionType):
+        kind = _member(typing.get_args(kind), value, key)
     if is_dataclass(kind):
         return _section(kind, value, key)
     if kind in (int, float):
         return _number(value, key, kind)
     origin = typing.get_origin(kind) or kind
+    if origin is typing.Literal:  # a kind tag, checked by _member
+        return value
     if not isinstance(value, origin):
         raise ConfigError(f"{key} must be a {origin.__name__}, got {value!r}")
-    if kind == list[float]:
-        return [_number(v, key, float) for v in value]
+    if origin is list:
+        item = typing.get_args(kind)[0]
+        return [_convert(item, v, f"{key}[{k}]") for k, v in enumerate(value)]
     return value
+
+
+def _member(options: tuple, value, key: str):
+    """The member of a union that ``value`` is read as.  A mapping is read
+    as the section whose ``kind`` its ``kind`` key names, or else the first
+    section's default ``kind``; any other value as the first member of its
+    type, or else as the first member."""
+    sections = [o for o in options if is_dataclass(o)]
+    if isinstance(value, dict) and len(sections) > 1:
+        kinds = {k: o for o in sections
+                 for k in typing.get_args(_type_hints(o)["kind"])}
+        kind = value.get("kind", getattr(sections[0], "kind", None))
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{key}.kind must be one of "
+                              f"{', '.join(kinds)}, got {kind!r}")
+        return kinds[kind]
+    return next((o for o in options if isinstance(
+        value, dict if is_dataclass(o) else o)), options[0])
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -337,13 +491,8 @@ def parse_config(text: str) -> ProblemConfig:
     cfg = _section(ProblemConfig, yaml.safe_load(text))
 
     # eager builds validate entry shapes, expressions and catalog membership
-    try:
-        base = cfg.coefficient
-        cfg.flux
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid tensor or nonlinearity: {exc}") from exc
+    base = cfg.coefficient
+    cfg.flux
 
     # hypothesis dichotomy: two space dimensions, or triangular coefficients
     if cfg.dim != 2 and not base.triangular:

@@ -124,27 +124,21 @@ class _ExpressionEntries:
                        for j in range(dim)] for i in range(dim)]
                      for b in range(n)] for a in range(n)]
             entries = full
+        table = np.array(entries, dtype=object)
+        if table.shape != (n, n, dim, dim):
+            raise ValueError(
+                f"cannot interpret entries of shape {table.shape} as an "
+                f"(n={n}, n={n}, N={dim}, N={dim}) tensor")
         self.n, self.dim = n, dim
-        self.fns = np.empty((n, n, dim, dim), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for i in range(dim):
-                    for j in range(dim):
-                        e = entries[a][b][i][j]
-                        if isinstance(e, str):
-                            self.fns[a, b, i, j] = compile_expression(e, dim)
-                        else:
-                            self.fns[a, b, i, j] = float(e)
+        self.fns = np.empty(table.shape, dtype=object)
+        for idx, e in np.ndenumerate(table):
+            self.fns[idx] = (compile_expression(e, dim) if isinstance(e, str)
+                             else float(e))
 
     def __call__(self, pts):
-        m = pts.shape[0]
-        out = np.empty((m, self.n, self.n, self.dim, self.dim))
-        for a in range(self.n):
-            for b in range(self.n):
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        f = self.fns[a, b, i, j]
-                        out[:, a, b, i, j] = f(pts) if callable(f) else f
+        out = np.empty((pts.shape[0], self.n, self.n, self.dim, self.dim))
+        for idx, f in np.ndenumerate(self.fns):
+            out[(slice(None),) + idx] = f(pts) if callable(f) else f
         return out
 
 

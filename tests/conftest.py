@@ -38,14 +38,21 @@ def oscillatory_scenario_1d():
 
 
 def config_key_paths(section, prefix=""):
-    """Every YAML key path that a config dataclass declares: its init fields,
-    and the fields of its nested sections as ``section.key``."""
+    """Every YAML key path of a config dataclass: its init fields, the
+    fields of its nested sections as ``section.key``, and each section in a
+    list as ``section[k]``, with its fields as ``section[k].key``."""
     for f in fields(section):
         if f.init:
-            yield prefix + f.name
+            key = prefix + f.name
+            yield key
             value = getattr(section, f.name)
             if is_dataclass(value):
-                yield from config_key_paths(value, f"{prefix}{f.name}.")
+                yield from config_key_paths(value, f"{key}.")
+            for k, entry in enumerate(value if isinstance(value, list)
+                                      else []):
+                if is_dataclass(entry):
+                    yield f"{key}[{k}]"
+                    yield from config_key_paths(entry, f"{key}[{k}].")
 
 
 def space_1d(n, quadrature="midpoint"):

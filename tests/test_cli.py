@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -10,8 +11,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import config_key_paths
-from homfem.cli import (ConfigError, ProblemConfig, load_schema, main,
-                        parse_config, run_sweep)
+from homfem.cli import ConfigError, load_schema, main, parse_config, run_sweep
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -65,14 +65,26 @@ def _read_csv(path, schema_name):
     return [dict(zip(names, r)) for r in rows[1:]]
 
 
-# every top-level key, and every key of the nonlinearity, mesh, solver and
-# probe sections
-_MUTABLE_KEYS = list(config_key_paths(ProblemConfig()))
+# every key path of MINIMAL with its defaults filled in: the top-level keys,
+# the nonlinearity, mesh, solver and probe sections, and the tensor, flux
+# term, value factor and monomial specs
+_MUTABLE_KEYS = list(config_key_paths(parse_config(MINIMAL)))
 # YAML sources: wrong types, values out of range, and scalars PyYAML reads
 # as strings (1e-9, 1e3) or as non-finite floats
 _MUTATED_VALUES = ["abc", "1e-9", "1e3", ".inf", "-.inf", ".nan", "0", "-1",
                    "-0.5", "0.5", "2", "3.7", "null", "true", "[]",
                    "[1, abc]", "[0.5, 0.25]", "{a: 1}", "{}"]
+
+
+_MONOMIAL = "nonlinearity.terms[1].h.monomials[0]"
+
+
+def _with_tensor(tensor):
+    """MINIMAL with its piecewise tensor replaced by ``tensor``."""
+    return MINIMAL.replace("""tensor:
+  kind: piecewise
+  grid: [2]
+  values: [1.0, 4.0]""", tensor)
 
 
 class TestParseConfig:
@@ -170,9 +182,43 @@ eps: [0.25]
         ("output", MINIMAL + "output: [a, b]\n"),
         ("nonlinearity.p0", MINIMAL.replace("p0: 4.0", "p0: .nan")),
         ("nonlinearity.p0", MINIMAL.replace("p0: 4.0", "p0: abc")),
+        # spec keys, by their full paths: a number that is not finite, a
+        # string for a list, an unknown or missing key, a non-boolean flag,
+        # a string for a mapping, a table of the wrong shape
+        (_MONOMIAL + ".coeff", MINIMAL.replace("coeff: 1.0", "coeff: .nan")),
+        (_MONOMIAL + ".coeff", MINIMAL.replace("coeff: 1.0", "coeff: .inf")),
+        (_MONOMIAL + ".powers",
+         MINIMAL.replace("powers: [2]", 'powers: "2"')),
+        (_MONOMIAL + ".bogus",
+         MINIMAL.replace("powers: [2]}", "powers: [2], bogus: 1}")),
+        ("tensor.value",
+         _with_tensor("tensor: {kind: constant, value: .nan}")),
+        ("tensor.value",
+         _with_tensor("tensor: {kind: constant, value: .inf}")),
+        ("tensor.triangular", MINIMAL.replace(
+            "values: [1.0, 4.0]", 'values: [1.0, 4.0]\n  triangular: "yes"')),
+        ("nonlinearity.p0", MINIMAL.replace("p0: 4.0", "p0: .inf")),
+        ("nonlinearity.terms[1].p0",
+         MINIMAL.replace('g: "0.25"', 'g: "0.25"\n      p0: .inf')),
+        (_MONOMIAL + ".coef", MINIMAL.replace("coeff: 1.0", "coef: 1.0")),
+        ("tensor.grid", MINIMAL.replace("  grid: [2]\n", "")),
+        ("nonlinearity.terms[0].h.denominator", MINIMAL.replace(
+            "h: {kind: constant}", "h: {kind: rational, numerator: "
+            "[{coeff: 1.0, powers: [0]}]}")),
+        ("tensor.values[0]", MINIMAL.replace("values: [1.0, 4.0]",
+                                             "values: [a, 4.0]")),
+        ("nonlinearity.terms[0].g.grid", MINIMAL.replace(
+            'g: "0.5*sin(2*pi*x)"', "g: {values: [1.0, 2.0]}")),
+        ("defect.values[1]", MINIMAL + "defect: {kind: piecewise, grid: [4], "
+                                       "values: [0.0, .nan, 0.0, 0.0]}\n"),
+        ("nonlinearity.terms[0].h",
+         MINIMAL.replace("h: {kind: constant}", "h: constant")),
+        ("tensor.entries",
+         _with_tensor("tensor: {kind: expression, entries: [[1.0]]}")),
+        ("tensor.kind", _with_tensor("tensor: {value: 2.0}")),
     ])
     def test_out_of_range_key_named(self, key, text):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(text)
 
     @pytest.mark.parametrize("key, h", [
@@ -189,16 +235,32 @@ eps: [0.25]
                            match=rf"nonlinearity\.terms\[0\]\.h\.{key}"):
             parse_config(bad)
 
-    @pytest.mark.parametrize("target", ["[1, 3]", "[0, 1]", "[1.5, 1]",
-                                        "[2, 1]", "[1]", "1"])
-    def test_flux_target_outside_the_index_range_named(self, target):
+    @pytest.mark.parametrize("keys, text", [
+        ((_MONOMIAL + ".powers", "system_dim"), MINIMAL + "system_dim: 2\n"),
+        (("tensor.triangular", "tensor.value"), """
+system_dim: 2
+tensor: {kind: constant, value: [[2.0, 0.3], [0.3, 2.0]], triangular: true}
+eps: [0.25]
+"""),
+    ], ids=["powers", "triangular"])
+    def test_contradicting_keys_both_named(self, keys, text):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert all(key in str(info.value) for key in keys)
+
+    @pytest.mark.parametrize("target, shown", [
+        ("[1, 3]", "[1, 3]"), ("[0, 1]", "[0, 1]"), ("[2, 1]", "[2, 1]"),
+        ("[1]", "[1]"), ("1", "1"),
+        # a fractional entry is named by its index
+        ("[1.5, 1]", "target[0] must be an integer, got 1.5")])
+    def test_flux_target_outside_the_index_range_named(self, target, shown):
         # every term of the shipped 1D config targets the only flux entry
         text = (CONFIGS / "two_phase_1d.yaml").read_text()
         bad = text.replace("target: [1, 1]", f"target: {target}", 1)
         with pytest.raises(ConfigError) as info:
             parse_config(bad)
         assert "nonlinearity.terms[0].target" in str(info.value)
-        assert target in str(info.value)
+        assert shown in str(info.value)
 
     @pytest.mark.parametrize("dim, g", [
         (1, "1/floor(x)"), (1, "1/abs(x - 17/32)"), (2, "1/floor(2*x2)")])
@@ -227,16 +289,20 @@ eps: [0.25]
     @given(key=st.sampled_from(_MUTABLE_KEYS),
            value=st.sampled_from(_MUTATED_VALUES))
     def test_one_changed_key_parses_or_is_named(self, key, value):
+        # a value that contradicts another key (system_dim: 2 against a
+        # monomial's one power) is named with it
         doc = yaml.safe_load(MINIMAL)
-        *sections, name = key.split(".")
+        *sections, name = re.split(r"\.|(?=\[)", key)
         target = doc
         for section in sections:
-            target = target.setdefault(section, {})
-        target[name] = yaml.safe_load(value)
+            target = (target[int(section[1:-1])] if section.startswith("[")
+                      else target.setdefault(section, {}))
+        target[int(name[1:-1]) if name.startswith("[") else name] = (
+            yaml.safe_load(value))
         try:
             parse_config(yaml.safe_dump(doc))
-        except ConfigError:
-            pass
+        except ConfigError as exc:
+            assert key in str(exc)
 
     def test_echoed_config_has_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -610,17 +676,14 @@ class TestUniquenessFailure:
 
 
 # parses: the cell problems are the first to see that -1 is not elliptic
-NOT_ELLIPTIC = MINIMAL.replace("""tensor:
-  kind: piecewise
-  grid: [2]
-  values: [1.0, 4.0]""", "tensor: {kind: constant, value: -1}")
+NOT_ELLIPTIC = _with_tensor("tensor: {kind: constant, value: -1}")
 
 
 class TestCellFailure:
     @pytest.mark.parametrize("command",
                              ["homogenize", "solve", "sweep", "probe"])
     def test_not_elliptic_tensor_is_recorded(self, tmp_path, command):
-        assert parse_config(NOT_ELLIPTIC).tensor["value"] == -1
+        assert parse_config(NOT_ELLIPTIC).tensor.value == -1
         path = tmp_path / "prob.yaml"
         path.write_text(NOT_ELLIPTIC)
         out = tmp_path / "o"
