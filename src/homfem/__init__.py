@@ -14,8 +14,8 @@ from .fem import (DiscreteField, FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, assemble_divergence_load,
                   assemble_jacobian_coupling, solve_linear)
 from .cell import CorrectorSet, homogenized_tensor_1d, solve_cell_problems
-from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
-                     Sinusoid, Term, eval_F, eval_F_jacobian, validate)
+from .nonlin import (Constant, LinearForm, Monomial, Nonlinearity, Polynomial,
+                     Rational, Term, eval_F, eval_F_jacobian, validate)
 from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
                     w1p_norm)
 from .solver import (FrozenOperator, SolverConfig, SolverReport,

@@ -3,7 +3,10 @@
 Problem configs are YAML documents read by one reader (:func:`_section`):
 every section, the tensor, flux-term, value-factor and monomial specs
 included, is a dataclass whose fields are its keys, and a spec of several
-kinds is one dataclass per kind, chosen by its ``kind`` key.  A bad config
+kinds is one dataclass per kind, chosen by its ``kind`` key.  The value
+factors, the table ``g`` and the monomial are :mod:`homfem.nonlin`'s own
+classes; their agreement with ``system_dim`` and the domain dimension is
+checked here, in :meth:`TermConfig.build`.  A bad config
 fails at parse time with a :class:`ConfigError` naming the key by its full
 path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.  Runs are
 reproducible functions of the config and the seed.  Subcommands:
@@ -39,13 +42,14 @@ import numpy as np
 import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
-from .coeff import HomogenizedTensor, TensorField, add_defect, sample_grid
+from .coeff import (EllipticityError, HomogenizedTensor, TensorField,
+                    add_defect, sample_grid)
 from .expressions import compile_expression
 from .fem import (FemSpace, LinearSolveError, SineSolver, SparseOperator,
                   assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial, Rational,
-                     Sinusoid, TableFactor, Term, validate)
+from .nonlin import (Constant, LinearForm, Nested, Nonlinearity, Polynomial,
+                     Rational, TableFactor, Term, validate)
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
                     linf_norm, meyers_probe, probe_load)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
@@ -66,10 +70,6 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 # config schema: each section is a dataclass whose fields are its YAML keys;
 # a spec of several kinds is one dataclass per kind, chosen by its ``kind``
-
-
-class Nested(typing.Generic[typing.TypeVar("T")]):
-    """The field type of a ``T`` or a list of ``Nested[T]``, to any depth."""
 
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -101,22 +101,12 @@ def _naming(key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-@dataclass(kw_only=True)
 class _TensorSpec:
-    """A tensor kind's ``table`` key, and ``triangular``: when true, it is
-    verified against samples; when false, the tensor is not triangular."""
-
-    triangular: bool | None = None
+    """A tensor kind, whose ``table`` key holds its entries."""
 
     def build(self, n, dim, key, zero_outside=False) -> TensorField:
         with _naming(f"{key}.{self.table}"):
-            tensor = self.make(n, dim, zero_outside)
-        if self.triangular and not tensor.triangular:
-            raise ConfigError(f"{key}.triangular is true, but {key}."
-                              f"{self.table} has entries with alpha > beta")
-        if self.triangular is not None:
-            tensor.triangular = self.triangular
-        return tensor
+            return self.make(n, dim, zero_outside)
 
 
 @dataclass(kw_only=True)
@@ -165,85 +155,16 @@ class ExpressionTensor(_TensorSpec):
         return TensorField.from_expressions(n, dim, self.entries)
 
 
-@dataclass(kw_only=True)
-class Monomial:
-    """``coeff * u1^p1 * ... * un^pn``, with ``powers`` ``[p1, ..., pn]``."""
-
-    coeff: float
-    powers: list[int]
-
-
-def _polynomial(monomials: list, n: int, key: str) -> Polynomial:
-    for k, m in enumerate(monomials):
-        _check_count(f"{key}[{k}].powers", m.powers, n, "system_dim", low=0)
-    return Polynomial([(m.coeff, m.powers) for m in monomials], n)
-
-
-@dataclass(kw_only=True)
-class ConstantFactor:
-    """``h(u) = value``; an ``h`` without ``kind`` is read as this one."""
-
-    kind: typing.Literal["constant"] = "constant"
-    value: float = 1.0
-
-    def build(self, n, key) -> Constant:
-        return Constant(self.value, n)
-
-
-@dataclass(kw_only=True)
-class PolynomialFactor:
-    """``h(u)``, the sum of the ``monomials``."""
-
-    kind: typing.Literal["polynomial"]
-    monomials: list[Monomial]
-
-    def build(self, n, key) -> Polynomial:
-        return _polynomial(self.monomials, n, f"{key}.monomials")
-
-
-@dataclass(kw_only=True)
-class LinearFormFactor:
-    """``h(u)``, the ``kind`` function of ``coeffs . u + shift``."""
-
-    kind: typing.Literal["sin", "cos", "exp"]
-    coeffs: list[float]
-    shift: float = 0.0
-
-    def build(self, n, key) -> Sinusoid | ExpLinear:
-        _check_count(f"{key}.coeffs", self.coeffs, n, "system_dim")
-        if self.kind == "exp":
-            return ExpLinear(self.coeffs, self.shift, n)
-        return Sinusoid(self.kind, self.coeffs, self.shift, n)
-
-
-@dataclass(kw_only=True)
-class RationalFactor:
-    """``h(u)``, the ``numerator`` monomials' sum over the ``denominator``
-    ones', which must not vanish where ``h`` is evaluated."""
-
-    kind: typing.Literal["rational"]
-    numerator: list[Monomial]
-    denominator: list[Monomial]
-
-    def build(self, n, key) -> Rational:
-        return Rational(_polynomial(self.numerator, n, f"{key}.numerator"),
-                        _polynomial(self.denominator, n,
-                                    f"{key}.denominator"))
-
-
-@dataclass(kw_only=True)
-class SpatialTable:
-    """``g(x)``, ``values`` on the cells of a uniform ``grid`` of the
-    domain."""
-
-    grid: list[int]
-    values: list[Nested[float]]
-
-    def build(self, dim, key) -> TableFactor:
-        _check_count(f"{key}.grid", self.grid, dim, "the domain's dimension",
-                     low=1)
-        with _naming(f"{key}.values"):
-            return TableFactor(self.grid, self.values, dim)
+def _check_factor(h, n: int, key: str) -> None:
+    """A ConfigError naming the key of ``h`` that disagrees with
+    ``system_dim`` ``n``: a linear form's ``coeffs`` or a monomial's
+    ``powers``."""
+    if isinstance(h, LinearForm):
+        _check_count(f"{key}.coeffs", h.coeffs, n, "system_dim")
+    for name in ("monomials", "numerator", "denominator"):
+        for k, m in enumerate(getattr(h, name, [])):
+            _check_count(f"{key}.{name}[{k}].powers", m.powers, n,
+                         "system_dim", low=0)
 
 
 @dataclass(kw_only=True)
@@ -252,9 +173,9 @@ class TermConfig:
     ``p0`` defaults to ``nonlinearity.p0``."""
 
     target: list[int]
-    g: float | str | SpatialTable
-    h: (ConstantFactor | PolynomialFactor | LinearFormFactor
-        | RationalFactor) = dc_field(default_factory=ConstantFactor)
+    g: float | str | TableFactor
+    h: Constant | Polynomial | LinearForm | Rational = dc_field(
+        default_factory=Constant)
     p0: float | None = None
 
     def build(self, n, dim, p0, key) -> Term:
@@ -263,22 +184,26 @@ class TermConfig:
                 and 0 < target[1] <= dim):
             raise ConfigError(f"{key}.target must be an integer pair in "
                               f"[1, {n}] x [1, {dim}], got {target!r}")
-        if isinstance(self.g, SpatialTable):
-            g = self.g.build(dim, f"{key}.g")
+        g, g_key = self.g, f"{key}.g"
+        if isinstance(g, TableFactor):
+            _check_count(f"{g_key}.grid", g.grid, dim,
+                         "the domain's dimension", low=1)
+            g_key += ".values"  # values that do not fill it fail below
         else:
-            with _naming(f"{key}.g"):
+            with _naming(g_key):
                 g = compile_expression(
-                    self.g if isinstance(self.g, str) else repr(self.g), dim)
+                    g if isinstance(g, str) else repr(g), dim)
         # a factor that is not finite where a mesh may put a quadrature
         # point would fail every row at run time
         grid = sample_grid(dim, 16)
-        values = g(grid)
+        with _naming(g_key):
+            values = g(grid)
         if not np.isfinite(values).all():
             k = np.argmin(np.isfinite(values))
             raise ConfigError(f"{key}.g must be finite, got {values[k]} at "
                               f"{grid[k]}")
-        return Term(target[0] - 1, target[1] - 1, g,
-                    self.h.build(n, f"{key}.h"),
+        _check_factor(self.h, n, f"{key}.h")
+        return Term(target[0] - 1, target[1] - 1, g, self.h,
                     p0 if self.p0 is None else self.p0)
 
 
@@ -370,9 +295,14 @@ class ProblemConfig:
         dfield = self.defect.build(self.system_dim, self.dim, "defect",
                                    zero_outside=True)
         # probe scale only used for the margin check; callers rescale
-        with _naming("defect"):
+        try:
             return add_defect(base, dfield,
                               epsilon=self.eps[0]).with_epsilon(None)
+        except EllipticityError as exc:
+            raise ConfigError(f"tensor.{self.tensor.table}, defect."
+                              f"{self.defect.table}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"defect: {exc}") from exc
 
     @functools.cached_property
     def flux(self) -> Nonlinearity:

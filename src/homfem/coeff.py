@@ -27,10 +27,16 @@ __all__ = [
     "TensorField",
     "HomogenizedTensor",
     "add_defect",
+    "EllipticityError",
     "DEFAULT_SAMPLE_GRID",
 ]
 
 DEFAULT_SAMPLE_GRID = 256
+
+
+class EllipticityError(ValueError):
+    """The tensor plus a defect is not elliptic where :func:`add_defect`
+    samples it."""
 
 
 def _as_entry_array(n, dim, value):
@@ -310,7 +316,7 @@ def add_defect(base: TensorField, defect: TensorField, epsilon: float) -> Tensor
                            triangular=base.triangular and defect.triangular)
     margin = combined.observed_margin()
     if margin <= 0.0:
-        raise ValueError(
+        raise EllipticityError(
             f"base plus defect loses ellipticity: observed margin {margin:.3e}")
     return combined
 

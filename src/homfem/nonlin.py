@@ -9,7 +9,9 @@ sin/cos and exp of linear forms, and rationals with nonvanishing
 denominator, each mapping samples (m, n) to values (m,) and, by
 ``gradient``, to (m, n).  The catalog keeps validation decidable; no growth
 restriction is imposed on h since all evaluations happen on bounded nodal
-ranges.
+ranges.  Each catalog kind, the table g and the monomial is one dataclass
+whose fields are its config keys; none takes n or N, whose agreement with a
+factor's powers, coefficients or grid :mod:`homfem.cli` checks.
 
 :func:`eval_F` and :func:`eval_F_jacobian` take each term's g at a space's
 quadrature points from :meth:`~homfem.fem.FemSpace.quadrature_values`, so
@@ -18,19 +20,20 @@ it is evaluated once per space, not once per flux evaluation.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .fem import FemSpace, DiscreteField
 
 __all__ = [
-    "Polynomial",
-    "Sinusoid",
-    "ExpLinear",
-    "Rational",
+    "Monomial",
     "Constant",
+    "Polynomial",
+    "LinearForm",
+    "Rational",
+    "TableFactor",
     "Term",
     "Nonlinearity",
     "EvaluationDomainError",
@@ -50,15 +53,27 @@ class EvaluationDomainError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# value-factor catalog
+# value-factor catalog and spatial tables
 
 
+class Nested(typing.Generic[typing.TypeVar("T")]):
+    """The field type of a ``T`` or a list of ``Nested[T]``, to any depth."""
+
+
+@dataclass
+class Monomial:
+    """``coeff * u1^p1 * ... * un^pn``, with ``powers`` ``[p1, ..., pn]``."""
+
+    coeff: float
+    powers: list[int]
+
+
+@dataclass
 class Constant:
-    """h(u) = c, the field-independent factor."""
+    """h(u) = value; a config ``h`` without ``kind`` is read as this one."""
 
-    def __init__(self, value: float = 1.0, n: int = 1):
-        self.value = float(value)
-        self.n = n
+    value: float = 1.0
+    kind: typing.Literal["constant"] = "constant"
 
     def __call__(self, u):
         return np.full(u.shape[0], self.value)
@@ -67,22 +82,18 @@ class Constant:
         return np.zeros_like(u)
 
 
+@dataclass
 class Polynomial:
-    """h(u) = sum of coeff * u1^e1 * ... * un^en monomials."""
+    """h(u), the sum of the ``monomials``."""
 
-    def __init__(self, monomials, n: int):
-        self.n = n
-        self.monomials = [(float(c), tuple(int(e) for e in powers))
-                          for c, powers in monomials]
-        for _, powers in self.monomials:
-            if len(powers) != n or any(e < 0 for e in powers):
-                raise ValueError(f"bad monomial powers {powers} for n={n}")
+    monomials: list[Monomial]
+    kind: typing.Literal["polynomial"] = "polynomial"
 
     def __call__(self, u):
         out = np.zeros(u.shape[0])
-        for c, powers in self.monomials:
-            term = np.full(u.shape[0], c)
-            for b, e in enumerate(powers):
+        for m in self.monomials:
+            term = np.full(u.shape[0], m.coeff)
+            for b, e in enumerate(m.powers):
                 if e:
                     term = term * u[:, b] ** e
             out += term
@@ -90,12 +101,12 @@ class Polynomial:
 
     def gradient(self, u):
         out = np.zeros_like(u)
-        for c, powers in self.monomials:
-            for b, e in enumerate(powers):
+        for m in self.monomials:
+            for b, e in enumerate(m.powers):
                 if not e:
                     continue
-                term = np.full(u.shape[0], c * e)
-                for k, ek in enumerate(powers):
+                term = np.full(u.shape[0], m.coeff * e)
+                for k, ek in enumerate(m.powers):
                     p = ek - 1 if k == b else ek
                     if p:
                         term = term * u[:, k] ** p
@@ -103,59 +114,44 @@ class Polynomial:
         return out
 
 
-class _LinearFormFactor:
-    def __init__(self, coeffs, shift: float = 0.0, n: int = 1):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (n,):
-            raise ValueError(f"linear form needs {n} coefficients")
-        self.shift = float(shift)
-        self.n = n
+@dataclass
+class LinearForm:
+    """h(u), the ``kind`` function of ``coeffs . u + shift``."""
 
-    def _form(self, u):
-        return u @ self.coeffs + self.shift
+    kind: typing.Literal["sin", "cos", "exp"]
+    coeffs: list[float]
+    shift: float = 0.0
+    _functions = {"sin": (np.sin, np.cos),  # per kind: h and its derivative
+                  "cos": (np.cos, lambda s: -np.sin(s)),
+                  "exp": (np.exp, np.exp)}
 
-
-class Sinusoid(_LinearFormFactor):
-    """h(u) = sin or cos of a linear form in the field components."""
-
-    def __init__(self, kind: str, coeffs, shift: float = 0.0, n: int = 1):
-        if kind not in ("sin", "cos"):
-            raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
-        super().__init__(coeffs, shift, n)
-        self.kind = kind
+    def __post_init__(self):
+        self._h, self._dh = self._functions[self.kind]
+        self._coeffs = np.asarray(self.coeffs, dtype=float)
 
     def __call__(self, u):
-        s = self._form(u)
-        return np.sin(s) if self.kind == "sin" else np.cos(s)
+        return self._h(u @ self._coeffs + self.shift)
 
     def gradient(self, u):
-        s = self._form(u)
-        d = np.cos(s) if self.kind == "sin" else -np.sin(s)
-        return d[:, None] * self.coeffs[None, :]
+        d = self._dh(u @ self._coeffs + self.shift)
+        return d[:, None] * self._coeffs[None, :]
 
 
-class ExpLinear(_LinearFormFactor):
-    """h(u) = exp of a linear form in the field components."""
-
-    def __call__(self, u):
-        return np.exp(self._form(u))
-
-    def gradient(self, u):
-        return np.exp(self._form(u))[:, None] * self.coeffs[None, :]
-
-
+@dataclass
 class Rational:
-    """h(u) = P(u) / Q(u) with polynomial P, Q and Q nonvanishing."""
+    """h(u), the ``numerator`` monomials' sum over the ``denominator``
+    ones', which must not vanish where h is evaluated."""
 
-    def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        if numerator.n != denominator.n:
-            raise ValueError("numerator and denominator dimensions differ")
-        self.n = numerator.n
-        self.num = numerator
-        self.den = denominator
+    numerator: list[Monomial]
+    denominator: list[Monomial]
+    kind: typing.Literal["rational"] = "rational"
+
+    def __post_init__(self):
+        self._num = Polynomial(self.numerator)
+        self._den = Polynomial(self.denominator)
 
     def _den_values(self, u):
-        q = self.den(u)
+        q = self._den(u)
         if np.any(np.abs(q) < 1e-14):
             bad = int(np.argmin(np.abs(q)))
             raise EvaluationDomainError(
@@ -163,34 +159,33 @@ class Rational:
         return q
 
     def __call__(self, u):
-        return self.num(u) / self._den_values(u)
+        return self._num(u) / self._den_values(u)
 
     def gradient(self, u):
         q = self._den_values(u)
-        p = self.num(u)
-        return (self.num.gradient(u) * q[:, None]
-                - p[:, None] * self.den.gradient(u)) / (q ** 2)[:, None]
+        p = self._num(u)
+        return (self._num.gradient(u) * q[:, None]
+                - p[:, None] * self._den.gradient(u)) / (q ** 2)[:, None]
 
 
-# --------------------------------------------------------------------------
-# spatial factors
-
-
+@dataclass(eq=False)  # hashed by identity: spaces cache g's values by g
 class TableFactor:
-    """Piecewise-constant values on a uniform grid over the domain."""
+    """g(x), ``values`` on the cells of a uniform ``grid`` of the domain,
+    nested by grid axis or flat."""
 
-    def __init__(self, grid, values, dim: int):
-        self.grid = tuple(int(g) for g in grid)
-        if len(self.grid) != dim:
-            raise ValueError("table grid does not match dimension")
-        self.values = np.asarray(values, dtype=float).reshape(self.grid)
-        self.source = f"table{self.grid}"
+    grid: list[int]
+    values: list[Nested[float]]
+
+    @property
+    def source(self) -> str:
+        return f"table{tuple(self.grid)}"
 
     def __call__(self, pts):
+        values = np.asarray(self.values, dtype=float).reshape(self.grid)
         idx = tuple(
             np.clip((pts[:, k] * g).astype(int), 0, g - 1)
             for k, g in enumerate(self.grid))
-        return self.values[idx]
+        return values[idx]
 
 
 @dataclass
@@ -199,8 +194,8 @@ class Term:
 
     alpha: int
     i: int
-    g: Callable[[np.ndarray], np.ndarray]  # spatial factor
-    h: Callable[[np.ndarray], np.ndarray]  # catalog value factor
+    g: typing.Callable[[np.ndarray], np.ndarray]  # spatial factor
+    h: typing.Callable[[np.ndarray], np.ndarray]  # catalog value factor
     p0: float
 
 

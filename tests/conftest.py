@@ -15,7 +15,7 @@ from homfem.fem import (FemSpace, assemble_diffusion, assemble_divergence_load,
                         solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.nonlin import Constant, Nonlinearity, Polynomial
+from homfem.nonlin import Constant, Monomial, Nonlinearity, Polynomial
 from homfem.norms import h_convergence_probe
 
 
@@ -32,8 +32,9 @@ def oscillatory_scenario_1d():
     base = piecewise_14_tensor()
     ahat = homogenized_tensor_1d(base)
     nl = Nonlinearity(1, 1, [], p0=4.0)
-    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1), Constant(1.0, 1))
-    nl.term(0, 0, compile_expression("0.25", 1), Polynomial([(1.0, (2,))], 1))
+    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1), Constant(1.0))
+    nl.term(0, 0, compile_expression("0.25", 1),
+            Polynomial([Monomial(1.0, [2])]))
     return base, ahat, nl
 
 
@@ -138,10 +139,12 @@ def coupled_scenario_2d():
                     entries[a][b][i][i] = "0.25"
     base = TensorField.from_expressions(2, 2, entries)
     nl = Nonlinearity(2, 2, [], p0=4.0)
-    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x1)", 2), Constant(1.0, 2))
-    nl.term(0, 0, compile_expression("0.25", 2), Polynomial([(1.0, (2, 0))], 2))
-    nl.term(1, 1, compile_expression("0.5*sin(2*pi*x2)", 2), Constant(1.0, 2))
-    nl.term(1, 1, compile_expression("0.2", 2), Polynomial([(1.0, (1, 1))], 2))
+    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x1)", 2), Constant(1.0))
+    nl.term(0, 0, compile_expression("0.25", 2),
+            Polynomial([Monomial(1.0, [2, 0])]))
+    nl.term(1, 1, compile_expression("0.5*sin(2*pi*x2)", 2), Constant(1.0))
+    nl.term(1, 1, compile_expression("0.2", 2),
+            Polynomial([Monomial(1.0, [1, 1])]))
     return base, nl
 
 

@@ -14,7 +14,7 @@ from homfem.cell import homogenized_tensor_1d, solve_cell_problems
 from homfem.coeff import TensorField
 from homfem.fem import FemSpace
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from homfem.nonlin import (ExpLinear, Polynomial, Rational, Sinusoid)
+from homfem.nonlin import LinearForm, Monomial, Polynomial, Rational
 from homfem.norms import fit_rate, linf_norm
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
@@ -247,12 +247,14 @@ def test_criterion_10_h_convergence_probe():
 
 def test_criterion_11_jacobian_consistency():
     members = [
-        Polynomial([(0.7, (3, 0)), (-0.4, (1, 2)), (0.2, (0, 0))], 2),
-        Sinusoid("sin", [1.3, -0.8], 0.2, 2),
-        Sinusoid("cos", [0.5, 0.9], -0.1, 2),
-        ExpLinear([0.6, -0.3], 0.0, 2),
-        Rational(Polynomial([(1.0, (2, 0)), (0.5, (0, 1))], 2),
-                 Polynomial([(2.0, (0, 0)), (1.0, (2, 0)), (1.0, (0, 2))], 2)),
+        Polynomial([Monomial(0.7, [3, 0]), Monomial(-0.4, [1, 2]),
+                    Monomial(0.2, [0, 0])]),
+        LinearForm("sin", [1.3, -0.8], 0.2),
+        LinearForm("cos", [0.5, 0.9], -0.1),
+        LinearForm("exp", [0.6, -0.3], 0.0),
+        Rational([Monomial(1.0, [2, 0]), Monomial(0.5, [0, 1])],
+                 [Monomial(2.0, [0, 0]), Monomial(1.0, [2, 0]),
+                  Monomial(1.0, [0, 2])]),
     ]
     rng = np.random.default_rng(123)
     delta, worst = 1e-4, 0.0

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import config_key_paths
 from homfem.cli import ConfigError, load_schema, main, parse_config, run_sweep
+from homfem.nonlin import TableFactor
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -237,12 +238,11 @@ eps: [0.25]
 
     @pytest.mark.parametrize("keys, text", [
         ((_MONOMIAL + ".powers", "system_dim"), MINIMAL + "system_dim: 2\n"),
-        (("tensor.triangular", "tensor.value"), """
-system_dim: 2
-tensor: {kind: constant, value: [[2.0, 0.3], [0.3, 2.0]], triangular: true}
-eps: [0.25]
-"""),
-    ], ids=["powers", "triangular"])
+        (("tensor.value", "defect.values"),
+         _with_tensor("tensor: {kind: constant, value: -0.5}")
+         + "defect: {kind: piecewise, grid: [4], "
+           "values: [0.0, 0.5, 0.0, 0.0]}\n"),
+    ], ids=["powers", "defect"])
     def test_contradicting_keys_both_named(self, keys, text):
         with pytest.raises(ConfigError) as info:
             parse_config(text)
@@ -387,6 +387,20 @@ def test_non_integrable_factor_writes_strict_summary(tmp_path):
     assert written["nonlinearity_validation"]["terms"][-1] == {
         "target": [1, 1], "source": NON_INTEGRABLE,
         "integral_estimate": None, "passed": False}
+
+
+def test_catalog_config_sweeps_every_row(tmp_path):
+    # the shipped config whose flux has the sin, cos, exp and rational
+    # factors and a tabulated g, under a defect and the 3-point rule
+    config = CONFIGS / "catalog_2d.yaml"
+    terms = parse_config(config.read_text()).nonlinearity.terms
+    assert {t.h.kind for t in terms} == {"sin", "cos", "exp", "rational"}
+    assert any(isinstance(t.g, TableFactor) for t in terms)
+    assert main(["sweep", "--config", str(config), "--out",
+                 str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "sweep.csv", "sweep")
+    assert [row["status"] for row in rows] == ["converged", "converged"]
+    assert all((tmp_path / name).is_file() for name in _OUTPUTS[:5])
 
 
 @pytest.fixture(scope="module")

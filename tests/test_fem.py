@@ -25,7 +25,8 @@ from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
                         lu_factor, solve_linear)
 from homfem.mesh import (Mesh, build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.nonlin import Nonlinearity, Polynomial, eval_F_jacobian
+from homfem.nonlin import (Monomial, Nonlinearity, Polynomial,
+                           eval_F_jacobian)
 from homfem.solver import (FrozenOperator, nondegeneracy_margin,
                            solve_homogenized)
 
@@ -245,7 +246,7 @@ def _two_component_newton_matrix():
                [[["0.25"]], [["3 + sin(2*pi*x)"]]]])
     nl = Nonlinearity(2, 1, [], p0=4.0)
     nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1),
-            Polynomial([(1.0, (0, 2))], 2))
+            Polynomial([Monomial(1.0, [0, 2])]))
     space = FemSpace(build_interval_mesh(128), 2)
     u = space.field_from_free(
         np.random.default_rng(3).uniform(-1.0, 1.0, space.num_free))

@@ -7,8 +7,8 @@ from homfem.cli import parse_config
 from homfem.expressions import compile_expression
 from homfem.fem import DiscreteField, FemSpace
 from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial,
-                           Rational, Sinusoid, TableFactor, Term, eval_F,
+from homfem.nonlin import (Constant, LinearForm, Monomial, Nonlinearity,
+                           Polynomial, Rational, TableFactor, Term, eval_F,
                            eval_F_jacobian, validate)
 
 from conftest import space_1d
@@ -43,34 +43,35 @@ def _gradient_matches_central_differences(h, u, delta=1e-4):
     return True
 
 
-def _catalog_members(n=2):
+def _catalog_members():
     return [
-        Polynomial([(1.0, (3, 0)), (-0.5, (1, 1))], n),
-        Sinusoid("sin", [1.0, -2.0], 0.3, n),
-        Sinusoid("cos", [0.7, 0.2], 0.0, n),
-        ExpLinear([0.5, -0.5], 0.1, n),
-        Rational(Polynomial([(1.0, (1, 0))], n),
-                 Polynomial([(1.0, (0, 0)), (1.0, (2, 0)), (1.0, (0, 2))], n)),
+        Polynomial([Monomial(1.0, [3, 0]), Monomial(-0.5, [1, 1])]),
+        LinearForm("sin", [1.0, -2.0], 0.3),
+        LinearForm("cos", [0.7, 0.2], 0.0),
+        LinearForm("exp", [0.5, -0.5], 0.1),
+        Rational([Monomial(1.0, [1, 0])], [Monomial(1.0, [0, 0]),
+                                           Monomial(1.0, [2, 0]),
+                                           Monomial(1.0, [0, 2])]),
     ]
 
 
 class TestCatalog:
     def test_polynomial_values(self):
-        h = Polynomial([(1.0, (2,))], 1)
+        h = Polynomial([Monomial(1.0, [2])])
         assert np.allclose(h(np.array([[2.0]])), [4.0])
 
     def test_cubic_derivative_at_two(self):
-        h = Polynomial([(1.0, (3,))], 1)
+        h = Polynomial([Monomial(1.0, [3])])
         assert np.allclose(h.gradient(np.array([[2.0]])), [[12.0]])
 
     def test_rational_pole_detected(self):
         # pole at u = -5: the denominator check raises there
-        den = Polynomial([(1.0, (1,)), (5.0, (0,))], 1)
-        num = Polynomial([(1.0, (0,))], 1)
+        den = [Monomial(1.0, [1]), Monomial(5.0, [0])]
+        num = [Monomial(1.0, [0])]
         with pytest.raises(ValueError, match="denominator"):
             Rational(num, den)(np.array([[-5.0]]))
 
-    @pytest.mark.parametrize("h", _catalog_members(), ids=lambda h: type(h).__name__)
+    @pytest.mark.parametrize("h", _catalog_members(), ids=lambda h: h.kind)
     def test_central_difference_oracle(self, h):
         # 100 random samples per member
         rng = np.random.default_rng(11)
@@ -86,16 +87,16 @@ class TestCatalog:
 
         u = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
         assert _gradient_matches_central_differences(
-            Polynomial([(1.0, (2,))], 1), u)
+            Polynomial([Monomial(1.0, [2])]), u)
         assert not _gradient_matches_central_differences(
-            Broken([(1.0, (2,))], 1), u)
+            Broken([Monomial(1.0, [2])]), u)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(-3, 3),
                               st.tuples(st.integers(0, 4), st.integers(0, 4))),
                     min_size=1, max_size=4))
     def test_polynomial_gradient_property(self, monomials):
-        h = Polynomial(monomials, 2)
+        h = Polynomial([Monomial(c, list(p)) for c, p in monomials])
         rng = np.random.default_rng(6)
         u = rng.uniform(-1.0, 1.0, size=(20, 2))
         delta = 1e-5
@@ -123,7 +124,7 @@ class TestCatalog:
 @pytest.mark.parametrize("alpha, i", [(1, 0), (0, 1), (-1, 0)])
 def test_term_target_outside_the_index_range_rejected(alpha, i):
     # the constructor and term() share one range check
-    g, h = compile_expression("1", 1), Constant(1.0, 1)
+    g, h = compile_expression("1", 1), Constant(1.0)
     with pytest.raises(ValueError, match="flux index range"):
         Nonlinearity(1, 1, [Term(alpha, i, g, h, 4.0)], p0=4.0)
     with pytest.raises(ValueError, match="flux index range"):
@@ -138,7 +139,7 @@ class TestEvalF:
     def test_u_independent_flux(self):
         space = space_1d(8)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("x", 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("x", 1), Constant(1.0))
         for fn in (np.zeros_like, np.ones_like):
             u = self._u_field(space, fn)
             vals = eval_F(nl, space, u)
@@ -147,7 +148,8 @@ class TestEvalF:
     def test_square_of_constant_field(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (2,))], 1))
+        nl.term(0, 0, compile_expression("1", 1),
+                Polynomial([Monomial(1.0, [2])]))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F(nl, space, u), 4.0)
 
@@ -156,7 +158,7 @@ class TestEvalF:
         space = space_1d(8)
         nl = Nonlinearity(1, 1, [], p0=4.0)
         nl.term(0, 0, compile_expression("sin(2*pi*x)", 1),
-                Polynomial([(1.0, (1,))], 1))
+                Polynomial([Monomial(1.0, [1])]))
         u = self._u_field(space, lambda x: x.copy())
         # use an explicit sample, not a mesh quadrature point
         vals = nl.flux_values([t.g(np.array([[0.25]])) for t in nl.terms],
@@ -166,21 +168,23 @@ class TestEvalF:
     def test_jacobian_zero_for_u_independent(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("x", 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("x", 1), Constant(1.0))
         u = self._u_field(space, np.ones_like)
         assert np.allclose(eval_F_jacobian(nl, space, u), 0.0)
 
     def test_jacobian_cubic(self):
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (3,))], 1))
+        nl.term(0, 0, compile_expression("1", 1),
+                Polynomial([Monomial(1.0, [3])]))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F_jacobian(nl, space, u), 12.0)
 
     def test_locality_under_permutation(self):
         # the flux at a sample depends only on the value at that sample
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1), Polynomial([(1.0, (2,))], 1))
+        nl.term(0, 0, compile_expression("1", 1),
+                Polynomial([Monomial(1.0, [2])]))
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(20, 1))
         u = rng.uniform(size=(20, 1))
@@ -197,8 +201,8 @@ class TestEvalF:
         space = space_1d(4)
         nl = Nonlinearity(1, 1, [], p0=4.0)
         # pole at u = -5, reached by the constant field
-        pole = Rational(Polynomial([(1.0, (0,))], 1),
-                        Polynomial([(1.0, (1,)), (5.0, (0,))], 1))
+        pole = Rational([Monomial(1.0, [0])],
+                        [Monomial(1.0, [1]), Monomial(5.0, [0])])
         nl.term(0, 0, compile_expression("1", 1), pole)
         u = DiscreteField(space, np.full(space.num_dofs, -5.0))
         with pytest.raises(ValueError, match="quadrature point"):
@@ -220,7 +224,7 @@ class TestEvalF:
         space = space_1d(32)
         nl = Nonlinearity(1, 1, [], p0=4.0)
         nl.term(0, 0, compile_expression("1 + 0.5*sin(2*pi*x)", 1),
-                Polynomial([(1.0, (3,)), (0.5, (2,))], 1))
+                Polynomial([Monomial(1.0, [3]), Monomial(0.5, [2])]))
         rng = np.random.default_rng(4)
         u = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
         v = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
@@ -241,12 +245,12 @@ class TestEvalF:
 class TestValidate:
     def _nl_with_g(self, expr, p0):
         nl = Nonlinearity(1, 1, [], p0=p0)
-        nl.term(0, 0, compile_expression(expr, 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression(expr, 1), Constant(1.0))
         return nl
 
     def test_smooth_factor_passes(self):
         nl = Nonlinearity(1, 2, [], p0=4.0)
-        nl.term(0, 0, compile_expression("sin(2*pi*x1)", 2), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("sin(2*pi*x1)", 2), Constant(1.0))
         assert validate(nl).passed
 
     def test_exponent_must_exceed_dimension(self):
@@ -258,7 +262,7 @@ class TestValidate:
         # p0 = 1.5 exceeds N = 1 but not N = 2
         for dim, passed in ((1, True), (2, False)):
             nl = Nonlinearity(1, dim, [], p0=1.5)
-            nl.term(0, 0, compile_expression("1", dim), Constant(1.0, 1))
+            nl.term(0, 0, compile_expression("1", dim), Constant(1.0))
             report = validate(nl)
             assert report.dim == dim
             assert report.passed is passed
@@ -277,7 +281,7 @@ class TestValidate:
 
     def test_table_factor(self):
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, TableFactor((2,), [1.0, 3.0], 1), Constant(1.0, 1))
+        nl.term(0, 0, TableFactor([2], [1.0, 3.0]), Constant(1.0))
         report = validate(nl)
         assert report.passed
         # mean of |g|^4 over the two halves

@@ -16,8 +16,8 @@ from homfem.expressions import compile_expression
 from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
                         assemble_jacobian_coupling)
 from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, ExpLinear, Nonlinearity, Polynomial,
-                           eval_F_jacobian)
+from homfem.nonlin import (Constant, LinearForm, Monomial, Nonlinearity,
+                           Polynomial, eval_F_jacobian)
 from homfem.norms import linf_norm, w1p_norm
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
@@ -31,7 +31,7 @@ from conftest import (effective_operator, fixed_point_from_ubar,
 
 def _linear_nl(expr="x", dim=1):
     nl = Nonlinearity(1, dim, [], p0=4.0)
-    nl.term(0, 0, compile_expression(expr, dim), Constant(1.0, 1))
+    nl.term(0, 0, compile_expression(expr, dim), Constant(1.0))
     return nl
 
 
@@ -120,7 +120,7 @@ class TestNondegeneracyMargin:
         def margin_at(kappa):
             nl = Nonlinearity(1, 1, [], p0=4.0)
             nl.term(0, 0, compile_expression(f"{kappa}*(x - 0.5)", 1),
-                    Polynomial([(1.0, (1,))], 1))
+                    Polynomial([Monomial(1.0, [1])]))
             return nondegeneracy_margin(FrozenOperator(
                 effective_operator(space, ahat), nl, u0))
 
@@ -131,7 +131,7 @@ class TestNondegeneracyMargin:
         K = assemble_diffusion(space, ahat).matrix.toarray()
         nl_unit = Nonlinearity(1, 1, [], p0=4.0)
         nl_unit.term(0, 0, compile_expression("x - 0.5", 1),
-                     Polynomial([(1.0, (1,))], 1))
+                     Polynomial([Monomial(1.0, [1])]))
         C = assemble_jacobian_coupling(
             space, eval_F_jacobian(nl_unit, space, u0)).matrix.toarray()
         eigs = sla.eigvals(K, -C)
@@ -283,8 +283,9 @@ class TestFixedPointSolve:
         # a strong cubic flux far outside the contraction regime blows up
         space = space_1d(64)
         nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("40", 1), Polynomial([(1.0, (3,))], 1))
-        nl.term(0, 0, compile_expression("5*sin(2*pi*x)", 1), Constant(1.0, 1))
+        nl.term(0, 0, compile_expression("40", 1),
+                Polynomial([Monomial(1.0, [3])]))
+        nl.term(0, 0, compile_expression("5*sin(2*pi*x)", 1), Constant(1.0))
         ahat = _unit_ahat(value=0.05)
         u0 = space.zero_field()
         u, report = fixed_point_from_ubar(effective_operator(space, ahat), nl,
@@ -332,7 +333,8 @@ class TestFailureRule:
         # is finite
         space = space_1d(32)
         nl = _linear_nl("2000*x")
-        nl.term(0, 0, compile_expression("1", 1), ExpLinear([20.0], 0.0, 1))
+        nl.term(0, 0, compile_expression("1", 1),
+                LinearForm("exp", [20.0], 0.0))
         ahat = _unit_ahat(value=1.6)
         start = space.field_from_free(np.full(space.num_free, -30.0))
         A_hat = effective_operator(space, ahat)
@@ -398,7 +400,8 @@ class TestLocalUniquenessProbe:
         # no trial can evaluate its first residual
         space = space_1d(32)
         nl = _linear_nl("x")
-        nl.term(0, 0, compile_expression("0.01", 1), ExpLinear([20.0], 0.0, 1))
+        nl.term(0, 0, compile_expression("0.01", 1),
+                LinearForm("exp", [20.0], 0.0))
         zero = space.zero_field()
         frozen = FrozenOperator(effective_operator(space, _unit_ahat()), nl,
                                 zero)

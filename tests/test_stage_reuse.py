@@ -26,8 +26,8 @@ from homfem.fem import (FemSpace, LinearSolveError, SineSolver,
                         assemble_diffusion, assemble_divergence_load,
                         assemble_jacobian_coupling, lu_factor, solve_linear)
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from homfem.nonlin import (Constant, Nonlinearity, Polynomial, Term, eval_F,
-                           eval_F_jacobian)
+from homfem.nonlin import (Constant, Monomial, Nonlinearity, Polynomial,
+                           Term, eval_F, eval_F_jacobian)
 from homfem.norms import probe_load
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
@@ -369,8 +369,8 @@ def test_lu_that_does_not_contract_falls_back_to_one_factorization(
     A_eps = assemble_diffusion(space, piecewise_14_tensor().with_epsilon(1 / 8))
     nl = Nonlinearity(1, 1, [], p0=4.0)
     nl.term(0, 0, compile_expression("200*(x - 0.5)", 1),
-            Polynomial([(1.0, (1,))], 1))
-    nl.term(0, 0, compile_expression("sin(2*pi*x)", 1), Constant(1.0, 1))
+            Polynomial([Monomial(1.0, [1])]))
+    nl.term(0, 0, compile_expression("sin(2*pi*x)", 1), Constant(1.0))
     u0 = space.zero_field()
     frozen = FrozenOperator(A_eps, nl, u0)
     C, M = frozen.C.matrix.toarray(), (A_eps + frozen.C).matrix.toarray()
