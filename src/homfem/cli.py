@@ -554,8 +554,9 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     built.  In 2D, every solve with ``Ahat`` refines over its sine
     transform (:func:`_ahat_near`), so Newton factors nothing there; in 1D
     each Newton step factors ``Ahat + C(u_k)``.  Past Newton the row
-    factors its two linearizations at ``u0`` once each, ``Ahat + C(u0)``
-    for the margin and then ``A_eps + C(u0)``, and never holds both.
+    assembles ``C(u0)`` once and factors its two linearizations at ``u0``
+    once each, ``Ahat + C(u0)`` for the margin and then ``A_eps + C(u0)``,
+    and never holds both factorizations.
 
     When the probe mesh is the row's mesh, the row probes its period on its
     space's 3-point view (where the midpoint ``Ahat`` is exact, as it is
@@ -574,7 +575,8 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     if newton_report.status == "converged":
         fields["u0"] = u0
         try:
-            margin = nondegeneracy_margin(FrozenOperator(A_hat, nl, u0))
+            frozen = FrozenOperator(A_hat, nl, u0)
+            margin = nondegeneracy_margin(frozen)
         except LinearSolveError:  # discretely degenerate
             margin = 0.0
         row["margin"] = margin
@@ -590,10 +592,12 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
                 u_hat = _guarded(f"linear probe at eps={eps:g}", solve_linear,
                                  SparseOperator(probe_space, A_hat.matrix),
                                  -load, near=near)
+            frozen.thaw()  # keeps C(u0) alone
             del A_hat, near  # the A_eps stages need neither
             tensor_eps = cfg.coefficient.with_epsilon(eps)
             A_eps = oscillatory_operator(space, tensor_eps, cfg.solver)
-            result.frozen = frozen = FrozenOperator(A_eps, nl, u0)
+            frozen.refreeze(A_eps)
+            result.frozen = frozen
             ubar = approximate_solution(frozen)
             fields["ubar"] = ubar
             row["ubar_err_linf"] = linf_norm(ubar - u0)

@@ -11,7 +11,8 @@ block per entry.  ``FemSpace.vertex_pattern`` builds it once, with the
 position in it of each (cell, test vertex, trial vertex) pair;
 :func:`assemble_diffusion` and :func:`assemble_jacobian_coupling` sum their
 local blocks into it by ``np.bincount`` and keep every entry, also one that
-cancels to exactly zero, so two operators add by adding their data arrays.
+cancels to exactly zero or lies in a coupling block that is zero and so is
+not integrated, so two operators add by adding their data arrays.
 Only :func:`lu_factor` drops zeros, from SuperLU's copy.
 
 Matrices cross the module as :class:`SparseOperator` (the matrix with its
@@ -379,20 +380,21 @@ class DiscreteField:
             raise ValueError("fields live on different spaces")
 
 
-def _restrict(space, local):
+def _restrict(space, local, pairs=None):
     """Sum local blocks into a free-dof matrix: ``local(a, b)`` is the
     (nc, nv, nv) local matrix of test component a against trial component
-    b, built one pair at a time so that the (nc, nv, n, nv, n) array of
-    all of them never exists.  The matrix stores every entry of
-    ``space.vertex_pattern``, also one that cancels to exactly zero."""
+    b, built for each (a, b) of ``pairs`` (by default every pair) one at a
+    time, so that the (nc, nv, n, nv, n) array of all of them never
+    exists; the blocks of the other pairs are zero.  The matrix stores
+    every entry of ``space.vertex_pattern``, also one that cancels to
+    exactly zero or lies in a zero block."""
     pattern = space.vertex_pattern
     nnzb, n = len(pattern.indices), space.n
-    blocks = np.empty((nnzb, n, n))
-    for a in range(n):
-        for b in range(n):
-            blocks[:, a, b] = np.bincount(
-                pattern.slot, weights=local(a, b).ravel(),
-                minlength=nnzb + 1)[:nnzb]
+    blocks = np.zeros((nnzb, n, n))
+    for a, b in np.ndindex(n, n) if pairs is None else pairs:
+        blocks[:, a, b] = np.bincount(
+            pattern.slot, weights=local(a, b).ravel(),
+            minlength=nnzb + 1)[:nnzb]
     shape = (space.num_free, space.num_free)
     if n > 1:
         return sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
@@ -459,6 +461,12 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
     ``jac`` holds the flux derivative with respect to the field components at
     the quadrature points, shape (num_cells, nq, n, dim, n) indexed
     (test component, direction, trial component).  Generally nonsymmetric.
+
+    Only the directions i with ``jac[..., a, i, b]`` nonzero somewhere are
+    integrated into the (a, b) block, and a block with none is not
+    integrated at all, so a flux that couples few (a, i, b), or none, as
+    at ``u = 0``, costs that much less.  Every block is still stored,
+    zeros included, in the space's one pattern.
     """
     jac = np.asarray(jac, dtype=float)
     nc, nq = space.quad_points.shape[:2]
@@ -467,6 +475,7 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
                          f"({nc}, {nq}, {space.n}, {space.mesh.dim}, {space.n})")
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite jacobian value")
+    support = jac.any(axis=(0, 1))  # (a, i, b)
     weights, bary, grads = (space.quad_weights, space.quad.barycentric,
                             space.grads)
     if space.mesh.dim == 1:
@@ -478,11 +487,22 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
                       * grads[:, None, :, 0])
             return np.einsum("cqw,qv->cwv", tested, bary)
     else:
-        def local(a, b):
-            return np.einsum("cq,cqi,qv,cwi->cwv", weights,
-                             jac[:, :, a, :, b], bary, grads, optimize=True)
+        # a direction whose derivative is zero everywhere adds exact zeros
+        # to the sum over i, so leaving it out, on the contraction order of
+        # all directions, keeps every rounding; in 2D the rest is one
+        # direction or both, a slice of views either way
+        spec = "cq,cqi,qv,cwi->cwv"
+        order = np.einsum_path(spec, weights, jac[:, :, 0, :, 0], bary,
+                               grads, optimize=True)[0]
 
-    return SparseOperator(space, _restrict(space, local))
+        def local(a, b):
+            dirs = np.flatnonzero(support[a, :, b])
+            i = slice(dirs[0], dirs[-1] + 1)
+            return np.einsum(spec, weights, jac[:, :, a, i, b], bary,
+                             grads[:, :, i], optimize=order)
+
+    return SparseOperator(space, _restrict(
+        space, local, zip(*np.nonzero(support.any(axis=1)))))
 
 
 def lu_factor(matrix: sp.spmatrix):

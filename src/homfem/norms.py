@@ -78,22 +78,31 @@ def fit_rate(points) -> tuple[float, float]:
 # linear convergence probes
 
 
+def _harmonics(s1: np.ndarray, c1: np.ndarray, modes: int):
+    """``sin(k t)`` and ``cos(k t)`` for ``1 <= k <= modes``, one k at a
+    time, from ``s1 = sin t`` and ``c1 = cos t`` by angle addition."""
+    s, c = s1, c1
+    for k in range(1, modes + 1):
+        if k > 1:
+            s, c = s * c1 + c * s1, c * c1 - s * s1
+        yield k, s, c
+
+
 def _sine_modes(pts: np.ndarray, modes: int):
     """Values and gradients at ``pts`` of the tensor-product sines
     ``prod_i sin(k_i pi x_i)``, ``1 <= k_i <= modes``, one at a time.
 
-    Gradients are flattened (point, direction).  Each factor and its
-    derivative is computed once per wave number of its own axis.
+    Gradients are flattened (point, direction).  Each axis takes one sine
+    and one cosine per point; every higher wave number follows by angle
+    addition, in 2D once per mode of the first axis.
     """
-    for k in range(1, modes + 1):
-        s1 = np.sin(k * np.pi * pts[:, 0])
-        d1 = k * np.pi * np.cos(k * np.pi * pts[:, 0])
-        if pts.shape[1] == 1:
+    axes = [(np.sin(np.pi * x), np.cos(np.pi * x)) for x in pts.T]
+    for k, s1, c1 in _harmonics(*axes[0], modes):
+        d1 = k * np.pi * c1
+        if len(axes) == 1:
             yield s1, d1
             continue
-        for l in range(1, modes + 1):
-            s2 = np.sin(l * np.pi * pts[:, 1])
-            c2 = np.cos(l * np.pi * pts[:, 1])
+        for l, s2, c2 in _harmonics(*axes[1], modes):
             yield s1 * s2, np.column_stack(
                 [d1 * s2, l * np.pi * s1 * c2]).ravel()
 
@@ -145,17 +154,24 @@ def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
 
     # quadrature-weighted differences, one quadrature point at a time, so
     # that each test function's pairings are two sums over columns (point)
-    # and (point, direction) per component; einsum over contiguous rows,
-    # unlike a BLAS matvec, sums in the same order on any thread count
+    # and (point, direction) per component.  The flux difference sums its
+    # n * dim trial terms (b, j) one array product at a time, in that
+    # order; the pairings are einsum sums over contiguous rows.  Neither
+    # is a BLAS call, so both sum in the same order on any thread count
     nc, nq = space.quad_points.shape[:2]
     weights = space.quad_weights
     wdu = (weights[:, :, None] * space.values_at_quadrature(
         u_eps.values - u_hat.values)).reshape(nc * nq, n).T.copy()
     wdflux = np.empty((n, nc, nq, dim))
     for q in range(nq):
-        a_q = tensor_eps.evaluate(space.quad_points[:, q])
-        dflux = np.einsum("cabij,cbj->cai", a_q, grad_eps) - fluxhat
-        wdflux[:, :, q] = np.moveaxis(weights[:, q, None, None] * dflux, 1, 0)
+        a_q = tensor_eps.evaluate(space.quad_points[:, q])  # (c, a, b, i, j)
+        flux = np.zeros((nc, n, dim))
+        for b in range(n):
+            for j in range(dim):
+                flux += a_q[:, :, b, :, j] * grad_eps[:, b, j, None, None]
+        del a_q  # the last point's values would live through the pairings
+        wdflux[:, :, q] = np.moveaxis(
+            weights[:, q, None, None] * (flux - fluxhat), 1, 0)
     wdflux = wdflux.reshape(n, nc * nq * dim)
     pairings, flux_pairings = [], []
     pts = space.quad_points.reshape(nc * nq, dim)

@@ -24,10 +24,12 @@ Newton's steps ``Ahat + C(u_k)`` refine over a ``near`` when the caller
 gives one: in 2D a sweep row passes the sine-transform inverse of ``Ahat``
 (:class:`~homfem.fem.SineSolver`), so Newton factors nothing there, and a
 step is factored only when refinement fails; in 1D each step factors.
-Past Newton, a row factors its two linearizations at u0 once each, as a
-:class:`FrozenOperator`: ``Ahat + C(u0)``, over which the margin iterates,
-and ``A_eps + C(u0)``, over which the fixed-point solve and every perturbed
-restart of the uniqueness probe iterate.  ``ubar`` is not a solve with a
+Past Newton, a row assembles ``C(u0)`` once, as one
+:class:`FrozenOperator`, and factors its two linearizations at u0 over it
+once each: ``Ahat + C(u0)``, over which the margin iterates, and then
+``A_eps + C(u0)`` (:meth:`FrozenOperator.refreeze`), over which the
+fixed-point solve and every perturbed restart of the uniqueness probe
+iterate.  ``ubar`` is not a solve with a
 factorization of its own: ``A_eps`` differs from the frozen operator only
 by ``C(u0)``, so :func:`approximate_solution` refines over the frozen
 factors (see :func:`~homfem.fem.solve_linear`).
@@ -274,19 +276,38 @@ class FrozenOperator:
     ``A``: ``Ahat`` for the margin, ``A_eps`` for the fixed point.
 
     ``C(u0)`` couples trial values against test gradients through the flux
-    derivative at ``u0``.  Building it factors once, and raises
-    LinearSolveError when the frozen operator is singular; every iteration
-    from it, the fixed-point solve and each restart of the uniqueness
-    probe, and every solve refined over it reuses that factorization.
+    derivative at ``u0``.  It depends on the space, the flux and ``u0``
+    alone, so it is assembled once, as the operator is built, and
+    :meth:`thaw` and :meth:`refreeze` keep it when they swap ``A``: a
+    sweep row turns its margin's ``Ahat + C(u0)`` into its fixed point's
+    ``A_eps + C(u0)`` so, and drops ``Ahat`` and its factors before it
+    assembles ``A_eps``.  Building the operator, and each refreeze,
+    factors once, and raises LinearSolveError when the operator is
+    singular; every iteration from it, the fixed-point solve and each
+    restart of the uniqueness probe, and every solve refined over it
+    reuses that factorization.
     """
 
     def __init__(self, diffusion: SparseOperator, nl: Nonlinearity,
                  u0: DiscreteField):
         space = diffusion.space
-        self.diffusion, self.nl, self.u0 = diffusion, nl, u0
+        self.nl, self.u0 = nl, u0
         self.C = assemble_jacobian_coupling(space,
                                             eval_F_jacobian(nl, space, u0))
-        self.lu = lu_factor((diffusion + self.C).matrix)
+        self.refreeze(diffusion)
+
+    def thaw(self):
+        """Drop ``A`` and the factors, keeping ``C(u0)``; nothing solves
+        over the operator until :meth:`refreeze`."""
+        self.diffusion = self.lu = None
+
+    def refreeze(self, diffusion: SparseOperator):
+        """Factor ``diffusion + C(u0)``, for a ``diffusion`` on the same
+        space, in place of ``A + C(u0)``; the old factors are dropped
+        before the new ones are built, so the two are never held at once."""
+        frozen = diffusion + self.C
+        self.thaw()
+        self.diffusion, self.lu = diffusion, lu_factor(frozen.matrix)
 
     def advance(self, u, load, residual):
         """The fixed-point step: ``u_next`` solves

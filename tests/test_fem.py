@@ -725,10 +725,21 @@ class TestSparseKernelsMatchEinsum:
 
     def test_assemble_jacobian_coupling(self, name):
         space = KERNEL_SPACES[name]()
-        jac = _random_jacobian(space, 5)
-        _assert_matches_coo(name,
-                            assemble_jacobian_coupling(space, jac).matrix,
-                            coo_jacobian_coupling(space, jac))
+        n, dim = space.n, space.mesh.dim
+        # every (a, i, b); coupled_2d's, whose flux terms f^0_0 of u^0 and
+        # f^1_1 of u^0 and u^1 leave only (0, 0, 0), (1, 1, 0) and
+        # (1, 1, 1) nonzero, so the (0, 1) block is not integrated; and
+        # none, as at Newton's first step from u = 0
+        coupled = np.zeros((2, 2, 2), dtype=bool)
+        coupled[0, 0, 0] = coupled[1, 1, 0] = coupled[1, 1, 1] = True
+        A = assemble_diffusion(space, _RandomTensor(space, 5)).matrix
+        for kept in (True, coupled[:n, :dim, :n], False):
+            jac = _random_jacobian(space, 5) * kept
+            C = assemble_jacobian_coupling(space, jac).matrix
+            _assert_matches_coo(name, C, coo_jacobian_coupling(space, jac))
+            # the zero blocks are stored: C adds to A by its data
+            assert np.array_equal(C.indptr, A.indptr)
+            assert np.array_equal(C.indices, A.indices)
 
     def test_vertex_pattern_is_never_mutated(self, name):
         space = KERNEL_SPACES[name]()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
                         solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.norms import (fit_rate, gradient_lp_norm, linf_norm, meyers_probe,
-                          probe_load, w1p_norm)
+from homfem.norms import (_sine_modes, fit_rate, gradient_lp_norm, linf_norm,
+                          meyers_probe, probe_load, w1p_norm)
 
 from conftest import (KERNEL_SPACES, assert_relative_close,
                       coupled_scenario_2d, flux_identity, piecewise_14_tensor,
@@ -299,7 +301,9 @@ def _einsum_pairings(row, tensor_family, ahat, flux_fn, test_functions,
     return np.array(pairings), np.array(flux_pairings), grad_eps
 
 
-def test_probe_pairings_match_per_function_einsum():
+def _mixed_flux_probe():
+    """coupled_scenario_2d's tensor and cell-solved ``Ahat`` against a
+    probe flux mixing polynomial and trig terms, at eps 1/2 and 1/4."""
     from homfem.cell import solve_cell_problems
     base, _ = coupled_scenario_2d()
     ahat = solve_cell_problems(base, build_periodic_cell_mesh(8, 2)).ahat
@@ -309,17 +313,57 @@ def test_probe_pairings_match_per_function_einsum():
         return np.stack([np.stack([x * y, np.sin(np.pi * x)], axis=1),
                          np.stack([1.0 + y, x - y], axis=1)], axis=1)
 
-    fns = _sine_test_functions_2d(modes=3)
-    rows = probe_rows(base, ahat, flux, [1 / 2, 1 / 4], modes=3,
-                      cells_per_eps=4)
-    for row in rows:
-        pairings, flux_pairings, grad_eps = _einsum_pairings(
-            row, base, ahat, flux, fns, cells_per_eps=4)
-        assert row.pairings.max() > 0 and row.flux_pairings.max() > 0
-        assert_relative_close(row.pairings, pairings, 1e-12)
-        assert_relative_close(row.flux_pairings, flux_pairings, 1e-12)
-        # what meyers_probe reads of the row
-        np.testing.assert_array_equal(row.grad_eps, grad_eps)
+    return base, ahat, flux, [1 / 2, 1 / 4], 3, 4
+
+
+def _coupled_2d_probe():
+    """The shipped coupled_2d config's probe at eps 1/8: its tensor, its
+    ``Ahat``, its modes and mesh, and the probe flux g_i^a(x) = x_i."""
+    from homfem.cli import compute_effective_tensor, parse_config
+    cfg = parse_config((Path(__file__).parents[1] / "configs"
+                        / "coupled_2d.yaml").read_text())
+    ahat, _ = compute_effective_tensor(cfg)
+
+    def flux(pts):
+        return np.repeat(pts[:, None, :], ahat.n, axis=1)
+
+    return (cfg.coefficient, ahat, flux, [1 / 8], cfg.probe.modes,
+            cfg.probe.cells_per_eps)
+
+
+def test_probe_pairings_match_per_function_einsum():
+    for setup in (_mixed_flux_probe, _coupled_2d_probe):
+        base, ahat, flux, eps_list, modes, cells_per_eps = setup()
+        fns = _sine_test_functions_2d(modes)
+        rows = probe_rows(base, ahat, flux, eps_list, modes=modes,
+                          cells_per_eps=cells_per_eps)
+        for row in rows:
+            pairings, flux_pairings, grad_eps = _einsum_pairings(
+                row, base, ahat, flux, fns, cells_per_eps)
+            assert row.pairings.max() > 0 and row.flux_pairings.max() > 0
+            assert_relative_close(row.pairings, pairings, 1e-12)
+            assert_relative_close(row.flux_pairings, flux_pairings, 1e-12)
+            # what meyers_probe reads of the row
+            np.testing.assert_array_equal(row.grad_eps, grad_eps)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sine_modes_match_direct_trig(dim):
+    # modes 1 ... 8 by angle addition, against a sine and a cosine per
+    # wave number and point
+    pts = np.random.default_rng(dim).uniform(size=(500, dim))
+    if dim == 1:
+        direct = [(np.sin(k * np.pi * pts[:, 0]),
+                   k * np.pi * np.cos(k * np.pi * pts[:, 0]))
+                  for k in range(1, 9)]
+    else:
+        direct = [(val(pts), grad(pts).ravel())
+                  for val, grad in _sine_test_functions_2d(modes=8)]
+    modes = list(_sine_modes(pts, 8))
+    assert len(modes) == len(direct)
+    for (val, grad), (val_ref, grad_ref) in zip(modes, direct):
+        assert_relative_close(val, val_ref, 1e-13)
+        assert_relative_close(grad, grad_ref, 1e-13)
 
 
 def _linear_solves(tensor, eps_list):

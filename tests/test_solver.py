@@ -165,6 +165,27 @@ class TestApproximateSolution:
         assert report.iterations == 1
         assert linf_norm(u_eps - ubar) <= 1e-12
 
+    def test_refreeze_keeps_the_coupling(self):
+        # the margin's Ahat + C(u0) turned into A_eps + C(u0) solves as an
+        # operator built on A_eps, bit for bit, without a second C(u0)
+        base, ahat, nl = oscillatory_scenario_1d()
+        space = space_1d(128)
+        cfg = SolverConfig()
+        A_hat = effective_operator(space, ahat)
+        u0, _ = solve_homogenized(A_hat, nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(1 / 16), cfg)
+        frozen = FrozenOperator(A_hat, nl, u0)
+        C = frozen.C
+        frozen.thaw()
+        assert frozen.diffusion is None and frozen.lu is None
+        frozen.refreeze(A_eps)
+        assert frozen.C is C and frozen.diffusion is A_eps
+        np.testing.assert_array_equal(
+            approximate_solution(frozen).values,
+            approximate_solution(FrozenOperator(A_eps, nl, u0)).values)
+        with pytest.raises(ValueError, match="different spaces"):
+            frozen.refreeze(effective_operator(space_1d(128), ahat))
+
     def test_distance_to_effective_solution_shrinks(self):
         base, ahat, nl = oscillatory_scenario_1d()
         cfg = SolverConfig()

@@ -111,6 +111,31 @@ def test_converged_row_assembles_each_diffusion_operator_once(count_calls):
     assert len(assembled) == 2
 
 
+@pytest.mark.parametrize("text, eps", [
+    (CONFIG, 0.125),
+    ((CONFIGS / "coupled_2d.yaml").read_text(), 0.25),
+], ids=["1d", "coupled_2d"])
+def test_converged_row_assembles_each_coupling_once(monkeypatch, count_calls,
+                                                    text, eps):
+    cfg = parse_config(text)
+    ahat, _ = homfem.cli.compute_effective_tensor(cfg)
+    newton = []
+
+    def recorded(*args, **kwargs):
+        u0, report = solve_homogenized(*args, **kwargs)
+        newton.append(report)
+        return u0, report
+
+    monkeypatch.setattr(homfem.cli, "solve_homogenized", recorded)
+    assembled = count_calls(assemble_jacobian_coupling)
+    result = run_single(cfg, ahat, eps)
+    assert result.row["status"] == "converged"
+    assert len(newton) == 1 and newton[0].iterations > 0
+    # C(u_k) per Newton step, then C(u0) once, shared by the margin and
+    # the frozen operator
+    assert len(assembled) == newton[0].iterations + 1
+
+
 def test_lu_factor_orders_for_less_fill_than_colamd():
     base, nl = coupled_scenario_2d()
     space = FemSpace(build_unit_square_mesh(16), 2)
