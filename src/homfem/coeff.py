@@ -258,12 +258,21 @@ def sample_grid(dim, per_axis):
 
 
 def _quadratic_form_margin(values):
-    """Smallest eigenvalue of the symmetrized (nN)x(nN) form, per point."""
-    m, n = values.shape[0], values.shape[1]
-    dim = values.shape[3]
-    q = np.transpose(values, (0, 1, 3, 2, 4)).reshape(m, n * dim, n * dim)
-    sym = 0.5 * (q + np.transpose(q, (0, 2, 1)))
-    return np.linalg.eigvalsh(sym)[:, 0]
+    """Smallest eigenvalue of the symmetrized (nN)x(nN) form, per point.
+
+    Works through 4,096 points at a time, so the transposed and
+    symmetrized copies of a whole sample never exist at once; every
+    point's eigenvalues are computed on their own, so the blocks move no
+    bit of the result.
+    """
+    m, n, dim = values.shape[0], values.shape[1], values.shape[3]
+    margin, block = np.empty(m), 4096
+    for start in range(0, m, block):
+        q = np.transpose(values[start:start + block], (0, 1, 3, 2, 4)).reshape(
+            -1, n * dim, n * dim)
+        sym = 0.5 * (q + np.transpose(q, (0, 2, 1)))
+        margin[start:start + block] = np.linalg.eigvalsh(sym)[:, 0]
+    return margin
 
 
 def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):

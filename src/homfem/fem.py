@@ -8,7 +8,10 @@ Dirichlet constraints are handled by free-dof elimination, never by penalty.
 Every matrix on a space stores the same sparsity pattern: the vertex
 adjacency of the mesh restricted to the free vertices, with an ``n x n``
 block per entry.  ``FemSpace.vertex_pattern`` builds it once, with the
-position in it of each (cell, test vertex, trial vertex) pair;
+position in it of each (cell, test vertex, trial vertex) pair, from a CSR
+of ones with its duplicates summed, so no key of every triple is built or
+sorted; ``FemSpace.gram_matrix`` sums its cell matrices the same way, into
+the pattern over every independent vertex;
 :func:`assemble_diffusion` and :func:`assemble_jacobian_coupling` sum their
 local blocks into it by ``np.bincount`` and keep every entry, also one that
 cancels to exactly zero or lies in a coupling block that is zero and so is
@@ -109,7 +112,9 @@ class VertexPattern(NamedTuple):
 
     ``slot[(c * nv + w) * nv + v]`` is the position in ``indices`` of the
     block coupling cell c's test vertex w to its trial vertex v, or
-    ``len(indices)`` when either vertex is constrained.
+    ``len(indices)`` when either vertex is constrained.  Built by
+    :func:`_block_pattern`: ``slot`` is the only array it holds per
+    (cell, test vertex, trial vertex) triple.
     """
 
     indices: np.ndarray  # int32, block column of each stored block
@@ -253,40 +258,64 @@ class FemSpace:
     def gram_matrix(self) -> sp.csr_matrix:
         """W^{1,2} Gram matrix of the scalar hats: mass plus Laplacian.
 
-        The consistent P1 mass matrix has the cell entries
-        |T| (1 + delta_vw) / ((dim+1)(dim+2)); the Laplacian is
-        G^T diag(|T|) G for G = :attr:`gradient_matrix`.
+        Each cell adds its local matrix |T| ((1 + delta_vw) / ((dim+1)(dim+2))
+        + grad phi_w . grad phi_v), the consistent P1 mass matrix plus the
+        hats' stiffness, summed by ``np.bincount`` straight into the CSR
+        pattern of every vertex pair of a cell (:func:`_block_pattern`).
         """
-        nc, nv, dim = self.grads.shape
-        measures = self.mesh.cell_measures
-        slots = self._vertex_slot[self.mesh.cells]
-        local = ((1.0 + np.eye(nv))[None, :, :] * measures[:, None, None]
-                 / (nv * (nv + 1)))
-        rows = np.broadcast_to(slots[:, :, None], local.shape).ravel()
-        cols = np.broadcast_to(slots[:, None, :], local.shape).ravel()
         size = self.num_indep_vertices
-        mass = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size))
-        G = self.gradient_matrix
-        stiffness = G.T @ sp.diags(np.repeat(measures, dim)) @ G
-        return (mass + stiffness).tocsr()
+        pattern = _block_pattern(self._vertex_slot[self.mesh.cells], size)
+        nv = self.grads.shape[1]
+        measures = self.mesh.cell_measures
+        local = np.einsum("cwi,cvi->cwv", self.grads * measures[:, None, None],
+                          self.grads)
+        local += ((1.0 + np.eye(nv))[None, :, :] * measures[:, None, None]
+                  / (nv * (nv + 1)))
+        nnz = len(pattern.indices)
+        data = np.bincount(pattern.slot, weights=local.ravel(),
+                           minlength=nnz)
+        matrix = sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                               shape=(size, size))
+        matrix.has_canonical_format = True
+        return matrix
 
     @cached_property
     def vertex_pattern(self) -> VertexPattern:
         """The pattern every matrix on the space is assembled into."""
-        num_free = self.num_free // self.n
-        cells = self.free_vertices[self._vertex_slot[self.mesh.cells]]
-        nc, nv = cells.shape
-        rows = np.broadcast_to(cells[:, :, None], (nc, nv, nv)).ravel()
-        cols = np.broadcast_to(cells[:, None, :], (nc, nv, nv)).ravel()
-        kept = (rows >= 0) & (cols >= 0)
-        keys, inverse = np.unique(rows[kept] * num_free + cols[kept],
-                                  return_inverse=True)
-        slot = np.full(rows.size, keys.size, dtype=np.int32)
-        slot[kept] = inverse
-        block_rows, indices = np.divmod(keys, num_free)
-        indptr = np.zeros(num_free + 1, dtype=np.int32)
-        np.cumsum(np.bincount(block_rows, minlength=num_free), out=indptr[1:])
-        return VertexPattern(indices.astype(np.int32), indptr, slot)
+        return _block_pattern(
+            self.free_vertices[self._vertex_slot[self.mesh.cells]],
+            self.num_free // self.n)
+
+
+def _block_pattern(cells: np.ndarray, size: int) -> VertexPattern:
+    """The block CSR pattern, over ``size`` vertices, of every (test
+    vertex, trial vertex) pair of a cell, for ``cells`` (nc, nv) of vertex
+    indices, -1 for a vertex left out, with the slot of each pair.
+
+    The pattern is a CSR of int8 ones with its duplicates summed; the
+    slots are the entries at the pairs of a CSR of positions on it, which
+    SciPy finds by a binary search within each row.  So no key of every
+    (cell, w, v) triple is built, nor sorted.
+    """
+    nv = cells.shape[1]
+    cells = cells.astype(np.int32)
+    rows = np.repeat(cells, nv, axis=1).ravel()
+    cols = np.tile(cells, nv).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[kept], cols[kept]
+    ones = sp.csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                        shape=(size, size))
+    # summing the duplicates leaves the indices a view of the unsummed
+    # ones' buffer; the pattern keeps a compact copy
+    indices, indptr = ones.indices.copy(), ones.indptr
+    del ones
+    nnzb = len(indices)
+    slot = np.full(kept.size, nnzb, dtype=np.int32)
+    if rows.size:  # SciPy answers an empty selection with a sparse array
+        positions = sp.csr_array((np.arange(nnzb, dtype=np.int32), indices,
+                                  indptr), shape=(size, size))
+        slot[kept] = positions[rows, cols]
+    return VertexPattern(indices, indptr, slot)
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
@@ -390,21 +419,26 @@ def _restrict(space, local, pairs=None):
     exactly zero or lies in a zero block."""
     pattern = space.vertex_pattern
     nnzb, n = len(pattern.indices), space.n
-    blocks = np.zeros((nnzb, n, n))
-    for a, b in np.ndindex(n, n) if pairs is None else pairs:
-        blocks[:, a, b] = np.bincount(
-            pattern.slot, weights=local(a, b).ravel(),
-            minlength=nnzb + 1)[:nnzb]
+    pairs = list(np.ndindex(n, n) if pairs is None else pairs)
+
+    def summed(a, b):
+        return np.bincount(pattern.slot, weights=local(a, b).ravel(),
+                           minlength=nnzb + 1)[:nnzb]
+
     shape = (space.num_free, space.num_free)
     if n > 1:
+        blocks = np.zeros((nnzb, n, n))
+        for a, b in pairs:
+            blocks[:, a, b] = summed(a, b)
         return sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
                              shape=shape).tocsr()
     # 1 x 1 blocks: the block pattern is the CSR pattern, sorted and
-    # duplicate-free.  The matrix gets its own index arrays: in-place
-    # operations on it, such as a caller compacting out its zeros, must
-    # never reach the cache
-    matrix = sp.csr_matrix((blocks.reshape(nnzb), pattern.indices.copy(),
-                            pattern.indptr.copy()), shape=shape)
+    # duplicate-free, and the sum is the data.  The matrix gets its own
+    # index arrays: in-place operations on it, such as a caller compacting
+    # out its zeros, must never reach the cache
+    matrix = sp.csr_matrix((summed(0, 0) if pairs else np.zeros(nnzb),
+                            pattern.indices.copy(), pattern.indptr.copy()),
+                           shape=shape)
     matrix.has_canonical_format = True
     return matrix
 
@@ -481,25 +515,29 @@ def assemble_jacobian_coupling(space: FemSpace, jac: np.ndarray) -> SparseOperat
     if space.mesh.dim == 1:
         # one direction: the weighted derivative times the test gradient,
         # spread over the trial hats; on a one-point rule these are the
-        # products of the einsum below, in its order, bit for bit
+        # products of ``einsum("cq,cqi,qv,cwi->cwv", ..., optimize=True)``,
+        # in its order, bit for bit
         def local(a, b):
             tested = ((weights * jac[:, :, a, 0, b])[:, :, None]
                       * grads[:, None, :, 0])
             return np.einsum("cqw,qv->cwv", tested, bary)
     else:
-        # a direction whose derivative is zero everywhere adds exact zeros
-        # to the sum over i, so leaving it out, on the contraction order of
-        # all directions, keeps every rounding; in 2D the rest is one
-        # direction or both, a slice of views either way
-        spec = "cq,cqi,qv,cwi->cwv"
-        order = np.einsum_path(spec, weights, jac[:, :, 0, :, 0], bary,
-                               grads, optimize=True)[0]
+        # the sum over directions of the derivative times the test
+        # gradients, then the sum over quadrature points against the
+        # weighted trial hats: two einsums without an optimized path, so
+        # neither sum goes through matmul.  On a one-point rule this is
+        # the optimized path's order, bit for bit.  A direction whose
+        # derivative is zero everywhere adds exact zeros to the first sum,
+        # so it is left out; in 2D the rest is one direction or both, a
+        # slice of views either way
+        weighted = weights[:, :, None] * bary  # (nc, nq, nv)
 
         def local(a, b):
             dirs = np.flatnonzero(support[a, :, b])
             i = slice(dirs[0], dirs[-1] + 1)
-            return np.einsum(spec, weights, jac[:, :, a, i, b], bary,
-                             grads[:, :, i], optimize=order)
+            tested = np.einsum("cqi,cwi->cqw", jac[:, :, a, i, b],
+                               grads[:, :, i])
+            return np.einsum("cqw,cqv->cwv", tested, weighted)
 
     return SparseOperator(space, _restrict(
         space, local, zip(*np.nonzero(support.any(axis=1)))))

@@ -84,6 +84,27 @@ KERNEL_SPACES = {
 }
 
 
+def unique_pattern(cells, size):
+    """The pattern oracle: the construction that ``fem._block_pattern``
+    replaced, ``np.unique(..., return_inverse=True)`` over the int64 key
+    ``row * size + column`` of every (cell, test vertex, trial vertex)
+    triple.  ``cells`` (nc, nv) holds vertex indices over ``size``
+    vertices, -1 for a vertex left out; returns ``(indices, indptr,
+    slot)`` as ``VertexPattern`` holds them."""
+    nc, nv = cells.shape
+    rows = np.broadcast_to(cells[:, :, None], (nc, nv, nv)).ravel()
+    cols = np.broadcast_to(cells[:, None, :], (nc, nv, nv)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, inverse = np.unique(rows[kept] * size + cols[kept],
+                              return_inverse=True)
+    slot = np.full(rows.size, keys.size, dtype=np.int32)
+    slot[kept] = inverse
+    block_rows, indices = np.divmod(keys, size)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(block_rows, minlength=size), out=indptr[1:])
+    return indices.astype(np.int32), indptr, slot
+
+
 def coo_restrict(space, local):
     """The assembly that ``FemSpace.vertex_pattern`` replaced: local blocks
     (nc, nv, n, nv, n) scattered as a COO over all dofs, summed in CSR,

@@ -49,6 +49,13 @@ class TestLegendreMargin:
         assert t.observed_margin() == first
         assert t.require_elliptic() == first
 
+    def test_blocks_move_no_bit_of_the_margin(self):
+        # three blocks, the last one partial, against the whole sample at once
+        values = np.random.default_rng(4).standard_normal((10_001, 2, 2, 2, 2))
+        q = np.transpose(values, (0, 1, 3, 2, 4)).reshape(-1, 4, 4)
+        whole = np.linalg.eigvalsh(0.5 * (q + np.transpose(q, (0, 2, 1))))
+        assert np.array_equal(_quadratic_form_margin(values), whole[:, 0])
+
     def test_require_elliptic_evaluates_the_grid_once(self, monkeypatch):
         t = TensorField.from_expressions(1, 2, "2 + 0.9*sin(2*pi*x1)")
         evaluate, calls = TensorField.evaluate, []

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from homfem.solver import (FrozenOperator, nondegeneracy_margin,
 
 from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
                       coo_jacobian_coupling, coupled_scenario_2d,
-                      effective_operator, oscillatory_scenario_1d, space_1d)
+                      effective_operator, oscillatory_scenario_1d, space_1d,
+                      unique_pattern)
 
 
 def _flux_from_fn(space, fn):
@@ -148,6 +150,28 @@ class TestAssembleJacobianCoupling:
         jac = np.ones((2, 1, 1, 1, 1))
         C = assemble_jacobian_coupling(space, jac)
         assert np.allclose(C.matrix.toarray(), [[0.0]])
+
+    @pytest.mark.parametrize("quadrature", ["midpoint", "3point"])
+    def test_no_sum_goes_through_matmul(self, monkeypatch, quadrature):
+        # einsum's optimized path hands its sums to matmul, on the 3-point
+        # rule one over the quadrature points of every cell at once, which
+        # a threaded BLAS may split across threads
+        import numpy._core.einsumfunc as einsumfunc
+        calls, matmul = [], einsumfunc.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(einsumfunc, "matmul", counted)
+        space = FemSpace(build_unit_square_mesh(8), 2, quadrature=quadrature)
+        jac = _random_jacobian(space, 3)
+        assemble_jacobian_coupling(space, jac)
+        assert not calls
+        # the spy sees the optimized path
+        np.einsum("cq,cqi,qv,cwi->cwv", space.quad_weights, jac[:, :, 0, :, 0],
+                  space.quad.barycentric, space.grads, optimize=True)
+        assert calls
 
     def test_nonfinite_rejected(self):
         space = space_1d(4)
@@ -635,6 +659,84 @@ class TestFemSpace:
                             == u.values[space.dof_index(w, a)])
                 checked += 1
         assert checked == 2 * 5
+
+
+# meshes on which the per-space patterns are checked against the np.unique
+# oracle: Dirichlet vertices left out in 1D and 2D, every vertex left out,
+# and a two-per-axis periodic cell whose slave vertices share their
+# master's dofs, so that pairs of different cells coincide
+PATTERN_MESHES = {
+    "interval": lambda: build_interval_mesh(9),
+    "interval-constrained": lambda: build_interval_mesh(1),
+    "unit-square": lambda: build_unit_square_mesh(5),
+    "periodic-cell": lambda: build_periodic_cell_mesh(2, 2),
+}
+
+
+def _triple_product_gram(space):
+    """The Gram matrix as a COO mass matrix plus ``G^T diag(|T|) G``, and
+    the same sum over the absolute values of its terms."""
+    nc, nv, dim = space.grads.shape
+    measures = space.mesh.cell_measures
+    slots = space._vertex_slot[space.mesh.cells]
+    local = ((1.0 + np.eye(nv))[None, :, :] * measures[:, None, None]
+             / (nv * (nv + 1)))
+    rows = np.broadcast_to(slots[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(slots[:, None, :], local.shape).ravel()
+    size = space.num_indep_vertices
+    mass = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size))
+    G, scale = space.gradient_matrix, sp.diags(np.repeat(measures, dim))
+    return ((mass + G.T @ scale @ G).tocsr(),
+            (mass + abs(G).T @ scale @ abs(G)).tocsr())
+
+
+@pytest.mark.parametrize("mesh", sorted(PATTERN_MESHES))
+class TestPerSpacePatterns:
+    """``vertex_pattern`` and ``gram_matrix`` against the np.unique
+    construction they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vertex_pattern_matches_the_unique_oracle(self, mesh, n):
+        space = FemSpace(PATTERN_MESHES[mesh](), n)
+        oracle = unique_pattern(
+            space.free_vertices[space._vertex_slot[space.mesh.cells]],
+            space.num_free // n)
+        for array, expected in zip(space.vertex_pattern, oracle):
+            assert array.dtype == np.int32
+            assert np.array_equal(array, expected)
+
+    def test_gram_matrix_matches_mass_plus_stiffness(self, mesh):
+        space = FemSpace(PATTERN_MESHES[mesh](), 1)
+        gram = space.gram_matrix
+        indices, indptr, _ = unique_pattern(
+            space._vertex_slot[space.mesh.cells], space.num_indep_vertices)
+        assert np.array_equal(gram.indices, indices)
+        assert np.array_equal(gram.indptr, indptr)
+        assert gram.has_canonical_format
+        reference, scale = _triple_product_gram(space)
+        assert np.array_equal(reference.indices, indices)
+        assert np.array_equal(reference.indptr, indptr)
+        # a few units of round-off in the sum of the absolute terms
+        assert np.all(np.abs(gram.data - reference.data)
+                      <= 4 * np.finfo(float).eps * scale.data)
+
+
+class TestPerSpaceBuildMemory:
+    """Building a space's pattern or Gram matrix peaks at a few int32
+    arrays per (cell, test vertex, trial vertex) triple, result included:
+    no int64 key of every triple is sorted, and no sparse triple product
+    is formed."""
+
+    @pytest.mark.parametrize("build", ["vertex_pattern", "gram_matrix"])
+    def test_peak_stays_under_160_bytes_per_cell(self, build):
+        space = FemSpace(build_interval_mesh(2 ** 15), 1)
+        tracemalloc.start()
+        try:
+            getattr(space, build)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * space.mesh.num_cells
 
 
 def _einsum_gradients(space, values):
