@@ -5,18 +5,23 @@ with ``n`` components.  Degrees of freedom are laid out per independent
 vertex (periodic slaves share their master's dofs), component fastest.
 Dirichlet constraints are handled by free-dof elimination, never by penalty.
 
-Every matrix on a space stores the same sparsity pattern: the vertex
-adjacency of the mesh restricted to the free vertices, with an ``n x n``
-block per entry.  ``FemSpace.vertex_pattern`` builds it once, with the
-position in it of each (cell, test vertex, trial vertex) pair, from a CSR
-of ones with its duplicates summed, so no key of every triple is built or
-sorted; ``FemSpace.gram_matrix`` sums its cell matrices the same way, into
-the pattern over every independent vertex;
-:func:`assemble_diffusion` and :func:`assemble_jacobian_coupling` sum their
-local blocks into it by ``np.bincount`` and keep every entry, also one that
-cancels to exactly zero or lies in a coupling block that is zero and so is
-not integrated, so two operators add by adding their data arrays.
-Only :func:`lu_factor` drops zeros, from SuperLU's copy.
+Every matrix on a space stores one sparsity pattern, by reference: the
+vertex adjacency of the mesh restricted to the free vertices, with an
+``n x n`` block per entry.  ``FemSpace.vertex_pattern`` builds its blocks
+once, with the position in it of each (cell, test vertex, trial vertex)
+pair, from a CSR of ones with its duplicates summed, so no key of every
+triple is built or sorted; ``FemSpace.gram_matrix`` sums its cell matrices
+the same way, into the pattern over every independent vertex.
+``FemSpace.matrix_pattern`` expands the blocks into the CSR ``indices`` and
+``indptr`` that every operator on the space stores, read-only, so an
+operator holds only its data array.  :func:`assemble_diffusion` and
+:func:`assemble_jacobian_coupling` sum their local blocks into it by
+``np.bincount`` and keep every entry, also one that cancels to exactly
+zero or lies in a coupling block that is zero and so is not integrated, so
+two operators add by adding their data arrays.  Nothing compacts the
+pattern in place: the read-only flags make ``eliminate_zeros`` raise.
+Only :func:`lu_factor` drops zeros, from SuperLU's copy, and it lets go of
+the matrix it is handed once that copy exists.
 
 Matrices cross the module as :class:`SparseOperator` (the matrix with its
 space) and loads as plain free-dof arrays.  Sign convention used throughout
@@ -179,11 +184,13 @@ class FemSpace:
     def with_quadrature(self, kind: str) -> "FemSpace":
         """The same space under another quadrature rule.
 
-        It shares the mesh, the dof layout and every per-space operator
-        built so far (``vertex_pattern``, ``gradient_matrix``,
+        It shares the mesh, the dof layout, the ``matrix_pattern`` that
+        every operator on either stores (built here if it was not yet) and
+        every other per-space operator built so far (``gradient_matrix``,
         ``gram_matrix``), none of which depends on the rule; the
         :meth:`quadrature_values` it keeps are its own.
         """
+        self.matrix_pattern  # built now, so that the view shares it
         other = copy.copy(self)
         other._set_quadrature(kind)
         return other
@@ -247,10 +254,10 @@ class FemSpace:
         component by component.
         """
         nc, nv, dim = self.grads.shape
-        slots = self._vertex_slot[self.mesh.cells]                # (nc, nv)
+        slots = self._vertex_slot[self.mesh.cells].astype(np.int32)  # nc, nv
         indices = np.broadcast_to(slots[:, None, :], (nc, dim, nv)).ravel()
         data = self.grads.transpose(0, 2, 1).ravel()
-        indptr = np.arange(0, data.size + 1, nv)
+        indptr = np.arange(0, data.size + 1, nv, dtype=np.int32)
         return sp.csr_matrix((data, indices, indptr),
                              shape=(nc * dim, self.num_indep_vertices))
 
@@ -281,10 +288,31 @@ class FemSpace:
 
     @cached_property
     def vertex_pattern(self) -> VertexPattern:
-        """The pattern every matrix on the space is assembled into."""
+        """The block pattern every matrix on the space is assembled into."""
         return _block_pattern(
             self.free_vertices[self._vertex_slot[self.mesh.cells]],
             self.num_free // self.n)
+
+    @cached_property
+    def matrix_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, indptr)`` of the CSR that every operator on the space
+        stores by reference: ``vertex_pattern`` with an ``n x n`` block per
+        entry, rows and columns component fastest.  Both arrays are
+        read-only, so an in-place compaction of any operator, such as
+        ``eliminate_zeros``, raises instead of changing them all."""
+        pattern, n = self.vertex_pattern, self.n
+        indices, indptr = pattern.indices, pattern.indptr
+        if n > 1:
+            entries = _block_entries(pattern, n)
+            indices = np.empty(n * n * len(pattern.indices), dtype=np.int32)
+            for a, b in np.ndindex(n, n):
+                indices[entries(a, b)] = n * pattern.indices + b
+            row_counts = np.repeat(n * np.diff(pattern.indptr), n)
+            indptr = np.zeros(len(row_counts) + 1, dtype=np.int32)
+            np.cumsum(row_counts, out=indptr[1:])
+        for array in (indices, indptr):
+            array.flags.writeable = False
+        return indices, indptr
 
 
 def _block_pattern(cells: np.ndarray, size: int) -> VertexPattern:
@@ -316,6 +344,33 @@ def _block_pattern(cells: np.ndarray, size: int) -> VertexPattern:
                                   indptr), shape=(size, size))
         slot[kept] = positions[rows, cols]
     return VertexPattern(indices, indptr, slot)
+
+
+def _block_entries(pattern: VertexPattern, n: int):
+    """``entries(a, b)``: the position of the (a, b) entry of every block
+    of ``pattern`` in the CSR of its ``n x n`` blocks.
+
+    CSR row ``n I + a`` holds the row-a entries of block row I's blocks in
+    order, b fastest, so the (a, b) entry of block k sits at ``n (k + (n -
+    1) p) + a n c + b``, for p the first block of k's block row and c the
+    row's block count.
+    """
+    counts = np.diff(pattern.indptr)
+    first = np.repeat(pattern.indptr[:-1], counts)
+    at = n * (np.arange(len(pattern.indices)) + (n - 1) * first)
+    width = n * np.repeat(counts, counts)
+    return lambda a, b: at + a * width + b
+
+
+def _on_pattern(data: np.ndarray, indices: np.ndarray,
+                indptr: np.ndarray) -> sp.csr_matrix:
+    """The square CSR matrix of ``data`` that stores ``indices`` and
+    ``indptr`` themselves: SciPy's constructor keeps a view of the indices,
+    and :meth:`SparseOperator.__add__` recognises a pattern by identity."""
+    size = len(indptr) - 1
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.indices, matrix.indptr = indices, indptr
+    return matrix
 
 
 def _hat_gradients(mesh: Mesh) -> np.ndarray:
@@ -357,17 +412,18 @@ class SparseOperator:
                 f"{nf} free dofs")
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        """The sum of the data arrays of two operators on one pattern;
-        raises ValueError when the stored patterns differ."""
+        """The sum of two operators that store the same ``indices`` and
+        ``indptr`` objects, as every assembled operator on a space stores
+        its ``matrix_pattern``: only the data arrays are summed, and the sum
+        stores the same two objects.  Raises ValueError on operators that
+        store other index arrays, even equal ones."""
         if other.space is not self.space:
             raise ValueError("operators live on different spaces")
         a, b = self.matrix, other.matrix
-        if not (np.array_equal(a.indptr, b.indptr)
-                and np.array_equal(a.indices, b.indices)):
+        if a.indices is not b.indices or a.indptr is not b.indptr:
             raise ValueError("operators store different sparsity patterns")
-        return SparseOperator(self.space, sp.csr_matrix(
-            (a.data + b.data, a.indices.copy(), a.indptr.copy()),
-            shape=a.shape))
+        total = _on_pattern(a.data + b.data, a.indices, a.indptr)
+        return SparseOperator(self.space, total)
 
 
 class DiscreteField:
@@ -415,8 +471,9 @@ def _restrict(space, local, pairs=None):
     b, built for each (a, b) of ``pairs`` (by default every pair) one at a
     time, so that the (nc, nv, n, nv, n) array of all of them never
     exists; the blocks of the other pairs are zero.  The matrix stores
-    every entry of ``space.vertex_pattern``, also one that cancels to
-    exactly zero or lies in a zero block."""
+    ``space.matrix_pattern`` by reference, each entry of it, also one that
+    cancels to exactly zero or lies in a zero block: its data array is all
+    it holds of its own."""
     pattern = space.vertex_pattern
     nnzb, n = len(pattern.indices), space.n
     pairs = list(np.ndindex(n, n) if pairs is None else pairs)
@@ -425,20 +482,14 @@ def _restrict(space, local, pairs=None):
         return np.bincount(pattern.slot, weights=local(a, b).ravel(),
                            minlength=nnzb + 1)[:nnzb]
 
-    shape = (space.num_free, space.num_free)
-    if n > 1:
-        blocks = np.zeros((nnzb, n, n))
+    if n == 1:  # 1 x 1 blocks: the block pattern is the CSR pattern
+        data = summed(0, 0) if pairs else np.zeros(nnzb)
+    else:
+        data = np.zeros(n * n * nnzb)
+        entries = _block_entries(pattern, n)
         for a, b in pairs:
-            blocks[:, a, b] = summed(a, b)
-        return sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
-                             shape=shape).tocsr()
-    # 1 x 1 blocks: the block pattern is the CSR pattern, sorted and
-    # duplicate-free, and the sum is the data.  The matrix gets its own
-    # index arrays: in-place operations on it, such as a caller compacting
-    # out its zeros, must never reach the cache
-    matrix = sp.csr_matrix((summed(0, 0) if pairs else np.zeros(nnzb),
-                            pattern.indices.copy(), pattern.indptr.copy()),
-                           shape=shape)
+            data[entries(a, b)] = summed(a, b)
+    matrix = _on_pattern(data, *space.matrix_pattern)
     matrix.has_canonical_format = True
     return matrix
 
@@ -556,11 +607,17 @@ def lu_factor(matrix: sp.spmatrix):
     P1 matrices are structurally symmetric, and on them it gives about half
     the fill of the default COLAMD ordering.  Its copy drops exact zeros
     first, as the ordering would pay fill for each.
+
+    It consumes its argument: it drops its reference to ``matrix`` once
+    SuperLU's copy exists, so a matrix that the caller passes without
+    binding it to a name, such as the ``.matrix`` of a sum, is freed before
+    SuperLU runs.  The matrix itself is never changed.
     """
     bands = _bandwidths(matrix)
     if bands is not None:
         return BandLU(matrix, *bands)
     csc = matrix.tocsc(copy=True)
+    del matrix
     csc.eliminate_zeros()
     try:
         return spla.splu(csc, permc_spec="MMD_AT_PLUS_A")

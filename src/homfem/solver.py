@@ -194,8 +194,11 @@ def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
     space = diffusion.space
 
     def advance(u, load, residual):
-        C = assemble_jacobian_coupling(space, eval_F_jacobian(nl, space, u))
-        return u + solve_linear(diffusion + C, -residual, near=near)
+        # C(u_k) is not bound to a name, so it is freed once summed
+        return u + solve_linear(
+            diffusion + assemble_jacobian_coupling(
+                space, eval_F_jacobian(nl, space, u)),
+            -residual, near=near)
 
     u = start.copy() if start is not None else space.zero_field()
     return _iterate(diffusion, nl, u, advance, cfg.newton_tol,
@@ -304,10 +307,12 @@ class FrozenOperator:
     def refreeze(self, diffusion: SparseOperator):
         """Factor ``diffusion + C(u0)``, for a ``diffusion`` on the same
         space, in place of ``A + C(u0)``; the old factors are dropped
-        before the new ones are built, so the two are never held at once."""
-        frozen = diffusion + self.C
+        before the new ones are built, so the two are never held at once.
+        The sum goes to :func:`~homfem.fem.lu_factor` without a name, so
+        it is freed as soon as SuperLU's copy of it exists."""
         self.thaw()
-        self.diffusion, self.lu = diffusion, lu_factor(frozen.matrix)
+        self.diffusion, self.lu = diffusion, lu_factor(
+            (diffusion + self.C).matrix)
 
     def advance(self, u, load, residual):
         """The fixed-point step: ``u_next`` solves
