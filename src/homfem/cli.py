@@ -45,8 +45,8 @@ from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import (EllipticityError, HomogenizedTensor, TensorField,
                     add_defect, sample_grid)
 from .expressions import compile_expression
-from .fem import (FemSpace, LinearSolveError, SineSolver, SparseOperator,
-                  assemble_diffusion, solve_linear)
+from .fem import (DiscreteField, FemSpace, LinearSolveError, SineSolver,
+                  SparseOperator, assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import (Constant, LinearForm, Nested, Nonlinearity, Polynomial,
                      Rational, TableFactor, Term, validate)
@@ -561,7 +561,9 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     When the probe mesh is the row's mesh, the row probes its period on its
     space's 3-point view (where the midpoint ``Ahat`` is exact, as it is
     constant), the ``Ahat`` solve refined over the sine transform in 2D
-    (factored in 1D) and the ``A_eps`` one over ``A_eps + C(u0)``.  A probe
+    (factored in 1D) and the ``A_eps`` one over ``A_eps + C(u0)``.  The
+    view is built for each of the two steps: across the refreeze the row
+    holds only the ``Ahat`` solution's values and the load.  A probe
     failure is recorded in ``probe``; the row is kept.
     """
     nl = cfg.flux
@@ -592,6 +594,11 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
                 u_hat = _guarded(f"linear probe at eps={eps:g}", solve_linear,
                                  SparseOperator(probe_space, A_hat.matrix),
                                  -load, near=near)
+                # only the solution's values and the load are held across
+                # the refreeze; the A_eps step builds the view again
+                if not isinstance(u_hat, str):
+                    u_hat = u_hat.values
+                del probe_space
             frozen.thaw()  # keeps C(u0) alone
             del A_hat, near  # the A_eps stages need neither
             tensor_eps = cfg.coefficient.with_epsilon(eps)
@@ -611,8 +618,9 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
             if probing:  # u_hat is the Ahat step's error record if it failed
                 result.probe = u_hat if isinstance(u_hat, str) else _guarded(
                     f"linear probe at eps={eps:g}", h_convergence_probe,
-                    tensor_eps, ahat, u_hat, load, cfg.probe.modes,
-                    near=frozen.lu)
+                    tensor_eps, ahat,
+                    DiscreteField(space.with_quadrature("3point"), u_hat),
+                    load, cfg.probe.modes, near=frozen.lu)
     return result
 
 

@@ -165,11 +165,11 @@ class FemSpace:
                           + np.arange(n)).ravel()
         self.num_free = len(self.free_dofs)
 
-        # geometry caches: per-cell hat gradients, quadrature points,
-        # per-(cell, vertex, component) dof indices
+        # geometry caches: per-(cell, vertex, component) dof indices, the
+        # hat gradients, quadrature points
         self.cell_dofs = (self._vertex_slot[mesh.cells][:, :, None] * n
                           + np.arange(n)[None, None, :])
-        self.grads = _hat_gradients(mesh)
+        self.gradient_matrix = self._gradient_matrix()
         self._set_quadrature(quadrature)
 
     def _set_quadrature(self, kind: str) -> None:
@@ -184,11 +184,11 @@ class FemSpace:
     def with_quadrature(self, kind: str) -> "FemSpace":
         """The same space under another quadrature rule.
 
-        It shares the mesh, the dof layout, the ``matrix_pattern`` that
-        every operator on either stores (built here if it was not yet) and
-        every other per-space operator built so far (``gradient_matrix``,
-        ``gram_matrix``), none of which depends on the rule; the
-        :meth:`quadrature_values` it keeps are its own.
+        It shares the mesh, the dof layout, the ``gradient_matrix`` (and
+        with it the hat gradients), the ``matrix_pattern`` that every
+        operator on either stores (built here if it was not yet) and the
+        ``gram_matrix`` if it was built, none of which depends on the rule;
+        the :meth:`quadrature_values` it keeps are its own.
         """
         self.matrix_pattern  # built now, so that the view shares it
         other = copy.copy(self)
@@ -225,41 +225,55 @@ class FemSpace:
         Evaluated on first use and kept, read-only, for as long as the
         space lives: the points never change, so a function of ``x`` alone,
         such as a flux term's spatial factor, is evaluated once per space.
+        Values that are all one number are kept as that number broadcast to
+        the points, so a constant factor holds no array of their length.
         """
         values = self._quadrature_values.get(function)
         if values is None:
             nc, nq = self.quad_points.shape[:2]
             values = np.asarray(function(
                 self.quad_points.reshape(nc * nq, self.mesh.dim)))
-            values.flags.writeable = False
+            if values.size and (values == values[0]).all():
+                values = np.broadcast_to(values[0].copy(), values.shape)
+            else:
+                values.flags.writeable = False
             self._quadrature_values[function] = values
         return values
 
     def gradients_on_cells(self, values: np.ndarray) -> np.ndarray:
         """Per-cell constant gradients, shape (nc, n, dim)."""
-        nc, _, dim = self.grads.shape
+        nc, dim = self.mesh.num_cells, self.mesh.dim
         per_vertex = values.reshape(self.num_indep_vertices, self.n)
         return (self.gradient_matrix @ per_vertex).reshape(
             nc, dim, self.n).transpose(0, 2, 1)
 
     # -- per-space operators on one scalar component ----------------------
 
-    @cached_property
-    def gradient_matrix(self) -> sp.csr_matrix:
-        """Cell gradients of a scalar P1 field, (cells*dim) x vertices.
+    def _gradient_matrix(self) -> sp.csr_matrix:
+        """Cell gradients of a scalar P1 field, (cells*dim) x vertices:
+        the space's ``gradient_matrix``.
 
         Row ``c*dim + i`` holds d_i of cell c's hats at their independent
         vertices, so it has exactly dim + 1 entries.  A component-fastest
         field ``values.reshape(vertices, n)`` maps to its gradients
         component by component.
         """
-        nc, nv, dim = self.grads.shape
-        slots = self._vertex_slot[self.mesh.cells].astype(np.int32)  # nc, nv
+        mesh = self.mesh
+        nc, nv, dim = mesh.num_cells, mesh.dim + 1, mesh.dim
+        slots = self._vertex_slot[mesh.cells].astype(np.int32)  # nc, nv
         indices = np.broadcast_to(slots[:, None, :], (nc, dim, nv)).ravel()
-        data = self.grads.transpose(0, 2, 1).ravel()
+        data = _hat_gradients(mesh).transpose(0, 2, 1).ravel()
         indptr = np.arange(0, data.size + 1, nv, dtype=np.int32)
         return sp.csr_matrix((data, indices, indptr),
                              shape=(nc * dim, self.num_indep_vertices))
+
+    @property
+    def grads(self) -> np.ndarray:
+        """Gradients of each cell's hats, shape (nc, nverts, dim): a view
+        of ``gradient_matrix``'s data, the one copy the space holds."""
+        nc, nv, dim = self.mesh.num_cells, self.mesh.dim + 1, self.mesh.dim
+        return self.gradient_matrix.data.reshape(nc, dim, nv).transpose(
+            0, 2, 1)
 
     @cached_property
     def gram_matrix(self) -> sp.csr_matrix:
@@ -359,7 +373,13 @@ def _block_entries(pattern: VertexPattern, n: int):
     first = np.repeat(pattern.indptr[:-1], counts)
     at = n * (np.arange(len(pattern.indices)) + (n - 1) * first)
     width = n * np.repeat(counts, counts)
-    return lambda a, b: at + a * width + b
+
+    def entries(a, b):
+        positions = at + b
+        positions += a * width
+        return positions
+
+    return entries
 
 
 def _on_pattern(data: np.ndarray, indices: np.ndarray,
@@ -485,10 +505,13 @@ def _restrict(space, local, pairs=None):
     if n == 1:  # 1 x 1 blocks: the block pattern is the CSR pattern
         data = summed(0, 0) if pairs else np.zeros(nnzb)
     else:
+        # every block is summed before the data array exists, so that
+        # ``local`` can let go of what it builds them from
+        blocks = [summed(a, b) for a, b in pairs]
         data = np.zeros(n * n * nnzb)
         entries = _block_entries(pattern, n)
-        for a, b in pairs:
-            data[entries(a, b)] = summed(a, b)
+        for (a, b), block in zip(pairs, blocks):
+            data[entries(a, b)] = block
     matrix = _on_pattern(data, *space.matrix_pattern)
     matrix.has_canonical_format = True
     return matrix
@@ -499,18 +522,32 @@ def assemble_diffusion(space: FemSpace, tensor) -> SparseOperator:
 
     Row dof pattern is (component, derivative direction) of the test hat,
     column of the trial hat.
+
+    Hat gradients are constant per cell, so the coefficient enters only
+    through its integral over each cell, one (nc, N, N) array per
+    component pair (a, b).  The tensor is evaluated at one quadrature
+    point of every cell at a time, and its weighted values are summed into
+    the integrals in point order, so beside them only one point's values
+    are held, not every point's.  For a tensor of more than one entry this
+    is the order of ``einsum("cq,cq...->c...")`` over all points at once,
+    bit for bit.  Each pair's integral is dropped once its local matrix is
+    formed.
     """
     nc, nq = space.quad_points.shape[:2]
-    values = tensor.evaluate(
-        space.quad_points.reshape(nc * nq, space.mesh.dim))
-    # hat gradients are constant per cell, so the coefficient enters only
-    # through its integral over each cell, (nc, n, n, N, N)
-    cell_a = np.einsum("cq,cq...->c...", space.quad_weights,
-                       values.reshape(nc, nq, *values.shape[1:]))
-    del values
+    dim = space.mesh.dim
+    cell_a = {pair: np.zeros((nc, dim, dim))
+              for pair in np.ndindex(space.n, space.n)}
+    for q in range(nq):
+        values = tensor.evaluate(space.quad_points[:, q])
+        values *= space.quad_weights[:, q, None, None, None, None]
+        for a, b in cell_a:
+            cell_a[a, b] += values[:, a, b]
+        del values  # the next point's values would be held beside it
     grads = space.grads
+    # each block's integral is dropped once its local matrix is formed
     return SparseOperator(space, _restrict(space, lambda a, b: np.einsum(
-        "cij,cwi,cvj->cwv", cell_a[:, a, b], grads, grads, optimize=True)))
+        "cij,cwi,cvj->cwv", cell_a.pop((a, b)), grads, grads,
+        optimize=True)))
 
 
 def assemble_divergence_load(space: FemSpace, flux: np.ndarray) -> np.ndarray:

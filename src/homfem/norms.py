@@ -31,6 +31,8 @@ __all__ = [
 # relative growth of a gradient-norm column that meyers_probe still counts
 # as bounded
 MEYERS_SLACK = 0.05
+# points whose sine-mode factors the linear probe gathers at once
+_GATHER_CHUNK = 4096
 
 
 def linf_norm(u: DiscreteField) -> float:
@@ -88,23 +90,63 @@ def _harmonics(s1: np.ndarray, c1: np.ndarray, modes: int):
         yield k, s, c
 
 
-def _sine_modes(pts: np.ndarray, modes: int):
-    """Values and gradients at ``pts`` of the tensor-product sines
-    ``prod_i sin(k_i pi x_i)``, ``1 <= k_i <= modes``, one at a time.
+def _pairing(weighted: np.ndarray, test: np.ndarray) -> float:
+    """``sum_a |sum_p weighted[a, p] test[p]|``, an einsum sum over the
+    contiguous rows, so in the same order on any thread count."""
+    return abs(np.einsum("ap,p->a", weighted, test)).sum()
 
-    Gradients are flattened (point, direction).  Each axis takes one sine
-    and one cosine per point; every higher wave number follows by angle
-    addition, in 2D once per mode of the first axis.
+
+def _sine_pairings(pts: np.ndarray, modes: int, wdu: np.ndarray,
+                   wdflux: np.ndarray):
+    """The pairings of ``wdu`` (components, points) with the values, and of
+    ``wdflux`` (components, (point, direction)) with the gradients, at
+    ``pts`` (points, dim) of each tensor-product sine ``prod_i sin(k_i pi
+    x_i)``, ``1 <= k_i <= modes``, in that order; two lists.
+
+    Each axis tabulates ``sin(k pi x)`` and ``cos(k pi x)`` over its
+    distinct coordinates only: one sine and one cosine each, every higher
+    wave number by angle addition.  A mode gathers its factors from the
+    tables, ``_GATHER_CHUNK`` points at a time, and multiplies them into
+    one value and one gradient array that every mode reuses, as products
+    over every point would, so the pairings are those of point arrays,
+    bit for bit.  Beside ``wdu`` and ``wdflux`` the loop holds those
+    arrays, ``1 + dim`` floats per point, and one int32 index per point
+    and axis.
     """
-    axes = [(np.sin(np.pi * x), np.cos(np.pi * x)) for x in pts.T]
-    for k, s1, c1 in _harmonics(*axes[0], modes):
+    count, dim = pts.shape
+    at, tables = [], []
+    for x in pts.T:
+        coords = np.unique(x)
+        # int32, widened a chunk at a time for every gather of the chunk
+        at.append(np.searchsorted(coords, x).astype(np.int32))
+        tables.append(list(_harmonics(np.sin(np.pi * coords),
+                                      np.cos(np.pi * coords), modes)))
+    chunks = [slice(start, start + _GATHER_CHUNK)
+              for start in range(0, count, _GATHER_CHUNK)]
+    val, grad = np.empty(count), np.empty((count, dim))
+    first, second = np.empty(_GATHER_CHUNK), np.empty(_GATHER_CHUNK)
+    pairings, flux_pairings = [], []
+    for k, s1, c1 in tables[0]:
         d1 = k * np.pi * c1
-        if len(axes) == 1:
-            yield s1, d1
-            continue
-        for l, s2, c2 in _harmonics(*axes[1], modes):
-            yield s1 * s2, np.column_stack(
-                [d1 * s2, l * np.pi * s1 * c2]).ravel()
+        # in 1D each mode of the first axis is a mode, with no second factor
+        for l, s2, c2 in tables[1] if dim == 2 else [(0, None, None)]:
+            t1 = l * np.pi * s1
+            for chunk in chunks:
+                x = at[0][chunk].astype(np.intp)
+                if dim == 1:
+                    np.take(s1, x, out=val[chunk])
+                    np.take(d1, x, out=grad[chunk, 0])
+                    continue
+                y = at[1][chunk].astype(np.intp)
+                f, g = first[:len(x)], second[:len(x)]
+                np.take(s2, y, out=g)
+                np.multiply(np.take(s1, x, out=f), g, out=val[chunk])
+                np.multiply(np.take(d1, x, out=f), g, out=grad[chunk, 0])
+                np.multiply(np.take(t1, x, out=f), np.take(c2, y, out=g),
+                            out=grad[chunk, 1])
+            pairings.append(_pairing(wdu, val))
+            flux_pairings.append(_pairing(wdflux, grad.ravel()))
+    return pairings, flux_pairings
 
 
 @dataclass
@@ -143,41 +185,51 @@ def h_convergence_probe(tensor_eps: TensorField, ahat: HomogenizedTensor,
     test function ``psi = prod_i sin(k_i pi x_i)``, ``1 <= k_i <= modes``,
     the max-norm distance and the gradient L2 distance.  The row keeps the
     gradients of ``u_eps``, from which :func:`meyers_probe` reads its norms.
+
+    Its transients are bounded by one quadrature point's tensor values:
+    ``A_eps`` is integrated one quadrature point at a time (see
+    :func:`~homfem.fem.assemble_diffusion`), and so are the flux
+    differences, and the pairings hold beside the weighted differences
+    only one sine mode's values and gradients (:func:`_sine_pairings`).
     """
     space = u_hat.space
     dim, n = space.mesh.dim, space.n
     u_eps = solve_linear(assemble_diffusion(space, tensor_eps), -load,
                          near=near)
     grad_eps = space.gradients_on_cells(u_eps.values)
-    fluxhat = np.einsum("abij,cbj->cai", ahat.values,
-                        space.gradients_on_cells(u_hat.values))
 
     # quadrature-weighted differences, one quadrature point at a time, so
     # that each test function's pairings are two sums over columns (point)
-    # and (point, direction) per component.  The flux difference sums its
+    # and (point, direction) per component.  The flux at a point sums its
     # n * dim trial terms (b, j) one array product at a time, in that
-    # order; the pairings are einsum sums over contiguous rows.  Neither
-    # is a BLAS call, so both sum in the same order on any thread count
+    # order, straight into its columns; the effective flux is subtracted
+    # and the weight applied once every point's flux is in.  The pairings
+    # are einsum sums over contiguous rows.  None of it is a BLAS call, so
+    # it all sums in the same order on any thread count
     nc, nq = space.quad_points.shape[:2]
     weights = space.quad_weights
-    wdu = (weights[:, :, None] * space.values_at_quadrature(
-        u_eps.values - u_hat.values)).reshape(nc * nq, n).T.copy()
-    wdflux = np.empty((n, nc, nq, dim))
+    wdflux = np.zeros((n, nc, nq, dim))
     for q in range(nq):
         a_q = tensor_eps.evaluate(space.quad_points[:, q])  # (c, a, b, i, j)
-        flux = np.zeros((nc, n, dim))
+        flux = wdflux[:, :, q].swapaxes(0, 1)  # (c, a, i), a view
         for b in range(n):
             for j in range(dim):
                 flux += a_q[:, :, b, :, j] * grad_eps[:, b, j, None, None]
-        del a_q  # the last point's values would live through the pairings
-        wdflux[:, :, q] = np.moveaxis(
-            weights[:, q, None, None] * (flux - fluxhat), 1, 0)
-    wdflux = wdflux.reshape(n, nc * nq * dim)
-    pairings, flux_pairings = [], []
-    pts = space.quad_points.reshape(nc * nq, dim)
-    for val, grad in _sine_modes(pts, modes):
-        pairings.append(abs(np.einsum("ap,p->a", wdu, val)).sum())
-        flux_pairings.append(abs(np.einsum("ap,p->a", wdflux, grad)).sum())
+        del a_q  # the next point's values would be held beside it
+    fluxhat = np.einsum("abij,cbj->cai", ahat.values,
+                        space.gradients_on_cells(u_hat.values))
+    for q in range(nq):
+        flux = wdflux[:, :, q].swapaxes(0, 1)
+        flux -= fluxhat
+        flux *= weights[:, q, None, None]
+    del fluxhat  # it would be held beside the pairings
+    wdu = space.values_at_quadrature(u_eps.values - u_hat.values)
+    wdu *= weights[:, :, None]
+    wdu = wdu.reshape(nc * nq, n).T.copy()
+    pairings, flux_pairings = _sine_pairings(
+        space.quad_points.reshape(nc * nq, dim), modes, wdu,
+        wdflux.reshape(n, nc * nq * dim))
+    del wdu, wdflux  # they would be held beside the distances' gradients
     diff = u_eps - u_hat
     return HConvergenceRow(
         eps=tensor_eps.epsilon, h=space.mesh.h, n_cells=space.mesh.num_cells,

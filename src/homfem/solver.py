@@ -35,14 +35,18 @@ by ``C(u0)``, so :func:`approximate_solution` refines over the frozen
 factors (see :func:`~homfem.fem.solve_linear`).
 
 Newton's iteration and the fixed point run through one loop,
-:func:`_iterate`, which owns the start residual, the finiteness check, the
-one flux evaluation per iterate (the load ``D F(u)`` that gives an
-iterate's residual also gives the next step's right-hand side), both
-histories and the exits.  Only the step and the stopping history differ:
-Newton steps by ``u + (A + C(u))^{-1} (-(A u + D F(u)))`` and stops on the
-residual, the fixed point solves ``(A_eps + C(u0)) u_next = C(u0) u - D
-F(u)`` over its frozen factors and stops on the step norm.  The fixed point
-keeps that form rather than the algebraically equal defect correction
+:func:`_iterate`, which owns the finiteness check, the one flux evaluation
+per iterate (the load ``D F(u)`` that gives an iterate's residual also
+gives the next step's right-hand side; the fixed point, which forms no
+residual, still evaluates it at every iterate, and a flux that cannot be
+evaluated there ends the run), the one history each loop records and the
+exits.  Only the step and the stopping history differ: Newton steps by
+``u + (A + C(u))^{-1} (-(A u + D F(u)))`` and records and stops on the
+residual, and takes no step norm, so it never builds the space's Gram
+matrix; the fixed point solves ``(A_eps + C(u0)) u_next = C(u0) u - D
+F(u)`` over its frozen factors and records and stops on the step norm.
+The fixed point keeps that form rather than the algebraically equal
+defect correction
 ``u - (A_eps + C(u0))^{-1} (A_eps u + D F(u))``: ``A_eps u + D F(u)``
 carries round-off of order ``|A_eps| ~ 1/h``, which on fine meshes lifts
 the contraction factors of a converged run by orders of magnitude.
@@ -105,7 +109,8 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
-    """Iteration record of a Newton or fixed-point run."""
+    """Iteration record of a Newton or fixed-point run: Newton fills
+    ``residual_history``, the fixed point ``step_norms``."""
 
     status: str = "running"          # converged | max-iter | diverged
     iterations: int = 0
@@ -138,15 +143,19 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
 
     ``advance(u, load, residual)`` returns the next iterate from an
     accepted one, its load ``D F(u)`` and its residual ``A u + D F(u)``.
-    The run converges once the last entry of the report's ``stop_on``
-    history (``residual_history`` or ``step_norms``) is at most ``tol``.
-    A failed first step propagates; a later one, a non-finite iterate, or
-    a flux that cannot be evaluated at the new iterate ends the run as
-    diverged at the last accepted iterate.
+    The report records only its ``stop_on`` history, and the run converges
+    once that history's last entry is at most ``tol``: on
+    ``residual_history`` the residual is formed at every iterate, and
+    ``advance`` gets it; on ``step_norms`` it is never formed, ``advance``
+    gets None, and each step's W^{1,2} norm is taken.  A failed first
+    step propagates; a later one, a non-finite iterate, or a flux that
+    cannot be evaluated at the new iterate ends the run as diverged at the
+    last accepted iterate.
     """
     space = diffusion.space
+    on_residual = stop_on == "residual_history"
     load = _flux_load(space, nl, u)
-    residual = diffusion.matrix @ u.free() + load
+    residual = diffusion.matrix @ u.free() + load if on_residual else None
     report = SolverReport()
     history = getattr(report, stop_on)
     for _ in range(max_iter):
@@ -164,11 +173,13 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
         except ValueError:
             report.status = "diverged"
             break
-        report.step_norms.append(w1p_norm(u_next - u))
+        if on_residual:
+            residual = diffusion.matrix @ u_next.free() + load
+            history.append(norm2(residual))
+        else:
+            history.append(w1p_norm(u_next - u))
         u = u_next
         report.iterations += 1
-        residual = diffusion.matrix @ u.free() + load
-        report.residual_history.append(norm2(residual))
         if history[-1] <= tol:
             report.status = "converged"
             break
@@ -316,7 +327,8 @@ class FrozenOperator:
 
     def advance(self, u, load, residual):
         """The fixed-point step: ``u_next`` solves
-        ``(A + C(u0)) u_next = C(u0) u - D F(u)``."""
+        ``(A + C(u0)) u_next = C(u0) u - D F(u)``; it reads no
+        ``residual``, and the fixed point forms none."""
         return self.diffusion.space.field_from_free(
             self.lu.solve(self.C.matrix @ u.free() - load))
 

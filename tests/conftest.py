@@ -11,8 +11,8 @@ from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
 from homfem.expressions import compile_expression
-from homfem.fem import (FemSpace, assemble_diffusion, assemble_divergence_load,
-                        solve_linear)
+from homfem.fem import (FemSpace, _restrict, assemble_diffusion,
+                        assemble_divergence_load, solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.nonlin import Constant, Monomial, Nonlinearity, Polynomial
@@ -103,6 +103,51 @@ def unique_pattern(cells, size):
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(block_rows, minlength=size), out=indptr[1:])
     return indices.astype(np.int32), indptr, slot
+
+
+def one_call_diffusion(space, tensor):
+    """The integration that ``assemble_diffusion`` replaced: the tensor
+    evaluated at every quadrature point in one call, integrated over each
+    cell by ``einsum("cq,cq...->c...")``, then summed into the space's
+    pattern as ``assemble_diffusion`` sums it."""
+    nc, nq = space.quad_points.shape[:2]
+    values = tensor.evaluate(
+        space.quad_points.reshape(nc * nq, space.mesh.dim))
+    cell_a = np.einsum("cq,cq...->c...", space.quad_weights,
+                       values.reshape(nc, nq, *values.shape[1:]))
+    grads = space.grads
+    return _restrict(space, lambda a, b: np.einsum(
+        "cij,cwi,cvj->cwv", cell_a[:, a, b], grads, grads, optimize=True))
+
+
+def mode_loop_pairings(pts, modes, wdu, wdflux):
+    """The mode loop that ``norms._sine_pairings`` replaced: each sine
+    mode's values and gradients at every point, by angle addition over
+    whole point arrays, paired with ``wdu`` and ``wdflux`` by the same
+    einsum sums; returns the two lists of pairings."""
+    def harmonics(s1, c1):
+        s, c = s1, c1
+        for k in range(1, modes + 1):
+            if k > 1:
+                s, c = s * c1 + c * s1, c * c1 - s * s1
+            yield k, s, c
+
+    def sine_modes():
+        axes = [(np.sin(np.pi * x), np.cos(np.pi * x)) for x in pts.T]
+        for k, s1, c1 in harmonics(*axes[0]):
+            d1 = k * np.pi * c1
+            if len(axes) == 1:
+                yield s1, d1
+                continue
+            for l, s2, c2 in harmonics(*axes[1]):
+                yield s1 * s2, np.column_stack(
+                    [d1 * s2, l * np.pi * s1 * c2]).ravel()
+
+    pairings, flux_pairings = [], []
+    for val, grad in sine_modes():
+        pairings.append(abs(np.einsum("ap,p->a", wdu, val)).sum())
+        flux_pairings.append(abs(np.einsum("ap,p->a", wdflux, grad)).sum())
+    return pairings, flux_pairings
 
 
 def coo_restrict(space, local):

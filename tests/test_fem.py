@@ -21,9 +21,9 @@ from homfem.expressions import compile_expression
 from homfem.cli import compute_effective_tensor, parse_config
 from homfem.coeff import HomogenizedTensor
 from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
-                        SineSolver, SparseOperator, assemble_diffusion,
-                        assemble_divergence_load, assemble_jacobian_coupling,
-                        lu_factor, solve_linear)
+                        SineSolver, SparseOperator, _hat_gradients,
+                        assemble_diffusion, assemble_divergence_load,
+                        assemble_jacobian_coupling, lu_factor, solve_linear)
 from homfem.mesh import (Mesh, build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
 from homfem.nonlin import (Monomial, Nonlinearity, Polynomial,
@@ -33,8 +33,8 @@ from homfem.solver import (FrozenOperator, nondegeneracy_margin,
 
 from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
                       coo_jacobian_coupling, coupled_scenario_2d,
-                      effective_operator, oscillatory_scenario_1d, space_1d,
-                      unique_pattern)
+                      effective_operator, one_call_diffusion,
+                      oscillatory_scenario_1d, space_1d, unique_pattern)
 
 
 def _flux_from_fn(space, fn):
@@ -650,6 +650,26 @@ class TestFemSpace:
         with pytest.raises(ValueError):
             DiscreteField(space, np.zeros(3))
 
+    def test_hat_gradients_are_the_gradient_matrix_data(self):
+        # one copy: the gradients are a view of the matrix's data, which a
+        # 3-point view of the space shares
+        space = FemSpace(build_unit_square_mesh(4), 2)
+        grads = space.grads
+        assert np.array_equal(grads, _hat_gradients(space.mesh))
+        assert np.shares_memory(grads, space.gradient_matrix.data)
+        view = space.with_quadrature("3point")
+        assert view.gradient_matrix is space.gradient_matrix
+
+    def test_a_constant_spatial_factor_is_held_as_a_broadcast(self):
+        space = FemSpace(build_unit_square_mesh(4), 1, quadrature="3point")
+        constant = space.quadrature_values(compile_expression("0.25", 2))
+        varying = space.quadrature_values(compile_expression("x1 + x2", 2))
+        for values in (constant, varying):
+            assert values.shape == (space.mesh.num_cells * 3,)
+            assert not values.flags.writeable
+        assert constant.strides == (0,) and np.all(constant == 0.25)
+        assert varying.strides == (8,)
+
     def test_midpoint_value_is_vertex_average(self):
         space = space_1d(2)
         u = DiscreteField(space, np.array([0.0, 2.0, 0.0]))
@@ -801,15 +821,68 @@ def _einsum_divergence_load(space, flux):
 
 
 class _RandomTensor:
-    """Reproducible standard-normal tensor values, independent of x."""
+    """Reproducible pseudo-random tensor values: each entry is a seeded
+    random multiple of the sine of a seeded random affine form of x, with
+    frequencies of about a hundred, so neighbouring points draw unrelated
+    values.  A point's values are elementwise functions of its own
+    coordinates, so they do not depend on the other points of an
+    ``evaluate`` call."""
 
     def __init__(self, space, seed):
         self.shape = (space.n, space.n, space.mesh.dim, space.mesh.dim)
-        self.seed = seed
+        size = int(np.prod(self.shape))
+        rng = np.random.default_rng(seed)
+        self.scale = rng.standard_normal(size)
+        self.freq = rng.uniform(-150.0, 150.0, (space.mesh.dim, size))
+        self.phase = rng.uniform(0.0, 2.0 * np.pi, size)
 
     def evaluate(self, points):
-        rng = np.random.default_rng(self.seed)
-        return rng.standard_normal((len(points),) + self.shape)
+        pts = np.atleast_2d(points)
+        arg = self.phase + sum(pts[:, i, None] * self.freq[i]
+                               for i in range(pts.shape[1]))
+        return (self.scale * np.sin(arg)).reshape(
+            (len(pts),) + self.shape)
+
+
+# spaces under the 3-point rule and tensors integrated on them: the family
+# members of the shipped configs, and seeded random tensors
+POINTWISE_CASES = {
+    "interval-shipped": (
+        lambda: FemSpace(build_interval_mesh(40), 1, "3point"),
+        lambda space: TensorField.piecewise(1, 1, (2,), [1.0, 4.0],
+                                            epsilon=1 / 8)),
+    "interval-system-random": (
+        lambda: FemSpace(build_interval_mesh(40), 2, "3point"),
+        lambda space: _RandomTensor(space, 8)),
+    "square-shipped": (
+        lambda: FemSpace(build_unit_square_mesh(16), 2, "3point"),
+        lambda space: coupled_scenario_2d()[0].with_epsilon(1 / 4)),
+    "square-random": (
+        lambda: FemSpace(build_unit_square_mesh(16), 2, "3point"),
+        lambda space: _RandomTensor(space, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_CASES))
+def test_pointwise_integration_matches_the_one_call_oracle(name):
+    # one quadrature point at a time, in point order: bit for bit the
+    # integration of every point's values at once
+    build_space, build_tensor = POINTWISE_CASES[name]
+    space = build_space()
+    tensor = build_tensor(space)
+    _assert_same_csr(assemble_diffusion(space, tensor).matrix,
+                     one_call_diffusion(space, tensor))
+
+
+def test_pointwise_integration_of_a_scalar_1d_tensor():
+    # a tensor with a single entry is the one case where the one-call
+    # einsum does not sum in point order: its points are its contiguous
+    # inner loop, which einsum sums over two SIMD lanes, (p0 + p2) + p1
+    # on three points.  Point order agrees with it to round-off
+    space = FemSpace(build_interval_mesh(40), 1, "3point")
+    tensor = _RandomTensor(space, 8)
+    assert_relative_close(assemble_diffusion(space, tensor).matrix.data,
+                          one_call_diffusion(space, tensor).data, 1e-15)
 
 
 def _random_jacobian(space, seed):

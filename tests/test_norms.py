@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,17 +8,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from homfem.coeff import HomogenizedTensor, TensorField
-from homfem.fem import (DiscreteField, FemSpace, assemble_diffusion,
-                        assemble_divergence_load, quadrature_rule,
-                        solve_linear)
+from homfem.fem import (DiscreteField, FemSpace, SineSolver,
+                        assemble_diffusion, assemble_divergence_load,
+                        lu_factor, quadrature_rule, solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.norms import (_sine_modes, fit_rate, gradient_lp_norm, linf_norm,
+from homfem.norms import (_GATHER_CHUNK, _sine_pairings, fit_rate,
+                          gradient_lp_norm, h_convergence_probe, linf_norm,
                           meyers_probe, probe_load, w1p_norm)
 
 from conftest import (KERNEL_SPACES, assert_relative_close,
-                      coupled_scenario_2d, flux_identity, piecewise_14_tensor,
-                      probe_rows, space_1d)
+                      coupled_scenario_2d, flux_identity, mode_loop_pairings,
+                      piecewise_14_tensor, probe_rows, space_1d)
 from homfem.cell import homogenized_tensor_1d
 
 
@@ -349,9 +351,13 @@ def test_probe_pairings_match_per_function_einsum():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sine_modes_match_direct_trig(dim):
-    # modes 1 ... 8 by angle addition, against a sine and a cosine per
-    # wave number and point
-    pts = np.random.default_rng(dim).uniform(size=(500, dim))
+    # modes 1 ... 8 by angle addition over each axis's distinct
+    # coordinates, against a sine and a cosine per wave number and point,
+    # through the pairings with random weights
+    rng = np.random.default_rng(dim)
+    pts = rng.choice(rng.uniform(size=37), size=(500, dim))
+    wdu = rng.standard_normal((2, 500))
+    wdflux = rng.standard_normal((2, 500 * dim))
     if dim == 1:
         direct = [(np.sin(k * np.pi * pts[:, 0]),
                    k * np.pi * np.cos(k * np.pi * pts[:, 0]))
@@ -359,11 +365,65 @@ def test_sine_modes_match_direct_trig(dim):
     else:
         direct = [(val(pts), grad(pts).ravel())
                   for val, grad in _sine_test_functions_2d(modes=8)]
-    modes = list(_sine_modes(pts, 8))
-    assert len(modes) == len(direct)
-    for (val, grad), (val_ref, grad_ref) in zip(modes, direct):
-        assert_relative_close(val, val_ref, 1e-13)
-        assert_relative_close(grad, grad_ref, 1e-13)
+    pairings, flux_pairings = _sine_pairings(pts, 8, wdu, wdflux)
+    assert len(pairings) == len(flux_pairings) == len(direct)
+    assert_relative_close(pairings, [np.abs(wdu @ val).sum()
+                                     for val, _ in direct], 1e-13)
+    assert_relative_close(flux_pairings, [np.abs(wdflux @ grad).sum()
+                                          for _, grad in direct], 1e-13)
+
+
+# the probe's spaces under the 3-point rule, with more quadrature points
+# than the pairings gather at once, and a last chunk that is not full
+PAIRING_SPACES = {
+    "interval": lambda: FemSpace(build_interval_mesh(3000), 1, "3point"),
+    "square": lambda: FemSpace(build_unit_square_mesh(41), 2, "3point"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_SPACES))
+def test_sine_pairings_match_the_mode_loop_bit_for_bit(name):
+    space = PAIRING_SPACES[name]()
+    nc, nq = space.quad_points.shape[:2]
+    pts = space.quad_points.reshape(nc * nq, space.mesh.dim)
+    assert len(pts) > 2 * _GATHER_CHUNK and len(pts) % _GATHER_CHUNK
+    rng = np.random.default_rng(5)
+    wdu = rng.standard_normal((2, len(pts)))
+    wdflux = rng.standard_normal((2, pts.size))
+    assert (_sine_pairings(pts, 4, wdu, wdflux)
+            == mode_loop_pairings(pts, 4, wdu, wdflux))
+
+
+class TestProbeMemory:
+    """Above what it is handed, the linear probe on coupled_2d's system at
+    eps = 1/8 holds 104 bytes per quadrature point at its peak, at most
+    half of the 219 it held when it integrated every point's tensor
+    values at once and built each sine mode from whole point arrays: it
+    holds the tensor's values at one quadrature point of every cell at a
+    time, as it integrates ``A_eps`` and as it forms the flux
+    differences, and beside the weighted differences the factors of one
+    sine mode."""
+
+    def test_peak_stays_under_109_bytes_per_quadrature_point(self):
+        base, _ = coupled_scenario_2d()
+        values = np.zeros((2, 2, 2, 2))
+        for i in range(2):
+            values[:, :, i, i] = [[2.0, 0.25], [0.25, 2.0]]
+        ahat = HomogenizedTensor(values)
+        space = FemSpace(build_unit_square_mesh(64), 2, "3point")
+        load = probe_load(space)
+        u_hat = solve_linear(assemble_diffusion(space, ahat), -load,
+                             near=SineSolver(space, values))
+        tensor_eps = base.with_epsilon(1 / 8)
+        # a factor held by the caller, as a sweep row's frozen one is
+        near = lu_factor(assemble_diffusion(space, tensor_eps).matrix)
+        tracemalloc.start()
+        try:
+            h_convergence_probe(tensor_eps, ahat, u_hat, load, 4, near=near)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 109 * space.quad_points.shape[0] * 3
 
 
 def _linear_solves(tensor, eps_list):
