@@ -9,7 +9,8 @@ solution.  Norm and convergence diagnostics round out the picture.
 """
 
 from .mesh import Mesh, build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .coeff import HomogenizedTensor, TensorField, add_defect
+from .coeff import (ConstantTensor, ExpressionTensor, HomogenizedTensor,
+                    PiecewiseTensor, TensorField, add_defect)
 from .fem import (DiscreteField, FemSpace, LinearSolveError, SparseOperator,
                   assemble_diffusion, assemble_divergence_load,
                   assemble_jacobian_coupling, solve_linear)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import HomogenizedTensor, TensorField, sample_grid
+from .coeff import (HomogenizedTensor, PiecewiseTensor, TensorField,
+                    sample_grid)
 from .fem import (DiscreteField, FemSpace, assemble_diffusion,
                   assemble_divergence_load, lu_factor)
 from .mesh import Mesh
@@ -155,9 +156,8 @@ def homogenized_tensor_1d(base: TensorField) -> HomogenizedTensor:
         raise ValueError("pass the defect-free base; the inverse-average "
                          "formula never sees the defect")
     n = base.n
-    entries = base.base
-    if getattr(entries, "kind", None) == "piecewise":
-        k = entries.grid[0]
+    if isinstance(base.base, PiecewiseTensor):
+        k = base.base.cells.shape[0]
         pts = (np.arange(k)[:, None] + 0.5) / k
         weights = np.full(k, 1.0 / k)
     else:

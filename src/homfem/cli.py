@@ -3,10 +3,11 @@
 Problem configs are YAML documents read by one reader (:func:`_section`):
 every section, the tensor, flux-term, value-factor and monomial specs
 included, is a dataclass whose fields are its keys, and a spec of several
-kinds is one dataclass per kind, chosen by its ``kind`` key.  The value
-factors, the table ``g`` and the monomial are :mod:`homfem.nonlin`'s own
-classes; their agreement with ``system_dim`` and the domain dimension is
-checked here, in :meth:`TermConfig.build`.  A bad config
+kinds is one dataclass per kind, chosen by its ``kind`` key.  The tensor
+and defect kinds are :mod:`homfem.coeff`'s own classes, and the value
+factors, the table ``g`` and the monomial :mod:`homfem.nonlin`'s; their
+agreement with ``system_dim`` and the domain dimension is checked here, in
+``ProblemConfig._field`` and :meth:`TermConfig.build`.  A bad config
 fails at parse time with a :class:`ConfigError` naming the key by its full
 path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.  Runs are
 reproducible functions of the config and the seed.  Subcommands:
@@ -42,7 +43,8 @@ import numpy as np
 import yaml
 
 from .cell import homogenized_tensor_1d, solve_cell_problems
-from .coeff import (EllipticityError, HomogenizedTensor, TensorField,
+from .coeff import (ConstantTensor, EllipticityError, ExpressionTensor,
+                    HomogenizedTensor, PiecewiseTensor, TensorField,
                     add_defect, sample_grid)
 from .expressions import compile_expression
 from .fem import (DiscreteField, FemSpace, LinearSolveError, SineSolver,
@@ -99,60 +101,6 @@ def _naming(key: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-
-
-class _TensorSpec:
-    """A tensor kind, whose ``table`` key holds its entries."""
-
-    def build(self, n, dim, key, zero_outside=False) -> TensorField:
-        with _naming(f"{key}.{self.table}"):
-            return self.make(n, dim, zero_outside)
-
-
-@dataclass(kw_only=True)
-class ConstantTensor(_TensorSpec):
-    """``value`` everywhere: ``c delta_ab delta_ij`` for a number ``c``, or
-    a full ``[alpha][beta][i][j]`` nest."""
-
-    kind: typing.Literal["constant"]
-    value: Nested[float]
-    table = "value"
-
-    def make(self, n, dim, zero_outside) -> TensorField:
-        return TensorField.constant(n, dim, self.value)
-
-
-@dataclass(kw_only=True)
-class PiecewiseTensor(_TensorSpec):
-    """``values`` on the cells of a uniform ``grid`` of the unit cell, each
-    entry as a constant tensor's ``value``."""
-
-    kind: typing.Literal["piecewise"]
-    grid: list[int]
-    values: list[Nested[float]]
-    table = "values"
-
-    def build(self, n, dim, key, zero_outside=False) -> TensorField:
-        _check_count(f"{key}.grid", self.grid, dim, "the domain's dimension",
-                     low=1)
-        return super().build(n, dim, key, zero_outside)
-
-    def make(self, n, dim, zero_outside) -> TensorField:
-        return TensorField.piecewise(n, dim, self.grid, self.values,
-                                     zero_outside=zero_outside)
-
-
-@dataclass(kw_only=True)
-class ExpressionTensor(_TensorSpec):
-    """``entries``, an ``[alpha][beta][i][j]`` nest of expression strings
-    and numbers, or one string ``s`` for ``s delta_ab delta_ij``."""
-
-    kind: typing.Literal["expression"]
-    entries: Nested[float | str]
-    table = "entries"
-
-    def make(self, n, dim, zero_outside) -> TensorField:
-        return TensorField.from_expressions(n, dim, self.entries)
 
 
 def _check_factor(h, n: int, key: str) -> None:
@@ -289,11 +237,10 @@ class ProblemConfig:
 
     @functools.cached_property
     def coefficient(self) -> TensorField:
-        base = self.tensor.build(self.system_dim, self.dim, "tensor")
+        base = self._field(self.tensor, "tensor")
         if self.defect is None:
             return base
-        dfield = self.defect.build(self.system_dim, self.dim, "defect",
-                                   zero_outside=True)
+        dfield = self._field(self.defect, "defect")
         # probe scale only used for the margin check; callers rescale
         try:
             return add_defect(base, dfield,
@@ -303,6 +250,15 @@ class ProblemConfig:
                               f"{self.defect.table}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"defect: {exc}") from exc
+
+    def _field(self, spec: TensorSpec, key: str) -> TensorField:
+        """The field of the spec at ``key``, or a ConfigError naming the
+        key that disagrees with ``system_dim`` or the domain."""
+        if isinstance(spec, PiecewiseTensor):
+            _check_count(f"{key}.grid", spec.grid, self.dim,
+                         "the domain's dimension", low=1)
+        with _naming(f"{key}.{spec.table}"):
+            return TensorField(self.system_dim, self.dim, spec)
 
     @functools.cached_property
     def flux(self) -> Nonlinearity:
@@ -420,12 +376,14 @@ def parse_config(text: str) -> ProblemConfig:
     """Parse and validate a YAML problem config; defaults are filled in."""
     cfg = _section(ProblemConfig, yaml.safe_load(text))
 
-    # eager builds validate entry shapes, expressions and catalog membership
+    # eager builds validate entry shapes, expressions and catalog membership;
+    # the hypothesis dichotomy (two space dimensions, or triangular
+    # coefficients) samples the tensor, which must be finite there
     base = cfg.coefficient
+    with _naming(f"tensor.{cfg.tensor.table}"):
+        triangular = cfg.dim == 2 or base.triangular
     cfg.flux
-
-    # hypothesis dichotomy: two space dimensions, or triangular coefficients
-    if cfg.dim != 2 and not base.triangular:
+    if not triangular:
         cfg.warnings.append(
             "neither N=2 nor triangular coefficients: existence/uniqueness "
             "guarantees do not apply; running for exploration only")

@@ -5,10 +5,13 @@ rescaled by a small parameter ``eps`` (values are then ``base((x/eps) mod 1)``)
 and optionally perturbed by a localized defect evaluated at ``x/eps`` without
 wrapping, so the defect is seen once instead of repeating with the period.
 
-Entries come from three evaluator kinds: constants, piecewise-constant tables
-on a uniform grid over the unit cell, and closed-form expression strings (see
+Entries come from three kinds, each a dataclass whose fields are its config
+keys: :class:`ConstantTensor`, :class:`PiecewiseTensor` (a table on a
+uniform grid over the unit cell, zero outside it when it is a defect) and
+:class:`ExpressionTensor` (closed-form strings, see
 :mod:`homfem.expressions`).  Arbitrary callbacks are deliberately not
-supported so that problem configs stay serializable.
+supported so that problem configs stay serializable.  Triangularity (no
+entry with alpha > beta) is read from samples on first access.
 
 Ellipticity bookkeeping is observational: the pointwise quadratic-form margin
 is sampled on a grid (default 256 per axis) and reported as an observed
@@ -17,13 +20,20 @@ value, since the entries are only essentially bounded.
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import compile_expression
+from .nonlin import Nested
 
 __all__ = [
+    "ConstantTensor",
+    "PiecewiseTensor",
+    "ExpressionTensor",
     "TensorField",
     "HomogenizedTensor",
     "add_defect",
@@ -59,16 +69,6 @@ def _as_entry_array(n, dim, value):
         f"(n={n}, n={n}, N={dim}, N={dim}) tensor")
 
 
-class _ConstantEntries:
-    kind = "constant"
-
-    def __init__(self, n, dim, value):
-        self.array = _as_entry_array(n, dim, value)
-
-    def __call__(self, pts):
-        return np.broadcast_to(self.array, (pts.shape[0],) + self.array.shape).copy()
-
-
 def _flatten_table(values, grid):
     """Flatten a possibly nested table to a row-major entry list.
 
@@ -88,43 +88,69 @@ def _flatten_table(values, grid):
     return values
 
 
-class _PiecewiseEntries:
-    """Piecewise-constant values on a uniform grid over the unit cell."""
+@dataclass(kw_only=True)
+class ConstantTensor:
+    """``value`` everywhere: ``c delta_ab delta_ij`` for a number ``c``, or
+    a full ``[alpha][beta][i][j]`` nest."""
 
-    kind = "piecewise"
+    kind: typing.Literal["constant"]
+    value: Nested[float]
+    table = "value"
 
-    def __init__(self, n, dim, grid, values, zero_outside=False):
-        grid = tuple(int(g) for g in grid)
+    def bind(self, n, dim):
+        self.array = _as_entry_array(n, dim, self.value)
+
+    def __call__(self, pts):
+        return np.broadcast_to(self.array, (pts.shape[0],) + self.array.shape).copy()
+
+
+@dataclass(kw_only=True)
+class PiecewiseTensor:
+    """``values`` on the cells of a uniform ``grid`` of the unit cell, each
+    entry as a constant tensor's ``value``, nested by grid axis or flat."""
+
+    kind: typing.Literal["piecewise"]
+    grid: list[int]
+    values: list[Nested[float]]
+    table = "values"
+
+    def bind(self, n, dim):
+        grid = tuple(int(g) for g in self.grid)
         if len(grid) != dim or any(g < 1 for g in grid):
             raise ValueError(f"grid {grid} does not match dimension {dim}")
-        flat = _flatten_table(values, grid)
+        flat = _flatten_table(self.values, grid)
         if len(flat) != int(np.prod(grid)):
             raise ValueError(
                 f"piecewise table has {len(flat)} entries, grid needs "
                 f"{int(np.prod(grid))}")
         table = np.stack([_as_entry_array(n, dim, v) for v in flat])
-        self.grid = grid
-        self.table = table.reshape(grid + (n, n, dim, dim))
-        self.zero_outside = zero_outside
+        self.cells = table.reshape(grid + (n, n, dim, dim))
 
-    def __call__(self, pts):
+    def __call__(self, pts, zero_outside=False):
         m = pts.shape[0]
         idx = []
         inside = np.ones(m, dtype=bool)
-        for axis, g in enumerate(self.grid):
+        for axis, g in enumerate(self.cells.shape[:-4]):
             raw = np.floor(pts[:, axis] * g).astype(int)
             inside &= (raw >= 0) & (raw < g)
             idx.append(np.clip(raw, 0, g - 1))
-        out = self.table[tuple(idx)].copy()
-        if self.zero_outside:
+        out = self.cells[tuple(idx)].copy()
+        if zero_outside:
             out[~inside] = 0.0
         return out
 
 
-class _ExpressionEntries:
-    kind = "expression"
+@dataclass(kw_only=True)
+class ExpressionTensor:
+    """``entries``, an ``[alpha][beta][i][j]`` nest of expression strings
+    and numbers, or one string ``s`` for ``s delta_ab delta_ij``."""
 
-    def __init__(self, n, dim, entries):
+    kind: typing.Literal["expression"]
+    entries: Nested[float | str]
+    table = "entries"
+
+    def bind(self, n, dim):
+        entries = self.entries
         if isinstance(entries, str):
             full = [[[[entries if (a == b and i == j) else 0.0
                        for j in range(dim)] for i in range(dim)]
@@ -135,60 +161,47 @@ class _ExpressionEntries:
             raise ValueError(
                 f"cannot interpret entries of shape {table.shape} as an "
                 f"(n={n}, n={n}, N={dim}, N={dim}) tensor")
-        self.n, self.dim = n, dim
         self.fns = np.empty(table.shape, dtype=object)
         for idx, e in np.ndenumerate(table):
             self.fns[idx] = (compile_expression(e, dim) if isinstance(e, str)
                              else float(e))
 
     def __call__(self, pts):
-        out = np.empty((pts.shape[0], self.n, self.n, self.dim, self.dim))
+        out = np.empty((pts.shape[0],) + self.fns.shape)
         for idx, f in np.ndenumerate(self.fns):
             out[(slice(None),) + idx] = f(pts) if callable(f) else f
         return out
 
 
+def _unwrapped(spec, pts):
+    """A defect's values at points not wrapped into the unit cell: a
+    table's are zero off the cell, where a base's are clipped into it."""
+    if isinstance(spec, PiecewiseTensor):
+        return spec(pts, zero_outside=True)
+    return spec(pts)
+
+
 class TensorField:
     """Diffusion tensor a(eps, x) = base((x/eps) mod 1) + defect(x/eps).
 
-    ``epsilon=None`` means the base is evaluated at x directly (no rescale);
-    the defect, when present, is always evaluated unwrapped.
+    ``base`` and ``defect`` are tensor specs, bound here to ``n`` and
+    ``dim``; a spec keeps the binding of the last field built on it.
+    ``epsilon=None`` means the base is evaluated at x directly (no
+    rescale); the defect, when present, is always evaluated unwrapped.
     """
 
-    def __init__(self, n, dim, base_entries, epsilon=None, defect=None,
-                 triangular=None):
+    def __init__(self, n, dim, base, epsilon=None, defect=None):
         self.n = int(n)
         self.dim = int(dim)
-        self.base = base_entries
+        self.base = base
         self.epsilon = epsilon
-        self.defect = defect  # entries evaluated at x/eps, unwrapped
+        self.defect = defect  # evaluated at x/eps, unwrapped
         self._margin = None
         if epsilon is not None and epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        detected = self._detect_triangular()
-        if triangular is None:
-            self.triangular = detected
-        elif triangular and not detected:
-            raise ValueError("tensor declared triangular but has entries "
-                             "with row index above column index")
-        else:
-            self.triangular = bool(triangular)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(cls, n, dim, value, **kw):
-        return cls(n, dim, _ConstantEntries(n, dim, value), **kw)
-
-    @classmethod
-    def piecewise(cls, n, dim, grid, values, zero_outside=False, **kw):
-        return cls(n, dim,
-                   _PiecewiseEntries(n, dim, grid, values, zero_outside),
-                   **kw)
-
-    @classmethod
-    def from_expressions(cls, n, dim, entries, **kw):
-        return cls(n, dim, _ExpressionEntries(n, dim, entries), **kw)
+        for spec in (base, defect):
+            if spec is not None:
+                spec.bind(self.n, self.dim)
 
     # -- evaluation -----------------------------------------------------
 
@@ -198,7 +211,7 @@ class TensorField:
         y = pts if self.epsilon is None else pts / self.epsilon
         vals = self.base(np.mod(y, 1.0))
         if self.defect is not None:
-            vals = vals + self.defect(y)
+            vals = vals + _unwrapped(self.defect, y)
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals).reshape(len(pts), -1).all(axis=1))
             raise ValueError(
@@ -208,19 +221,21 @@ class TensorField:
     def with_epsilon(self, epsilon):
         """The same coefficient family member at scale ``epsilon``."""
         return TensorField(self.n, self.dim, self.base, epsilon=epsilon,
-                           defect=self.defect, triangular=self.triangular)
+                           defect=self.defect)
 
     def without_defect(self):
         """The periodic base alone; the cell problems and the effective
         tensor are defined through it, never through the defect."""
         if self.defect is None:
             return self
-        return TensorField(self.n, self.dim, self.base, epsilon=self.epsilon,
-                           triangular=self.triangular)
+        return TensorField(self.n, self.dim, self.base, epsilon=self.epsilon)
 
     # -- validation -----------------------------------------------------
 
-    def _detect_triangular(self):
+    @functools.cached_property
+    def triangular(self) -> bool:
+        """No entry with alpha > beta, read from 16 samples per axis on
+        the first access."""
         if self.n == 1:
             return True
         vals = self._sample_values(16)
@@ -275,7 +290,7 @@ def _quadratic_form_margin(values):
     return margin
 
 
-def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):
+def _mean_density_profile(spec, radii, centers, spacing=1.0 / 32.0):
     """max over centers of (1/r^N) * integral of |b| over the r-ball.
 
     The sample spacing is held fixed across radii so the estimates at
@@ -296,7 +311,7 @@ def _mean_density_profile(entries, radii, centers, spacing=1.0 / 32.0):
                 pts = np.column_stack([xx.ravel(), yy.ravel()])
             inside = np.linalg.norm(pts - c, axis=1) < r
             vol_el = (2.0 * r / grid) ** dim
-            vals = np.abs(entries(pts)).sum(axis=(1, 2, 3, 4))
+            vals = np.abs(_unwrapped(spec, pts)).sum(axis=(1, 2, 3, 4))
             worst = max(worst, float(vals[inside].sum()) * vol_el / r ** dim)
         out.append(worst)
     return out
@@ -321,8 +336,7 @@ def add_defect(base: TensorField, defect: TensorField, epsilon: float) -> Tensor
             "defect fails the localization spot-check: ball-mean of |b| "
             f"does not decay with radius ({profile})")
     combined = TensorField(base.n, base.dim, base.base, epsilon=epsilon,
-                           defect=defect.base,
-                           triangular=base.triangular and defect.triangular)
+                           defect=defect.base)
     margin = combined.observed_margin()
     if margin <= 0.0:
         raise EllipticityError(

@@ -457,9 +457,6 @@ class DiscreteField:
         self.space = space
         self.values = values
 
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(self.space, self.values.copy())
-
     def free(self) -> np.ndarray:
         return self.values[self.space.free_dofs]
 

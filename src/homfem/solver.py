@@ -192,9 +192,9 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
 
 
 def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
-                 cfg: SolverConfig | None = None,
-                 start: DiscreteField | None = None, near=None):
-    """Newton iteration on A u + D F(u) = 0 over ``diffusion.space``.
+                 cfg: SolverConfig | None = None, near=None):
+    """Newton iteration on A u + D F(u) = 0 over ``diffusion.space``,
+    started at zero.
 
     Each step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``, refined over
     ``near`` when given (see :func:`~homfem.fem.solve_linear`), such as the
@@ -211,9 +211,8 @@ def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
                 space, eval_F_jacobian(nl, space, u)),
             -residual, near=near)
 
-    u = start.copy() if start is not None else space.zero_field()
-    return _iterate(diffusion, nl, u, advance, cfg.newton_tol,
-                    cfg.newton_max_iter, "residual_history")
+    return _iterate(diffusion, nl, space.zero_field(), advance,
+                    cfg.newton_tol, cfg.newton_max_iter, "residual_history")
 
 
 def solve_homogenized(ahat: SparseOperator, nl: Nonlinearity,

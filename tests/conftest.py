@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homfem import (FrozenOperator, HomogenizedTensor, SolverConfig,
+from homfem import (ConstantTensor, ExpressionTensor, FrozenOperator,
+                    HomogenizedTensor, PiecewiseTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
 from homfem.expressions import compile_expression
@@ -19,9 +20,23 @@ from homfem.nonlin import Constant, Monomial, Nonlinearity, Polynomial
 from homfem.norms import h_convergence_probe
 
 
+def constant_field(n, dim, value):
+    return TensorField(n, dim, ConstantTensor(kind="constant", value=value))
+
+
+def piecewise_field(n, dim, grid, values):
+    return TensorField(n, dim, PiecewiseTensor(kind="piecewise", grid=grid,
+                                               values=values))
+
+
+def expression_field(n, dim, entries):
+    return TensorField(n, dim, ExpressionTensor(kind="expression",
+                                                entries=entries))
+
+
 def piecewise_14_tensor():
     """1D two-phase coefficient: 1 on the first half cell, 4 on the second."""
-    return TensorField.piecewise(1, 1, (2,), [1.0, 4.0])
+    return piecewise_field(1, 1, (2,), [1.0, 4.0])
 
 
 def oscillatory_scenario_1d():
@@ -203,7 +218,7 @@ def coupled_scenario_2d():
                     entries[a][b][i][i] = osc22
                 else:
                     entries[a][b][i][i] = "0.25"
-    base = TensorField.from_expressions(2, 2, entries)
+    base = expression_field(2, 2, entries)
     nl = Nonlinearity(2, 2, [], p0=4.0)
     nl.term(0, 0, compile_expression("0.5*sin(2*pi*x1)", 2), Constant(1.0))
     nl.term(0, 0, compile_expression("0.25", 2),

@@ -11,7 +11,6 @@ import pytest
 import scipy.linalg as sla
 
 from homfem.cell import homogenized_tensor_1d, solve_cell_problems
-from homfem.coeff import TensorField
 from homfem.fem import FemSpace
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
 from homfem.nonlin import LinearForm, Monomial, Polynomial, Rational
@@ -22,10 +21,11 @@ from homfem.solver import (FrozenOperator, SolverConfig,
                            nondegeneracy_margin, oscillatory_operator,
                            solve_homogenized)
 
-from conftest import (coupled_scenario_2d, effective_operator,
-                      fixed_point_from_ubar, flux_identity,
-                      oscillatory_scenario_1d, piecewise_14_tensor,
-                      probe_rows, space_1d)
+from conftest import (constant_field, coupled_scenario_2d,
+                      effective_operator, fixed_point_from_ubar,
+                      flux_identity, oscillatory_scenario_1d,
+                      piecewise_14_tensor, piecewise_field, probe_rows,
+                      space_1d)
 
 EPS_SWEEP_1D = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
@@ -93,7 +93,7 @@ def test_criterion_02_constant_tensor_correctors_vanish():
     worst = 0.0
     for dim, n_sys in ((1, 1), (2, 2)):
         cellmesh = build_periodic_cell_mesh(8, dim)
-        tensor = TensorField.constant(n_sys, dim, 2.5)
+        tensor = constant_field(n_sys, dim, 2.5)
         corr = solve_cell_problems(tensor, cellmesh)
         worst = max(worst, corr.max_abs)
     elapsed = time.perf_counter() - t0
@@ -104,7 +104,7 @@ def test_criterion_02_constant_tensor_correctors_vanish():
 
 def test_criterion_03_2d_laminate():
     t0 = time.perf_counter()
-    base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
+    base = piecewise_field(1, 2, (2, 1), [1.0, 4.0])
     target = np.diag([1.6, 2.5])
 
     def rel_err(n):

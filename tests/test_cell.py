@@ -3,11 +3,11 @@ import pytest
 
 from homfem import cell
 from homfem.cell import homogenized_tensor_1d, solve_cell_problems
-from homfem.coeff import TensorField
 from homfem.mesh import build_interval_mesh, build_periodic_cell_mesh
 
-from conftest import (assert_relative_close, coupled_scenario_2d,
-                      piecewise_14_tensor)
+from conftest import (assert_relative_close, constant_field,
+                      coupled_scenario_2d, expression_field,
+                      piecewise_14_tensor, piecewise_field)
 
 
 class _NanFactor:
@@ -39,12 +39,12 @@ class TestSolveCellProblems:
 
     def test_constant_base_gives_zero_correctors(self):
         cm = build_periodic_cell_mesh(8, 1)
-        corr = solve_cell_problems(TensorField.constant(1, 1, 2.5), cm)
+        corr = solve_cell_problems(constant_field(1, 1, 2.5), cm)
         assert corr.max_abs <= 1e-12
 
     def test_constant_base_2d_system(self):
         cm = build_periodic_cell_mesh(4, 2)
-        t = TensorField.constant(2, 2, 3.0)
+        t = constant_field(2, 2, 3.0)
         corr = solve_cell_problems(t, cm)
         assert corr.max_abs <= 1e-12
         assert len(corr.fields) == 2 and len(corr.fields[0]) == 2
@@ -76,8 +76,7 @@ class TestSolveCellProblems:
 
     def test_defect_carrying_field_rejected(self):
         from homfem.coeff import add_defect
-        bump = TensorField.piecewise(1, 1, (4,), [0.0, 0.5, 0.0, 0.0],
-                                     zero_outside=True)
+        bump = piecewise_field(1, 1, (4,), [0.0, 0.5, 0.0, 0.0])
         family = add_defect(piecewise_14_tensor(), bump, 0.125)
         cm = build_periodic_cell_mesh(8, 1)
         with pytest.raises(ValueError, match="defect-free"):
@@ -93,7 +92,7 @@ class TestSolveCellProblems:
 class TestHomogenizedTensor1d:
     def test_constant_matrix_is_fixed_point(self):
         A = np.array([[2.0, 0.3], [0.3, 1.5]])
-        t = TensorField.constant(2, 1, A.reshape(2, 2))
+        t = constant_field(2, 1, A.reshape(2, 2))
         ahat = homogenized_tensor_1d(t)
         assert np.allclose(ahat.values[:, :, 0, 0], A, atol=1e-12)
 
@@ -101,10 +100,18 @@ class TestHomogenizedTensor1d:
         ahat = homogenized_tensor_1d(piecewise_14_tensor())
         assert abs(ahat.values[0, 0, 0, 0] - 1.6) <= 1e-12
 
+    def test_table_off_the_fallback_grid_averaged_exactly(self):
+        # cell edges at 1/3 and 2/3 fall inside midpoint subintervals of the
+        # 4,096-point fallback, which misses 3/1.75 by 2.4e-4; only the
+        # table's own cells average it exactly
+        t = piecewise_field(1, 1, [3], [1.0, 4.0, 2.0])
+        ahat = homogenized_tensor_1d(t)
+        assert abs(ahat.values[0, 0, 0, 0] - 3 / 1.75) <= 1e-14
+
     def test_piecewise_matrices_formula(self):
         A1 = np.array([[2.0, 0.5], [0.1, 1.0]])
         A2 = np.array([[1.0, 0.0], [0.3, 3.0]])
-        t = TensorField.piecewise(2, 1, (2,), [A1, A2])
+        t = piecewise_field(2, 1, (2,), [A1, A2])
         expected = np.linalg.inv(0.5 * np.linalg.inv(A1)
                                  + 0.5 * np.linalg.inv(A2))
         ahat = homogenized_tensor_1d(t)
@@ -112,12 +119,11 @@ class TestHomogenizedTensor1d:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="N == 1"):
-            homogenized_tensor_1d(TensorField.constant(1, 2, 1.0))
+            homogenized_tensor_1d(constant_field(1, 2, 1.0))
 
     def test_singular_matrix_rejected(self):
-        t = TensorField.piecewise(2, 1, (2,),
-                                  [np.eye(2), np.array([[1.0, 1.0],
-                                                        [1.0, 1.0]])])
+        t = piecewise_field(2, 1, (2,), [np.eye(2), np.array([[1.0, 1.0],
+                                                              [1.0, 1.0]])])
         with pytest.raises(ValueError, match="singular"):
             homogenized_tensor_1d(t)
 
@@ -125,7 +131,7 @@ class TestHomogenizedTensor1d:
 class TestHomogenizedTensorCorrectorPath:
     def test_constant_base_reproduced_exactly(self):
         cm = build_periodic_cell_mesh(4, 2)
-        t = TensorField.constant(1, 2, np.diag([2.0, 3.0]))
+        t = constant_field(1, 2, np.diag([2.0, 3.0]))
         ahat = solve_cell_problems(t, cm).ahat
         assert np.allclose(ahat.values[0, 0], np.diag([2.0, 3.0]), atol=1e-13)
 
@@ -139,7 +145,7 @@ class TestHomogenizedTensorCorrectorPath:
         # inverse-average value sqrt(3) for 2 + sin; per-cell midpoint
         # sampling of a smooth periodic coefficient is spectrally accurate,
         # so even a modest cell mesh hits machine precision
-        base = TensorField.from_expressions(1, 1, "2 + sin(2*pi*x)")
+        base = expression_field(1, 1, "2 + sin(2*pi*x)")
         cm = build_periodic_cell_mesh(32, 1)
         ahat = solve_cell_problems(base, cm).ahat
         assert abs(ahat.values[0, 0, 0, 0] - np.sqrt(3.0)) < 1e-12
@@ -148,7 +154,7 @@ class TestHomogenizedTensorCorrectorPath:
         # thirds laminate: exact inverse average (1/3 + (2/3)/4)^-1 = 2;
         # interfaces off the mesh lines leave a quadrature error that must
         # shrink under refinement (and be reported, not hidden)
-        base = TensorField.piecewise(1, 1, (3,), [1.0, 4.0, 4.0])
+        base = piecewise_field(1, 1, (3,), [1.0, 4.0, 4.0])
         gaps = []
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)
@@ -160,7 +166,7 @@ class TestHomogenizedTensorCorrectorPath:
     def test_laminate_1d_reduction_oracle(self):
         # the cell problem of a laminate is one-dimensional: harmonic mean
         # along the lamination axis, arithmetic mean across it
-        base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
+        base = piecewise_field(1, 2, (2, 1), [1.0, 4.0])
         cm = build_periodic_cell_mesh(16, 2)
         ahat = solve_cell_problems(base, cm).ahat
         lamina = homogenized_tensor_1d(piecewise_14_tensor()).values[0, 0, 0, 0]
@@ -172,14 +178,14 @@ class TestHomogenizedTensorCorrectorPath:
         # entries[alpha][beta][i][j] with n = 1: one symmetric 2x2 block
         entries = [[[["1.5 + 0.4*cos(2*pi*x1)", "0.2"],
                      ["0.2", "1.5 + 0.4*sin(2*pi*x2)"]]]]
-        base = TensorField.from_expressions(1, 2, entries)
+        base = expression_field(1, 2, entries)
         cm = build_periodic_cell_mesh(16, 2)
         ahat = solve_cell_problems(base, cm).ahat
         q = np.transpose(ahat.values, (0, 2, 1, 3)).reshape(2, 2)
         assert np.allclose(q, q.T, atol=1e-12 * max(1.0, abs(q).max()))
 
     def test_refinement_cauchy(self):
-        base = TensorField.from_expressions(1, 1, "2 + cos(2*pi*x)")
+        base = expression_field(1, 1, "2 + cos(2*pi*x)")
         values = []
         for n in (16, 32, 64, 128):
             cm = build_periodic_cell_mesh(n, 1)

@@ -66,10 +66,14 @@ def _read_csv(path, schema_name):
     return [dict(zip(names, r)) for r in rows[1:]]
 
 
-# every key path of MINIMAL with its defaults filled in: the top-level keys,
-# the nonlinearity, mesh, solver and probe sections, and the tensor, flux
-# term, value factor and monomial specs
-_MUTABLE_KEYS = list(config_key_paths(parse_config(MINIMAL)))
+# every key path, with the defaults filled in, of MINIMAL (a 1D piecewise
+# tensor) and of the shipped coupled_2d.yaml (an n = 2 expression tensor on
+# the square): the top-level keys, the nonlinearity, mesh, solver and probe
+# sections, and the tensor, flux term, value factor and monomial specs
+_MUTABLE_KEYS = [
+    (text, key)
+    for text in (MINIMAL, (CONFIGS / "coupled_2d.yaml").read_text())
+    for key in config_key_paths(parse_config(text))]
 # YAML sources: wrong types, values out of range, and scalars PyYAML reads
 # as strings (1e-9, 1e3) or as non-finite floats
 _MUTATED_VALUES = ["abc", "1e-9", "1e3", ".inf", "-.inf", ".nan", "0", "-1",
@@ -86,6 +90,54 @@ def _with_tensor(tensor):
   kind: piecewise
   grid: [2]
   values: [1.0, 4.0]""", tensor)
+
+
+# the parse errors of the tensor and defect specs, word for word, with the
+# key each names: a grid or a table that does not fit, an entry of the
+# wrong shape for system_dim 2, an unknown kind, a tensor that is not
+# finite, a defect that is not localized, and a tensor and a defect that
+# pass their own checks but whose sum is not elliptic
+_TENSOR_ERRORS = [
+    ("tensor.grid", MINIMAL.replace("grid: [2]", "grid: [2, 2]"),
+     "tensor.grid must have 1 entries, each at least 1 (the domain's "
+     "dimension is 1), got [2, 2]"),
+    ("tensor.values", MINIMAL.replace("grid: [2]", "grid: [3]"),
+     "tensor.values: piecewise table has 2 entries, grid needs 3"),
+    ("tensor.value",
+     _with_tensor("tensor: {kind: constant, value: [1.0, 2.0, 3.0]}")
+     + "system_dim: 2\n",
+     "tensor.value: cannot interpret entry of shape (3,) as an (n=2, n=2, "
+     "N=1, N=1) tensor"),
+    ("tensor.entries",
+     _with_tensor("tensor: {kind: expression, entries: [[1.0]]}")
+     + "system_dim: 2\n",
+     "tensor.entries: cannot interpret entries of shape (1, 1) as an (n=2, "
+     "n=2, N=1, N=1) tensor"),
+    ("tensor.kind", _with_tensor("tensor: {kind: tabular, value: 1.0}"),
+     "tensor.kind must be one of constant, piecewise, expression, got "
+     "'tabular'"),
+    ("defect.kind", MINIMAL + "defect: {kind: bump, value: 1.0}\n",
+     "defect.kind must be one of constant, piecewise, expression, got "
+     "'bump'"),
+    ("defect.grid", MINIMAL + "defect: {kind: piecewise, grid: [4, 4], "
+                              "values: [0.0]}\n",
+     "defect.grid must have 1 entries, each at least 1 (the domain's "
+     "dimension is 1), got [4, 4]"),
+    # sampled for the hypothesis warning, which only an interval reads
+    ("tensor.entries",
+     _with_tensor('tensor: {kind: expression, entries: "1/floor(2*x)"}')
+     + "system_dim: 2\n",
+     "tensor.entries: tensor evaluation failed at point [0.03125]"),
+    ("defect", MINIMAL + "defect: {kind: constant, value: 0.5}\n",
+     "defect: defect fails the localization spot-check: ball-mean of |b| "
+     "does not decay with radius ([1.0, 1.0, 1.0, 1.0])"),
+    ("defect.values",
+     _with_tensor("tensor: {kind: constant, value: 1.0}")
+     + "defect: {kind: piecewise, grid: [4], "
+       "values: [0.0, -1.5, 0.0, 0.0]}\n",
+     "tensor.value, defect.values: base plus defect loses ellipticity: "
+     "observed margin -5.000e-01"),
+]
 
 
 class TestParseConfig:
@@ -217,10 +269,17 @@ eps: [0.25]
         ("tensor.entries",
          _with_tensor("tensor: {kind: expression, entries: [[1.0]]}")),
         ("tensor.kind", _with_tensor("tensor: {value: 2.0}")),
-    ])
+    ] + [(key, text) for key, text, _ in _TENSOR_ERRORS])
     def test_out_of_range_key_named(self, key, text):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(text)
+
+    @pytest.mark.parametrize("text, message",
+                             [case[1:] for case in _TENSOR_ERRORS])
+    def test_tensor_spec_error_text(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("key, h", [
         ("value", "{kind: constant, value: .nan}"),
@@ -284,14 +343,15 @@ eps: [0.25]
         assert cfg.solver.fp_max_iter == 40
         assert isinstance(cfg.solver.fp_max_iter, int)
 
-    @settings(max_examples=100, deadline=None, derandomize=True,
+    @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
-    @given(key=st.sampled_from(_MUTABLE_KEYS),
+    @given(case=st.sampled_from(_MUTABLE_KEYS),
            value=st.sampled_from(_MUTATED_VALUES))
-    def test_one_changed_key_parses_or_is_named(self, key, value):
+    def test_one_changed_key_parses_or_is_named(self, case, value):
         # a value that contradicts another key (system_dim: 2 against a
         # monomial's one power) is named with it
-        doc = yaml.safe_load(MINIMAL)
+        text, key = case
+        doc = yaml.safe_load(text)
         *sections, name = re.split(r"\.|(?=\[)", key)
         target = doc
         for section in sections:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import homfem
-from homfem.coeff import TensorField
 from homfem.expressions import compile_expression
 from homfem.cli import compute_effective_tensor, parse_config
 from homfem.coeff import HomogenizedTensor
@@ -31,10 +30,12 @@ from homfem.nonlin import (Monomial, Nonlinearity, Polynomial,
 from homfem.solver import (FrozenOperator, nondegeneracy_margin,
                            solve_homogenized)
 
-from conftest import (KERNEL_SPACES, assert_relative_close, coo_diffusion,
-                      coo_jacobian_coupling, coupled_scenario_2d,
-                      effective_operator, one_call_diffusion,
-                      oscillatory_scenario_1d, space_1d, unique_pattern)
+from conftest import (KERNEL_SPACES, assert_relative_close, constant_field,
+                      coo_diffusion, coo_jacobian_coupling,
+                      coupled_scenario_2d, effective_operator,
+                      expression_field, one_call_diffusion,
+                      oscillatory_scenario_1d, piecewise_14_tensor,
+                      piecewise_field, space_1d, unique_pattern)
 
 
 def _flux_from_fn(space, fn):
@@ -48,23 +49,23 @@ class TestAssembleDiffusion:
     def test_unit_coefficient_two_cells(self):
         # interior hat on h = 1/2 cells: 1/h + 1/h = 4
         space = space_1d(2)
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         assert np.allclose(A.matrix.toarray(), [[4.0]])
 
     def test_linear_in_coefficient(self):
         space = space_1d(7)
-        A1 = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
-        A3 = assemble_diffusion(space, TensorField.constant(1, 1, 3.0))
+        A1 = assemble_diffusion(space, constant_field(1, 1, 1.0))
+        A3 = assemble_diffusion(space, constant_field(1, 1, 3.0))
         assert np.allclose(A3.matrix.toarray(), 3.0 * A1.matrix.toarray())
 
     def test_symmetric_flag_and_matrix(self):
         space = FemSpace(build_unit_square_mesh(4), 1)
-        A = assemble_diffusion(space, TensorField.constant(1, 2, 2.0))
+        A = assemble_diffusion(space, constant_field(1, 2, 2.0))
         M = A.matrix.toarray()
         assert np.max(np.abs(M - M.T)) < 1e-14
 
     def test_nonsymmetric_tensor_flagged(self):
-        t = TensorField.constant(2, 1, np.array([[1.0, 0.5], [0.0, 1.0]]))
+        t = constant_field(2, 1, np.array([[1.0, 0.5], [0.0, 1.0]]))
         space = FemSpace(build_interval_mesh(4), 2)
         M = assemble_diffusion(space, t).matrix.toarray()
         assert np.max(np.abs(M - M.T)) > 0.1
@@ -74,7 +75,7 @@ class TestAssembleDiffusion:
                       elements=st.floats(-50, 50, allow_nan=False)))
     def test_positive_definite_for_symmetric_positive_tensor(self, x):
         space = FemSpace(build_unit_square_mesh(5), 1)
-        A = assemble_diffusion(space, TensorField.constant(1, 2, 1.5))
+        A = assemble_diffusion(space, constant_field(1, 2, 1.5))
         if np.linalg.norm(x) > 0:
             assert x @ (A.matrix @ x) > 0
 
@@ -85,7 +86,7 @@ class TestAssembleDiffusion:
         shuffled = Mesh(dim=2, vertices=mesh.vertices.copy(),
                         cells=mesh.cells[perm].copy(),
                         boundary=mesh.boundary.copy(), resolution=3)
-        t = TensorField.from_expressions(1, 2, "2 + sin(2*pi*x1)*cos(2*pi*x2)")
+        t = expression_field(1, 2, "2 + sin(2*pi*x1)*cos(2*pi*x2)")
         A = assemble_diffusion(FemSpace(mesh, 1), t).matrix.toarray()
         B = assemble_diffusion(FemSpace(shuffled, 1), t).matrix.toarray()
         assert np.max(np.abs(A - B)) < 1e-13
@@ -186,7 +187,7 @@ class TestSparseOperatorSum:
 
     def test_isotropic_diffusion_and_coupling_share_one_pattern(self):
         space = FemSpace(build_unit_square_mesh(6), 2)
-        A = assemble_diffusion(space, TensorField.constant(2, 2, 1.0))
+        A = assemble_diffusion(space, constant_field(2, 2, 1.0))
         C = assemble_jacobian_coupling(space, _random_jacobian(space, 7))
         assert not A.matrix.data.all()
         assert np.array_equal(A.matrix.indptr, C.matrix.indptr)
@@ -198,7 +199,7 @@ class TestSparseOperatorSum:
 
     def test_different_patterns_are_refused(self):
         space = space_1d(4)
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         diagonal = SparseOperator(space, sp.identity(space.num_free,
                                                      format="csr"))
         with pytest.raises(ValueError, match="different sparsity patterns"):
@@ -234,14 +235,14 @@ class TestSparseOperatorSum:
 class TestSolveLinear:
     def test_zero_rhs(self):
         space = space_1d(6)
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         u = solve_linear(A, np.zeros(space.num_free))
         assert np.allclose(u.values, 0.0)
 
     def test_bvp_with_linear_flux_load(self):
         # d/dx (u' + x) = 0, u(0) = u(1) = 0  =>  u = x(1-x)/2
         space = space_1d(16)
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: p[:, :, None]))
         u = solve_linear(A, -b)
@@ -251,7 +252,7 @@ class TestSolveLinear:
 
     def test_sign_convention_single_dof(self):
         space = space_1d(2)
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         b = assemble_divergence_load(
             space, _flux_from_fn(space, lambda p: p[:, :, None]))
         # plain solve A u = b gives the opposite sign of the A u + b = 0 root
@@ -263,7 +264,7 @@ class TestSolveLinear:
     def test_galerkin_residual_zero_on_free_dofs(self):
         space = FemSpace(build_unit_square_mesh(6), 1)
         A = assemble_diffusion(
-            space, TensorField.from_expressions(1, 2, "2 + cos(2*pi*x1)"))
+            space, expression_field(1, 2, "2 + cos(2*pi*x1)"))
         rng = np.random.default_rng(5)
         b = rng.standard_normal(space.num_free)
         u = solve_linear(A, b)
@@ -291,7 +292,7 @@ def _scalar_newton_matrix():
 def _two_component_newton_matrix():
     """``A_eps + C(u)`` of a coupled 1D system whose flux in component 1
     depends on component 2 only, so that ``C(u)`` is nonsymmetric."""
-    tensor = TensorField.from_expressions(
+    tensor = expression_field(
         2, 1, [[[["2 + cos(2*pi*x)"]], [["0.25"]]],
                [[["0.25"]], [["3 + sin(2*pi*x)"]]]])
     nl = Nonlinearity(2, 1, [], p0=4.0)
@@ -471,7 +472,7 @@ class TestBandLU:
     def test_cancelled_entries_keep_the_tridiagonal_lu(self, superlu_calls):
         # the zero-coefficient cell cancels the entries that couple its two
         # vertices; the matrix still stores all three diagonals
-        tensor = TensorField.piecewise(1, 1, [8], [1, 1, 1, 0, 1, 1, 1, 1])
+        tensor = piecewise_field(1, 1, [8], [1, 1, 1, 0, 1, 1, 1, 1])
         A = assemble_diffusion(space_1d(8), tensor).matrix
         assert A.nnz == 3 * 7 - 2 and not A.data.all()
         lu = lu_factor(A)
@@ -521,7 +522,7 @@ class TestBandLU:
         # 18 MB here, and the band holds 4 entries per dof, 4.2 MB
         script = textwrap.dedent("""
             import resource
-            from homfem.coeff import TensorField
+            from homfem.coeff import ConstantTensor, TensorField
             from homfem.fem import FemSpace, assemble_diffusion, lu_factor
             from homfem.mesh import build_interval_mesh
 
@@ -529,7 +530,8 @@ class TestBandLU:
                 return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
             A = assemble_diffusion(FemSpace(build_interval_mesh(131072), 1),
-                                   TensorField.constant(1, 1, 1.0)).matrix
+                                   TensorField(1, 1, ConstantTensor(
+                                       kind="constant", value=1.0))).matrix
             before = peak()
             lu = lu_factor(A)
             print(A.shape[0], peak() - before)
@@ -636,7 +638,7 @@ class TestFemSpace:
     def test_fully_constrained_space_assembles_empty_matrices(self):
         space = space_1d(1)
         assert space.num_free == 0
-        A = assemble_diffusion(space, TensorField.constant(1, 1, 1.0))
+        A = assemble_diffusion(space, constant_field(1, 1, 1.0))
         assert A.matrix.shape == (0, 0) and A.matrix.nnz == 0
 
     def test_periodic_space_dof_count(self):
@@ -849,8 +851,7 @@ class _RandomTensor:
 POINTWISE_CASES = {
     "interval-shipped": (
         lambda: FemSpace(build_interval_mesh(40), 1, "3point"),
-        lambda space: TensorField.piecewise(1, 1, (2,), [1.0, 4.0],
-                                            epsilon=1 / 8)),
+        lambda space: piecewise_14_tensor().with_epsilon(1 / 8)),
     "interval-system-random": (
         lambda: FemSpace(build_interval_mesh(40), 2, "3point"),
         lambda space: _RandomTensor(space, 8)),
@@ -942,7 +943,7 @@ class TestSparseKernelsMatchEinsum:
         if name.startswith("square"):
             # an isotropic tensor: the diagonal-edge entries cancel to
             # exactly zero, and both assemblies store them
-            isotropic = TensorField.constant(space.n, 2, 1.0)
+            isotropic = constant_field(space.n, 2, 1.0)
             matrix = assemble_diffusion(space, isotropic).matrix
             assert not matrix.data.all()
             _assert_matches_coo(name, matrix, coo_diffusion(space, isotropic))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from homfem.coeff import HomogenizedTensor, TensorField
+from homfem.coeff import HomogenizedTensor
 from homfem.fem import (DiscreteField, FemSpace, SineSolver,
                         assemble_diffusion, assemble_divergence_load,
                         lu_factor, quadrature_rule, solve_linear)
@@ -17,9 +17,10 @@ from homfem.norms import (_GATHER_CHUNK, _sine_pairings, fit_rate,
                           gradient_lp_norm, h_convergence_probe, linf_norm,
                           meyers_probe, probe_load, w1p_norm)
 
-from conftest import (KERNEL_SPACES, assert_relative_close,
+from conftest import (KERNEL_SPACES, assert_relative_close, constant_field,
                       coupled_scenario_2d, flux_identity, mode_loop_pairings,
-                      piecewise_14_tensor, probe_rows, space_1d)
+                      piecewise_14_tensor, piecewise_field, probe_rows,
+                      space_1d)
 from homfem.cell import homogenized_tensor_1d
 
 
@@ -178,7 +179,7 @@ def _grad_lp_limit(p):
 
 class TestHConvergenceProbe:
     def test_constant_tensor_is_its_own_limit(self):
-        t = TensorField.constant(1, 1, 1.6)
+        t = constant_field(1, 1, 1.6)
         ahat = homogenized_tensor_1d(piecewise_14_tensor())
         rows = probe_rows(t, ahat, flux_identity, [0.25, 0.125])
         for r in rows:
@@ -206,8 +207,7 @@ class TestHConvergenceProbe:
     def test_defect_family_converges_to_defect_free_limit(self):
         from homfem.coeff import add_defect
         base = piecewise_14_tensor()
-        bump = TensorField.piecewise(1, 1, (4,), [0.0, 0.75, 0.0, 0.0],
-                                     zero_outside=True)
+        bump = piecewise_field(1, 1, (4,), [0.0, 0.75, 0.0, 0.0])
         family = add_defect(base, bump, 0.125).with_epsilon(None)
         ahat = homogenized_tensor_1d(base)
         rows = probe_rows(family, ahat, flux_identity,
@@ -218,14 +218,14 @@ class TestHConvergenceProbe:
     def test_2d_mode_count(self):
         identity = np.eye(2).reshape(1, 1, 2, 2)
         (row,) = probe_rows(
-            TensorField.constant(1, 2, identity), HomogenizedTensor(identity),
+            constant_field(1, 2, identity), HomogenizedTensor(identity),
             lambda pts: pts[:, None, :], [1 / 2], modes=3, cells_per_eps=2)
         assert row.pairings.shape == row.flux_pairings.shape == (9,)
 
     def test_2d_laminate_pairings_decrease(self):
         from homfem.cell import solve_cell_problems
         from homfem.mesh import build_periodic_cell_mesh
-        base = TensorField.piecewise(1, 2, (2, 1), [1.0, 4.0])
+        base = piecewise_field(1, 2, (2, 1), [1.0, 4.0])
         cm = build_periodic_cell_mesh(16, 2)
         ahat = solve_cell_problems(base, cm).ahat
 
@@ -434,7 +434,7 @@ def _linear_solves(tensor, eps_list):
 class TestMeyersProbe:
     def test_constant_tensor_eps_independent(self):
         # no oscillation: columns vary only by the per-row mesh refinement
-        t = TensorField.constant(1, 1, 2.0)
+        t = constant_field(1, 1, 2.0)
         table = meyers_probe(_linear_solves(t, [0.25, 0.125, 0.0625]),
                              [2.0, 3.0, 4.0])
         for c in range(3):
