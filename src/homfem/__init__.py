@@ -21,9 +21,8 @@ from .norms import (fit_rate, h_convergence_probe, linf_norm, meyers_probe,
                     w1p_norm)
 from .solver import (FrozenOperator, SolverConfig, SolverReport,
                      approximate_solution, fixed_point_solve,
-                     local_uniqueness_probe, newton_solve,
-                     nondegeneracy_margin, oscillatory_operator,
-                     solve_homogenized)
+                     local_uniqueness_probe, nondegeneracy_margin,
+                     oscillatory_operator, solve_homogenized)
 
 # the experiment driver lives in homfem.cli (console script: homfem)
 

@@ -4,10 +4,11 @@ Problem configs are YAML documents read by one reader (:func:`_section`):
 every section, the tensor, flux-term, value-factor and monomial specs
 included, is a dataclass whose fields are its keys, and a spec of several
 kinds is one dataclass per kind, chosen by its ``kind`` key.  The tensor
-and defect kinds are :mod:`homfem.coeff`'s own classes, and the value
-factors, the table ``g`` and the monomial :mod:`homfem.nonlin`'s; their
-agreement with ``system_dim`` and the domain dimension is checked here, in
-``ProblemConfig._field`` and :meth:`TermConfig.build`.  A bad config
+and defect kinds are :mod:`homfem.coeff`'s own classes, and the
+``nonlinearity`` section, its terms, the value factors, the table ``g``
+and the monomial :mod:`homfem.nonlin`'s; their agreement with
+``system_dim`` and the domain dimension is checked here, in
+``ProblemConfig._field`` and ``ProblemConfig._bind_flux``.  A bad config
 fails at parse time with a :class:`ConfigError` naming the key by its full
 path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.  Runs are
 reproducible functions of the config and the seed.  Subcommands:
@@ -45,13 +46,11 @@ import yaml
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import (ConstantTensor, EllipticityError, ExpressionTensor,
                     HomogenizedTensor, PiecewiseTensor, TensorField,
-                    add_defect, sample_grid)
-from .expressions import compile_expression
+                    _finite, add_defect, sample_grid)
 from .fem import (DiscreteField, FemSpace, LinearSolveError, SineSolver,
                   SparseOperator, assemble_diffusion, solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .nonlin import (Constant, LinearForm, Nested, Nonlinearity, Polynomial,
-                     Rational, TableFactor, Term, validate)
+from .nonlin import LinearForm, Nested, Nonlinearity, TableFactor, validate
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
                     linf_norm, meyers_probe, probe_load)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
@@ -115,54 +114,6 @@ def _check_factor(h, n: int, key: str) -> None:
                          "system_dim", low=0)
 
 
-@dataclass(kw_only=True)
-class TermConfig:
-    """``g(x) h(u)``, added to the flux entry ``target`` ``[alpha, i]``;
-    ``p0`` defaults to ``nonlinearity.p0``."""
-
-    target: list[int]
-    g: float | str | TableFactor
-    h: Constant | Polynomial | LinearForm | Rational = dc_field(
-        default_factory=Constant)
-    p0: float | None = None
-
-    def build(self, n, dim, p0, key) -> Term:
-        target = self.target
-        if not (len(target) == 2 and 0 < target[0] <= n
-                and 0 < target[1] <= dim):
-            raise ConfigError(f"{key}.target must be an integer pair in "
-                              f"[1, {n}] x [1, {dim}], got {target!r}")
-        g, g_key = self.g, f"{key}.g"
-        if isinstance(g, TableFactor):
-            _check_count(f"{g_key}.grid", g.grid, dim,
-                         "the domain's dimension", low=1)
-            g_key += ".values"  # values that do not fill it fail below
-        else:
-            with _naming(g_key):
-                g = compile_expression(
-                    g if isinstance(g, str) else repr(g), dim)
-        # a factor that is not finite where a mesh may put a quadrature
-        # point would fail every row at run time
-        grid = sample_grid(dim, 16)
-        with _naming(g_key):
-            values = g(grid)
-        if not np.isfinite(values).all():
-            k = np.argmin(np.isfinite(values))
-            raise ConfigError(f"{key}.g must be finite, got {values[k]} at "
-                              f"{grid[k]}")
-        _check_factor(self.h, n, f"{key}.h")
-        return Term(target[0] - 1, target[1] - 1, g, self.h,
-                    p0 if self.p0 is None else self.p0)
-
-
-@dataclass
-class NonlinearityConfig:
-    """The spatial factors' exponent and the flux terms."""
-
-    p0: float = 4.0
-    terms: list[TermConfig] = dc_field(default_factory=list)
-
-
 @dataclass
 class MeshConfig:
     """Cells per period of the solve meshes, per side of the cell mesh."""
@@ -205,8 +156,7 @@ class ProblemConfig:
     tensor: TensorSpec = dc_field(
         default_factory=lambda: ConstantTensor(kind="constant", value=1.0))
     defect: TensorSpec | None = None
-    nonlinearity: NonlinearityConfig = dc_field(
-        default_factory=NonlinearityConfig)
+    nonlinearity: Nonlinearity = dc_field(default_factory=Nonlinearity)
     eps: list[float] = dc_field(default_factory=lambda: [0.125, 0.0625,
                                                          0.03125])
     mesh: MeshConfig = dc_field(default_factory=MeshConfig)
@@ -260,12 +210,30 @@ class ProblemConfig:
         with _naming(f"{key}.{spec.table}"):
             return TensorField(self.system_dim, self.dim, spec)
 
-    @functools.cached_property
-    def flux(self) -> Nonlinearity:
-        n, dim, p0 = self.system_dim, self.dim, self.nonlinearity.p0
-        return Nonlinearity(n, dim, [
-            term.build(n, dim, p0, f"nonlinearity.terms[{k}]")
-            for k, term in enumerate(self.nonlinearity.terms)], p0=p0)
+    def _bind_flux(self) -> None:
+        """Binds ``nonlinearity`` to ``system_dim`` and the domain, or
+        raises a ConfigError naming the term key at fault; a ``g`` must be
+        finite where a mesh may put a quadrature point, or every row fails."""
+        n, dim = self.system_dim, self.dim
+        try:
+            self.nonlinearity.bind(n, dim)
+        except ValueError as exc:
+            raise ConfigError(f"nonlinearity.{exc}") from exc
+        grid = sample_grid(dim, 16)
+        for k, term in enumerate(self.nonlinearity.terms):
+            key = f"nonlinearity.terms[{k}]"
+            g_key = f"{key}.g"
+            if isinstance(term.g, TableFactor):
+                _check_count(f"{g_key}.grid", term.g.grid, dim,
+                             "the domain's dimension", low=1)
+                g_key += ".values"  # values that do not fill it fail here
+            with _naming(g_key):
+                values = term.spatial_factor(grid)
+            if not np.isfinite(values).all():
+                bad = np.argmin(np.isfinite(values))
+                raise ConfigError(f"{key}.g must be finite, got {values[bad]} "
+                                  f"at {grid[bad]}")
+            _check_factor(term.h, n, f"{key}.h")
 
     def build_domain_space(self, eps: float) -> FemSpace:
         return self._space(max(2, round(self.mesh.cells_per_eps / eps)),
@@ -377,12 +345,15 @@ def parse_config(text: str) -> ProblemConfig:
     cfg = _section(ProblemConfig, yaml.safe_load(text))
 
     # eager builds validate entry shapes, expressions and catalog membership;
-    # the hypothesis dichotomy (two space dimensions, or triangular
-    # coefficients) samples the tensor, which must be finite there
+    # the tensor, like each flux factor g, must be finite on the 16-per-axis
+    # sample grid, which the hypothesis dichotomy (two space dimensions, or
+    # triangular coefficients) reads again on an interval
     base = cfg.coefficient
+    grid = sample_grid(cfg.dim, 16)
     with _naming(f"tensor.{cfg.tensor.table}"):
+        _finite(cfg.tensor(grid), grid)
         triangular = cfg.dim == 2 or base.triangular
-    cfg.flux
+    cfg._bind_flux()
     if not triangular:
         cfg.warnings.append(
             "neither N=2 nor triangular coefficients: existence/uniqueness "
@@ -503,8 +474,8 @@ class RowResult:
     probe: HConvergenceRow | str | None = None
 
 
-def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
-               eps: float) -> RowResult:
+def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+               probing: bool = False) -> RowResult:
     """One full solve at a single oscillation period.
 
     ``Ahat`` and ``A_eps`` are each assembled once and handed to every
@@ -516,15 +487,15 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
     once each, ``Ahat + C(u0)`` for the margin and then ``A_eps + C(u0)``,
     and never holds both factorizations.
 
-    When the probe mesh is the row's mesh, the row probes its period on its
-    space's 3-point view (where the midpoint ``Ahat`` is exact, as it is
-    constant), the ``Ahat`` solve refined over the sine transform in 2D
-    (factored in 1D) and the ``A_eps`` one over ``A_eps + C(u0)``.  The
-    view is built for each of the two steps: across the refreeze the row
-    holds only the ``Ahat`` solution's values and the load.  A probe
-    failure is recorded in ``probe``; the row is kept.
+    When ``probing`` (for a caller whose probe mesh is the row's mesh), the
+    row probes its period on its space's 3-point view (where the midpoint
+    ``Ahat`` is exact, as it is constant), the ``Ahat`` solve refined over
+    the sine transform in 2D (factored in 1D) and the ``A_eps`` one over
+    ``A_eps + C(u0)``.  The view is built for each of the two steps: across
+    the refreeze the row holds only the ``Ahat`` solution's values and the
+    load.  A probe failure is recorded in ``probe``; the row is kept.
     """
-    nl = cfg.flux
+    nl = cfg.nonlinearity
     space = cfg.build_domain_space(eps)
     A_hat = assemble_diffusion(space, ahat)
     near = _ahat_near(space, ahat)
@@ -543,9 +514,6 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
         if margin <= 0:
             row["status"] = "degenerate"
         else:
-            # the probe builds at least 4 cells per side, the row at least
-            # 2: from 4 cells per period on both build cells_per_eps / eps
-            probing = cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4
             if probing:
                 probe_space = space.with_quadrature("3point")
                 load = probe_load(probe_space)
@@ -615,11 +583,12 @@ def _guarded(what: str, step, *args, **kwargs):
         return f"error-{type(exc).__name__}: {exc}"
 
 
-def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
-                 eps: float) -> RowResult:
+def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+                 probing: bool = False) -> RowResult:
     """run_single, but a failure lands in the row's ``error-<Type>`` status
     (with no space, no fields and no frozen operator); the sweep goes on."""
-    result = _guarded(f"solve at eps={eps:g}", run_single, cfg, ahat, eps)
+    result = _guarded(f"solve at eps={eps:g}", run_single, cfg, ahat, eps,
+                      probing=probing)
     if isinstance(result, str):
         return RowResult(_row(eps, result.partition(": ")[0]))
     return result
@@ -693,7 +662,7 @@ def run_sweep(cfg: ProblemConfig, out_dir=None) -> dict:
 
 
 def _sweep(cfg: ProblemConfig, out: Path) -> dict:
-    validation = validate(cfg.flux)
+    validation = validate(cfg.nonlinearity)
     if not validation.passed:
         log.warning("nonlinearity validation failed: %s",
                     validation.reason or "see term reports")
@@ -705,10 +674,14 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     log.info("effective tensor computed: %s", _json(cell_info))
 
     # finest first: the probe runs while its row's factors are alive, and
-    # the next row runs without this row's mesh
+    # the next row runs without this row's mesh.  A row probes its period
+    # when the probe mesh is its mesh: the probe builds at least 4 cells
+    # per side, the row at least 2, so from 4 cells per period on both
+    # build cells_per_eps / eps
+    probing = cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4
     rows, probes, uniqueness = [], {}, None
     for eps in reversed(cfg.eps):
-        result = _guarded_run(cfg, ahat, eps)
+        result = _guarded_run(cfg, ahat, eps, probing)
         rows.append(result.row)
         if result.probe is not None:
             probes[eps] = result.probe

@@ -173,6 +173,15 @@ class ExpressionTensor:
         return out
 
 
+def _finite(values, pts):
+    """``values``, a tensor's at the points ``pts``, or a ValueError naming
+    the first point where they are not finite."""
+    if not np.all(np.isfinite(values)):
+        bad = np.isfinite(values).reshape(len(pts), -1).all(axis=1).argmin()
+        raise ValueError(f"tensor evaluation failed at point {pts[bad]}")
+    return values
+
+
 def _unwrapped(spec, pts):
     """A defect's values at points not wrapped into the unit cell: a
     table's are zero off the cell, where a base's are clipped into it."""
@@ -212,11 +221,7 @@ class TensorField:
         vals = self.base(np.mod(y, 1.0))
         if self.defect is not None:
             vals = vals + _unwrapped(self.defect, y)
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals).reshape(len(pts), -1).all(axis=1))
-            raise ValueError(
-                f"tensor evaluation failed at point {pts[bad[0, 0]]}")
-        return vals
+        return _finite(vals, pts)
 
     def with_epsilon(self, epsilon):
         """The same coefficient family member at scale ``epsilon``."""

@@ -9,9 +9,12 @@ sin/cos and exp of linear forms, and rationals with nonvanishing
 denominator, each mapping samples (m, n) to values (m,) and, by
 ``gradient``, to (m, n).  The catalog keeps validation decidable; no growth
 restriction is imposed on h since all evaluations happen on bounded nodal
-ranges.  Each catalog kind, the table g and the monomial is one dataclass
-whose fields are its config keys; none takes n or N, whose agreement with a
-factor's powers, coefficients or grid :mod:`homfem.cli` checks.
+ranges.  Each catalog kind, the table g, the monomial, the flux
+:class:`Term` and the :class:`Nonlinearity` is one dataclass whose fields
+are its config keys.  Only the flux and its terms take n and N, in
+``bind``, which checks each term's target and compiles its g; a value
+factor's powers and coefficients and a table's grid are checked against
+them by :mod:`homfem.cli`.
 
 :func:`eval_F` and :func:`eval_F_jacobian` take each term's g at a space's
 quadrature points from :meth:`~homfem.fem.FemSpace.quadrature_values`, so
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expressions import compile_expression
 from .fem import FemSpace, DiscreteField
 
 __all__ = [
@@ -188,38 +192,56 @@ class TableFactor:
         return values[idx]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Term:
-    """One separable contribution g(x) * h(u) to the flux entry (alpha, i)."""
+    """``g(x) h(u)``, added to the flux entry ``target`` ``[alpha, i]``
+    (counted from 1); ``p0`` defaults to the flux's.  ``g`` is an
+    expression (a number is read as one) or a table."""
 
-    alpha: int
-    i: int
-    g: typing.Callable[[np.ndarray], np.ndarray]  # spatial factor
-    h: typing.Callable[[np.ndarray], np.ndarray]  # catalog value factor
-    p0: float
+    target: list[int]
+    g: float | str | TableFactor
+    h: Constant | Polynomial | LinearForm | Rational = field(
+        default_factory=Constant)
+    p0: float | None = None
+
+    def bind(self, n, dim):
+        """Checks ``target`` against ``n`` and ``dim`` and stores it as the
+        0-based ``alpha`` and ``i``, and g as the ``spatial_factor`` of
+        points (m, dim)."""
+        target = self.target
+        if not (len(target) == 2 and 0 < target[0] <= n
+                and 0 < target[1] <= dim):
+            raise ValueError(f"target must be an integer pair in [1, {n}] x "
+                             f"[1, {dim}], got {target!r}")
+        self.alpha, self.i = target[0] - 1, target[1] - 1
+        self.spatial_factor = self.g  # a table is its own factor
+        if not isinstance(self.g, TableFactor):
+            try:
+                self.spatial_factor = compile_expression(str(self.g), dim)
+            except ValueError as exc:
+                raise ValueError(f"g: {exc}") from exc
 
 
+@dataclass
 class Nonlinearity:
-    """The flux nonlinearity [f_i^a(x, u)] as lists of separable terms.
+    """The flux nonlinearity [f_i^a(x, u)] as a list of separable terms.
 
-    ``p0`` is the declared integrability exponent of the spatial factors and
-    must exceed the space dimension.
+    ``p0`` is the declared integrability exponent of the spatial factors
+    that declare none, and must exceed the space dimension.
     """
 
-    def __init__(self, n: int, dim: int, terms, p0: float):
-        self.n = int(n)
-        self.dim = int(dim)
-        self.p0 = float(p0)
-        self.terms = []
-        for t in terms:
-            self.term(t.alpha, t.i, t.g, t.h, t.p0)
+    p0: float = 4.0
+    terms: list[Term] = field(default_factory=list)
 
-    def term(self, alpha, i, g, h, p0=None):
-        """Append a term, with its target range checked, and return self."""
-        if not (0 <= alpha < self.n and 0 <= i < self.dim):
-            raise ValueError(f"term targets ({alpha}, {i}) outside the "
-                             f"(n={self.n}, N={self.dim}) flux index range")
-        self.terms.append(Term(alpha, i, g, h, p0 if p0 is not None else self.p0))
+    def bind(self, n, dim):
+        """Sets ``n`` and ``dim`` and binds each term, whose error is
+        named by its ``terms[k]`` key; returns self."""
+        self.n, self.dim = int(n), int(dim)
+        for k, t in enumerate(self.terms):
+            try:
+                t.bind(self.n, self.dim)
+            except ValueError as exc:
+                raise ValueError(f"terms[{k}].{exc}") from exc
         return self
 
     def flux_values(self, spatial: list, u_vals: np.ndarray) -> np.ndarray:
@@ -246,7 +268,7 @@ def _quad_data(nl: Nonlinearity, space: FemSpace, u: DiscreteField):
         raise ValueError("field does not live on the given space")
     nc, nq = space.quad_points.shape[:2]
     pts = space.quad_points.reshape(nc * nq, space.mesh.dim)
-    spatial = [space.quadrature_values(t.g) for t in nl.terms]
+    spatial = [space.quadrature_values(t.spatial_factor) for t in nl.terms]
     u_vals = space.values_at_quadrature(u.values).reshape(nc * nq, space.n)
     return nc, nq, pts, spatial, u_vals
 
@@ -324,14 +346,15 @@ def validate(nl: Nonlinearity) -> ValidationReport:
     report = ValidationReport(p0=nl.p0, dim=dim, exponent_ok=nl.p0 > dim)
     levels = (1024, 2048, 4096) if dim == 1 else (64, 128, 256)
     for t in nl.terms:
-        estimates = [_estimate_gp_integral(t.g, t.p0, dim, m) for m in levels]
+        p0 = nl.p0 if t.p0 is None else t.p0
+        estimates = [_estimate_gp_integral(t.spatial_factor, p0, dim, m)
+                     for m in levels]
         finite = all(np.isfinite(e) for e in estimates)
         ratio = estimates[-1] / estimates[-2] if finite and estimates[-2] > 0 else np.inf
         stable = finite and (estimates[-1] == 0.0 or ratio <= 1.2)
-        exponent_ok = t.p0 > dim
-        source = getattr(t.g, "source", type(t.g).__name__)
+        exponent_ok = p0 > dim
         report.terms.append(TermReport(
-            alpha=t.alpha, i=t.i, source=source,
+            alpha=t.alpha, i=t.i, source=t.spatial_factor.source,
             integral_estimate=estimates[-1], passed=stable and exponent_ok))
     if not report.exponent_ok:
         report.reason = f"p0 must exceed N (p0={nl.p0}, N={dim})"

@@ -71,7 +71,6 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "UniquenessProbeReport",
-    "newton_solve",
     "solve_homogenized",
     "oscillatory_operator",
     "nondegeneracy_margin",
@@ -191,12 +190,14 @@ def _iterate(diffusion: SparseOperator, nl: Nonlinearity, u: DiscreteField,
     return u, report
 
 
-def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
-                 cfg: SolverConfig | None = None, near=None):
+def solve_homogenized(diffusion: SparseOperator, nl: Nonlinearity,
+                      cfg: SolverConfig | None = None, near=None):
     """Newton iteration on A u + D F(u) = 0 over ``diffusion.space``,
-    started at zero.
+    started at zero; returns ``(u, report)``.
 
-    Each step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``, refined over
+    ``diffusion`` is the assembled ``A``: a sweep row passes the effective
+    ``Ahat``, and any assembled operator, such as ``A_eps``, will do.  Each
+    step solves ``(A + C(u_k)) s = -(A u_k + D F(u_k))``, refined over
     ``near`` when given (see :func:`~homfem.fem.solve_linear`), such as the
     :class:`~homfem.fem.SineSolver` of ``A``.  Linear problems (flux
     independent of u) converge in exactly one step.
@@ -213,14 +214,6 @@ def newton_solve(diffusion: SparseOperator, nl: Nonlinearity,
 
     return _iterate(diffusion, nl, space.zero_field(), advance,
                     cfg.newton_tol, cfg.newton_max_iter, "residual_history")
-
-
-def solve_homogenized(ahat: SparseOperator, nl: Nonlinearity,
-                      cfg: SolverConfig | None = None, near=None):
-    """Newton solve of the effective problem Ahat u + D F(u) = 0, with
-    ``ahat`` the assembled effective operator; each step refines over
-    ``near`` when given."""
-    return newton_solve(ahat, nl, cfg, near=near)
 
 
 def nondegeneracy_margin(linearized: FrozenOperator) -> float:

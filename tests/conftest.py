@@ -11,12 +11,11 @@ from homfem import (ConstantTensor, ExpressionTensor, FrozenOperator,
                     HomogenizedTensor, PiecewiseTensor, SolverConfig,
                     TensorField, approximate_solution, fixed_point_solve,
                     homogenized_tensor_1d)
-from homfem.expressions import compile_expression
 from homfem.fem import (FemSpace, _restrict, assemble_diffusion,
                         assemble_divergence_load, solve_linear)
 from homfem.mesh import (build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.nonlin import Constant, Monomial, Nonlinearity, Polynomial
+from homfem.nonlin import Constant, Monomial, Nonlinearity, Polynomial, Term
 from homfem.norms import h_convergence_probe
 
 
@@ -34,6 +33,13 @@ def expression_field(n, dim, entries):
                                                 entries=entries))
 
 
+def bound_flux(n, dim, *terms, p0=4.0):
+    """The flux with exponent ``p0`` and a term per ``(target, g, h)``,
+    ``target`` counted from 1 as in a config, bound to ``n`` and ``dim``."""
+    return Nonlinearity(p0, [Term(target=list(target), g=g, h=h)
+                             for target, g, h in terms]).bind(n, dim)
+
+
 def piecewise_14_tensor():
     """1D two-phase coefficient: 1 on the first half cell, 4 on the second."""
     return piecewise_field(1, 1, (2,), [1.0, 4.0])
@@ -46,10 +52,8 @@ def oscillatory_scenario_1d():
     """
     base = piecewise_14_tensor()
     ahat = homogenized_tensor_1d(base)
-    nl = Nonlinearity(1, 1, [], p0=4.0)
-    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1), Constant(1.0))
-    nl.term(0, 0, compile_expression("0.25", 1),
-            Polynomial([Monomial(1.0, [2])]))
+    nl = bound_flux(1, 1, ([1, 1], "0.5*sin(2*pi*x)", Constant(1.0)),
+                    ([1, 1], "0.25", Polynomial([Monomial(1.0, [2])])))
     return base, ahat, nl
 
 
@@ -219,13 +223,10 @@ def coupled_scenario_2d():
                 else:
                     entries[a][b][i][i] = "0.25"
     base = expression_field(2, 2, entries)
-    nl = Nonlinearity(2, 2, [], p0=4.0)
-    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x1)", 2), Constant(1.0))
-    nl.term(0, 0, compile_expression("0.25", 2),
-            Polynomial([Monomial(1.0, [2, 0])]))
-    nl.term(1, 1, compile_expression("0.5*sin(2*pi*x2)", 2), Constant(1.0))
-    nl.term(1, 1, compile_expression("0.2", 2),
-            Polynomial([Monomial(1.0, [1, 1])]))
+    nl = bound_flux(2, 2, ([1, 1], "0.5*sin(2*pi*x1)", Constant(1.0)),
+                    ([1, 1], "0.25", Polynomial([Monomial(1.0, [2, 0])])),
+                    ([2, 2], "0.5*sin(2*pi*x2)", Constant(1.0)),
+                    ([2, 2], "0.2", Polynomial([Monomial(1.0, [1, 1])])))
     return base, nl
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import config_key_paths
 from homfem.cli import ConfigError, load_schema, main, parse_config, run_sweep
 from homfem.nonlin import TableFactor
+from homfem.norms import h_convergence_probe, probe_load
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -92,11 +93,20 @@ def _with_tensor(tensor):
   values: [1.0, 4.0]""", tensor)
 
 
+def _on_square(text):
+    """``text`` on the unit square."""
+    return text.replace("domain: interval", "domain: unit-square")
+
+
+_NOT_FINITE = "tensor: {kind: expression, entries: \"1/floor(2*%s)\"}"
+
+
 # the parse errors of the tensor and defect specs, word for word, with the
 # key each names: a grid or a table that does not fit, an entry of the
 # wrong shape for system_dim 2, an unknown kind, a tensor that is not
-# finite, a defect that is not localized, and a tensor and a defect that
-# pass their own checks but whose sum is not elliptic
+# finite on the 16-per-axis sample grid (on either domain, for either
+# system_dim), a defect that is not localized, and a tensor and a defect
+# that pass their own checks but whose sum is not elliptic
 _TENSOR_ERRORS = [
     ("tensor.grid", MINIMAL.replace("grid: [2]", "grid: [2, 2]"),
      "tensor.grid must have 1 entries, each at least 1 (the domain's "
@@ -123,11 +133,16 @@ _TENSOR_ERRORS = [
                               "values: [0.0]}\n",
      "defect.grid must have 1 entries, each at least 1 (the domain's "
      "dimension is 1), got [4, 4]"),
-    # sampled for the hypothesis warning, which only an interval reads
-    ("tensor.entries",
-     _with_tensor('tensor: {kind: expression, entries: "1/floor(2*x)"}')
-     + "system_dim: 2\n",
+    ("tensor.entries", _with_tensor(_NOT_FINITE % "x") + "system_dim: 2\n",
      "tensor.entries: tensor evaluation failed at point [0.03125]"),
+    ("tensor.entries", _with_tensor(_NOT_FINITE % "x"),
+     "tensor.entries: tensor evaluation failed at point [0.03125]"),
+    ("tensor.entries", _on_square(_with_tensor(_NOT_FINITE % "x1")),
+     "tensor.entries: tensor evaluation failed at point [0.03125 0.03125]"),
+    ("tensor.entries",
+     _on_square(_with_tensor(_NOT_FINITE % "x1")).replace(
+         "powers: [2]", "powers: [2, 0]") + "system_dim: 2\n",
+     "tensor.entries: tensor evaluation failed at point [0.03125 0.03125]"),
     ("defect", MINIMAL + "defect: {kind: constant, value: 0.5}\n",
      "defect: defect fails the localization spot-check: ball-mean of |b| "
      "does not decay with radius ([1.0, 1.0, 1.0, 1.0])"),
@@ -371,13 +386,15 @@ eps: [0.25]
         assert doc["solver"]["fp_max_iter"] == 50
         assert doc["probe"]["trials"] == 10
 
-    @pytest.mark.parametrize("name", ["two_phase_1d", "coupled_2d"])
+    @pytest.mark.parametrize("name", ["two_phase_1d", "coupled_2d",
+                                      "catalog_2d"])
     def test_echoed_config_is_a_config(self, name):
-        # the effective config that run.log records parses back to itself
+        # the effective config that run.log records parses back to itself;
+        # compared as dicts, since a table g compares by identity
         cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
         doc = asdict(cfg)
         del doc["warnings"]
-        assert parse_config(yaml.safe_dump(doc)) == cfg
+        assert asdict(parse_config(yaml.safe_dump(doc))) == asdict(cfg)
 
 
 # value factors of the flux catalog; under the strong spatial factor the
@@ -853,6 +870,17 @@ class TestMain:
         assert row["status"] == "converged"
         rows = _read_csv(tmp_path / "o" / "solution.csv", "solution")
         assert len(rows) == 129  # 128 cells -> 129 vertices, one component
+
+    def test_solve_runs_no_linear_probe(self, tmp_path, count_calls):
+        # the probe mesh is the row mesh here, where a sweep row probes its
+        # period; solve writes no probe table, so it runs no probe
+        probes = count_calls(h_convergence_probe)
+        loads = count_calls(probe_load)
+        assert main(["solve", "--config", str(CONFIGS / "coupled_2d.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        row = json.loads((tmp_path / "solve.json").read_text())
+        assert row["status"] == "converged"
+        assert probes == loads == []
 
     def test_solve_stage_failure_recorded(self, tmp_path):
         # h = 1/u has its pole at the Newton start u = 0: the solve ends in

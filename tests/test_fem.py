@@ -25,12 +25,12 @@ from homfem.fem import (BandLU, DiscreteField, FemSpace, LinearSolveError,
                         assemble_jacobian_coupling, lu_factor, solve_linear)
 from homfem.mesh import (Mesh, build_interval_mesh, build_periodic_cell_mesh,
                          build_unit_square_mesh)
-from homfem.nonlin import (Monomial, Nonlinearity, Polynomial,
-                           eval_F_jacobian)
+from homfem.nonlin import Monomial, Polynomial, eval_F_jacobian
 from homfem.solver import (FrozenOperator, nondegeneracy_margin,
                            solve_homogenized)
 
-from conftest import (KERNEL_SPACES, assert_relative_close, constant_field,
+from conftest import (KERNEL_SPACES, assert_relative_close, bound_flux,
+                      constant_field,
                       coo_diffusion, coo_jacobian_coupling,
                       coupled_scenario_2d, effective_operator,
                       expression_field, one_call_diffusion,
@@ -295,9 +295,8 @@ def _two_component_newton_matrix():
     tensor = expression_field(
         2, 1, [[[["2 + cos(2*pi*x)"]], [["0.25"]]],
                [[["0.25"]], [["3 + sin(2*pi*x)"]]]])
-    nl = Nonlinearity(2, 1, [], p0=4.0)
-    nl.term(0, 0, compile_expression("0.5*sin(2*pi*x)", 1),
-            Polynomial([Monomial(1.0, [0, 2])]))
+    nl = bound_flux(2, 1, ([1, 1], "0.5*sin(2*pi*x)",
+                           Polynomial([Monomial(1.0, [0, 2])])))
     space = FemSpace(build_interval_mesh(128), 2)
     u = space.field_from_free(
         np.random.default_rng(3).uniform(-1.0, 1.0, space.num_free))

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfem.cli import parse_config
-from homfem.expressions import compile_expression
-from homfem.fem import DiscreteField, FemSpace
-from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, LinearForm, Monomial, Nonlinearity,
-                           Polynomial, Rational, TableFactor, Term, eval_F,
+from homfem.fem import DiscreteField
+from homfem.nonlin import (Constant, LinearForm, Monomial, Polynomial,
+                           Rational, TableFactor, Term, eval_F,
                            eval_F_jacobian, validate)
 
-from conftest import space_1d
+from conftest import bound_flux, space_1d
 
 # a 1D config whose only flux term is 0.25 / (1 + c u)
 _RATIONAL_CONFIG = """
@@ -114,7 +112,7 @@ class TestCatalog:
         # h = 1/(1 + c u) has its pole -1/c in [-1, 1]; away from the pole
         # the analytic gradient matches central differences
         cfg = parse_config(_RATIONAL_CONFIG.format(c=c))
-        h = cfg.flux.terms[0].h
+        h = cfg.nonlinearity.terms[0].h
         u = np.linspace(-1.0, 1.0, 401)
         u = u[np.abs(u + 1.0 / c) >= 0.25].reshape(-1, 1)
         assert np.allclose(h(u), 1.0 / (1.0 + c * u[:, 0]), rtol=1e-14)
@@ -123,12 +121,29 @@ class TestCatalog:
 
 @pytest.mark.parametrize("alpha, i", [(1, 0), (0, 1), (-1, 0)])
 def test_term_target_outside_the_index_range_rejected(alpha, i):
-    # the constructor and term() share one range check
-    g, h = compile_expression("1", 1), Constant(1.0)
-    with pytest.raises(ValueError, match="flux index range"):
-        Nonlinearity(1, 1, [Term(alpha, i, g, h, 4.0)], p0=4.0)
-    with pytest.raises(ValueError, match="flux index range"):
-        Nonlinearity(1, 1, [], p0=4.0).term(alpha, i, g, h)
+    # bind checks the target, counted from 1, against n and N; the flux
+    # names the term by its key
+    target = [alpha + 1, i + 1]
+    message = (f"target must be an integer pair in [1, 1] x [1, 1], got "
+               f"{target!r}")
+    with pytest.raises(ValueError) as info:
+        Term(target=target, g="1").bind(1, 1)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        bound_flux(1, 1, ([1, 1], "1", Constant()), (target, "1", Constant()))
+    assert str(info.value) == "terms[1]." + message
+
+
+def test_bind_stores_the_entry_and_the_compiled_g():
+    term = Term(target=[2, 1], g=0.5)
+    term.bind(2, 1)
+    assert (term.alpha, term.i, term.spatial_factor.source) == (1, 0, "0.5")
+    table = Term(target=[1, 1], g=TableFactor([2], [1.0, 3.0]))
+    table.bind(1, 1)
+    assert table.spatial_factor is table.g
+    with pytest.raises(ValueError) as info:
+        Term(target=[1, 1], g="x2").bind(1, 1)
+    assert str(info.value) == "g: variable 'x2' exceeds space dimension 1"
 
 
 class TestEvalF:
@@ -138,8 +153,7 @@ class TestEvalF:
 
     def test_u_independent_flux(self):
         space = space_1d(8)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("x", 1), Constant(1.0))
+        nl = bound_flux(1, 1, ([1, 1], "x", Constant(1.0)))
         for fn in (np.zeros_like, np.ones_like):
             u = self._u_field(space, fn)
             vals = eval_F(nl, space, u)
@@ -147,48 +161,44 @@ class TestEvalF:
 
     def test_square_of_constant_field(self):
         space = space_1d(4)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1),
-                Polynomial([Monomial(1.0, [2])]))
+        nl = bound_flux(1, 1,
+                        ([1, 1], "1", Polynomial([Monomial(1.0, [2])])))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F(nl, space, u), 4.0)
 
     def test_separable_product_pointwise(self):
         # f = sin(2 pi x) * u at x=0.25 with u(x)=x: sin(pi/2) * 0.25
         space = space_1d(8)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("sin(2*pi*x)", 1),
-                Polynomial([Monomial(1.0, [1])]))
+        nl = bound_flux(1, 1, ([1, 1], "sin(2*pi*x)",
+                               Polynomial([Monomial(1.0, [1])])))
         u = self._u_field(space, lambda x: x.copy())
         # use an explicit sample, not a mesh quadrature point
-        vals = nl.flux_values([t.g(np.array([[0.25]])) for t in nl.terms],
+        vals = nl.flux_values([t.spatial_factor(np.array([[0.25]]))
+                               for t in nl.terms],
                                np.array([[0.25]]))
         assert np.isclose(vals[0, 0, 0], 0.25)
 
     def test_jacobian_zero_for_u_independent(self):
         space = space_1d(4)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("x", 1), Constant(1.0))
+        nl = bound_flux(1, 1, ([1, 1], "x", Constant(1.0)))
         u = self._u_field(space, np.ones_like)
         assert np.allclose(eval_F_jacobian(nl, space, u), 0.0)
 
     def test_jacobian_cubic(self):
         space = space_1d(4)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1),
-                Polynomial([Monomial(1.0, [3])]))
+        nl = bound_flux(1, 1,
+                        ([1, 1], "1", Polynomial([Monomial(1.0, [3])])))
         u = self._u_field(space, lambda x: np.full_like(x, 2.0))
         assert np.allclose(eval_F_jacobian(nl, space, u), 12.0)
 
     def test_locality_under_permutation(self):
         # the flux at a sample depends only on the value at that sample
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1", 1),
-                Polynomial([Monomial(1.0, [2])]))
+        nl = bound_flux(1, 1,
+                        ([1, 1], "1", Polynomial([Monomial(1.0, [2])])))
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(20, 1))
         u = rng.uniform(size=(20, 1))
-        spatial = [t.g(pts) for t in nl.terms]
+        spatial = [t.spatial_factor(pts) for t in nl.terms]
         vals = nl.flux_values(spatial, u)
         perm = rng.permutation(20)
         k = int(perm[0])
@@ -199,11 +209,10 @@ class TestEvalF:
 
     def test_pole_error_names_point(self):
         space = space_1d(4)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
         # pole at u = -5, reached by the constant field
         pole = Rational([Monomial(1.0, [0])],
                         [Monomial(1.0, [1]), Monomial(5.0, [0])])
-        nl.term(0, 0, compile_expression("1", 1), pole)
+        nl = bound_flux(1, 1, ([1, 1], "1", pole))
         u = DiscreteField(space, np.full(space.num_dofs, -5.0))
         with pytest.raises(ValueError, match="quadrature point"):
             eval_F(nl, space, u)
@@ -211,7 +220,7 @@ class TestEvalF:
     def test_parsed_rational_pole_reached_by_field(self):
         # 1/(1 - 2u) parses; a field sitting on its pole u = 1/2 is refused
         # when the flux or its derivative is evaluated
-        nl = parse_config(_RATIONAL_CONFIG.format(c=-2.0)).flux
+        nl = parse_config(_RATIONAL_CONFIG.format(c=-2.0)).nonlinearity
         space = space_1d(4)
         u = DiscreteField(space, np.full(space.num_dofs, 0.5))
         with pytest.raises(ValueError, match="denominator vanishes"):
@@ -222,14 +231,14 @@ class TestEvalF:
     def test_gateaux_remainder_shrinks(self):
         # |F(u+tv) - F(u) - t J(u) v| / t -> 0 with decreasing ratios
         space = space_1d(32)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("1 + 0.5*sin(2*pi*x)", 1),
-                Polynomial([Monomial(1.0, [3]), Monomial(0.5, [2])]))
+        nl = bound_flux(1, 1, ([1, 1], "1 + 0.5*sin(2*pi*x)", Polynomial(
+            [Monomial(1.0, [3]), Monomial(0.5, [2])])))
         rng = np.random.default_rng(4)
         u = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
         v = DiscreteField(space, rng.uniform(-1, 1, space.num_dofs))
         nc, nq = space.quad_points.shape[:2]
-        spatial = [space.quadrature_values(t.g) for t in nl.terms]
+        spatial = [space.quadrature_values(t.spatial_factor)
+                   for t in nl.terms]
         uq = space.values_at_quadrature(u.values).reshape(-1, 1)
         vq = space.values_at_quadrature(v.values).reshape(-1, 1)
         jac_v = np.einsum("maib,mb->mai", nl.flux_jacobian(spatial, uq), vq)
@@ -244,13 +253,11 @@ class TestEvalF:
 
 class TestValidate:
     def _nl_with_g(self, expr, p0):
-        nl = Nonlinearity(1, 1, [], p0=p0)
-        nl.term(0, 0, compile_expression(expr, 1), Constant(1.0))
+        nl = bound_flux(1, 1, ([1, 1], expr, Constant(1.0)), p0=p0)
         return nl
 
     def test_smooth_factor_passes(self):
-        nl = Nonlinearity(1, 2, [], p0=4.0)
-        nl.term(0, 0, compile_expression("sin(2*pi*x1)", 2), Constant(1.0))
+        nl = bound_flux(1, 2, ([1, 1], "sin(2*pi*x1)", Constant(1.0)))
         assert validate(nl).passed
 
     def test_exponent_must_exceed_dimension(self):
@@ -261,8 +268,7 @@ class TestValidate:
     def test_exponent_checked_against_flux_dimension(self):
         # p0 = 1.5 exceeds N = 1 but not N = 2
         for dim, passed in ((1, True), (2, False)):
-            nl = Nonlinearity(1, dim, [], p0=1.5)
-            nl.term(0, 0, compile_expression("1", dim), Constant(1.0))
+            nl = bound_flux(1, dim, ([1, 1], "1", Constant(1.0)), p0=1.5)
             report = validate(nl)
             assert report.dim == dim
             assert report.passed is passed
@@ -280,8 +286,8 @@ class TestValidate:
         assert not report.passed
 
     def test_table_factor(self):
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, TableFactor([2], [1.0, 3.0]), Constant(1.0))
+        nl = bound_flux(1, 1, ([1, 1], TableFactor([2], [1.0, 3.0]),
+                               Constant(1.0)))
         report = validate(nl)
         assert report.passed
         # mean of |g|^4 over the two halves

@@ -12,28 +12,27 @@ import scipy.linalg as sla
 import homfem
 from homfem.cell import homogenized_tensor_1d
 from homfem.coeff import HomogenizedTensor
-from homfem.expressions import compile_expression
 from homfem.fem import (FemSpace, LinearSolveError, assemble_diffusion,
                         assemble_jacobian_coupling)
 from homfem.mesh import build_interval_mesh
-from homfem.nonlin import (Constant, LinearForm, Monomial, Nonlinearity,
-                           Polynomial, eval_F_jacobian)
+from homfem.nonlin import (Constant, LinearForm, Monomial, Polynomial,
+                           eval_F_jacobian)
 from homfem.norms import linf_norm, w1p_norm
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
-                           local_uniqueness_probe, newton_solve,
-                           nondegeneracy_margin, oscillatory_operator,
-                           solve_homogenized)
+                           local_uniqueness_probe, nondegeneracy_margin,
+                           oscillatory_operator, solve_homogenized)
 
-from conftest import (constant_field, effective_operator,
+from conftest import (bound_flux, constant_field, effective_operator,
                       fixed_point_from_ubar, oscillatory_scenario_1d,
                       piecewise_14_tensor, space_1d)
 
 
-def _linear_nl(expr="x", dim=1):
-    nl = Nonlinearity(1, dim, [], p0=4.0)
-    nl.term(0, 0, compile_expression(expr, dim), Constant(1.0))
-    return nl
+def _linear_nl(expr="x", dim=1, *more):
+    """The flux ``expr`` in its only entry, plus the ``(g, h)`` terms
+    ``more`` there."""
+    return bound_flux(1, dim, ([1, 1], expr, Constant(1.0)),
+                      *(([1, 1], g, h) for g, h in more))
 
 
 def _unit_ahat(dim=1, value=1.0):
@@ -55,7 +54,7 @@ class TestSolveHomogenized:
 
     def test_zero_flux_gives_zero(self):
         space = space_1d(8)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
+        nl = bound_flux(1, 1)
         u0, report = solve_homogenized(effective_operator(space, _unit_ahat()),
                                        nl, SolverConfig())
         assert report.status == "converged"
@@ -126,9 +125,8 @@ class TestNondegeneracyMargin:
         u0 = space.zero_field()
 
         def margin_at(kappa):
-            nl = Nonlinearity(1, 1, [], p0=4.0)
-            nl.term(0, 0, compile_expression(f"{kappa}*(x - 0.5)", 1),
-                    Polynomial([Monomial(1.0, [1])]))
+            nl = bound_flux(1, 1, ([1, 1], f"{kappa}*(x - 0.5)",
+                                   Polynomial([Monomial(1.0, [1])])))
             return nondegeneracy_margin(FrozenOperator(
                 effective_operator(space, ahat), nl, u0))
 
@@ -137,9 +135,8 @@ class TestNondegeneracyMargin:
         assert margins[-1] <= 0.05 * margins[0]
 
         K = assemble_diffusion(space, ahat).matrix.toarray()
-        nl_unit = Nonlinearity(1, 1, [], p0=4.0)
-        nl_unit.term(0, 0, compile_expression("x - 0.5", 1),
-                     Polynomial([Monomial(1.0, [1])]))
+        nl_unit = bound_flux(1, 1, ([1, 1], "x - 0.5",
+                                    Polynomial([Monomial(1.0, [1])])))
         C = assemble_jacobian_coupling(
             space, eval_F_jacobian(nl_unit, space, u0)).matrix.toarray()
         eigs = sla.eigvals(K, -C)
@@ -247,7 +244,7 @@ class TestFixedPointSolve:
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
         u_fp, rep_fp = fixed_point_from_ubar(A_eps, nl, u0, cfg)
-        u_newton, rep_n = newton_solve(A_eps, nl, cfg)
+        u_newton, rep_n = solve_homogenized(A_eps, nl, cfg)
         assert rep_fp.status == rep_n.status == "converged"
         assert linf_norm(u_fp - u_newton) <= 1e-8
 
@@ -264,7 +261,7 @@ class TestFixedPointSolve:
         u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
         A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
         u_fp, rep_fp = fixed_point_from_ubar(A_eps, nl, u0, cfg)
-        u_newton, rep_n = newton_solve(A_eps, nl, cfg)
+        u_newton, rep_n = solve_homogenized(A_eps, nl, cfg)
         assert rep_fp.status == rep_n.status == "converged"
         assert linf_norm(u_fp - u_newton) <= 1e-8
 
@@ -311,10 +308,8 @@ class TestFixedPointSolve:
     def test_divergence_detected(self):
         # a strong cubic flux far outside the contraction regime blows up
         space = space_1d(64)
-        nl = Nonlinearity(1, 1, [], p0=4.0)
-        nl.term(0, 0, compile_expression("40", 1),
-                Polynomial([Monomial(1.0, [3])]))
-        nl.term(0, 0, compile_expression("5*sin(2*pi*x)", 1), Constant(1.0))
+        nl = bound_flux(1, 1, ([1, 1], "40", Polynomial([Monomial(1.0, [3])])),
+                        ([1, 1], "5*sin(2*pi*x)", Constant(1.0)))
         ahat = _unit_ahat(value=0.05)
         u0 = space.zero_field()
         u, report = fixed_point_from_ubar(effective_operator(space, ahat), nl,
@@ -351,7 +346,7 @@ class TestFailureRule:
         singular = assemble_diffusion(space, constant_field(1, 1, 0.0))
         u0 = space.zero_field()
         with pytest.raises(LinearSolveError):
-            newton_solve(singular, _linear_nl())
+            solve_homogenized(singular, _linear_nl())
         with pytest.raises(LinearSolveError):
             FrozenOperator(singular, _linear_nl(), u0)
 
@@ -360,9 +355,7 @@ class TestFailureRule:
         # the strong forcing throws the first iterate far past the point
         # where exp(20 u) overflows; at the start u = -30 the flux is finite
         space = space_1d(32)
-        nl = _linear_nl("2000*x")
-        nl.term(0, 0, compile_expression("1", 1),
-                LinearForm("exp", [20.0], 0.0))
+        nl = _linear_nl("2000*x", 1, ("1", LinearForm("exp", [20.0], 0.0)))
         ahat = _unit_ahat(value=1.6)
         start = space.field_from_free(np.full(space.num_free, -30.0))
         A_hat = effective_operator(space, ahat)
@@ -425,9 +418,7 @@ class TestLocalUniquenessProbe:
         # exp(20 u) overflows at every perturbed start of max-norm 100, so
         # no trial can evaluate its first residual
         space = space_1d(32)
-        nl = _linear_nl("x")
-        nl.term(0, 0, compile_expression("0.01", 1),
-                LinearForm("exp", [20.0], 0.0))
+        nl = _linear_nl("x", 1, ("0.01", LinearForm("exp", [20.0], 0.0)))
         zero = space.zero_field()
         frozen = FrozenOperator(effective_operator(space, _unit_ahat()), nl,
                                 zero)
@@ -459,7 +450,7 @@ def test_newton_residuals_do_not_depend_on_the_blas_thread_count():
         cfg = load_config(sys.argv[1])
         ahat, _ = compute_effective_tensor(cfg)
         A_hat = assemble_diffusion(cfg.build_domain_space(2.0 ** -11), ahat)
-        _, report = solve_homogenized(A_hat, cfg.flux, cfg.solver)
+        _, report = solve_homogenized(A_hat, cfg.nonlinearity, cfg.solver)
         print(*map(float.hex, report.residual_history))
         """)
     config = Path(__file__).parents[1] / "configs" / "two_phase_1d.yaml"

@@ -5,6 +5,7 @@ The counters wrap a homfem function at every homfem module that binds it
 ``solve_homogenized`` from ``solver``), so every call is seen.
 """
 
+import copy
 import csv
 import gc
 import json
@@ -21,20 +22,18 @@ import homfem.cli
 import homfem.norms
 from homfem.cell import solve_cell_problems
 from homfem.cli import main, parse_config, run_single, run_sweep
-from homfem.expressions import compile_expression
 from homfem.fem import (FemSpace, LinearSolveError, SineSolver,
                         assemble_diffusion, assemble_divergence_load,
                         assemble_jacobian_coupling, lu_factor, solve_linear)
 from homfem.mesh import build_periodic_cell_mesh, build_unit_square_mesh
-from homfem.nonlin import (Constant, Monomial, Nonlinearity, Polynomial,
-                           Term, eval_F, eval_F_jacobian)
+from homfem.nonlin import Constant, Monomial, Polynomial, eval_F, eval_F_jacobian
 from homfem.norms import probe_load
 from homfem.solver import (FrozenOperator, SolverConfig,
                            approximate_solution, fixed_point_solve,
-                           local_uniqueness_probe, newton_solve,
-                           oscillatory_operator, solve_homogenized)
+                           local_uniqueness_probe, oscillatory_operator,
+                           solve_homogenized)
 
-from conftest import (assert_relative_close, coo_diffusion,
+from conftest import (assert_relative_close, bound_flux, coo_diffusion,
                       coupled_scenario_2d, effective_operator,
                       piecewise_14_tensor, space_1d)
 
@@ -200,8 +199,10 @@ def test_2d_row_factors_every_matrix_with_superlu(count_calls, superlu_calls):
     cfg = parse_config((CONFIGS / "coupled_2d.yaml").read_text())
     factored = count_calls(lu_factor)
     ahat, _ = homfem.cli.compute_effective_tensor(cfg)
-    result = run_single(cfg, ahat, 0.25)
+    # with the in-row probe, as a sweep row on this config runs it
+    result = run_single(cfg, ahat, 0.25, probing=True)
     assert result.row["status"] == "converged"
+    assert result.probe is not None and not isinstance(result.probe, str)
     assert len(superlu_calls) == len(factored) > 0
 
 
@@ -300,9 +301,9 @@ def test_spatial_factors_are_evaluated_once_per_space(scenario_1d):
             return g(points)
         return spatial
 
-    counting = Nonlinearity(nl.n, nl.dim, [
-        Term(t.alpha, t.i, counted(t.g), t.h, t.p0) for t in nl.terms],
-        nl.p0)
+    counting = copy.deepcopy(nl)
+    for t, original in zip(counting.terms, nl.terms):
+        t.spatial_factor = counted(original.spatial_factor)
 
     def solve(cells):
         space = space_1d(cells)
@@ -310,13 +311,14 @@ def test_spatial_factors_are_evaluated_once_per_space(scenario_1d):
                                       counting)
         assert report.status == "converged" and report.iterations >= 2
         return [weakref.ref(space), *(
-            weakref.ref(space.quadrature_values(t.g))
+            weakref.ref(space.quadrature_values(t.spatial_factor))
             for t in counting.terms)]
 
     kept = solve(128) + solve(256)
     # one evaluation per term on each space, however many flux
     # evaluations and Jacobians its Newton iterates took
-    assert Counter(evaluated) == Counter(2 * [t.g for t in nl.terms])
+    assert Counter(evaluated) == Counter(
+        2 * [t.spatial_factor for t in nl.terms])
     # and the values go with their space
     gc.collect()
     assert [ref() for ref in kept] == [None] * len(kept)
@@ -327,8 +329,8 @@ def test_newton_evaluates_the_flux_once_per_iterate(scenario_1d,
     _, ahat, nl = scenario_1d
     space = space_1d(128)
     evaluated = count_calls(eval_F)
-    _, report = newton_solve(effective_operator(space, ahat), nl,
-                             SolverConfig())
+    _, report = solve_homogenized(effective_operator(space, ahat), nl,
+                                  SolverConfig())
     assert report.status == "converged" and report.iterations >= 2
     # the start's residual, then one per Newton iterate
     assert len(evaluated) == report.iterations + 1
@@ -392,10 +394,9 @@ def test_lu_that_does_not_contract_falls_back_to_one_factorization(
     # iteration matrix (A + C)^{-1} C has spectral radius about 2
     space = space_1d(64)
     A_eps = assemble_diffusion(space, piecewise_14_tensor().with_epsilon(1 / 8))
-    nl = Nonlinearity(1, 1, [], p0=4.0)
-    nl.term(0, 0, compile_expression("200*(x - 0.5)", 1),
-            Polynomial([Monomial(1.0, [1])]))
-    nl.term(0, 0, compile_expression("sin(2*pi*x)", 1), Constant(1.0))
+    nl = bound_flux(1, 1, ([1, 1], "200*(x - 0.5)",
+                           Polynomial([Monomial(1.0, [1])])),
+                    ([1, 1], "sin(2*pi*x)", Constant(1.0)))
     u0 = space.zero_field()
     frozen = FrozenOperator(A_eps, nl, u0)
     C, M = frozen.C.matrix.toarray(), (A_eps + frozen.C).matrix.toarray()
@@ -466,8 +467,8 @@ def test_in_row_probe_builds_one_load_per_eps(tmp_path, monkeypatch,
     run = homfem.cli.run_single
     loads = _probe_loads_per_mesh(count_calls)
 
-    def row(*args):
-        result = run(*args)
+    def row(*args, **kwargs):
+        result = run(*args, **kwargs)
         during.append(loads())
         return result
 
