@@ -47,8 +47,8 @@ from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import (ConstantTensor, EllipticityError, ExpressionTensor,
                     HomogenizedTensor, PiecewiseTensor, TensorField,
                     _finite, add_defect, sample_grid)
-from .fem import (DiscreteField, FemSpace, LinearSolveError, SineSolver,
-                  SparseOperator, assemble_diffusion, solve_linear)
+from .fem import (FemSpace, LinearSolveError, SineSolver, assemble_diffusion,
+                  solve_linear)
 from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
 from .nonlin import LinearForm, Nested, Nonlinearity, TableFactor, validate
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
@@ -148,7 +148,7 @@ TensorSpec = ConstantTensor | PiecewiseTensor | ExpressionTensor
 @dataclass
 class ProblemConfig:
     """A fully validated experiment description with defaults filled in;
-    its init fields and its sections' fields are the YAML document's keys,
+    its fields and its sections' fields are the YAML document's keys,
     those of the tensor, flux-term and value-factor specs included."""
 
     domain: str = "interval"
@@ -165,9 +165,9 @@ class ProblemConfig:
     probe: ProbeConfig = dc_field(default_factory=ProbeConfig)
     seed: int = 0
     output: str = "out"
-    warnings: list = dc_field(default_factory=list, init=False)
 
     def __post_init__(self):
+        self.warnings = []  # parse_config's; not a key, so asdict skips it
         if self.domain not in ("interval", "unit-square"):
             raise ValueError(f"unknown domain {self.domain!r}")
         _at_least(self, system_dim=1, seed=0)
@@ -464,18 +464,17 @@ def _row(eps: float, status: str, h: float = np.nan, n_cells: int = 0):
 @dataclass
 class RowResult:
     """What one period's solve reached: the sweep row, the solve space, the
-    fields among ``u0``, ``ubar`` and ``ueps``, the FrozenOperator once the
-    fixed point ran, and the row's linear probe (or its error record)."""
+    fields among ``u0``, ``ubar`` and ``ueps``, and the FrozenOperator once
+    it was refrozen at ``A_eps + C(u0)``."""
 
     row: dict
     space: FemSpace | None = None
     fields: dict = dc_field(default_factory=dict)
     frozen: FrozenOperator | None = None
-    probe: HConvergenceRow | str | None = None
 
 
-def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-               probing: bool = False) -> RowResult:
+def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor,
+               eps: float) -> RowResult:
     """One full solve at a single oscillation period.
 
     ``Ahat`` and ``A_eps`` are each assembled once and handed to every
@@ -485,15 +484,9 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
     each Newton step factors ``Ahat + C(u_k)``.  Past Newton the row
     assembles ``C(u0)`` once and factors its two linearizations at ``u0``
     once each, ``Ahat + C(u0)`` for the margin and then ``A_eps + C(u0)``,
-    and never holds both factorizations.
-
-    When ``probing`` (for a caller whose probe mesh is the row's mesh), the
-    row probes its period on its space's 3-point view (where the midpoint
-    ``Ahat`` is exact, as it is constant), the ``Ahat`` solve refined over
-    the sine transform in 2D (factored in 1D) and the ``A_eps`` one over
-    ``A_eps + C(u0)``.  The view is built for each of the two steps: across
-    the refreeze the row holds only the ``Ahat`` solution's values and the
-    load.  A probe failure is recorded in ``probe``; the row is kept.
+    and never holds both factorizations.  The returned ``frozen`` holds the
+    factor of ``A_eps + C(u0)``, over which a caller may refine the row's
+    linear probe (:func:`_probe_scale`).
     """
     nl = cfg.nonlinearity
     space = cfg.build_domain_space(eps)
@@ -514,17 +507,6 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
         if margin <= 0:
             row["status"] = "degenerate"
         else:
-            if probing:
-                probe_space = space.with_quadrature("3point")
-                load = probe_load(probe_space)
-                u_hat = _guarded(f"linear probe at eps={eps:g}", solve_linear,
-                                 SparseOperator(probe_space, A_hat.matrix),
-                                 -load, near=near)
-                # only the solution's values and the load are held across
-                # the refreeze; the A_eps step builds the view again
-                if not isinstance(u_hat, str):
-                    u_hat = u_hat.values
-                del probe_space
             frozen.thaw()  # keeps C(u0) alone
             del A_hat, near  # the A_eps stages need neither
             tensor_eps = cfg.coefficient.with_epsilon(eps)
@@ -541,12 +523,6 @@ def run_single(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
             factors = fp_report.contraction_factors
             row["max_contraction"] = max(factors) if factors else np.nan
             row["status"] = fp_report.status
-            if probing:  # u_hat is the Ahat step's error record if it failed
-                result.probe = u_hat if isinstance(u_hat, str) else _guarded(
-                    f"linear probe at eps={eps:g}", h_convergence_probe,
-                    tensor_eps, ahat,
-                    DiscreteField(space.with_quadrature("3point"), u_hat),
-                    load, cfg.probe.modes, near=frozen.lu)
     return result
 
 
@@ -583,12 +559,11 @@ def _guarded(what: str, step, *args, **kwargs):
         return f"error-{type(exc).__name__}: {exc}"
 
 
-def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
-                 probing: bool = False) -> RowResult:
+def _guarded_run(cfg: ProblemConfig, ahat: HomogenizedTensor,
+                 eps: float) -> RowResult:
     """run_single, but a failure lands in the row's ``error-<Type>`` status
     (with no space, no fields and no frozen operator); the sweep goes on."""
-    result = _guarded(f"solve at eps={eps:g}", run_single, cfg, ahat, eps,
-                      probing=probing)
+    result = _guarded(f"solve at eps={eps:g}", run_single, cfg, ahat, eps)
     if isinstance(result, str):
         return RowResult(_row(eps, result.partition(": ")[0]))
     return result
@@ -601,23 +576,27 @@ def _ahat_near(space: FemSpace, ahat: HomogenizedTensor):
     return SineSolver(space, ahat.values) if space.mesh.dim == 2 else None
 
 
-def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor,
-                 eps: float) -> HConvergenceRow:
-    """The linear probe at ``eps`` on its own space: ``A_eps`` is factored,
-    and ``Ahat`` too in 1D; in 2D its solve refines over the sine
-    transform."""
-    space = cfg.build_probe_space(eps)
+def _probe_scale(cfg: ProblemConfig, ahat: HomogenizedTensor, eps: float,
+                 space: FemSpace | None = None, near=None) -> HConvergenceRow:
+    """The linear probe at ``eps``: on ``space``'s 3-point view when given,
+    such as a sweep row's space, else on its own probe space.  The ``Ahat``
+    solve refines over the sine transform in 2D and factors in 1D; the
+    ``A_eps`` solve refines over ``near`` when given, such as the row's
+    ``A_eps + C(u0)`` factor, and factors otherwise."""
+    space = (cfg.build_probe_space(eps) if space is None
+             else space.with_quadrature("3point"))
     load = probe_load(space)
     u_hat = solve_linear(assemble_diffusion(space, ahat), -load,
                          near=_ahat_near(space, ahat))
     return h_convergence_probe(cfg.coefficient.with_epsilon(eps), ahat,
-                               u_hat, load, cfg.probe.modes)
+                               u_hat, load, cfg.probe.modes, near=near)
 
 
 def _write_probe_tables(cfg: ProblemConfig, ahat: HomogenizedTensor,
                         out: Path, done: dict | None = None) -> dict:
     """Writes ``hconv.csv`` and ``meyers.csv`` from one probe per period:
-    ``done``'s, run in the sweep rows, then :func:`_probe_scale`'s.  Returns
+    ``done``'s, run by the sweep on its rows' spaces, else one that
+    :func:`_probe_scale` runs here on its own probe space.  Returns
     the ``summary.json`` entries: the Meyers observed range and, when a
     period failed (it is left out of both tables), ``probe_errors``."""
     done = done or {}
@@ -674,17 +653,20 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
     log.info("effective tensor computed: %s", _json(cell_info))
 
     # finest first: the probe runs while its row's factors are alive, and
-    # the next row runs without this row's mesh.  A row probes its period
-    # when the probe mesh is its mesh: the probe builds at least 4 cells
-    # per side, the row at least 2, so from 4 cells per period on both
-    # build cells_per_eps / eps
+    # the next row runs without this row's mesh.  A period is probed on its
+    # row's space, refined over the row's A_eps + C(u0), when the probe
+    # mesh is the row's mesh and the row reached that factor: the probe
+    # builds at least 4 cells per side, the row at least 2, so from 4 cells
+    # per period on both build cells_per_eps / eps
     probing = cfg.probe.cells_per_eps == cfg.mesh.cells_per_eps >= 4
     rows, probes, uniqueness = [], {}, None
     for eps in reversed(cfg.eps):
-        result = _guarded_run(cfg, ahat, eps, probing)
+        result = _guarded_run(cfg, ahat, eps)
         rows.append(result.row)
-        if result.probe is not None:
-            probes[eps] = result.probe
+        if probing and result.frozen is not None:
+            probes[eps] = _guarded(
+                f"linear probe at eps={eps:g}", _probe_scale, cfg, ahat, eps,
+                result.space, near=result.frozen.lu)
         if uniqueness is None and result.row["status"] == "converged":
             report = _guarded(
                 f"uniqueness probe at eps={eps:g}", local_uniqueness_probe,
@@ -728,7 +710,8 @@ def _sweep(cfg: ProblemConfig, out: Path) -> dict:
 @contextlib.contextmanager
 def _run_log(cfg: ProblemConfig, out: Path):
     """One command's log: ``out/run.log`` and stderr, opening with the
-    config's warnings.  Every ``warnings.warn`` inside the block (the
+    config's warnings, one line each, and then its keys as a JSON line,
+    itself a config.  Every ``warnings.warn`` inside the block (the
     solver's resolution warnings among them) goes to the same handlers."""
     out.mkdir(parents=True, exist_ok=True)
     handlers = [logging.FileHandler(out / "run.log", mode="w"),

@@ -44,9 +44,9 @@ of a constant tensor's matrix on a unit-square space, which factors
 nothing.
 
 Every solver 2-norm is :func:`norm2`, an einsum sum that does not depend
-on the BLAS thread count.  :func:`solve_linear` checks each solution's
-residual and reports a failed one by its normwise backward error, the same
-formula whatever the factor.
+on the BLAS thread count.  :func:`solve_linear` accepts a solution by its
+normwise backward error and reports a failed one by the same number, the
+same formula whatever the factor.
 """
 
 from __future__ import annotations
@@ -815,10 +815,15 @@ def norm2(v: np.ndarray) -> float:
 
 
 def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray):
-    """The residual check ``|A u - rhs| <= 1e-10 (1 + |rhs|)``, and the
-    residual norm it read."""
+    """The check ``error <= 1e-10`` on the normwise backward error
+    ``|r| / (|A|_F |u| + |rhs|)``, ``r = A u - rhs``, and the residual norm
+    and error it read; a zero residual passes, also where it is 0 / 0."""
     residual = norm2(matrix @ u_free - rhs)
-    return residual <= 1e-10 * (1.0 + norm2(rhs)), residual
+    if residual == 0.0:
+        return True, residual, 0.0
+    # |A|_F from the stored entries, which the assembly keeps canonical
+    error = residual / (norm2(matrix.data) * norm2(u_free) + norm2(rhs))
+    return error <= 1e-10, residual, error
 
 
 def solve_linear(A: SparseOperator, rhs: np.ndarray,
@@ -829,12 +834,12 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
     nearby matrix on the same free dofs, such as the factorization of a
     linearization the caller already holds or a :class:`SineSolver`: the
     solve first refines over it (:func:`_refine`) and factors ``A`` only
-    when the refined solution fails the residual check.  The residual is
-    verified against 1e-10 * (1 + |rhs|); a quiet rank-deficient
-    factorization fails this check and raises with the normwise backward
-    error ``|r| / (|A|_F |u| + |rhs|)`` of the solution (Rigal and Gaches;
-    Higham, *Accuracy and Stability of Numerical Algorithms*, section
-    7.1), which reads nothing from the factor.
+    when the refined solution fails the check.  A solution is accepted when
+    its normwise backward error ``|r| / (|A|_F |u| + |rhs|)`` is at most
+    1e-10 (Rigal and Gaches; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 7.1).  The formula reads nothing from the factor,
+    so a backward-stable solve passes at any conditioning, and a factored
+    solution that fails, as after large pivot growth, raises with it.
     """
     if rhs.shape != (A.space.num_free,):
         raise ValueError("right-hand side length does not match free dofs")
@@ -843,11 +848,8 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
         if _solved(A.matrix, u_free, rhs)[0]:
             return A.space.field_from_free(u_free)
     u_free = lu_factor(A.matrix).solve(rhs)
-    solved, residual = _solved(A.matrix, u_free, rhs)
+    solved, residual, error = _solved(A.matrix, u_free, rhs)
     if not solved:
-        # |A|_F from the stored entries, which the assembly keeps canonical
-        error = residual / (norm2(A.matrix.data) * norm2(u_free)
-                            + norm2(rhs))
         raise LinearSolveError(
             f"linear solve failed: residual {residual:.3e} exceeds tolerance "
             f"(backward error {error:.3e})")

@@ -11,7 +11,8 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import config_key_paths
-from homfem.cli import ConfigError, load_schema, main, parse_config, run_sweep
+from homfem.cli import (ConfigError, _run_log, load_schema, main, parse_config,
+                        run_sweep)
 from homfem.nonlin import TableFactor
 from homfem.norms import h_convergence_probe, probe_load
 
@@ -388,13 +389,20 @@ eps: [0.25]
 
     @pytest.mark.parametrize("name", ["two_phase_1d", "coupled_2d",
                                       "catalog_2d"])
-    def test_echoed_config_is_a_config(self, name):
-        # the effective config that run.log records parses back to itself;
-        # compared as dicts, since a table g compares by identity
+    def test_echoed_config_is_a_config(self, name, tmp_path):
+        # the effective config that run.log records parses back to itself,
+        # with the same warnings; compared as dicts, since a table g
+        # compares by identity
         cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
-        doc = asdict(cfg)
-        del doc["warnings"]
-        assert asdict(parse_config(yaml.safe_dump(doc))) == asdict(cfg)
+        with _run_log(cfg, tmp_path):
+            pass
+        prefix = "INFO effective config: "
+        [line] = [line for line in
+                  (tmp_path / "run.log").read_text().splitlines()
+                  if line.startswith(prefix)]
+        echoed = parse_config(line.removeprefix(prefix))
+        assert asdict(echoed) == asdict(cfg)
+        assert echoed.warnings == cfg.warnings
 
 
 # value factors of the flux catalog; under the strong spatial factor the
@@ -967,3 +975,12 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == 0
         assert len(_read_csv(tmp_path / "o" / "hconv.csv", "hconv")) == 2
         assert len(_read_csv(tmp_path / "o" / "meyers.csv", "meyers")) == 2 * 5
+
+    def test_fine_1d_probe_is_held_to_its_backward_error(self):
+        # eps = 2^-12 on the shipped 1D config: 32,768 cells, where the
+        # Ahat solve's residual 1.4e-10 is a backward error of 3e-19
+        from homfem.cli import _probe_scale, compute_effective_tensor
+        cfg = parse_config((CONFIGS / "two_phase_1d.yaml").read_text())
+        ahat, _ = compute_effective_tensor(cfg)
+        row = _probe_scale(cfg, ahat, 2.0 ** -12)
+        assert row.n_cells == 32768 and np.isfinite(row.linf_diff)

@@ -438,6 +438,19 @@ class TestSolverConfig:
             SolverConfig(fp_max_iter=0)
 
 
+def test_fine_1d_newton_step_is_held_to_its_backward_error():
+    # eps = 2^-12 on the shipped 1D config: 65,535 dofs, where |Ahat|_F is
+    # near 1e9, so the step's residual 2.1e-10 is a backward error of 2e-19
+    from homfem.cli import compute_effective_tensor, load_config
+    cfg = load_config(Path(__file__).parents[1] / "configs"
+                      / "two_phase_1d.yaml")
+    ahat, _ = compute_effective_tensor(cfg)
+    A_hat = assemble_diffusion(cfg.build_domain_space(2.0 ** -12), ahat)
+    _, report = solve_homogenized(A_hat, cfg.nonlinearity,
+                                  SolverConfig(newton_max_iter=1))
+    assert report.iterations == 1 and report.status == "max-iter"
+
+
 def test_newton_residuals_do_not_depend_on_the_blas_thread_count():
     # eps = 2^-11 on the shipped 1D config: 32,767 dofs, a residual long
     # enough for OpenBLAS to split a dot product across its threads

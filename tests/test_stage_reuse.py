@@ -199,10 +199,12 @@ def test_2d_row_factors_every_matrix_with_superlu(count_calls, superlu_calls):
     cfg = parse_config((CONFIGS / "coupled_2d.yaml").read_text())
     factored = count_calls(lu_factor)
     ahat, _ = homfem.cli.compute_effective_tensor(cfg)
-    # with the in-row probe, as a sweep row on this config runs it
-    result = run_single(cfg, ahat, 0.25, probing=True)
+    result = run_single(cfg, ahat, 0.25)
     assert result.row["status"] == "converged"
-    assert result.probe is not None and not isinstance(result.probe, str)
+    # with the row's probe, as a sweep on this config runs it
+    probe = homfem.cli._probe_scale(cfg, ahat, 0.25, result.space,
+                                    near=result.frozen.lu)
+    assert probe.eps == 0.25
     assert len(superlu_calls) == len(factored) > 0
 
 
@@ -460,24 +462,31 @@ def test_probe_command_builds_one_load_per_eps(tmp_path, count_calls):
 
 def test_in_row_probe_builds_one_load_per_eps(tmp_path, monkeypatch,
                                               count_calls):
-    # the coupled config probes in-row; its two coarsest periods
+    # the coupled config probes each period on its row's space; its two
+    # coarsest periods
     cfg = parse_config((CONFIGS / "coupled_2d.yaml").read_text())
     cfg.eps = cfg.eps[:2]
     during = []
-    run = homfem.cli.run_single
     loads = _probe_loads_per_mesh(count_calls)
 
-    def row(*args, **kwargs):
-        result = run(*args, **kwargs)
-        during.append(loads())
-        return result
+    def counted(name):
+        stage = getattr(homfem.cli, name)
 
-    monkeypatch.setattr(homfem.cli, "run_single", row)
+        def run(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            during.append(loads())
+            return result
+        monkeypatch.setattr(homfem.cli, name, run)
+
+    counted("run_single")
+    counted("_probe_scale")
     run_sweep(cfg, tmp_path)
     cells = [cfg.build_domain_space(eps).mesh.num_cells
              for eps in reversed(cfg.eps)]
-    # each row builds its own period's load, and no scale is left over
-    assert during == [{cells[0]: 1}, {cells[0]: 1, cells[1]: 1}]
+    # a row builds no probe load; its probe builds its own period's, and
+    # no scale is left over
+    assert during == [{}, {cells[0]: 1},
+                      {cells[0]: 1}, {cells[0]: 1, cells[1]: 1}]
     assert loads() == during[-1]
 
 
@@ -505,9 +514,10 @@ def coupled_probe_out(tmp_path_factory):
 @pytest.mark.parametrize("finest_fails", [False, True])
 def test_sweep_and_probe_tables_agree_on_the_coupled_config(
         tmp_path, monkeypatch, coupled_probe_out, finest_fails):
-    # the sweep probes each eps inside its row, refined over Ahat's sine
-    # transform and the row's A_eps + C(u0); when the finest row's Newton solve fails, that eps is
-    # probed after the rows on its own probe space, as the probe command does
+    # the sweep probes each eps on its row's space, refined over Ahat's sine
+    # transform and the row's A_eps + C(u0); when the finest row's Newton
+    # solve fails, that eps is probed after the rows on its own probe
+    # space, as the probe command does
     config = CONFIGS / "coupled_2d.yaml"
     cfg = parse_config(config.read_text())
     if finest_fails:
