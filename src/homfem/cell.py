@@ -10,21 +10,23 @@ entirely: the effective matrix is the inverse of the cell average of the
 inverse coefficient matrix.
 
 The singular constant mode of the periodic systems is removed by pinning one
-vertex, solving, and subtracting the component means afterwards, so the
-pinned matrix factors through :func:`~homfem.fem.lu_factor` like any other:
-by LAPACK's band or tridiagonal LU in 1D, by SuperLU in 2D on all but the
-coarsest grids.
+vertex, a constrained vertex of the cell space: the pinned matrix and loads
+are assembled on its free dofs and factored like any other, and each
+solution answers to :func:`~homfem.fem._solved`'s backward error before
+its component means are subtracted, as a constant is in the kernel of the
+periodic operator, not of the pinned one.  Dropping the pinned row hides
+nothing: its residual is minus the sum of the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeff import (HomogenizedTensor, PiecewiseTensor, TensorField,
                     sample_grid)
-from .fem import (DiscreteField, FemSpace, assemble_diffusion,
+from .fem import (DiscreteField, FemSpace, _solved, assemble_diffusion,
                   assemble_divergence_load, lu_factor)
 from .mesh import Mesh
 
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
 # midpoint subintervals of the 1D inverse average for non-piecewise tables
 QUADRATURE_1D = 4096
 
@@ -47,15 +48,16 @@ class CorrectorSet:
     Attributes
     ----------
     space : FemSpace
-        Unconstrained periodic space the correctors live on.
+        Periodic space the correctors live on, with the pinned vertex (the
+        first independent one, owning dofs ``0..n-1``) constrained.
     fields : list of list of DiscreteField
         ``fields[j][beta]`` is the n-component corrector for direction j and
-        component beta.
+        component beta, centered: its values at the pinned vertex are the
+        centering shift, not zero, so ``free()`` does not solve the pinned
+        system.
     means : ndarray, shape (N, n, n)
         Cell means of every corrector component after centering (certificate;
         all below the mean tolerance).
-    residuals : ndarray, shape (N, n)
-        Max-norm residuals of the discrete periodic equations.
     ahat : HomogenizedTensor
         Cell average of the corrected fluxes, entrywise.
     """
@@ -63,7 +65,6 @@ class CorrectorSet:
     space: FemSpace
     fields: list
     means: np.ndarray
-    residuals: np.ndarray
     ahat: HomogenizedTensor
 
     @property
@@ -83,8 +84,9 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
     """Solve the n*N periodic cell problems and average the corrected flux.
 
     The mesh must be periodic; the tensor is evaluated unscaled on the unit
-    cell.  Every returned corrector has component means at most 1e-10 and a
-    discrete residual at most 1e-10.  Raises if the effective tensor loses
+    cell.  Every returned corrector solved its pinned system to a normwise
+    backward error of at most 1e-10, or LinearSolveError is raised, and has
+    component means at most 1e-10.  Raises if the effective tensor loses
     the ellipticity margin, which signals an under-resolved cell mesh.
     """
     if not cellmesh.is_periodic:
@@ -97,30 +99,27 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
     base.require_elliptic()
 
     n, dim = base.n, base.dim
-    space = FemSpace(cellmesh, n)
-    A = assemble_diffusion(space, base)
-
     # pin the first independent vertex, which owns dofs 0..n-1, to remove
     # the constant kernel
-    lu = lu_factor(A.matrix[n:, n:])
+    space = FemSpace(replace(cellmesh, boundary=np.array([0])), n)
+    A = assemble_diffusion(space, base)
+    lu = lu_factor(A.matrix)
 
     nc, nq = space.quad_points.shape[:2]
     a_qp = base.evaluate(space.quad_points.reshape(nc * nq, dim))
     a_qp = a_qp.reshape(nc, nq, n, n, dim, dim)
 
     ahat = np.einsum("cq,cqabij->abij", space.quad_weights, a_qp)
-    fields, means, residuals = [], np.empty((dim, n, n)), np.empty((dim, n))
+    fields, means = [], np.empty((dim, n, n))
     for j in range(dim):
         row = []
         for beta in range(n):
-            load = assemble_divergence_load(space, a_qp[:, :, :, beta, :, j])
-            v = np.zeros(space.num_dofs)
-            v[n:] = lu.solve(-load[n:])
-            v = v.reshape(-1, n)
+            rhs = -assemble_divergence_load(space, a_qp[:, :, :, beta, :, j])
+            v = lu.solve(rhs)
+            _solved(A.matrix, v, rhs, "cell-problem")
+            v = space.free_to_full(v).reshape(-1, n)
             v -= _component_means(space, v.ravel())[None, :]
             v = v.ravel()
-            res = A.matrix @ v + load
-            residuals[j, beta] = float(np.max(np.abs(res)))
             means[j, beta] = _component_means(space, v)
             row.append(DiscreteField(space, v))
             # flux correction: mean of a_{ik}^{ag} d_k v^g
@@ -129,15 +128,10 @@ def solve_cell_problems(base: TensorField, cellmesh: Mesh) -> CorrectorSet:
                 space.gradients_on_cells(v))
         fields.append(row)
 
-    # written so that NaN fails them
+    # written so that NaN fails it
     if not np.max(np.abs(means)) <= MEAN_TOL:
         raise RuntimeError(f"corrector means exceed {MEAN_TOL}")
-    if not residuals.max() <= RESIDUAL_TOL:
-        raise RuntimeError(
-            f"cell-problem residual {residuals.max():.3e} exceeds "
-            f"{RESIDUAL_TOL}")
-    return CorrectorSet(space, fields, means, residuals,
-                        HomogenizedTensor(ahat))
+    return CorrectorSet(space, fields, means, HomogenizedTensor(ahat))
 
 
 def homogenized_tensor_1d(base: TensorField) -> HomogenizedTensor:

@@ -44,9 +44,9 @@ of a constant tensor's matrix on a unit-square space, which factors
 nothing.
 
 Every solver 2-norm is :func:`norm2`, an einsum sum that does not depend
-on the BLAS thread count.  :func:`solve_linear` accepts a solution by its
-normwise backward error and reports a failed one by the same number, the
-same formula whatever the factor.
+on the BLAS thread count.  :func:`solve_linear` and the cell stage accept
+a solution by its normwise backward error (:func:`_solved`) and report a
+failed one by the same number, the same formula whatever the factor.
 """
 
 from __future__ import annotations
@@ -814,16 +814,21 @@ def norm2(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
-def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray):
+def _solved(matrix: sp.spmatrix, u_free: np.ndarray, rhs: np.ndarray,
+            what: str | None = None) -> bool:
     """The check ``error <= 1e-10`` on the normwise backward error
-    ``|r| / (|A|_F |u| + |rhs|)``, ``r = A u - rhs``, and the residual norm
-    and error it read; a zero residual passes, also where it is 0 / 0."""
+    ``|r| / (|A|_F |u| + |rhs|)``, ``r = A u - rhs``; a zero residual
+    passes, also where it is 0 / 0.  Given ``what``, a failure raises
+    LinearSolveError, led by ``what``, with the residual norm and error."""
     residual = norm2(matrix @ u_free - rhs)
-    if residual == 0.0:
-        return True, residual, 0.0
     # |A|_F from the stored entries, which the assembly keeps canonical
-    error = residual / (norm2(matrix.data) * norm2(u_free) + norm2(rhs))
-    return error <= 1e-10, residual, error
+    error = (residual / (norm2(matrix.data) * norm2(u_free) + norm2(rhs))
+             if residual else 0.0)
+    solved = error <= 1e-10
+    if solved or what is None:
+        return solved
+    raise LinearSolveError(f"{what} residual {residual:.3e} exceeds "
+                           f"tolerance (backward error {error:.3e})")
 
 
 def solve_linear(A: SparseOperator, rhs: np.ndarray,
@@ -845,12 +850,8 @@ def solve_linear(A: SparseOperator, rhs: np.ndarray,
         raise ValueError("right-hand side length does not match free dofs")
     if near is not None:
         u_free = _refine(A.matrix, near, rhs)
-        if _solved(A.matrix, u_free, rhs)[0]:
+        if _solved(A.matrix, u_free, rhs):
             return A.space.field_from_free(u_free)
     u_free = lu_factor(A.matrix).solve(rhs)
-    solved, residual, error = _solved(A.matrix, u_free, rhs)
-    if not solved:
-        raise LinearSolveError(
-            f"linear solve failed: residual {residual:.3e} exceeds tolerance "
-            f"(backward error {error:.3e})")
+    _solved(A.matrix, u_free, rhs, "linear solve failed:")
     return A.space.field_from_free(u_free)

@@ -254,8 +254,9 @@ def meyers_probe(rows: list[HConvergenceRow], p_grid) -> MeyersTable:
 
     ``rows`` come from :func:`h_convergence_probe`, so both probes share one
     linear solve per scale.  A column counts as stable when the norm
-    sequence never grows by more than ``MEYERS_SLACK`` relative to its running
-    minimum; the observed range is the largest stable p.  This is a
+    sequence has two entries or more and never grows by more than
+    ``MEYERS_SLACK`` relative to its running minimum; the observed range is
+    the largest stable p, 0.0 when none is.  This is a
     bounded-sequence diagnostic, not an attempt to compute the critical
     integrability exponent.
     """
@@ -267,8 +268,9 @@ def meyers_probe(rows: list[HConvergenceRow], p_grid) -> MeyersTable:
         for c, p in enumerate(p_grid):
             norms[r, c] = _lp_norm(row.cell_measures, row.grad_eps, p)
     stable = np.array([
-        bool(np.all(norms[1:, c] <= np.minimum.accumulate(norms[:, c])[:-1]
-                    * (1.0 + MEYERS_SLACK)))
+        len(rows) >= 2 and bool(np.all(
+            norms[1:, c] <= np.minimum.accumulate(norms[:, c])[:-1]
+            * (1.0 + MEYERS_SLACK)))
         for c in range(len(p_grid))])
     observed = max((p for p, ok in zip(p_grid, stable) if ok), default=0.0)
     return MeyersTable(eps_list=[row.eps for row in rows], p_grid=p_grid,

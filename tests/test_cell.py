@@ -3,6 +3,9 @@ import pytest
 
 from homfem import cell
 from homfem.cell import homogenized_tensor_1d, solve_cell_problems
+from homfem.fem import (FemSpace, LinearSolveError, _solved,
+                        assemble_diffusion, assemble_divergence_load,
+                        lu_factor)
 from homfem.mesh import build_interval_mesh, build_periodic_cell_mesh
 
 from conftest import (assert_relative_close, constant_field,
@@ -21,12 +24,48 @@ class _NanFactor:
         return np.full(self.size, np.nan)
 
 
+class _OffFactor:
+    """Stands in for ``lu_factor``: every solve is moved off its solution
+    by ``1e-6 |x|_inf`` at one dof, a backward error of about 1e-7."""
+
+    def __init__(self, matrix):
+        self.lu = lu_factor(matrix)
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        x[len(x) // 2] += 1e-6 * np.max(np.abs(x))
+        return x
+
+
 class TestSolveCellProblems:
     def test_nan_correctors_fail_the_mean_check(self, monkeypatch):
+        # NaN correctors fail their solve check first; with that check
+        # accepting them, the mean check still rejects them
         monkeypatch.setattr(cell, "lu_factor", _NanFactor)
+        cm = build_periodic_cell_mesh(8, 1)
+        with pytest.raises(LinearSolveError,
+                           match="cell-problem residual nan exceeds"):
+            solve_cell_problems(piecewise_14_tensor(), cm)
+        monkeypatch.setattr(cell, "_solved", lambda *args: True)
+        with pytest.raises(RuntimeError, match="means exceed"):
+            solve_cell_problems(piecewise_14_tensor(), cm)
+
+    def test_corrector_off_its_solution_rejected(self, monkeypatch):
+        monkeypatch.setattr(cell, "lu_factor", _OffFactor)
+        with pytest.raises(LinearSolveError, match="cell-problem residual "
+                           ".* exceeds tolerance"):
+            solve_cell_problems(piecewise_14_tensor(),
+                                build_periodic_cell_mesh(16, 1))
+
+    def test_partial_centering_fails_the_mean_check(self, monkeypatch):
+        # centering by (1 - 1e-6) of the mean leaves about 1e-7 of the
+        # corrector's mean 0.15, far below any tolerance of order 1e-4
+        means = cell._component_means
+        monkeypatch.setattr(cell, "_component_means",
+                            lambda space, v: means(space, v) * (1 - 1e-6))
         with pytest.raises(RuntimeError, match="means exceed"):
             solve_cell_problems(piecewise_14_tensor(),
-                                build_periodic_cell_mesh(8, 1))
+                                build_periodic_cell_mesh(16, 1))
 
     def test_nan_residuals_fail_the_residual_check(self, monkeypatch):
         # zero means, so that only the residual check sees the NaN
@@ -60,10 +99,17 @@ class TestSolveCellProblems:
         assert np.allclose(second, -0.6, atol=1e-12)
 
     def test_mean_certificates(self):
+        # the centered corrector solves the unpinned periodic system, on
+        # which a constant shift costs nothing, to the backward error
         cm = build_periodic_cell_mesh(16, 1)
-        corr = solve_cell_problems(piecewise_14_tensor(), cm)
+        base = piecewise_14_tensor()
+        corr = solve_cell_problems(base, cm)
         assert np.max(np.abs(corr.means)) <= 1e-10
-        assert corr.residuals.max() <= 1e-10
+        periodic = FemSpace(cm, 1)
+        a_qp = base.evaluate(periodic.quad_points.reshape(-1, 1))
+        load = assemble_divergence_load(periodic, a_qp.reshape(16, 1, 1, 1))
+        assert _solved(assemble_diffusion(periodic, base).matrix,
+                       corr.fields[0][0].values, -load)
 
     def test_nonperiodic_mesh_rejected(self):
         with pytest.raises(ValueError, match="periodic"):

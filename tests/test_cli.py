@@ -814,6 +814,34 @@ class TestCellFailure:
                 "failure") in (tmp_path / "run.log").read_text()
 
 
+class TestAccurateCellSolves:
+    """A cell solve is held to its backward error, which does not grow with
+    the cell matrix, so fine and high-contrast cells are accepted."""
+
+    @staticmethod
+    def _two_phase_sweep(out, cell_resolution, values=(1.0, 4.0)):
+        doc = yaml.safe_load((CONFIGS / "two_phase_1d.yaml").read_text())
+        doc["mesh"]["cell_resolution"] = cell_resolution
+        doc["tensor"]["values"] = list(values)
+        run_sweep(parse_config(yaml.safe_dump(doc)), out)
+        rows = _read_csv(out / "sweep.csv", "sweep")
+        assert [row["status"] for row in rows] == ["converged"] * 5
+        return _strict_json(out / "summary.json")["cell"]
+
+    def test_fine_cell_mesh_sweeps(self, tmp_path):
+        # the pinned row's absolute residual reads 1.4e-10 here
+        cell = self._two_phase_sweep(tmp_path, cell_resolution=16384)
+        assert "status" not in cell
+        assert cell["inverse_average_gap"] <= 1e-10
+
+    def test_high_contrast_cell_sweeps(self, tmp_path):
+        # the absolute residual reads 5.7e-10 here
+        cell = self._two_phase_sweep(tmp_path, cell_resolution=1024,
+                                     values=[834.9, 0.0171])
+        assert "status" not in cell
+        assert cell["inverse_average_gap"] <= 1e-8 * cell["margin"]
+
+
 class TestQuadratureConfig:
     def test_3point_rule_runs(self, tmp_path):
         from homfem.cli import compute_effective_tensor, run_single

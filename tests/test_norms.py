@@ -452,6 +452,14 @@ class TestMeyersProbe:
         # energy column is always bounded across the sweep
         assert table.stable[0]
 
+    def test_fewer_than_two_rows_mark_nothing_stable(self):
+        # one norm per column shows no boundedness, and none shows nothing
+        for eps_list in ([], [0.25]):
+            table = meyers_probe(_linear_solves(piecewise_14_tensor(),
+                                                eps_list), [2.0, 3.0, 4.0])
+            assert not table.stable.any()
+            assert table.observed_range == 0.0
+
     def test_p_grid_range_checked(self):
         with pytest.raises(ValueError):
             meyers_probe(_linear_solves(piecewise_14_tensor(), [0.25]), [1.0])

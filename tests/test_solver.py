@@ -316,6 +316,22 @@ class TestFixedPointSolve:
                                           u0, SolverConfig(fp_max_iter=40))
         assert report.status in ("diverged", "max-iter")
 
+    def test_geometric_growth_detected(self):
+        # step norms doubling from the first step: three growing steps end
+        # the run long before fp_max_iter, at finite norms
+        class Doubling(FrozenOperator):
+            def advance(self, u, load, residual):
+                return u * 2.0
+
+        space = space_1d(16)
+        frozen = Doubling(effective_operator(space, _unit_ahat()),
+                          bound_flux(1, 1), space.zero_field())
+        start = space.field_from_free(np.ones(space.num_free))
+        _, report = fixed_point_solve(frozen, start, SolverConfig())
+        assert report.status == "diverged"
+        assert report.iterations == 4
+        assert np.all(np.isfinite(report.step_norms))
+
     def test_estimate_shape_constant_is_stable(self, scenario_1d):
         # |u_eps - u0|_inf stays within a stable multiple of
         # |ubar - u0|_inf plus the first-step residual proxy
@@ -397,6 +413,26 @@ class TestLocalUniquenessProbe:
         assert not probe.outside_ball
         assert probe.all_same
         assert max(probe.distances) <= 10 * cfg.fp_tol
+
+    def test_restart_off_u_eps_disagrees(self, scenario_1d):
+        # restarts that land 1e-6 from u_eps, a hundred times the
+        # agreement tolerance 10 fp_tol, do not agree with it
+        base, ahat, nl = scenario_1d
+        eps = 1 / 16
+        space = space_1d(round(16 / eps))
+        cfg = SolverConfig()
+        u0, _ = solve_homogenized(effective_operator(space, ahat), nl, cfg)
+        A_eps = oscillatory_operator(space, base.with_epsilon(eps), cfg)
+        frozen = FrozenOperator(A_eps, nl, u0)
+        ubar = approximate_solution(frozen)
+        u_eps, _ = fixed_point_solve(frozen, ubar, cfg)
+        shifted = space.field_from_free(u_eps.free() + 1e-6)
+        probe = local_uniqueness_probe(frozen, cfg, trials=2, seed=0,
+                                       magnitude=0.0, ubar=ubar,
+                                       u_eps=shifted)
+        assert probe.statuses == ["converged"] * 2
+        assert np.allclose(probe.distances, 1e-6, rtol=1e-3)
+        assert not probe.all_same
 
     def test_huge_perturbation_flagged(self, scenario_1d):
         base, ahat, nl = scenario_1d
