@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeff import (HomogenizedTensor, PiecewiseTensor, TensorField,
-                    sample_grid)
+from .coeff import HomogenizedTensor, PiecewiseTensor, TensorField
 from .fem import (DiscreteField, FemSpace, _solved, assemble_diffusion,
                   assemble_divergence_load, lu_factor)
-from .mesh import Mesh
+from .mesh import Mesh, sample_grid
 
 __all__ = [
     "CorrectorSet",

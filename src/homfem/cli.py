@@ -6,12 +6,12 @@ included, is a dataclass whose fields are its keys, and a spec of several
 kinds is one dataclass per kind, chosen by its ``kind`` key.  The tensor
 and defect kinds are :mod:`homfem.coeff`'s own classes, and the
 ``nonlinearity`` section, its terms, the value factors, the table ``g``
-and the monomial :mod:`homfem.nonlin`'s; their agreement with
-``system_dim`` and the domain dimension is checked here, in
-``ProblemConfig._field`` and ``ProblemConfig._bind_flux``.  A bad config
-fails at parse time with a :class:`ConfigError` naming the key by its full
-path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.  Runs are
-reproducible functions of the config and the seed.  Subcommands:
+and the monomial :mod:`homfem.nonlin`'s; each spec's ``bind`` checks its
+agreement with ``system_dim`` and the domain dimension and leads its
+errors with the key at fault, to which this module adds the section.  A
+bad config fails at parse time with a :class:`ConfigError` naming the key
+by its full path, such as ``nonlinearity.terms[1].h.monomials[0].coeff``.
+Runs are reproducible functions of the config and the seed.  Subcommands:
 
 * ``homogenize``: solve the cell problems and export the effective tensor.
 * ``solve``: run the pipeline at a single oscillation period.
@@ -46,11 +46,12 @@ import yaml
 from .cell import homogenized_tensor_1d, solve_cell_problems
 from .coeff import (ConstantTensor, EllipticityError, ExpressionTensor,
                     HomogenizedTensor, PiecewiseTensor, TensorField,
-                    _finite, add_defect, sample_grid)
+                    _finite, add_defect)
 from .fem import (FemSpace, LinearSolveError, SineSolver, assemble_diffusion,
                   solve_linear)
-from .mesh import build_interval_mesh, build_periodic_cell_mesh, build_unit_square_mesh
-from .nonlin import LinearForm, Nested, Nonlinearity, TableFactor, validate
+from .mesh import (build_interval_mesh, build_periodic_cell_mesh,
+                   build_unit_square_mesh, sample_grid)
+from .nonlin import Nested, Nonlinearity, validate
 from .norms import (HConvergenceRow, fit_rate, h_convergence_probe,
                     linf_norm, meyers_probe, probe_load)
 from .solver import (FrozenOperator, SolverConfig, approximate_solution,
@@ -83,35 +84,14 @@ def _at_least(section, **lows) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
-def _check_count(key: str, values: list, count: int, source: str, low=None):
-    """A ConfigError naming ``key`` and ``source`` unless ``values`` has
-    ``count`` entries, each at least ``low`` when given."""
-    if len(values) != count or low is not None and min(values) < low:
-        least = "" if low is None else f", each at least {low}"
-        raise ConfigError(f"{key} must have {count} entries{least} "
-                          f"({source} is {count}), got {values}")
-
-
 @contextlib.contextmanager
-def _naming(key: str):
-    """A ValueError in the block, a constructor's, as a ConfigError naming
-    ``key``."""
+def _naming(prefix: str):
+    """A ValueError in the block, a spec's led by its key, as a ConfigError
+    led by ``prefix``, the section the spec sits in."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _check_factor(h, n: int, key: str) -> None:
-    """A ConfigError naming the key of ``h`` that disagrees with
-    ``system_dim`` ``n``: a linear form's ``coeffs`` or a monomial's
-    ``powers``."""
-    if isinstance(h, LinearForm):
-        _check_count(f"{key}.coeffs", h.coeffs, n, "system_dim")
-    for name in ("monomials", "numerator", "denominator"):
-        for k, m in enumerate(getattr(h, name, [])):
-            _check_count(f"{key}.{name}[{k}].powers", m.powers, n,
-                         "system_dim", low=0)
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass
@@ -187,10 +167,12 @@ class ProblemConfig:
 
     @functools.cached_property
     def coefficient(self) -> TensorField:
-        base = self._field(self.tensor, "tensor")
+        with _naming("tensor."):
+            base = TensorField(self.system_dim, self.dim, self.tensor)
         if self.defect is None:
             return base
-        dfield = self._field(self.defect, "defect")
+        with _naming("defect."):
+            dfield = TensorField(self.system_dim, self.dim, self.defect)
         # probe scale only used for the margin check; callers rescale
         try:
             return add_defect(base, dfield,
@@ -200,40 +182,6 @@ class ProblemConfig:
                               f"{self.defect.table}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"defect: {exc}") from exc
-
-    def _field(self, spec: TensorSpec, key: str) -> TensorField:
-        """The field of the spec at ``key``, or a ConfigError naming the
-        key that disagrees with ``system_dim`` or the domain."""
-        if isinstance(spec, PiecewiseTensor):
-            _check_count(f"{key}.grid", spec.grid, self.dim,
-                         "the domain's dimension", low=1)
-        with _naming(f"{key}.{spec.table}"):
-            return TensorField(self.system_dim, self.dim, spec)
-
-    def _bind_flux(self) -> None:
-        """Binds ``nonlinearity`` to ``system_dim`` and the domain, or
-        raises a ConfigError naming the term key at fault; a ``g`` must be
-        finite where a mesh may put a quadrature point, or every row fails."""
-        n, dim = self.system_dim, self.dim
-        try:
-            self.nonlinearity.bind(n, dim)
-        except ValueError as exc:
-            raise ConfigError(f"nonlinearity.{exc}") from exc
-        grid = sample_grid(dim, 16)
-        for k, term in enumerate(self.nonlinearity.terms):
-            key = f"nonlinearity.terms[{k}]"
-            g_key = f"{key}.g"
-            if isinstance(term.g, TableFactor):
-                _check_count(f"{g_key}.grid", term.g.grid, dim,
-                             "the domain's dimension", low=1)
-                g_key += ".values"  # values that do not fill it fail here
-            with _naming(g_key):
-                values = term.spatial_factor(grid)
-            if not np.isfinite(values).all():
-                bad = np.argmin(np.isfinite(values))
-                raise ConfigError(f"{key}.g must be finite, got {values[bad]} "
-                                  f"at {grid[bad]}")
-            _check_factor(term.h, n, f"{key}.h")
 
     def build_domain_space(self, eps: float) -> FemSpace:
         return self._space(max(2, round(self.mesh.cells_per_eps / eps)),
@@ -350,10 +298,11 @@ def parse_config(text: str) -> ProblemConfig:
     # triangular coefficients) reads again on an interval
     base = cfg.coefficient
     grid = sample_grid(cfg.dim, 16)
-    with _naming(f"tensor.{cfg.tensor.table}"):
+    with _naming(f"tensor.{cfg.tensor.table}: "):
         _finite(cfg.tensor(grid), grid)
         triangular = cfg.dim == 2 or base.triangular
-    cfg._bind_flux()
+    with _naming("nonlinearity."):
+        cfg.nonlinearity.bind(cfg.system_dim, cfg.dim)
     if not triangular:
         cfg.warnings.append(
             "neither N=2 nor triangular coefficients: existence/uniqueness "

@@ -10,8 +10,10 @@ keys: :class:`ConstantTensor`, :class:`PiecewiseTensor` (a table on a
 uniform grid over the unit cell, zero outside it when it is a defect) and
 :class:`ExpressionTensor` (closed-form strings, see
 :mod:`homfem.expressions`).  Arbitrary callbacks are deliberately not
-supported so that problem configs stay serializable.  Triangularity (no
-entry with alpha > beta) is read from samples on first access.
+supported so that problem configs stay serializable.  Each kind's
+``bind`` checks its fit to the system size and the dimension, and leads
+each error with the key at fault.  Triangularity (no entry with
+alpha > beta) is read from samples on first access.
 
 Ellipticity bookkeeping is observational: the pointwise quadratic-form margin
 is sampled on a grid (default 256 per axis) and reported as an observed
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import compile_expression
-from .nonlin import Nested
+from .mesh import sample_grid
+from .nonlin import Nested, _check_count, _led_by
 
 __all__ = [
     "ConstantTensor",
@@ -98,7 +101,8 @@ class ConstantTensor:
     table = "value"
 
     def bind(self, n, dim):
-        self.array = _as_entry_array(n, dim, self.value)
+        with _led_by("value"):
+            self.array = _as_entry_array(n, dim, self.value)
 
     def __call__(self, pts):
         return np.broadcast_to(self.array, (pts.shape[0],) + self.array.shape).copy()
@@ -115,15 +119,15 @@ class PiecewiseTensor:
     table = "values"
 
     def bind(self, n, dim):
+        _check_count("grid", self.grid, dim, "the domain's dimension", low=1)
         grid = tuple(int(g) for g in self.grid)
-        if len(grid) != dim or any(g < 1 for g in grid):
-            raise ValueError(f"grid {grid} does not match dimension {dim}")
-        flat = _flatten_table(self.values, grid)
-        if len(flat) != int(np.prod(grid)):
-            raise ValueError(
-                f"piecewise table has {len(flat)} entries, grid needs "
-                f"{int(np.prod(grid))}")
-        table = np.stack([_as_entry_array(n, dim, v) for v in flat])
+        with _led_by("values"):
+            flat = _flatten_table(self.values, grid)
+            if len(flat) != int(np.prod(grid)):
+                raise ValueError(
+                    f"piecewise table has {len(flat)} entries, grid needs "
+                    f"{int(np.prod(grid))}")
+            table = np.stack([_as_entry_array(n, dim, v) for v in flat])
         self.cells = table.reshape(grid + (n, n, dim, dim))
 
     def __call__(self, pts, zero_outside=False):
@@ -152,19 +156,19 @@ class ExpressionTensor:
     def bind(self, n, dim):
         entries = self.entries
         if isinstance(entries, str):
-            full = [[[[entries if (a == b and i == j) else 0.0
-                       for j in range(dim)] for i in range(dim)]
-                     for b in range(n)] for a in range(n)]
-            entries = full
-        table = np.array(entries, dtype=object)
-        if table.shape != (n, n, dim, dim):
-            raise ValueError(
-                f"cannot interpret entries of shape {table.shape} as an "
-                f"(n={n}, n={n}, N={dim}, N={dim}) tensor")
-        self.fns = np.empty(table.shape, dtype=object)
-        for idx, e in np.ndenumerate(table):
-            self.fns[idx] = (compile_expression(e, dim) if isinstance(e, str)
-                             else float(e))
+            entries = [[[[entries if (a == b and i == j) else 0.0
+                          for j in range(dim)] for i in range(dim)]
+                        for b in range(n)] for a in range(n)]
+        with _led_by("entries"):
+            table = np.array(entries, dtype=object)
+            if table.shape != (n, n, dim, dim):
+                raise ValueError(
+                    f"cannot interpret entries of shape {table.shape} as an "
+                    f"(n={n}, n={n}, N={dim}, N={dim}) tensor")
+            self.fns = np.empty(table.shape, dtype=object)
+            for idx, e in np.ndenumerate(table):
+                self.fns[idx] = (compile_expression(e, dim)
+                                 if isinstance(e, str) else float(e))
 
     def __call__(self, pts):
         out = np.empty((pts.shape[0],) + self.fns.shape)
@@ -266,15 +270,6 @@ class TensorField:
                 f"tensor fails the pointwise ellipticity check: observed "
                 f"quadratic-form margin {margin:.3e} <= 0")
         return margin
-
-
-def sample_grid(dim, per_axis):
-    """Midpoints of a uniform per_axis**dim grid over (0,1)^dim."""
-    ticks = (np.arange(per_axis) + 0.5) / per_axis
-    if dim == 1:
-        return ticks.reshape(-1, 1)
-    xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def _quadratic_form_margin(values):

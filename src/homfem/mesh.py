@@ -5,6 +5,8 @@ periodic unit cell in one or two dimensions.  All meshes are structured and
 uniform; the square is triangulated with the diagonal running from the
 lower-left to the upper-right corner of each grid square, so connectivity is
 deterministic and refinement by doubling nests the vertex sets.
+:func:`sample_grid` is the uniform midpoint grid on which coefficients and
+flux factors are sampled.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "build_interval_mesh",
     "build_unit_square_mesh",
     "build_periodic_cell_mesh",
+    "sample_grid",
 ]
 
 
@@ -150,6 +153,15 @@ def build_unit_square_mesh(n: int) -> Mesh:
     boundary = np.nonzero(on_bnd)[0]
     return Mesh(dim=2, vertices=vertices, cells=cells, boundary=boundary,
                 resolution=n)
+
+
+def sample_grid(dim, per_axis):
+    """Midpoints of a uniform per_axis**dim grid over (0,1)^dim."""
+    ticks = (np.arange(per_axis) + 0.5) / per_axis
+    if dim == 1:
+        return ticks.reshape(-1, 1)
+    xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def build_periodic_cell_mesh(n: int, dim: int) -> Mesh:

@@ -12,9 +12,9 @@ restriction is imposed on h since all evaluations happen on bounded nodal
 ranges.  Each catalog kind, the table g, the monomial, the flux
 :class:`Term` and the :class:`Nonlinearity` is one dataclass whose fields
 are its config keys.  Only the flux and its terms take n and N, in
-``bind``, which checks each term's target and compiles its g; a value
-factor's powers and coefficients and a table's grid are checked against
-them by :mod:`homfem.cli`.
+``bind``, which checks every fit of a term to them (its target, a table's
+grid, a value factor's powers and coefficients) and that its g is finite
+and its h defined at u = 0; each error is led by the key at fault.
 
 :func:`eval_F` and :func:`eval_F_jacobian` take each term's g at a space's
 quadrature points from :meth:`~homfem.fem.FemSpace.quadrature_values`, so
@@ -23,6 +23,7 @@ it is evaluated once per space, not once per flux evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import typing
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .expressions import compile_expression
 from .fem import FemSpace, DiscreteField
+from .mesh import sample_grid
 
 __all__ = [
     "Monomial",
@@ -54,6 +56,24 @@ class EvaluationDomainError(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+
+@contextlib.contextmanager
+def _led_by(key: str):
+    """A ValueError in the block led by ``key``, the spec key at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _check_count(key: str, values: list, count: int, source: str, low=None):
+    """A ValueError naming ``key`` and ``source`` unless ``values`` has
+    ``count`` entries, each at least ``low`` when given."""
+    if len(values) != count or low is not None and min(values) < low:
+        least = "" if low is None else f", each at least {low}"
+        raise ValueError(f"{key} must have {count} entries{least} "
+                         f"({source} is {count}), got {values}")
 
 
 # --------------------------------------------------------------------------
@@ -205,21 +225,42 @@ class Term:
     p0: float | None = None
 
     def bind(self, n, dim):
-        """Checks ``target`` against ``n`` and ``dim`` and stores it as the
-        0-based ``alpha`` and ``i``, and g as the ``spatial_factor`` of
-        points (m, dim)."""
+        """Checks the term against ``n`` and ``dim``, each error led by the
+        key at fault, and stores ``target`` as the 0-based ``alpha`` and
+        ``i`` and g as the ``spatial_factor`` of points (m, dim).  g must
+        be finite on the 16-per-axis sample grid, where a mesh may put a
+        quadrature point, and h defined at u = 0, where every Newton solve
+        starts; otherwise every row would fail."""
         target = self.target
         if not (len(target) == 2 and 0 < target[0] <= n
                 and 0 < target[1] <= dim):
             raise ValueError(f"target must be an integer pair in [1, {n}] x "
                              f"[1, {dim}], got {target!r}")
         self.alpha, self.i = target[0] - 1, target[1] - 1
-        self.spatial_factor = self.g  # a table is its own factor
-        if not isinstance(self.g, TableFactor):
-            try:
+        g_key = "g"
+        if isinstance(self.g, TableFactor):
+            _check_count("g.grid", self.g.grid, dim, "the domain's dimension",
+                         low=1)
+            self.spatial_factor = self.g  # a table is its own factor
+            g_key = "g.values"  # values that do not fill the grid fail here
+        else:
+            with _led_by("g"):
                 self.spatial_factor = compile_expression(str(self.g), dim)
-            except ValueError as exc:
-                raise ValueError(f"g: {exc}") from exc
+        grid = sample_grid(dim, 16)
+        with _led_by(g_key):
+            values = self.spatial_factor(grid)
+        if not np.isfinite(values).all():
+            bad = np.argmin(np.isfinite(values))
+            raise ValueError(f"g must be finite, got {values[bad]} at "
+                             f"{grid[bad]}")
+        if isinstance(self.h, LinearForm):
+            _check_count("h.coeffs", self.h.coeffs, n, "system_dim")
+        for name in ("monomials", "numerator", "denominator"):
+            for k, m in enumerate(getattr(self.h, name, [])):
+                _check_count(f"h.{name}[{k}].powers", m.powers, n,
+                             "system_dim", low=0)
+        with _led_by("h"):
+            self.h(np.zeros((1, n)))
 
 
 @dataclass
@@ -326,7 +367,6 @@ class ValidationReport:
 
 
 def _estimate_gp_integral(g, p0, dim, per_axis):
-    from .coeff import sample_grid
     pts = sample_grid(dim, per_axis)
     vals = np.abs(g(pts)) ** p0
     return float(vals.mean())  # |domain| = 1

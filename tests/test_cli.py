@@ -874,10 +874,33 @@ mesh: {cells_per_eps: 16, cell_resolution: 16}
 """
 
 
+def test_pole_at_the_newton_start_is_a_parse_error():
+    # h = 1/u has its pole at u = 0, where every Newton solve starts, so
+    # every row would fail: the config is rejected before any solve
+    with pytest.raises(ConfigError) as info:
+        parse_config(POLE)
+    assert str(info.value) == ("nonlinearity.terms[0].h: rational factor "
+                               "denominator vanishes at u = [0.]")
+
+
 class TestMain:
     def _write_cfg(self, tmp_path):
         path = tmp_path / "prob.yaml"
         path.write_text(MINIMAL)
+        return path
+
+    def _failing_newton(self, tmp_path, monkeypatch):
+        """A one-period config whose effective Newton solve raises a
+        ValueError."""
+        import homfem.cli as cli
+
+        def failing(*args, **kwargs):
+            raise ValueError("synthetic Newton failure")
+
+        monkeypatch.setattr(cli, "solve_homogenized", failing)
+        path = tmp_path / "failing.yaml"
+        path.write_text(MINIMAL.replace("eps: [0.125, 0.0625]",
+                                        "eps: [0.125]"))
         return path
 
     def test_homogenize_command(self, tmp_path):
@@ -918,40 +941,36 @@ class TestMain:
         assert row["status"] == "converged"
         assert probes == loads == []
 
-    def test_solve_stage_failure_recorded(self, tmp_path):
-        # h = 1/u has its pole at the Newton start u = 0: the solve ends in
-        # a status, as the same row of a sweep does, not in a traceback
-        path = tmp_path / "pole.yaml"
-        path.write_text(POLE)
+    def test_solve_stage_failure_recorded(self, tmp_path, monkeypatch):
+        # the Newton solve fails: the solve ends in a status, as the same
+        # row of a sweep does, not in a traceback
+        path = self._failing_newton(tmp_path, monkeypatch)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
         row = json.loads((out / "solve.json").read_text())
         assert row["status"] == "error-ValueError"
         assert _read_csv(out / "solution.csv", "solution") == []
 
-    def test_failed_solve_writes_strict_json(self, tmp_path):
+    def test_failed_solve_writes_strict_json(self, tmp_path, monkeypatch):
         # what the failed solve did not measure is null, never NaN
-        path = tmp_path / "pole.yaml"
-        path.write_text(POLE)
+        path = self._failing_newton(tmp_path, monkeypatch)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
         row = _strict_json(out / "solve.json")
         assert row["margin"] is None and row["h"] is None
         assert row["eps"] == 0.125 and row["iterations"] == 0
 
-    def test_failed_solve_logs_strict_json(self, tmp_path):
+    def test_failed_solve_logs_strict_json(self, tmp_path, monkeypatch):
         # run.log's JSON payloads are strict too: null, never NaN
-        path = tmp_path / "pole.yaml"
-        path.write_text(POLE)
+        path = self._failing_newton(tmp_path, monkeypatch)
         out = tmp_path / "o"
         assert main(["solve", "--config", str(path), "--out", str(out)]) != 0
         [payload] = _logged(out, "INFO solve row: ")
         row = _strict_loads(payload, "solve row")
         assert row["margin"] is None and row["h"] is None
 
-    def test_failed_sweep_logs_strict_json(self, tmp_path):
-        path = tmp_path / "pole.yaml"
-        path.write_text(POLE)
+    def test_failed_sweep_logs_strict_json(self, tmp_path, monkeypatch):
+        path = self._failing_newton(tmp_path, monkeypatch)
         out = tmp_path / "o"
         main(["sweep", "--config", str(path), "--out", str(out)])
         for prefix in ("INFO effective tensor computed: ", "INFO sweep row: ",

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfem.coeff import (DEFAULT_SAMPLE_GRID, HomogenizedTensor,
-                          TensorField, _quadratic_form_margin, add_defect,
-                          sample_grid)
+                          PiecewiseTensor, TensorField,
+                          _quadratic_form_margin, add_defect, sample_grid)
 
 from conftest import (constant_field, expression_field, piecewise_14_tensor,
                       piecewise_field)
@@ -198,6 +198,16 @@ class TestTensorField:
     def test_bad_entry_shape_rejected(self):
         with pytest.raises(ValueError, match="cannot interpret"):
             constant_field(2, 2, np.ones((3, 3)))
+
+    def test_table_grid_checked_against_the_dimension(self):
+        # a config's message, without the section that cli puts before it
+        spec = PiecewiseTensor(kind="piecewise", grid=[2, 2],
+                               values=[1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError) as info:
+            TensorField(1, 1, spec)
+        assert str(info.value) == (
+            "grid must have 1 entries, each at least 1 (the domain's "
+            "dimension is 1), got [2, 2]")
 
     def test_validated_bounds_hold_on_later_evaluations(self):
         from homfem.coeff import _quadratic_form_margin

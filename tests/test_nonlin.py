@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from homfem.cli import parse_config
 from homfem.fem import DiscreteField
-from homfem.nonlin import (Constant, LinearForm, Monomial, Polynomial,
-                           Rational, TableFactor, Term, eval_F,
+from homfem.nonlin import (Constant, LinearForm, Monomial, Nonlinearity,
+                           Polynomial, Rational, TableFactor, Term, eval_F,
                            eval_F_jacobian, validate)
 
 from conftest import bound_flux, space_1d
@@ -144,6 +144,25 @@ def test_bind_stores_the_entry_and_the_compiled_g():
     with pytest.raises(ValueError) as info:
         Term(target=[1, 1], g="x2").bind(1, 1)
     assert str(info.value) == "g: variable 'x2' exceeds space dimension 1"
+
+
+@pytest.mark.parametrize("term, n, dim, message", [
+    # a flux read as u1^2 would drop u2 without a word
+    (Term(target=[1, 1], g="1", h=Polynomial([Monomial(1.0, [2])])), 2, 1,
+     "terms[0].h.monomials[0].powers must have 2 entries, each at least 0 "
+     "(system_dim is 2), got [2]"),
+    (Term(target=[1, 1], g="1", h=LinearForm("sin", [1.0])), 2, 1,
+     "terms[0].h.coeffs must have 2 entries (system_dim is 2), got [1.0]"),
+    # a one-axis table on the square would vary along x1 only
+    (Term(target=[1, 1], g=TableFactor([2], [1.0, 3.0])), 1, 2,
+     "terms[0].g.grid must have 2 entries, each at least 1 (the domain's "
+     "dimension is 2), got [2]"),
+], ids=["powers", "coeffs", "grid"])
+def test_bind_checks_the_counts_a_config_is_checked_for(term, n, dim,
+                                                        message):
+    with pytest.raises(ValueError) as info:
+        Nonlinearity(4.0, [term]).bind(n, dim)
+    assert str(info.value) == message
 
 
 class TestEvalF:
